@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,7 +56,6 @@ class RunConfig:
     format: str = "json"
     q0: Quaternion | None = None
     q: Quaternion | None = None
-    p: Quaternion | None = None
     n: int | None = None
     nmax: int = series.DEFAULT_NMAX
     trials: int | None = None
@@ -64,7 +64,7 @@ class RunConfig:
 
 
 def parse_quaternion(text: str) -> Quaternion:
-    """Parse "w,x,y,z" (or a bare real "w") into a Quaternion."""
+    """Parse "w,x,y,z" (or a bare real "w") of finite numbers."""
     parts = [part.strip() for part in text.split(",")]
     if len(parts) not in (1, 4):
         raise argparse.ArgumentTypeError(
@@ -74,6 +74,9 @@ def parse_quaternion(text: str) -> Quaternion:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"quaternion components must be numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(
+            f"quaternion components must be finite, got {text!r}")
     return Quaternion(*vals)
 
 
@@ -205,15 +208,8 @@ def cmd_series(cfg: RunConfig) -> int:
             f"u(q, q0) = {u:.6g} is not inside the convergence radius "
             f"R = {state.R:.6g}")
     direct = resolvent_bundle(A, q).S_left
-    rows = []
-    converged = False
-    for N in range(cfg.nmax + 1):
-        partial, tail = series.eval_series_S(state, q, N)
-        residual = hmat.op_norm(partial - direct)
-        rows.append([N, series.term_norms(state, q, N)[-1], tail, residual])
-        if residual <= cfg.tol:
-            converged = True
-            break
+    rows, converged = series.residual_report(state, q, direct, cfg.tol,
+                                             cfg.nmax)
     last = rows[-1]
     report = {
         "q0": _quat_list(q0),
@@ -357,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="expansion center / localization center")
         sp.add_argument("--q", type=parse_quaternion, metavar="W[,X,Y,Z]",
                         help="evaluation point")
-        sp.add_argument("--p", type=parse_quaternion, metavar="W[,X,Y,Z]",
-                        help="secondary evaluation point")
         sp.add_argument("--n", type=int, help="matrix dimension where no "
                         "input file applies (verify, series without input)")
         sp.add_argument("--nmax", type=int, default=series.DEFAULT_NMAX,
@@ -375,10 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, input=args.input,
                     output=args.output, format=args.format, q0=args.q0,
-                    q=args.q, p=args.p, n=args.n, nmax=args.nmax,
+                    q=args.q, n=args.n, nmax=args.nmax,
                     trials=args.trials, tol=args.tol, seed=args.seed)
-    if cfg.tol <= 0.0:
-        raise InputError("--tol must be positive")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        raise InputError("--tol must be positive and finite")
     if cfg.nmax < 0:
         raise InputError("--nmax must be >= 0")
     if cfg.n is not None and cfg.n < 1:
@@ -388,8 +382,34 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# Flags whose value is a quaternion; "-0.5,1,0,0" after one of them is
+# its value, although argparse would read it as an unknown flag.
+POINT_FLAGS = ("--q0", "--q")
+
+
+def _is_number_list(text: str) -> bool:
+    try:
+        [float(part) for part in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_point_values(argv: list) -> list:
+    """Rewrite '--q -0.5,1,0,0' as '--q=-0.5,1,0,0' for every point flag."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in POINT_FLAGS and arg.startswith("-")
+                and _is_number_list(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_point_values(argv))
     try:
         cfg = config_from_args(args)
         return COMMANDS[cfg.command](cfg)
@@ -399,7 +419,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuatspecError as exc:
+    except (QuatspecError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,11 +9,12 @@ module provides the degree-two axial polynomial
 which vanishes exactly when p lies on the sphere Re(q) + |Im(q)|*S of q,
 the Cassini pseudo-metric u(p, q) = |triangle(q, p)|**(1/2) built from it,
 and the spherical power basis (with its spherical derivatives) used by the
-resolvent series expansion.
+resolvent series expansion, both element by element and as streams.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -229,6 +230,47 @@ def spherical_power(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
     return tk
 
 
+def spherical_powers(q0: Quaternion, q: Quaternion):
+    """The endless stream spherical_power(q0, n, q) for n = 0, 1, 2, ...
+
+    One qmul per element.  The powers of triangle(q0, q) are built left to
+    right from ONE exactly as qpow builds them, so every element equals
+    spherical_power(q0, n, q) bit for bit.
+    """
+    t = triangle(q0, q)
+    dq = q - q0
+    tk = ONE
+    while True:
+        yield tk
+        yield qmul(dq, tk)
+        tk = qmul(tk, t)
+
+
+def _sderiv_by_quotient(q: Quaternion) -> bool:
+    """Whether spherical derivatives at q use the difference quotient."""
+    return q.im_norm() > REAL_AXIS_CUTOFF * (1.0 + abs(q))
+
+
+def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
+    """The endless stream spherical_power_sderiv(q0, n, q), n = 0, 1, 2, ...
+
+    Off the real axis the difference quotient runs over two spherical_powers
+    streams, at q and at conj(q); near it the closed form is evaluated per
+    n.  Either way every element equals spherical_power_sderiv(q0, n, q)
+    bit for bit.
+    """
+    yield ZERO
+    if _sderiv_by_quotient(q):
+        inv = qinv(q - q.conj())
+        pairs = zip(spherical_powers(q0, q), spherical_powers(q0, q.conj()))
+        next(pairs)
+        for fq, fqc in pairs:
+            yield qmul(fq - fqc, inv)
+    else:
+        for n in itertools.count(1):
+            yield spherical_power_sderiv(q0, n, q)
+
+
 def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
     """Spherical derivative of spherical_power(q0, n, .) at q.
 
@@ -247,8 +289,7 @@ def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
         raise QuatspecError("spherical_power index must be >= 0")
     if n == 0:
         return ZERO
-    s = q.im_norm()
-    if s > REAL_AXIS_CUTOFF * (1.0 + abs(q)):
+    if _sderiv_by_quotient(q):
         fq = spherical_power(q0, n, q)
         fqc = spherical_power(q0, n, q.conj())
         return qmul(fq - fqc, qinv(q - q.conj()))

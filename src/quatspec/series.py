@@ -19,22 +19,46 @@ truncation error itself has the exact closed form
         = Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1),
 
 whose norm never exceeds ||S_left(q)|| * rho**(N+1).
+
+One engine produces every term: terms_S and terms_Q stream
+(n, term, partial sum through n) over the basis streams of quatcore, one
+quaternion product and one coefficient per index, so a run through N
+costs O(N) and its partial sums equal those of the term-by-term
+definition bit for bit.  Two stopping rules read the S stream:
+
+- the library rule (tail_rule, used by converge_series_S/Q): stop at the
+  first N with tail_bound(N) <= rtol * (1 + ||partial_N||).  It needs no
+  direct resolvent at q, and its SVD runs only when a Frobenius majorant
+  of ||partial_N|| lets the test pass;
+- the report rule (residual_report, behind `quatspec series`): stop at
+  the first N with ||partial_N - S_left(q)|| <= tol against the directly
+  inverted S_left(q).  Each row takes two SVDs: that residual and the
+  norm of term N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import islice
+
+import numpy as np
 
 from . import hmat
 from .errors import InputError, OutsideConvergenceDomain, QuatspecError
 from .hmat import QMatrix
-from .quatcore import (Quaternion, cassini_u, qmul, qpow, spherical_power,
-                       spherical_power_sderiv, triangle)
+from .quatcore import (Quaternion, cassini_u, qpow, spherical_power_sderivs,
+                       spherical_powers, triangle)
 from .sresolvent import ResolventBundle, resolvent_bundle
 
 # Default cap for adaptive truncation; exceeding it flags non-convergence
 # instead of raising, so near-boundary evaluations degrade gracefully.
 DEFAULT_NMAX = 200
+
+# Relative inflation of the Frobenius majorant in tail_rule.  For a rank-one
+# matrix the majorant equals the operator norm, and the SVD may round above
+# it; the margin is far above that rounding for chi images up to 16 x 16.
+SCREEN_MARGIN = 1e-12
 
 
 @dataclass
@@ -84,28 +108,45 @@ def series_init(A: QMatrix, q0: Quaternion, N: int) -> SeriesState:
     return state
 
 
-def _scaled_terms(state: SeriesState, q: Quaternion, nmax: int):
-    """Unsigned terms B_{n+1} * spherical_power(q0, n, q) for n = 0..nmax."""
-    t = triangle(state.q0, q)
-    dq = q - state.q0
-    tk = Quaternion(1.0)
-    terms = []
-    n = 0
-    while n <= nmax:
-        terms.append(state.coeff(n + 1).scale_right(tk))
-        if n + 1 <= nmax:
-            terms.append(state.coeff(n + 2).scale_right(qmul(dq, tk)))
-        tk = qmul(tk, t)
-        n += 2
-    return terms
+def _accumulate(state: SeriesState, basis, odd_negative: bool):
+    """(n, term, partial) for n = 0, 1, ... over one basis stream.
+
+    term is the unsigned B_{n+1} * basis[n]; the partial sum through n
+    subtracts the odd-indexed terms if odd_negative, else the even ones.
+    """
+    partial = QMatrix.zeros(state.A.n)
+    for n, p in enumerate(basis):
+        term = state.coeff(n + 1).scale_right(p)
+        if (n % 2 == 1) == odd_negative:
+            partial = partial - term
+        else:
+            partial = partial + term
+        yield n, term, partial
 
 
-def _partial(state: SeriesState, q: Quaternion, N: int) -> QMatrix:
-    """Alternating partial sum through index N (no domain gate)."""
-    out = QMatrix.zeros(state.A.n)
-    for n, term in enumerate(_scaled_terms(state, q, N)):
-        out = out - term if n % 2 else out + term
-    return out
+def terms_S(state: SeriesState, q: Quaternion):
+    """The resolvent series at q as an endless (n, term, partial) stream.
+
+    term = B_{n+1} * spherical_power(q0, n, q) and partial is the
+    alternating sum of the terms 0..n.  No domain gate.
+    """
+    return _accumulate(state, spherical_powers(state.q0, q), True)
+
+
+def terms_Q(state: SeriesState, q: Quaternion):
+    """The derivative series at q as an endless (n, term, partial) stream.
+
+    term = B_{n+1} * spherical_power_sderiv(q0, n, q); the partial sum
+    carries the sign (-1)**(n+1).  No domain gate.
+    """
+    return _accumulate(state, spherical_power_sderivs(state.q0, q), False)
+
+
+def _through(terms, N: int) -> QMatrix:
+    """The partial sum of a term stream through index N >= 0."""
+    for n, _, partial in terms:
+        if n == N:
+            return partial
 
 
 def _require_inside(state: SeriesState, q: Quaternion) -> None:
@@ -172,7 +213,7 @@ def eval_series_S(state: SeriesState, q: Quaternion, N: int):
     if N < 0:
         raise InputError("truncation index must be >= 0")
     _require_inside(state, q)
-    return _partial(state, q, N), tail_bound_S(state, q, N)
+    return _through(terms_S(state, q), N), tail_bound_S(state, q, N)
 
 
 def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
@@ -180,12 +221,7 @@ def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
     if N < 0:
         raise InputError("truncation index must be >= 0")
     _require_inside(state, q)
-    out = QMatrix.zeros(state.A.n)
-    for n in range(N + 1):
-        term = state.coeff(n + 1).scale_right(
-            spherical_power_sderiv(state.q0, n, q))
-        out = out + term if n % 2 else out - term
-    return out, tail_bound_Q(state, q, N)
+    return _through(terms_Q(state, q), N), tail_bound_Q(state, q, N)
 
 
 def remainder_exact(state: SeriesState, q: Quaternion, N: int) -> float:
@@ -204,7 +240,7 @@ def remainder_exact(state: SeriesState, q: Quaternion, N: int) -> float:
     rem_op = (state.coeff(2 * N + 2) @ bq.S_left).scale_right(qpow(tri, N + 1))
     rem = hmat.op_norm(rem_op)
 
-    partial = _partial(state, q, 2 * N + 1)
+    partial = _through(terms_S(state, q), 2 * N + 1)
     direct_err = hmat.op_norm(bq.S_left - partial)
     norm_sq = hmat.op_norm(bq.S_left)
     scale = 1.0 + norm_sq + hmat.op_norm(partial) + rem
@@ -219,8 +255,25 @@ def remainder_exact(state: SeriesState, q: Quaternion, N: int) -> float:
     return rem
 
 
-def _converge(state, q, rtol, nmax, nth_term, tail):
-    """Accumulate terms until tail(N) <= rtol * (1 + ||partial||).
+def tail_rule(t: float, rtol: float, partial: QMatrix) -> bool:
+    """The library stopping rule t <= rtol * (1 + ||partial||).
+
+    ||partial|| takes an SVD, so it is screened first by the majorant
+    sqrt(||a1||_F**2 + ||a2||_F**2) >= ||partial||: chi(partial) has its
+    singular values in equal pairs, so twice the largest one squared is
+    at most its squared Frobenius norm 2 * (||a1||_F**2 + ||a2||_F**2).
+    The majorant is inflated by SCREEN_MARGIN so that rounding in either
+    norm never skips a test that the exact norm would pass; the verdict
+    is the unscreened one.
+    """
+    frob = math.hypot(np.linalg.norm(partial.a1), np.linalg.norm(partial.a2))
+    if t > rtol * (1.0 + (1.0 + SCREEN_MARGIN) * frob):
+        return False
+    return t <= rtol * (1.0 + hmat.op_norm(partial))
+
+
+def _converge(state, q, rtol, nmax, terms, tail):
+    """Consume terms until the tail rule holds for tail(state, q, N).
 
     Returns (partial, tail, N, converged); hitting the cap nmax flags
     non-convergence instead of raising, so near-boundary evaluations
@@ -229,39 +282,44 @@ def _converge(state, q, rtol, nmax, nth_term, tail):
     _require_inside(state, q)
     partial = QMatrix.zeros(state.A.n)
     t = float("inf")
-    for n in range(nmax + 1):
-        term = nth_term(state, q, n)
-        partial = partial - term if n % 2 else partial + term
+    for n, _, partial in islice(terms, max(nmax + 1, 0)):
         t = tail(state, q, n)
-        if t <= rtol * (1.0 + hmat.op_norm(partial)):
+        if tail_rule(t, rtol, partial):
             return partial, t, n, True
     return partial, t, nmax, False
-
-
-def _sterm(state, q, n):
-    return state.coeff(n + 1).scale_right(spherical_power(state.q0, n, q))
-
-
-def _qterm(state, q, n):
-    # Note the global sign flip of the derivative series relative to the
-    # alternating accumulation in _converge: term 0 enters positively
-    # there, so the flip is folded into the term itself.
-    return -state.coeff(n + 1).scale_right(
-        spherical_power_sderiv(state.q0, n, q))
 
 
 def converge_series_S(state: SeriesState, q: Quaternion, rtol: float,
                       nmax: int = DEFAULT_NMAX):
     """Smallest-N resolvent-series evaluation at relative tolerance rtol."""
-    return _converge(state, q, rtol, nmax, _sterm, tail_bound_S)
+    return _converge(state, q, rtol, nmax, terms_S(state, q), tail_bound_S)
 
 
 def converge_series_Q(state: SeriesState, q: Quaternion, rtol: float,
                       nmax: int = DEFAULT_NMAX):
     """Smallest-N derivative-series evaluation at relative tolerance rtol."""
-    return _converge(state, q, rtol, nmax, _qterm, tail_bound_Q)
+    return _converge(state, q, rtol, nmax, terms_Q(state, q), tail_bound_Q)
+
+
+def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
+                    tol: float, nmax: int):
+    """Rows [N, ||term_N||, tail_bound_S(N), ||partial_N - direct||].
+
+    The report rule: rows run from N = 0 until the residual against the
+    directly inverted resolvent `direct` drops to tol, or through nmax.
+    Returns (rows, converged).  Two SVDs per row; no domain gate.
+    """
+    rows = []
+    for n, term, partial in islice(terms_S(state, q), max(nmax + 1, 0)):
+        residual = hmat.op_norm(partial - direct)
+        rows.append([n, hmat.op_norm(term), tail_bound_S(state, q, n),
+                     residual])
+        if residual <= tol:
+            return rows, True
+    return rows, False
 
 
 def term_norms(state: SeriesState, q: Quaternion, N: int):
     """Norms of the unsigned series terms for n = 0..N (decay diagnostics)."""
-    return [hmat.op_norm(t) for t in _scaled_terms(state, q, N)]
+    return [hmat.op_norm(term)
+            for _, term, _ in islice(terms_S(state, q), max(N + 1, 0))]

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import quatspec
 from quatspec.cli import main, parse_quaternion
 from quatspec.quatcore import Quaternion
 
@@ -198,16 +200,36 @@ def test_seed_changes_output(tmp_path, capsys):
     assert f1.read_bytes() != f2.read_bytes()
 
 
-def test_bad_flag_values(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["series", "--q", "not-a-quaternion"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
-    assert main(["verify", "--tol", "-1"]) == 2
+def test_bad_flag_values(tmp_path, capsys):
+    for argv in (["series", "--q", "not-a-quaternion"], ["frobnicate"],
+                 ["resolvent", "--q", "nan"], ["series", "--q0", "1,0,inf,0"],
+                 ["series", "--q", "-inf"], ["cassini", "--q0=-nan"],
+                 ["spectrum", "--p", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    for tol in ("-1", "nan", "inf"):
+        assert main(["verify", "--tol", tol]) == 2
+    assert main(["series", "--q0", "1", "--q", "0.5", "--tol", "nan"]) == 2
     assert main(["verify", "--n", "0"]) == 2
     capsys.readouterr()
+    # a finite point whose pencil overflows is a numeric failure, not a crash
+    rc = main(["resolvent", "--input", mat_i(tmp_path), "--q", "1e200"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+def test_negative_point_after_flag(tmp_path, capsys):
+    path = mat_i(tmp_path)
+    outs = []
+    for argv in (["resolvent", "--input", path, "--q", "-0.5,1,0,0"],
+                 ["resolvent", "--input", path, "--q=-0.5,1,0,0"],
+                 ["series", "--q0", "-1", "--q", "-1.5,0.25,0,0"],
+                 ["series", "--q0=-1", "--q=-1.5,0.25,0,0"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert json.loads(outs[0])["q"] == [-0.5, 1.0, 0.0, 0.0]
 
 
 def test_console_script_entry(tmp_path):
@@ -216,8 +238,12 @@ def test_console_script_entry(tmp_path):
         cmd = [exe]
     else:
         cmd = [sys.executable, "-m", "quatspec.cli"]
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(quatspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(cmd + ["spectrum", "--input", mat_i(tmp_path)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["spheres"][0]["mult"] == 1

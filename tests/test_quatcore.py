@@ -1,4 +1,6 @@
 import math
+import struct
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
                                point_at_cassini_distance, qinv, qmul, qpow,
                                random_unit_imag, same_sphere, sphere_of,
                                spherical_power, spherical_power_sderiv,
+                               spherical_power_sderivs, spherical_powers,
                                triangle)
 
 TOL = 1e-12
@@ -150,6 +153,27 @@ def test_spherical_power_against_direct_products():
     assert spherical_power(Quaternion(1.0), 0, Quaternion(2.0)) == ONE
     with pytest.raises(QuatspecError):
         spherical_power(ONE, -1, ONE)
+
+
+def bits(q):
+    return struct.pack("4d", *q)
+
+
+def test_basis_streams_are_bit_identical_to_the_pointwise_basis():
+    rng = np.random.default_rng(25)
+    points = [(rand_quat(rng), rand_quat(rng)) for _ in range(20)]
+    # real points and a point below the real-axis cutoff take the closed
+    # form of the spherical derivative
+    points += [(Quaternion(0.3, 0.8), Quaternion(1.7)),
+               (Quaternion(2.0), Quaternion(1.2, 1e-9, 0.0, 0.0)),
+               (Quaternion(-1.0), Quaternion(-0.5, -0.0, 0.0, -0.0))]
+    for q0, q in points:
+        got = list(islice(spherical_powers(q0, q), 40))
+        assert [bits(v) for v in got] == [
+            bits(spherical_power(q0, n, q)) for n in range(40)]
+        got = list(islice(spherical_power_sderivs(q0, q), 40))
+        assert [bits(v) for v in got] == [
+            bits(spherical_power_sderiv(q0, n, q)) for n in range(40)]
 
 
 def test_sderiv_quadratic_example():

@@ -1,16 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from quatspec.cli import main
 from quatspec.errors import InputError, OutsideConvergenceDomain
-from quatspec.hmat import QMatrix, op_norm, random_qmatrix
+from quatspec.hmat import (QMatrix, op_norm, qmatrix_to_json_dict,
+                           random_qmatrix)
 from quatspec.quatcore import (Quaternion, cassini_u,
-                               point_at_cassini_distance, random_unit_imag)
+                               point_at_cassini_distance, random_unit_imag,
+                               spherical_power, spherical_power_sderiv)
 from quatspec.series import (certified_real_point, converge_series_Q,
                              converge_series_S, eval_series_Q, eval_series_S,
                              remainder_exact, series_init, tail_bound_Q,
-                             tail_bound_S, term_norms)
+                             tail_bound_S, tail_rule, term_norms)
 from quatspec.sresolvent import resolvent_bundle
 
 
@@ -188,3 +192,159 @@ def test_expansion_center_off_axis():
     partial, tail, N, conv = converge_series_Q(st, q, 1e-11)
     assert conv
     assert op_norm(partial - b.Q) <= 1e-9 * (1.0 + b.norm_Q)
+
+
+# --- the incremental engine against the term-by-term definition ----------
+
+def reference_partials(state, q, N, derivative=False):
+    """(term, partial) for n = 0..N, every term built from scratch."""
+    partial = QMatrix.zeros(state.A.n)
+    out = []
+    for n in range(N + 1):
+        if derivative:
+            term = state.coeff(n + 1).scale_right(
+                spherical_power_sderiv(state.q0, n, q))
+            partial = partial + term if n % 2 else partial - term
+        else:
+            term = state.coeff(n + 1).scale_right(
+                spherical_power(state.q0, n, q))
+            partial = partial - term if n % 2 else partial + term
+        out.append((term, partial))
+    return out
+
+
+def reference_converge(state, q, rtol, nmax, derivative=False):
+    """The tail rule on the reference partial sums, unscreened."""
+    tail = tail_bound_Q if derivative else tail_bound_S
+    for n, (_, partial) in enumerate(
+            reference_partials(state, q, nmax, derivative)):
+        t = tail(state, q, n)
+        if t <= rtol * (1.0 + op_norm(partial)):
+            return partial, t, n, True
+    return partial, t, nmax, False
+
+
+def same_bits(P, R):
+    return P.a1.tobytes() == R.a1.tobytes() and P.a2.tobytes() == R.a2.tobytes()
+
+
+def reference_rows(A, q0, q, tol, nmax):
+    """CSV rows of `quatspec series` from the term-by-term definition."""
+    state = series_init(A, q0, 1)
+    direct = resolvent_bundle(A, q).S_left
+    rows = []
+    for n, (term, partial) in enumerate(reference_partials(state, q, nmax)):
+        residual = op_norm(partial - direct)
+        rows.append(",".join([str(n)] + [
+            format(x, ".17g") for x in (op_norm(term),
+                                        tail_bound_S(state, q, n), residual)]))
+        if residual <= tol:
+            break
+    return rows
+
+
+def cli_csv_rows(capsys, argv):
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    return lines[lines.index("N,term_norm,tail_bound,residual_vs_direct") + 1:]
+
+
+def test_series_report_bit_identical_at_a_long_real_expansion(capsys):
+    # the scalar reference run: N = 299
+    rows = cli_csv_rows(capsys, ["series", "--q0", "1", "--q", "1.9",
+                                 "--tol", "1e-14", "--nmax", "400"])
+    assert len(rows) == 300
+    assert rows == reference_rows(QMatrix.zeros(1), Quaternion(1.0),
+                                  Quaternion(1.9), 1e-14, 400)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_engine_bit_identical_at_nonreal_points(n, tmp_path, capsys):
+    rng = np.random.default_rng(76 + n)
+    A = random_qmatrix(n, rng)
+    centers = [certified_real_point(A),
+               Quaternion(2.0 * (1.0 + op_norm(A)), 0.0, 1.0, 0.0)]
+    for q0 in centers:
+        st = series_init(A, q0, 1)
+        q = sample_inside(st, rng, fraction=0.6)
+        assert not q.is_real()
+        ref_S = reference_partials(st, q, 30)
+        ref_Q = reference_partials(st, q, 30, derivative=True)
+        for N in (0, 1, 2, 7, 30):
+            assert same_bits(eval_series_S(st, q, N)[0], ref_S[N][1])
+            assert same_bits(eval_series_Q(st, q, N)[0], ref_Q[N][1])
+        assert [op_norm(t) for t, _ in ref_S] == term_norms(st, q, 30)
+        for derivative, converge in ((False, converge_series_S),
+                                     (True, converge_series_Q)):
+            for rtol, nmax in ((1e-12, 200), (1e-30, 12)):
+                got = converge(st, q, rtol, nmax)
+                want = reference_converge(st, q, rtol, nmax, derivative)
+                assert same_bits(got[0], want[0])
+                assert got[1:] == want[1:]
+
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(qmatrix_to_json_dict(A)))
+    q0 = centers[1]
+    q = sample_inside(series_init(A, q0, 1), rng, fraction=0.5)
+    rows = cli_csv_rows(capsys, ["series", "--input", str(path),
+                                 "--q0=" + ",".join(map(repr, q0)),
+                                 "--q=" + ",".join(map(repr, q)),
+                                 "--tol", "1e-12"])
+    assert rows == reference_rows(A, q0, q, 1e-12, 200)
+
+
+def test_derivative_engine_near_the_real_axis():
+    # below the real-axis cutoff the closed form is used, as pointwise
+    A = random_qmatrix(2, np.random.default_rng(79))
+    st = series_init(A, certified_real_point(A), 1)
+    q = Quaternion(st.q0.w - 0.5 * st.R, 1e-9, 0.0, 0.0)
+    ref = reference_partials(st, q, 20, derivative=True)
+    for N in (0, 1, 5, 20):
+        assert same_bits(eval_series_Q(st, q, N)[0], ref[N][1])
+
+
+def test_tail_rule_screen_never_skips_a_passing_test():
+    # for rank-one matrices the Frobenius majorant equals the operator
+    # norm, so only the screen's margin absorbs the rounding of either
+    rng = np.random.default_rng(80)
+    for n in (1, 2, 3, 8):
+        for _ in range(50):
+            u = rng.normal(size=n) + 1j * rng.normal(size=n)
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            P = QMatrix(np.outer(u, v.conj()), np.zeros((n, n)))
+            rtol = 10.0 ** rng.uniform(-14, -2)
+            t = rtol * (1.0 + op_norm(P))
+            assert tail_rule(t, rtol, P)
+            assert not tail_rule(np.nextafter(t, np.inf) * 1.001, rtol, P)
+
+
+# --- work gates: these ceilings may be lowered, never raised ---------------
+
+def count_svds(monkeypatch, capsys, argv):
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rc = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    return rc, report, calls[0]
+
+
+def test_series_report_takes_two_svds_per_row(monkeypatch, capsys):
+    rc, rep, svds = count_svds(monkeypatch, capsys, [
+        "series", "--q0", "1", "--q", "1.9", "--tol", "1e-14",
+        "--nmax", "400"])
+    assert rc == 0 and rep["N"] == 299
+    # two bundles (3 SVDs each) and ||S_left(q0)||, then two per row
+    assert svds <= 2 * (rep["N"] + 1) + 7
+
+
+def test_verify_svd_count_gate(monkeypatch, capsys):
+    rc, rep, svds = count_svds(monkeypatch, capsys, [
+        "verify", "--n", "4", "--trials", "50", "--seed", "42"])
+    assert rc == 0 and rep["all_passed"]
+    assert svds <= 4654
