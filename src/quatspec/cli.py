@@ -25,7 +25,7 @@ from .errors import InputError, OutsideConvergenceDomain, QuatspecError
 from .hmat import QMatrix
 from .quatcore import (Quaternion, cassini_u, point_at_cassini_distance,
                        random_unit_imag)
-from .spectrum import (boundary_polyline, cor1_check, in_resolvent,
+from .spectrum import (boundary_polyline, cor1_check, resolvent_mask,
                        s_spectrum, sample_cassini_ball)
 from .sresolvent import delta_op, resolvent_bundle, residual_AS_identity
 
@@ -252,7 +252,7 @@ def cmd_cassini(cfg: RunConfig) -> int:
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, STREAM_CASSINI]))
     samples = sample_cassini_ball(q0, BALL_FRACTION * bound, trials, rng)
-    inside = sum(1 for s in samples if in_resolvent(A, s))
+    inside = int(np.count_nonzero(resolvent_mask(A, samples)))
     bound_holds = u_dist >= bound - 1e-10 * (1.0 + bound)
     ok = bound_holds and inside == trials
     boundary = boundary_polyline(q0, bound)

@@ -188,7 +188,13 @@ def vec(x: HVector) -> np.ndarray:
 
 def chi(A: QMatrix) -> np.ndarray:
     """The complex adjoint representation of A as a 2n x 2n complex matrix."""
-    return np.block([[A.a1, -A.a2], [np.conj(A.a2), np.conj(A.a1)]])
+    n = A.n
+    M = np.empty((2 * n, 2 * n), dtype=complex)
+    M[:n, :n] = A.a1
+    np.negative(A.a2, out=M[:n, n:])
+    np.conjugate(A.a2, out=M[n:, :n])
+    np.conjugate(A.a1, out=M[n:, n:])
+    return M
 
 
 def from_chi(M: np.ndarray) -> QMatrix:

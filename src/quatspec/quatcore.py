@@ -18,6 +18,8 @@ import itertools
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import QuatspecError
 
 # Absolute tolerance for deciding that two axial pairs (Re, |Im|) coincide.
@@ -159,11 +161,6 @@ class SpherePoint(NamedTuple):
     r: float
     s: float
 
-    def representative(self, direction: Quaternion = QI) -> Quaternion:
-        """The point r + s*direction on this sphere."""
-        return Quaternion(self.r, self.s * direction.x,
-                          self.s * direction.y, self.s * direction.z)
-
 
 def sphere_of(q: Quaternion) -> SpherePoint:
     return SpherePoint(q.w, q.im_norm())
@@ -174,18 +171,23 @@ def same_sphere(p: Quaternion, q: Quaternion, tol: float = SAME_SPHERE_TOL) -> b
     return abs(sp.r - sq.r) <= tol and abs(sp.s - sq.s) <= tol
 
 
-def cassini_u_axial(p: SpherePoint, q: SpherePoint) -> float:
-    """Cassini pseudo-metric between two spheres given in axial coordinates.
+def cassini_quartic(pr, ps, qr, qs):
+    """u**4 between the spheres (pr, ps) and (qr, qs): the product m1*m2.
 
-    Evaluates |triangle|**(1/2) through the planar factorization
-    |triangle| = sqrt(((a-c)**2 + (b-d)**2) * ((a-c)**2 + (b+d)**2)),
-    which is symmetric bit-for-bit and exactly zero iff the axial pairs
-    coincide exactly.
+    The planar factorization |triangle|**2 = m1*m2 with
+    m1 = (pr-qr)**2 + (ps-qs)**2 and m2 = (pr-qr)**2 + (ps+qs)**2 is
+    symmetric bit-for-bit and exactly zero iff the axial pairs coincide
+    exactly.  Works elementwise on floats and numpy arrays alike.
     """
-    dr = p.r - q.r
-    m1 = dr * dr + (p.s - q.s) * (p.s - q.s)
-    m2 = dr * dr + (p.s + q.s) * (p.s + q.s)
-    return (m1 * m2) ** 0.25
+    dr = pr - qr
+    m1 = dr * dr + (ps - qs) * (ps - qs)
+    m2 = dr * dr + (ps + qs) * (ps + qs)
+    return m1 * m2
+
+
+def cassini_u_axial(p: SpherePoint, q: SpherePoint) -> float:
+    """Cassini pseudo-metric between two spheres given in axial coordinates."""
+    return cassini_quartic(p.r, p.s, q.r, q.s) ** 0.25
 
 
 def cassini_u(p: Quaternion, q: Quaternion) -> float:
@@ -204,15 +206,18 @@ class CassiniBall(NamedTuple):
     radius: float
 
     def contains(self, p: Quaternion) -> bool:
-        # u < radius  iff  m1 * m2 < radius**4; compare the quartics to
-        # avoid the fractional powers entirely.
-        cs = sphere_of(self.center)
         ps = sphere_of(p)
-        dr = ps.r - cs.r
-        m1 = dr * dr + (ps.s - cs.s) * (ps.s - cs.s)
-        m2 = dr * dr + (ps.s + cs.s) * (ps.s + cs.s)
+        return self.contains_axial(ps.r, ps.s)
+
+    def contains_axial(self, r, s):
+        """contains() for points with axial coordinates (r, s).
+
+        u < radius iff u**4 < radius**4; comparing the quartics avoids the
+        fractional powers.  Floats give a bool, arrays a boolean mask.
+        """
+        cs = sphere_of(self.center)
         r2 = self.radius * self.radius
-        return m1 * m2 < r2 * r2
+        return cassini_quartic(r, s, cs.r, cs.s) < r2 * r2
 
 
 def spherical_power(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
@@ -304,41 +309,57 @@ def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
     return Quaternion(t ** k) + (Quaternion(r) - q0) * (k * t ** (k - 1) * dt)
 
 
-def _radial_offset_root(b: float, dist: float, sin_a: float) -> float:
+def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
     """Smallest t >= 0 with t**2*((t + 2b*sin_a)**2 + (2b*cos_a)**2) = dist**4.
 
     This is the radial offset, within a slice half-plane, from the axial
     representative (a, b) of a center to a point at Cassini distance `dist`
     along the planar direction with sine `sin_a`.  A root always exists in
     [0, dist + 2b]; for b = 0 it is exactly t = dist.
+
+    The arguments broadcast against each other into arrays of at least one
+    dimension, and every element is bisected at once with the float
+    operations of a scalar 200-step bisection.  The loop stops early once
+    no bracket (lo, hi) can change any more, so the roots are those of the
+    full 200 steps bit for bit.  As with Python floats, overflow to inf
+    passes silently.
     """
-    if dist == 0.0:
-        return 0.0
-    if b == 0.0:
-        return dist
-    target = (dist * dist) * (dist * dist)
-    cos2 = max(0.0, 1.0 - sin_a * sin_a)
+    b, dist, sin_a = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (b, dist, sin_a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = (dist * dist) * (dist * dist)
+        one_minus = 1.0 - sin_a * sin_a
+        cos2 = np.where(one_minus > 0.0, one_minus, 0.0)
+        shift = 2.0 * b * sin_a
+        lift = 4.0 * b * b * cos2
 
-    def g(t):
-        u = t + 2.0 * b * sin_a
-        return t * t * (u * u + 4.0 * b * b * cos2)
+        def g(t):
+            u = t + shift
+            return t * t * (u * u + lift)
 
-    hi = dist + 2.0 * b
-    # For steep downward directions g is not monotone; bracket the smallest
-    # root by the local maximum when the dip would otherwise be skipped.
-    disc = 9.0 * sin_a * sin_a - 8.0
-    if sin_a < 0.0 and disc >= 0.0:
-        t_peak = 0.5 * b * (-3.0 * sin_a - math.sqrt(disc))
-        if g(t_peak) >= target:
-            hi = t_peak
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        hi = dist + 2.0 * b
+        # For steep downward directions g is not monotone; bracket the
+        # smallest root by the local maximum when the dip would otherwise
+        # be skipped.
+        disc = 9.0 * sin_a * sin_a - 8.0
+        steep = (sin_a < 0.0) & (disc >= 0.0)
+        t_peak = 0.5 * b * (-3.0 * sin_a - np.sqrt(np.where(steep, disc, 0.0)))
+        hi = np.where(steep & (g(t_peak) >= target), t_peak, hi)
+        closed_form = (dist == 0.0) | (b == 0.0)
+        lo = np.zeros_like(hi)
+        hi = np.where(closed_form, 0.0, hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            # Once every mid repeats an end of its bracket, the update
+            # below leaves brackets that no later step changes.
+            settled = ((mid == lo) | (mid == hi)).all()
+            below = g(mid) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            if settled:
+                break
+        return np.where(dist == 0.0, 0.0,
+                        np.where(b == 0.0, dist, 0.5 * (lo + hi)))
 
 
 def point_at_cassini_distance(q0: Quaternion, dist: float,
@@ -358,7 +379,7 @@ def point_at_cassini_distance(q0: Quaternion, dist: float,
         raise QuatspecError("Cassini distance must be >= 0")
     a, b = q0.w, q0.im_norm()
     sin_a, cos_a = math.sin(angle), math.cos(angle)
-    t = _radial_offset_root(b, dist, sin_a)
+    t = float(radial_offset_roots(b, dist, sin_a)[0])
     s = b + t * sin_a
     return Quaternion(a + t * cos_a, s * direction.x, s * direction.y,
                       s * direction.z)

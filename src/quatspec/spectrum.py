@@ -22,12 +22,15 @@ from . import hmat
 from .errors import InputError, NotInResolventSet, QuatspecError
 from .hmat import QMatrix
 from .quatcore import (CassiniBall, Quaternion, SpherePoint, cassini_u_axial,
-                       random_unit_imag, sphere_of, _radial_offset_root)
-from .sresolvent import delta_op, resolvent_bundle
+                       radial_offset_roots, sphere_of)
+from .sresolvent import pencil_svals, resolvent_bundle
 
 # Two eigenvalue-derived spheres merge when both coordinates agree to this
 # times (1 + ||A||); eigenvalue clustering noise sits far below it.
 CLUSTER_REL_TOL = 1e-8
+
+# sample_cassini_ball draws this many rejection candidates at a time.
+SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,15 @@ def s_spectrum(A: QMatrix) -> SpectrumResult:
     return SpectrumResult(spheres=tuple(spheres))
 
 
+def resolvent_mask(A: QMatrix, points) -> np.ndarray:
+    """Per point: whether the pencil is invertible at the package threshold."""
+    sv = pencil_svals(A, points)
+    return sv[:, -1] > hmat.SINGULAR_REL_TOL * sv[:, 0]
+
+
 def in_resolvent(A: QMatrix, q: Quaternion) -> bool:
     """Whether the pencil at q is invertible at the package threshold."""
-    sv = np.linalg.svd(hmat.chi(delta_op(A, q)), compute_uv=False)
-    return bool(sv[-1] > hmat.SINGULAR_REL_TOL * sv[0])
+    return bool(resolvent_mask(A, [q])[0])
 
 
 def cassini_dist(q0: Quaternion, spec: SpectrumResult) -> float:
@@ -113,13 +121,10 @@ def blowup_probe(A: QMatrix, target: Quaternion, steps: int):
         raise InputError("blowup_probe needs at least one step")
     if in_resolvent(A, target):
         raise InputError("blow-up probe target must lie in the S-spectrum")
-    out = []
-    for m in range(1, steps + 1):
-        p = target + Quaternion(2.0 ** -m)
-        sv = np.linalg.svd(hmat.chi(delta_op(A, p)), compute_uv=False)
-        norm_q = math.inf if sv[-1] == 0.0 else 1.0 / float(sv[-1])
-        out.append((p, norm_q))
-    return out
+    probes = [target + Quaternion(2.0 ** -m) for m in range(1, steps + 1)]
+    smallest = pencil_svals(A, probes)[:, -1]
+    return [(p, math.inf if sv == 0.0 else 1.0 / float(sv))
+            for p, sv in zip(probes, smallest)]
 
 
 def sample_cassini_ball(q0: Quaternion, radius: float, count: int, rng):
@@ -128,27 +133,35 @@ def sample_cassini_ball(q0: Quaternion, radius: float, count: int, rng):
     Sampling is by rejection on a bounding box of the planar region
     {|z - z0|*|z - conj(z0)| < radius**2} (z0 the axial representative of
     q0), after which the planar point is folded to s >= 0 and rotated by a
-    uniformly random imaginary direction.
+    uniformly random imaginary direction.  Candidates are drawn
+    SAMPLE_BLOCK at a time and accepted by CassiniBall.contains_axial on
+    the axial coordinates of the rotated point, exactly as
+    CassiniBall.contains would accept it.
     """
     if radius <= 0.0:
         raise InputError("Cassini ball radius must be positive")
     a, b = q0.w, q0.im_norm()
     dmax = b + math.sqrt(b * b + radius * radius)
     ball = CassiniBall(q0, radius)
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 100000 * max(count, 1):
+    kept = [np.empty((0, 4))]
+    found = drawn = 0
+    while found < count:
+        if drawn >= 100000 * count:
             raise QuatspecError("Cassini ball rejection sampling stalled")
-        r = a + rng.uniform(-dmax, dmax)
-        s = rng.uniform(-(b + dmax), b + dmax)
-        direction = random_unit_imag(rng)
-        cand = Quaternion(r, abs(s) * direction.x, abs(s) * direction.y,
-                          abs(s) * direction.z)
-        if ball.contains(cand):
-            out.append(cand)
-    return out
+        drawn += SAMPLE_BLOCK
+        r = a + rng.uniform(-dmax, dmax, size=SAMPLE_BLOCK)
+        s = np.abs(rng.uniform(-(b + dmax), b + dmax, size=SAMPLE_BLOCK))
+        v = rng.normal(size=(SAMPLE_BLOCK, 3))
+        vn = np.sqrt(np.sum(v * v, axis=1))
+        x, y, z = (s[:, None] * (v / vn[:, None])).T
+        # As with Python floats, a quartic that overflows rejects silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = (vn > 1e-6) & ball.contains_axial(
+                r, np.sqrt(x * x + y * y + z * z))
+        kept.append(np.stack([r, x, y, z], axis=1)[ok])
+        found += len(kept[-1])
+    cols = np.concatenate(kept)[:count].T.tolist()
+    return [Quaternion(*c) for c in zip(*cols)]
 
 
 def boundary_polyline(q0: Quaternion, radius: float, count: int = 181):
@@ -162,9 +175,9 @@ def boundary_polyline(q0: Quaternion, radius: float, count: int = 181):
     if count < 2:
         raise InputError("a polyline needs at least two points")
     a, b = q0.w, q0.im_norm()
-    pts = []
-    for m in range(count):
-        ang = 2.0 * math.pi * m / (count - 1)
-        t = _radial_offset_root(b, radius, math.sin(ang))
-        pts.append((a + t * math.cos(ang), b + t * math.sin(ang)))
-    return pts
+    angles = [2.0 * math.pi * m / (count - 1) for m in range(count)]
+    sines = [math.sin(ang) for ang in angles]
+    cosines = [math.cos(ang) for ang in angles]
+    t = radial_offset_roots(b, radius, sines).tolist()
+    return [(a + tm * cm, b + tm * sm)
+            for tm, cm, sm in zip(t, cosines, sines)]

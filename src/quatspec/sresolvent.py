@@ -34,12 +34,13 @@ policy belongs to the caller.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hmat
-from .errors import DegenerateConfiguration, NotInResolventSet
+from .errors import DegenerateConfiguration, NotInResolventSet, QuatspecError
 from .hmat import QMatrix
 from .quatcore import Quaternion, qinv, triangle
 
@@ -51,10 +52,57 @@ RESOLVENT_REL_TOL = 1e-10
 # falls below this times (1 + |p|**2 + |q|**2).
 DEGENERATE_REL_TOL = 1e-12
 
+# pencil_svals decomposes at most this many bytes of pencils per stacked
+# SVD (64 points at n = 8, 1024 at n = 2), which bounds its working memory.
+PENCIL_BLOCK_BYTES = 1 << 18
+
+
+def _check_abs2(abs2, points) -> None:
+    """Refuse points whose |q|**2 is not finite: their pencil overflows."""
+    finite = np.isfinite(abs2)
+    if not np.all(finite):
+        w, x, y, z = np.reshape(points, (-1, 4))[np.argmin(finite)]
+        raise QuatspecError(
+            f"the pencil overflows: |q|**2 is not finite at "
+            f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
+
 
 def delta_op(A: QMatrix, q: Quaternion) -> QMatrix:
     """The pencil A@A - 2*Re(q)*A + |q|**2*I (real coefficients)."""
-    return A @ A - (2.0 * q.w) * A + q.abs2() * QMatrix.identity(A.n)
+    abs2 = q.abs2()
+    _check_abs2(abs2, q)
+    return A @ A - (2.0 * q.w) * A + abs2 * QMatrix.identity(A.n)
+
+
+def pencil_svals(A: QMatrix, points) -> np.ndarray:
+    """Singular values of chi(delta_op(A, q)) for each point q, shape (k, 2n).
+
+    `points` is a sequence of Quaternions (or of [w, x, y, z] rows).  The
+    stack chi(A@A) - 2*Re(q)*chi(A) + |q|**2*I repeats delta_op's
+    arithmetic entry by entry (signs of zero entries aside), so each row
+    agrees with the SVD of that point's own pencil to rounding.  Each
+    stacked SVD takes at most PENCIL_BLOCK_BYTES of pencils.  Rows are in
+    descending order.
+    """
+    # fromiter skips the per-row objects np.asarray builds from tuples.
+    pts = np.fromiter(itertools.chain.from_iterable(points), float,
+                      count=4 * len(points)).reshape(-1, 4)
+    w, x, y, z = pts.T
+    with np.errstate(over="ignore"):
+        abs2 = w * w + x * x + y * y + z * z
+    _check_abs2(abs2, pts)
+    C = hmat.chi(A)
+    C2 = hmat.chi(A @ A)
+    m = 2 * A.n
+    block = max(1, PENCIL_BLOCK_BYTES // C.nbytes)
+    out = np.empty((len(pts), m))
+    for lo in range(0, len(pts), block):
+        blk = slice(lo, lo + block)
+        stack = np.multiply((2.0 * w[blk])[:, None, None], C)
+        np.subtract(C2, stack, out=stack)
+        stack.reshape(-1, m * m)[:, ::m + 1] += abs2[blk, None]
+        out[blk] = np.linalg.svd(stack, compute_uv=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,7 +206,7 @@ def random_resolvent_point(A: QMatrix, rng, box: float | None = None,
         q = Quaternion(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
         if require_nonreal and q.im_norm() < min_im:
             continue
-        sv = np.linalg.svd(hmat.chi(delta_op(A, q)), compute_uv=False)
+        sv = pencil_svals(A, [q])[0]
         if sv[-1] > min_sv_rel * sv[0]:
             return q
     raise NotInResolventSet("failed to sample a well-conditioned resolvent point")

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -213,10 +214,18 @@ def test_bad_flag_values(tmp_path, capsys):
     assert main(["series", "--q0", "1", "--q", "0.5", "--tol", "nan"]) == 2
     assert main(["verify", "--n", "0"]) == 2
     capsys.readouterr()
-    # a finite point whose pencil overflows is a numeric failure, not a crash
-    rc = main(["resolvent", "--input", mat_i(tmp_path), "--q", "1e200"])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    # a finite point whose pencil overflows is a numeric failure named as
+    # such, with no numpy warning on the way
+    path = mat_i(tmp_path)
+    for argv in (["resolvent", "--input", path, "--q", "1e200"],
+                 ["resolvent", "--input", path, "--q", "1e155"],
+                 ["cassini", "--input", path, "--q0", "1e200"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: the pencil overflows: |q|**2 is not "
+                              "finite at q = (1e+")
 
 
 def test_negative_point_after_flag(tmp_path, capsys):

@@ -9,7 +9,8 @@ from quatspec.errors import QuatspecError
 from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
                                SpherePoint, cassini_u, cassini_u_axial,
                                point_at_cassini_distance, qinv, qmul, qpow,
-                               random_unit_imag, same_sphere, sphere_of,
+                               radial_offset_roots, random_unit_imag,
+                               same_sphere, sphere_of,
                                spherical_power, spherical_power_sderiv,
                                spherical_power_sderivs, spherical_powers,
                                triangle)
@@ -138,6 +139,11 @@ def test_sphere_point_and_membership():
         u = cassini_u(p, center)
         if abs(u - 1.5) > 1e-9:
             assert ball.contains(p) == (u < 1.5)
+    # the array form decides every point as contains() does
+    pts = [rand_quat(rng, 3.0) for _ in range(300)]
+    mask = ball.contains_axial(np.array([p.w for p in pts]),
+                               np.array([p.im_norm() for p in pts]))
+    assert mask.tolist() == [ball.contains(p) for p in pts]
 
 
 def test_spherical_power_against_direct_products():
@@ -231,6 +237,59 @@ def test_point_at_cassini_distance_lands_on_level_set():
         ang = float(rng.uniform(0.0, 2.0 * math.pi))
         p = point_at_cassini_distance(q0, d, random_unit_imag(rng), ang)
         assert abs(cassini_u(p, q0) - d) <= 1e-9 * (1.0 + d + abs(q0)) ** 2
+
+
+def radial_offset_root_reference(b, dist, sin_a):
+    """The scalar 200-step bisection radial_offset_roots must reproduce."""
+    if dist == 0.0:
+        return 0.0
+    if b == 0.0:
+        return dist
+    target = (dist * dist) * (dist * dist)
+    cos2 = max(0.0, 1.0 - sin_a * sin_a)
+
+    def g(t):
+        u = t + 2.0 * b * sin_a
+        return t * t * (u * u + 4.0 * b * b * cos2)
+
+    hi = dist + 2.0 * b
+    disc = 9.0 * sin_a * sin_a - 8.0
+    if sin_a < 0.0 and disc >= 0.0:
+        t_peak = 0.5 * b * (-3.0 * sin_a - math.sqrt(disc))
+        if g(t_peak) >= target:
+            hi = t_peak
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_radial_offset_roots_match_scalar_bisection_bit_for_bit():
+    rng = np.random.default_rng(25)
+    k = 3000
+    b = rng.uniform(0.0, 3.0, k)
+    dist = rng.uniform(0.0, 3.0, k)
+    sin_a = np.array([math.sin(a) for a in rng.uniform(0, 2 * math.pi, k)])
+    b[::7] = 0.0
+    dist[::11] = 0.0
+    sin_a[::5] = -rng.uniform(math.sqrt(8.0) / 3.0, 1.0, len(sin_a[::5]))
+    dist[::13] = 10.0 ** rng.uniform(-150, 150, len(dist[::13]))
+    b[::17] = 10.0 ** rng.uniform(-150, 150, len(b[::17]))
+    steep = (sin_a < 0) & (9.0 * sin_a * sin_a >= 8.0) & (b > 0) & (dist > 0)
+    assert steep.sum() > 100
+    want = [radial_offset_root_reference(*args)
+            for args in zip(b.tolist(), dist.tolist(), sin_a.tolist())]
+    got = radial_offset_roots(b, dist, sin_a)
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == [math.copysign(1, w) < 0 for w in want]
+    # scalars broadcast to a batch of one
+    for i in range(0, k, 97):
+        assert radial_offset_roots(b[i], dist[i], sin_a[i]).tolist() \
+            == [want[i]]
 
 
 def test_axial_metric_zero_iff_same_axial_pair():

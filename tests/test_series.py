@@ -348,3 +348,18 @@ def test_verify_svd_count_gate(monkeypatch, capsys):
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
     assert svds <= 4654
+
+
+def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
+    # one stacked SVD tests every sample, however many there are
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [
+        [[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
+        [[0, 0, 0, -0.5], [-1, 0, 0.75, 0]]]}))
+    counts = []
+    for trials in (100, 1000):
+        rc, rep, svds = count_svds(monkeypatch, capsys, [
+            "cassini", "--input", str(path), "--trials", str(trials)])
+        assert rc == 0 and rep["samples_inside"] == trials
+        counts.append(svds)
+    assert counts == [6, 6]

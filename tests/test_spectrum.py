@@ -146,9 +146,13 @@ def test_sample_cassini_ball():
     q0 = Quaternion(1.0, 0.0, 1.5, 0.0)
     pts = sample_cassini_ball(q0, 1.25, 200, rng)
     assert len(pts) == 200
-    from quatspec.quatcore import cassini_u
+    from quatspec.quatcore import CassiniBall, cassini_u
+    ball = CassiniBall(q0, 1.25)
     for p in pts:
+        assert type(p) is Quaternion
+        assert ball.contains(p)
         assert cassini_u(p, q0) < 1.25
+    assert sample_cassini_ball(q0, 1.25, 0, rng) == []
     # deterministic under the same generator state
     pts2 = sample_cassini_ball(q0, 1.25, 200, np.random.default_rng(64))
     pts1 = sample_cassini_ball(q0, 1.25, 200, np.random.default_rng(64))

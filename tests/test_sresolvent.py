@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quatspec.errors import DegenerateConfiguration, NotInResolventSet
-from quatspec.hmat import QMatrix, op_norm, random_qmatrix
+from quatspec import sresolvent
+from quatspec.errors import (DegenerateConfiguration, NotInResolventSet,
+                             QuatspecError)
+from quatspec.hmat import QMatrix, chi, op_norm, random_qmatrix
 from quatspec.quatcore import QI, QJ, Quaternion, qinv, triangle
-from quatspec.sresolvent import (delta_op, random_resolvent_point,
-                                 resolvent_bundle, residual_AS_identity,
-                                 residual_mixed_eq, residual_q_eq,
-                                 residual_resolvent_eq)
+from quatspec.sresolvent import (delta_op, pencil_svals,
+                                 random_resolvent_point, resolvent_bundle,
+                                 residual_AS_identity, residual_mixed_eq,
+                                 residual_q_eq, residual_resolvent_eq)
 
 
 def test_zero_operator_closed_forms():
@@ -145,3 +148,45 @@ def test_resolvent_point_nonreal_option():
     for _ in range(10):
         p = random_resolvent_point(A, rng, require_nonreal=True)
         assert p.im_norm() >= 0.1
+
+
+def per_point_svals(A, points):
+    return np.array([np.linalg.svd(chi(delta_op(A, q)), compute_uv=False)
+                     for q in points])
+
+
+def random_points(rng, k):
+    """k points in [-3, 3]**4; every third one real."""
+    c = rng.uniform(-3.0, 3.0, size=(k, 4))
+    c[::3, 1:] = 0.0
+    return [Quaternion(*row) for row in c.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pencil_svals_match_per_point_svds(n, k, seed):
+    rng = np.random.default_rng(seed)
+    A = random_qmatrix(n, rng)
+    points = random_points(rng, k)
+    want = per_point_svals(A, points)
+    # three pencils per stacked SVD, so most batches span several blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sresolvent, "PENCIL_BLOCK_BYTES", 3 * chi(A).nbytes)
+        got = pencil_svals(A, points)
+    assert got.shape == (k, 2 * n)
+    assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
+
+
+def test_pencil_svals_default_blocks_and_edges():
+    rng = np.random.default_rng(56)
+    A = random_qmatrix(8, rng)
+    points = random_points(rng, 150)  # three blocks at n = 8
+    want = per_point_svals(A, points)
+    got = pencil_svals(A, points)
+    assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
+    assert pencil_svals(A, []).shape == (0, 16)
+    with pytest.raises(QuatspecError, match="overflows"):
+        pencil_svals(A, [Quaternion(1.0), Quaternion(0.0, 1e200)])
+    with pytest.raises(QuatspecError, match="overflows"):
+        delta_op(A, Quaternion(1e155))
