@@ -27,7 +27,7 @@ from .quatcore import (Quaternion, cassini_u, point_at_cassini_distance,
                        random_unit_imag)
 from .spectrum import (boundary_polyline, cor1_check, resolvent_mask,
                        s_spectrum, sample_cassini_ball)
-from .sresolvent import delta_op, resolvent_bundle, residual_AS_identity
+from .sresolvent import pencil_svals, resolvent_bundle, residual_AS_identity
 
 # Per-command stream indices fed to SeedSequence([seed, stream]) so that
 # different commands never share a random stream for the same seed.
@@ -120,11 +120,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     """Spectral spheres plus a pencil-singularity cross-check of each."""
     A = _load_matrix(cfg)
     result = s_spectrum(A)
-    threshold = ORACLE_REL_TOL * (1.0 + hmat.op_norm(A)) ** 2
-    on_svs = [hmat.smallest_singular(delta_op(A, Quaternion(sp.r, sp.s)))
-              for sp, _ in result.spheres]
-    probe = series.certified_real_point(A)
-    off_sv = hmat.smallest_singular(delta_op(A, probe))
+    # A product, not ** 2: float ** raises OverflowError where * gives inf.
+    scale = 1.0 + hmat.op_norm(A)
+    threshold = ORACLE_REL_TOL * (scale * scale)
+    # One batch: every sphere, then the off-sphere probe.
+    points = [Quaternion(sp.r, sp.s) for sp, _ in result.spheres]
+    points.append(series.certified_real_point(A))
+    smallest = pencil_svals(A, points)[:, -1].tolist()
+    on_svs, off_sv = smallest[:-1], smallest[-1]
     agrees = (max(on_svs) <= threshold and off_sv > threshold
               and result.total_multiplicity() == A.n)
     report = {
@@ -163,12 +166,12 @@ def cmd_resolvent(cfg: RunConfig) -> int:
     report = {
         "n": A.n,
         "q": _quat_list(cfg.q),
-        "pencil_smallest_singular": hmat.smallest_singular(delta_op(A, cfg.q)),
+        "pencil_smallest_singular": bundle.pencil_smallest_singular,
         "norm_Q": bundle.norm_Q,
         "norm_S_left": hmat.op_norm(bundle.S_left),
         "norm_S_right": hmat.op_norm(bundle.S_right),
         "localization_radius": bundle.norm_Q ** -0.5,
-        "shift_pairing_residual": residual_AS_identity(A, cfg.q),
+        "shift_pairing_residual": residual_AS_identity(A, bundle),
     }
     if cfg.format == "json":
         _emit_json(cfg, report)
@@ -245,7 +248,7 @@ def cmd_cassini(cfg: RunConfig) -> int:
     """Localization report: distance bound, ball sampling, boundary curve."""
     A = _load_matrix(cfg)
     q0 = cfg.q0 if cfg.q0 is not None else series.certified_real_point(A)
-    u_dist, bound = cor1_check(A, q0)
+    u_dist, bound = cor1_check(A, resolvent_bundle(A, q0))
     trials = cfg.trials if cfg.trials is not None else 100
     if trials < 0:
         raise InputError("--trials must be >= 0")

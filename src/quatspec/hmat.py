@@ -26,7 +26,8 @@ from .errors import InputError, SingularOperator
 from .quatcore import Quaternion
 
 # A matrix whose smallest singular value does not exceed this fraction of
-# its largest is treated as singular throughout the package.
+# its largest is treated as singular throughout the package (see
+# nonsingular).
 SINGULAR_REL_TOL = 1e-10
 
 
@@ -220,11 +221,20 @@ def smallest_singular(A: QMatrix) -> float:
     return float(sv[-1])
 
 
+def nonsingular(sv):
+    """The package singularity test, smallest > SINGULAR_REL_TOL * largest.
+
+    `sv` holds singular values in descending order along its last axis, so
+    a stack of them gives one verdict per matrix.  NaN values fail.
+    """
+    return sv[..., -1] > SINGULAR_REL_TOL * sv[..., 0]
+
+
 def qmat_inverse(A: QMatrix) -> QMatrix:
     """Inverse computed through chi; the inverse of a chi image is one too."""
     M = chi(A)
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= SINGULAR_REL_TOL * sv[0]:
+    if not nonsingular(sv):
         raise SingularOperator(
             "matrix is numerically singular (smallest singular value "
             f"{sv[-1]:.3e})", smallest_singular=float(sv[-1]))

@@ -251,7 +251,7 @@ def spherical_powers(q0: Quaternion, q: Quaternion):
         tk = qmul(tk, t)
 
 
-def _sderiv_by_quotient(q: Quaternion) -> bool:
+def sderiv_by_quotient(q: Quaternion) -> bool:
     """Whether spherical derivatives at q use the difference quotient."""
     return q.im_norm() > REAL_AXIS_CUTOFF * (1.0 + abs(q))
 
@@ -265,7 +265,7 @@ def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
     bit for bit.
     """
     yield ZERO
-    if _sderiv_by_quotient(q):
+    if sderiv_by_quotient(q):
         inv = qinv(q - q.conj())
         pairs = zip(spherical_powers(q0, q), spherical_powers(q0, q.conj()))
         next(pairs)
@@ -294,7 +294,7 @@ def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
         raise QuatspecError("spherical_power index must be >= 0")
     if n == 0:
         return ZERO
-    if _sderiv_by_quotient(q):
+    if sderiv_by_quotient(q):
         fq = spherical_power(q0, n, q)
         fqc = spherical_power(q0, n, q.conj())
         return qmul(fq - fqc, qinv(q - q.conj()))

@@ -224,18 +224,18 @@ def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
     return _through(terms_Q(state, q), N), tail_bound_Q(state, q, N)
 
 
-def remainder_exact(state: SeriesState, q: Quaternion, N: int) -> float:
+def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int) -> float:
     """Norm of the exact truncation error after the partial sum to 2N+1.
 
-    Computes ||Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1)|| with the
-    directly inverted S_left(q), checks it against the actually summed
-    truncation error, and checks the closed-form majorant
-    ||S_left(q)|| * (||Q|| * |triangle|)**(N+1); a failure of either
-    internal consistency check raises QuatspecError.
+    Computes ||Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1)|| at
+    q = bq.q with the directly inverted S_left(q) of the bundle, checks it
+    against the actually summed truncation error, and checks the
+    closed-form majorant ||S_left(q)|| * (||Q|| * |triangle|)**(N+1); a
+    failure of either internal consistency check raises QuatspecError.
     """
     if N < 0:
         raise InputError("truncation index must be >= 0")
-    bq = resolvent_bundle(state.A, q)
+    q = bq.q
     tri = triangle(state.q0, q)
     rem_op = (state.coeff(2 * N + 2) @ bq.S_left).scale_right(qpow(tri, N + 1))
     rem = hmat.op_norm(rem_op)

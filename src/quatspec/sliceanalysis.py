@@ -26,16 +26,12 @@ from typing import Callable, NamedTuple
 from . import hmat
 from .errors import InputError
 from .hmat import QMatrix
-from .quatcore import Quaternion, qinv
+from .quatcore import Quaternion, qinv, sderiv_by_quotient
 from .sresolvent import resolvent_bundle
 from .spectrum import in_resolvent
 
 # Unit imaginary directions are validated to this absolute tolerance.
 UNIT_IMAG_TOL = 1e-12
-
-# A spherical-derivative query this close to the real axis (relative to
-# 1 + |q|) is answered with the real-axis finite-difference branch.
-REAL_AXIS_GATE = 1e-12
 
 # Central-difference step for the real-axis spherical derivative, relative
 # to 1 + |q|; one level of Richardson extrapolation is applied on top.
@@ -98,11 +94,13 @@ def stem_reconstruct(pair: StemPair, j: Quaternion) -> QMatrix:
 def sderiv_operator(f: SliceEvaluator, q: Quaternion) -> QMatrix:
     """Spherical derivative of f at q.
 
-    Off the real axis this is (f(q) - f(conj(q))) * (q - conj(q))**(-1);
-    on the axis it is the derivative of the real-axis restriction,
-    approximated by Richardson-extrapolated central differences.
+    Off the real axis this is (f(q) - f(conj(q))) * (q - conj(q))**(-1).
+    Below quatcore.REAL_AXIS_CUTOFF, the cutoff of the series basis, the
+    quotient has lost its digits, and the derivative of the real-axis
+    restriction at Re(q) is used instead, approximated by
+    Richardson-extrapolated central differences.
     """
-    if q.im_norm() > REAL_AXIS_GATE * (1.0 + abs(q)):
+    if sderiv_by_quotient(q):
         diff = _eval_at(f, q) - _eval_at(f, q.conj())
         return diff.scale_right(qinv(q - q.conj()))
     r = q.w

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmat
-from .errors import InputError, NotInResolventSet, QuatspecError
+from .errors import InputError, QuatspecError
 from .hmat import QMatrix
 from .quatcore import (CassiniBall, Quaternion, SpherePoint, cassini_u_axial,
                        radial_offset_roots, sphere_of)
-from .sresolvent import pencil_svals, resolvent_bundle
+from .sresolvent import ResolventBundle, pencil_svals
 
 # Two eigenvalue-derived spheres merge when both coordinates agree to this
 # times (1 + ||A||); eigenvalue clustering noise sits far below it.
@@ -80,8 +80,7 @@ def s_spectrum(A: QMatrix) -> SpectrumResult:
 
 def resolvent_mask(A: QMatrix, points) -> np.ndarray:
     """Per point: whether the pencil is invertible at the package threshold."""
-    sv = pencil_svals(A, points)
-    return sv[:, -1] > hmat.SINGULAR_REL_TOL * sv[:, 0]
+    return hmat.nonsingular(pencil_svals(A, points))
 
 
 def in_resolvent(A: QMatrix, q: Quaternion) -> bool:
@@ -96,15 +95,13 @@ def cassini_dist(q0: Quaternion, spec: SpectrumResult) -> float:
                default=math.inf)
 
 
-def cor1_check(A: QMatrix, q0: Quaternion):
-    """The pair (Cassini distance to the spectrum, ||Q||**(-1/2)).
+def cor1_check(A: QMatrix, bundle: ResolventBundle):
+    """The pair (Cassini distance to the spectrum, ||Q||**(-1/2)) at bundle.q.
 
     The distance can never fall below the bound; equality is attained e.g.
-    for A = [i] at q0 = 2.  Raises NotInResolventSet off the resolvent set.
+    for A = [i] at q0 = 2.
     """
-    bundle = resolvent_bundle(A, q0)
-    u_dist = cassini_dist(q0, s_spectrum(A))
-    return u_dist, bundle.norm_Q ** -0.5
+    return cassini_dist(bundle.q, s_spectrum(A)), bundle.norm_Q ** -0.5
 
 
 def blowup_probe(A: QMatrix, target: Quaternion, steps: int):

@@ -13,8 +13,11 @@ associated operators is
     S_left  = Q * conj(q) - A @ Q          (left  S-resolvent),
     S_right = (conj(q)*I - A) @ Q          (right S-resolvent).
 
-The residual_* operations evaluate, in the operator norm, the exact
-identities these objects satisfy:
+resolvent_bundle builds all of them, with the pencil and its smallest
+singular value, from one SVD and one inverse; everything that reads the
+resolvent at a point takes the bundle.  The residual_* operations
+evaluate on bundles, in the operator norm, the exact identities these
+objects satisfy:
 
   * two-point identity of left S-resolvents:
         S_left(p) - S_left(q)
@@ -44,10 +47,6 @@ from .errors import DegenerateConfiguration, NotInResolventSet, QuatspecError
 from .hmat import QMatrix
 from .quatcore import Quaternion, qinv, triangle
 
-# Refusal threshold for resolvent-set membership, relative to the pencil's
-# largest singular value; matches the hmat singularity policy.
-RESOLVENT_REL_TOL = 1e-10
-
 # Two points count as spectrally degenerate (same sphere) when |triangle|
 # falls below this times (1 + |p|**2 + |q|**2).
 DEGENERATE_REL_TOL = 1e-12
@@ -56,22 +55,31 @@ DEGENERATE_REL_TOL = 1e-12
 # SVD (64 points at n = 8, 1024 at n = 2), which bounds its working memory.
 PENCIL_BLOCK_BYTES = 1 << 18
 
+# How overflow messages name the pencil.
+PENCIL = "A@A - 2*Re(q)*A + |q|**2*I"
 
-def _check_abs2(abs2, points) -> None:
-    """Refuse points whose |q|**2 is not finite: their pencil overflows."""
-    finite = np.isfinite(abs2)
+
+def _check_finite(finite, points, what: str) -> None:
+    """Refuse the points at which `what` is not finite: the pencil overflows.
+
+    `finite` holds one flag per point (or one for a single point).
+    """
     if not np.all(finite):
         w, x, y, z = np.reshape(points, (-1, 4))[np.argmin(finite)]
         raise QuatspecError(
-            f"the pencil overflows: |q|**2 is not finite at "
+            f"the pencil overflows: {what} is not finite at "
             f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
 
 
 def delta_op(A: QMatrix, q: Quaternion) -> QMatrix:
     """The pencil A@A - 2*Re(q)*A + |q|**2*I (real coefficients)."""
     abs2 = q.abs2()
-    _check_abs2(abs2, q)
-    return A @ A - (2.0 * q.w) * A + abs2 * QMatrix.identity(A.n)
+    _check_finite(np.isfinite(abs2), q, "|q|**2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = A @ A - (2.0 * q.w) * A + abs2 * QMatrix.identity(A.n)
+    _check_finite(np.isfinite(D.a1).all() and np.isfinite(D.a2).all(), q,
+                  PENCIL)
+    return D
 
 
 def pencil_svals(A: QMatrix, points) -> np.ndarray:
@@ -90,17 +98,20 @@ def pencil_svals(A: QMatrix, points) -> np.ndarray:
     w, x, y, z = pts.T
     with np.errstate(over="ignore"):
         abs2 = w * w + x * x + y * y + z * z
-    _check_abs2(abs2, pts)
+    _check_finite(np.isfinite(abs2), pts, "|q|**2")
     C = hmat.chi(A)
-    C2 = hmat.chi(A @ A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C2 = hmat.chi(A @ A)
     m = 2 * A.n
     block = max(1, PENCIL_BLOCK_BYTES // C.nbytes)
     out = np.empty((len(pts), m))
     for lo in range(0, len(pts), block):
         blk = slice(lo, lo + block)
-        stack = np.multiply((2.0 * w[blk])[:, None, None], C)
-        np.subtract(C2, stack, out=stack)
-        stack.reshape(-1, m * m)[:, ::m + 1] += abs2[blk, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = np.multiply((2.0 * w[blk])[:, None, None], C)
+            np.subtract(C2, stack, out=stack)
+            stack.reshape(-1, m * m)[:, ::m + 1] += abs2[blk, None]
+        _check_finite(np.isfinite(stack).all(axis=(1, 2)), pts[blk], PENCIL)
         out[blk] = np.linalg.svd(stack, compute_uv=False)
     return out
 
@@ -110,69 +121,72 @@ class ResolventBundle:
     """Everything the package needs at one resolvent-set point."""
 
     q: Quaternion
+    pencil: QMatrix
     Q: QMatrix
     S_left: QMatrix
     S_right: QMatrix
     norm_Q: float
+    pencil_smallest_singular: float
 
 
 def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:
     """Invert the pencil at q and assemble both S-resolvents.
 
-    Raises NotInResolventSet (carrying the smallest singular value) when
-    the pencil is numerically singular at the package threshold.
+    One SVD of chi(pencil) decides membership and gives the pencil's
+    smallest singular value; the same chi array is then inverted, so Q
+    equals hmat.qmat_inverse(pencil) bit for bit.  Raises
+    NotInResolventSet (carrying the smallest singular value) when the
+    pencil fails hmat.nonsingular.
     """
     D = delta_op(A, q)
-    sv = np.linalg.svd(hmat.chi(D), compute_uv=False)
-    if sv[-1] <= RESOLVENT_REL_TOL * sv[0]:
+    M = hmat.chi(D)
+    sv = np.linalg.svd(M, compute_uv=False)
+    if not hmat.nonsingular(sv):
         raise NotInResolventSet(
             f"point {tuple(q)} is numerically in the S-spectrum "
             f"(pencil smallest singular value {sv[-1]:.3e})",
             smallest_singular=float(sv[-1]))
-    Q = hmat.qmat_inverse(D)
+    Q = hmat.from_chi(np.linalg.inv(M))
     qc = q.conj()
     S_left = Q.scale_right(qc) - A @ Q
     S_right = (QMatrix.identity(A.n).scale_left(qc) - A) @ Q
-    return ResolventBundle(q=q, Q=Q, S_left=S_left, S_right=S_right,
-                           norm_Q=hmat.op_norm(Q))
+    return ResolventBundle(q=q, pencil=D, Q=Q, S_left=S_left,
+                           S_right=S_right, norm_Q=hmat.op_norm(Q),
+                           pencil_smallest_singular=float(sv[-1]))
 
 
-def residual_resolvent_eq(A: QMatrix, p: Quaternion, q: Quaternion) -> float:
+def residual_resolvent_eq(bp: ResolventBundle, bq: ResolventBundle) -> float:
     """Residual norm of the two-point identity of left S-resolvents."""
-    bp = resolvent_bundle(A, p)
-    bq = resolvent_bundle(A, q)
+    p, q = bp.q, bq.q
     lhs = bp.S_left - bq.S_left
     rhs = bq.Q.scale_right(q - p) + (bq.Q @ bp.S_left).scale_right(triangle(q, p))
     return hmat.op_norm(lhs - rhs)
 
 
-def residual_q_eq(A: QMatrix, p: Quaternion, q: Quaternion):
+def residual_q_eq(bp: ResolventBundle, bq: ResolventBundle):
     """Residual norms of the pseudo-resolvent two-point identity.
 
     Returns the pair for the factor orderings Q(p)@Q(q) and Q(q)@Q(p);
     both vanish in exact arithmetic because the factors commute.
     """
-    bp = resolvent_bundle(A, p)
-    bq = resolvent_bundle(A, q)
     lhs = bp.Q - bq.Q
-    ddiff = delta_op(A, q) - delta_op(A, p)
+    ddiff = bq.pencil - bp.pencil
     r_pq = hmat.op_norm(lhs - ddiff @ (bp.Q @ bq.Q))
     r_qp = hmat.op_norm(lhs - ddiff @ (bq.Q @ bp.Q))
     return r_pq, r_qp
 
 
-def residual_mixed_eq(A: QMatrix, p: Quaternion, q: Quaternion) -> float:
+def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> float:
     """Residual norm of the mixed right/left S-resolvent product identity.
 
     Raises DegenerateConfiguration when p lies on the sphere of q, where
     the scalar factor triangle(q, p) is not invertible.
     """
+    p, q = bp.q, bq.q
     tri = triangle(q, p)
     if abs(tri) <= DEGENERATE_REL_TOL * (1.0 + p.abs2() + q.abs2()):
         raise DegenerateConfiguration(
             "p lies on the sphere of q: the mixed identity degenerates")
-    bp = resolvent_bundle(A, p)
-    bq = resolvent_bundle(A, q)
     diff = bq.S_right - bp.S_left
     lhs = bq.S_right @ bp.S_left
     bracket = diff.scale_right(p) - diff.scale_left(q.conj())
@@ -180,10 +194,9 @@ def residual_mixed_eq(A: QMatrix, p: Quaternion, q: Quaternion) -> float:
     return hmat.op_norm(lhs - rhs)
 
 
-def residual_AS_identity(A: QMatrix, p: Quaternion) -> float:
-    """Residual norm of A @ S_left(p) - S_left(p)*p + I."""
-    b = resolvent_bundle(A, p)
-    expr = A @ b.S_left - b.S_left.scale_right(p) + QMatrix.identity(A.n)
+def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> float:
+    """Residual norm of A @ S_left(p) - S_left(p)*p + I at p = b.q."""
+    expr = A @ b.S_left - b.S_left.scale_right(b.q) + QMatrix.identity(A.n)
     return hmat.op_norm(expr)
 
 

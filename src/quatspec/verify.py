@@ -18,7 +18,7 @@ from .errors import DegenerateConfiguration, InputError
 from .hmat import QMatrix
 from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
 from .spectrum import cor1_check
-from .sresolvent import (delta_op, random_resolvent_point, resolvent_bundle,
+from .sresolvent import (random_resolvent_point, resolvent_bundle,
                          residual_AS_identity, residual_mixed_eq,
                          residual_q_eq, residual_resolvent_eq)
 
@@ -85,11 +85,11 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
 
     scale = 1.0 + norm_sp + norm_sq + bq.norm_Q * (
         abs(q - p) + norm_sp * abs(triangle(q, p)))
-    out["left_resolvent_two_point"] = residual_resolvent_eq(A, p, q) / scale
+    out["left_resolvent_two_point"] = residual_resolvent_eq(bp, bq) / scale
 
-    ddiff = hmat.op_norm(delta_op(A, q) - delta_op(A, p))
+    ddiff = hmat.op_norm(bq.pencil - bp.pencil)
     scale = 1.0 + bp.norm_Q + bq.norm_Q + ddiff * bp.norm_Q * bq.norm_Q
-    r_pq, r_qp = residual_q_eq(A, p, q)
+    r_pq, r_qp = residual_q_eq(bp, bq)
     out["pseudo_resolvent_pq"] = r_pq / scale
     out["pseudo_resolvent_qp"] = r_qp / scale
 
@@ -97,11 +97,11 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
     diff_norm = hmat.op_norm(bq.S_right - bp.S_left)
     scale = 1.0 + norm_srq * norm_sp + (
         diff_norm * (abs(p) + abs(q)) / abs(triangle(q, p)))
-    out["mixed_two_point"] = residual_mixed_eq(A, p, q) / scale
+    out["mixed_two_point"] = residual_mixed_eq(bp, bq) / scale
 
     norm_a = hmat.op_norm(A)
     scale = 2.0 + norm_sp * (norm_a + abs(p))
-    out["shift_pairing"] = residual_AS_identity(A, p) / scale
+    out["shift_pairing"] = residual_AS_identity(A, bp) / scale
 
     scale = 1.0 + norm_a * bq.norm_Q
     out["pseudo_commute"] = hmat.op_norm(A @ bq.Q - bq.Q @ A) / scale
@@ -116,9 +116,10 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
         1.0 + bq.norm_Q)
 
     r0 = series.certified_real_point(A)
-    br = resolvent_bundle(A, r0)
+    state = series.series_init(A, r0, 1)
+    br = state.bundle0
     out["real_point_left_right"] = hmat.op_norm(br.S_left - br.S_right) / (
-        1.0 + hmat.op_norm(br.S_left))
+        1.0 + state.norm_S0)
 
     qd = random_resolvent_point(A, rng, require_nonreal=True)
     bd = resolvent_bundle(A, qd)
@@ -126,28 +127,27 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
     out["derivative_of_resolvent"] = hmat.op_norm(deriv + bd.Q) / (
         1.0 + bd.norm_Q)
 
-    u_dist, bound = cor1_check(A, p)
+    u_dist, bound = cor1_check(A, bp)
     out["spectrum_distance_bound"] = max(0.0, bound - u_dist) / (1.0 + bound)
 
-    state = series.series_init(A, r0, 1)
     q_in = point_at_cassini_distance(
         q0=r0, dist=0.5 * state.R, direction=random_unit_imag(rng),
         angle=float(rng.uniform(0.0, 2.0 * np.pi)))
     b_in = resolvent_bundle(A, q_in)
+    norm_s_in = hmat.op_norm(b_in.S_left)
     rtol = SERIES_RTOL_FRACTION * tol
     partial, _, _, _ = series.converge_series_S(state, q_in, rtol, nmax)
     out["resolvent_series_match"] = hmat.op_norm(partial - b_in.S_left) / (
-        1.0 + hmat.op_norm(b_in.S_left))
+        1.0 + norm_s_in)
     partial, _, _, _ = series.converge_series_Q(state, q_in, rtol, nmax)
     out["series_derivative_match"] = hmat.op_norm(partial - b_in.Q) / (
         1.0 + b_in.norm_Q)
 
     N = REMAINDER_ORDER
-    rem = series.remainder_exact(state, q_in, N)
+    rem = series.remainder_exact(state, b_in, N)
     psum, _ = series.eval_series_S(state, q_in, 2 * N + 1)
     direct_err = hmat.op_norm(b_in.S_left - psum)
-    out["truncation_remainder"] = abs(direct_err - rem) / (
-        1.0 + hmat.op_norm(b_in.S_left))
+    out["truncation_remainder"] = abs(direct_err - rem) / (1.0 + norm_s_in)
     return out
 
 

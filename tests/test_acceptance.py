@@ -56,7 +56,7 @@ def test_resolvent_two_point_identity_at_desk_scale():
         scale = (1.0 + op_norm(bp.S_left) + op_norm(bq.S_left)
                  + bq.norm_Q * (abs(q - p)
                                 + op_norm(bp.S_left) * abs(triangle(q, p))))
-        worst = max(worst, residual_resolvent_eq(A, p, q) / scale)
+        worst = max(worst, residual_resolvent_eq(bp, bq) / scale)
     assert worst <= 1e-10
 
 
@@ -71,7 +71,7 @@ def test_pseudo_resolvent_identity_both_orderings():
         bq = resolvent_bundle(A, q)
         dnorm = op_norm(delta_op(A, q) - delta_op(A, p))
         scale = 1.0 + bp.norm_Q + bq.norm_Q + dnorm * bp.norm_Q * bq.norm_Q
-        r_pq, r_qp = residual_q_eq(A, p, q)
+        r_pq, r_qp = residual_q_eq(bp, bq)
         worst = max(worst, r_pq / scale, r_qp / scale)
     assert worst <= 1e-10
 
@@ -92,7 +92,7 @@ def test_mixed_identity_off_sphere_and_degenerate_guard():
         prod = op_norm(bq.S_right) * op_norm(bp.S_left)
         diff = op_norm(bq.S_right - bp.S_left)
         scale = 1.0 + prod + diff * (abs(p) + abs(q)) / abs(tri)
-        worst = max(worst, residual_mixed_eq(A, p, q) / scale)
+        worst = max(worst, residual_mixed_eq(bp, bq) / scale)
         checked += 1
     assert checked >= 95
     assert worst <= 1e-10
@@ -105,10 +105,11 @@ def test_mixed_identity_off_sphere_and_degenerate_guard():
         sp = sphere_of(q)
         d = random_unit_imag(rng)
         mate = Quaternion(sp.r, sp.s * d.x, sp.s * d.y, sp.s * d.z)
+        bq = resolvent_bundle(A, q)
         with pytest.raises(DegenerateConfiguration):
-            residual_mixed_eq(A, q, mate)
+            residual_mixed_eq(bq, resolvent_bundle(A, mate))
         with pytest.raises(DegenerateConfiguration):
-            residual_mixed_eq(A, q, q.conj())
+            residual_mixed_eq(bq, resolvent_bundle(A, q.conj()))
 
 
 def test_series_convergence_and_term_ratio():
@@ -154,7 +155,7 @@ def test_partial_sum_plus_exact_remainder():
         scale = 1.0 + op_norm(b.S_left) + op_norm(partial) + op_norm(rem_op)
         assert op_norm(b.S_left - partial - rem_op) <= 1e-10 * scale
         # the closed-form majorant dominates the true remainder
-        rem = remainder_exact(st, q, N)
+        rem = remainder_exact(st, b, N)
         bound = op_norm(b.S_left) * (abs(tri) * st.bundle0.norm_Q) ** (N + 1)
         assert rem <= bound + 1e-12 * scale
 
@@ -191,11 +192,11 @@ def test_spectrum_distance_lower_bound_tightness():
     for t in range(50):
         A = random_qmatrix(SIZES[t % 4], rng)
         q0 = random_resolvent_point(A, rng)
-        u_dist, bound = cor1_check(A, q0)
+        u_dist, bound = cor1_check(A, resolvent_bundle(A, q0))
         assert u_dist >= bound - 1e-10
     # exact tightness for the unit-imaginary 1x1 operator probed from 2
     A = QMatrix.from_entries([[[0, 1, 0, 0]]])
-    u_dist, bound = cor1_check(A, Quaternion(2.0))
+    u_dist, bound = cor1_check(A, resolvent_bundle(A, Quaternion(2.0)))
     assert abs(u_dist - math.sqrt(5.0)) <= 1e-12
     assert abs(bound - math.sqrt(5.0)) <= 1e-12
 

@@ -6,11 +6,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import quatspec
 from quatspec.cli import main, parse_quaternion
+from quatspec.hmat import qmatrix_from_json_dict, smallest_singular
 from quatspec.quatcore import Quaternion
+from quatspec.series import certified_real_point
+from quatspec.sresolvent import delta_op
 
 
 def write_matrix(tmp_path, name, entries):
@@ -226,6 +230,38 @@ def test_bad_flag_values(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: the pencil overflows: |q|**2 is not "
                               "finite at q = (1e+")
+    # so is a finite input whose pencil overflows, at any point
+    for entry in (1e160, 1e300):
+        path = write_matrix(tmp_path, "big.json", [[[entry, 0, 0, 0]]])
+        for argv in (["spectrum", "--input", path],
+                     ["resolvent", "--input", path, "--q", "1"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert err.startswith("error: the pencil overflows: ")
+
+
+def test_spectrum_batch_matches_per_point_svds(tmp_path, capsys):
+    # one stacked SVD gives, bit for bit, each sphere's and the probe's
+    # smallest pencil singular value
+    rng = np.random.default_rng(40)
+    cases = [rng.uniform(-1.0, 1.0, size=(n, n, 4)).tolist()
+             for n in range(1, 9)]
+    cases.append([[[1, 0.5, 0, 0], [0, 0, 0, 0]],
+                  [[0, 0, 0, 0], [2, 0, -1, 0]]])   # zero off the diagonal
+    cases.append([[[0, 1, 0, 0], [1, 0, 0, 0]],
+                  [[0, 0, 0, 0], [0, 1, 0, 0]]])    # a Jordan block at i
+    for entries in cases:
+        path = write_matrix(tmp_path, "m.json", entries)
+        _, rep = run_json(capsys, ["spectrum", "--input", path])
+        A = qmatrix_from_json_dict({"n": len(entries), "entries": entries})
+        oracle = rep["oracle_validation"]
+        want = [smallest_singular(delta_op(A, Quaternion(sp["r"], sp["s"])))
+                for sp in rep["spheres"]]
+        assert oracle["pencil_sv_on_spheres"] == want
+        assert oracle["pencil_sv_off_sphere_probe"] == smallest_singular(
+            delta_op(A, certified_real_point(A)))
 
 
 def test_negative_point_after_flag(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quatspec import sresolvent
 from quatspec.cli import main
 from quatspec.errors import InputError, OutsideConvergenceDomain
 from quatspec.hmat import (QMatrix, op_norm, qmatrix_to_json_dict,
@@ -43,8 +44,9 @@ def test_scalar_series_values():
 
 
 def test_scalar_remainder_exact_value():
-    st = series_init(QMatrix.zeros(1), Quaternion(1.0), 1)
-    rem = remainder_exact(st, Quaternion(0.5), 3)
+    Z = QMatrix.zeros(1)
+    st = series_init(Z, Quaternion(1.0), 1)
+    rem = remainder_exact(st, resolvent_bundle(Z, Quaternion(0.5)), 3)
     assert abs(rem - 2.0 * 0.25 ** 4) <= 1e-16
 
 
@@ -133,7 +135,7 @@ def test_tail_bounds_majorize_true_tails():
             assert op_norm(sQ - pQ) <= tQ + 1e-10 * (1.0 + op_norm(sQ))
         # the remainder identity is consistent with the directly summed err
         for N in (0, 1, 3):
-            rem = remainder_exact(st, q, N)
+            rem = remainder_exact(st, b, N)
             p, _ = eval_series_S(st, q, 2 * N + 1)
             assert abs(op_norm(b.S_left - p) - rem) <= 1e-10 * (
                 1.0 + op_norm(b.S_left))
@@ -320,46 +322,77 @@ def test_tail_rule_screen_never_skips_a_passing_test():
 
 # --- work gates: these ceilings may be lowered, never raised ---------------
 
-def count_svds(monkeypatch, capsys, argv):
-    calls = [0]
-    svd = np.linalg.svd
+MAT2 = {"n": 2, "entries": [[[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
+                            [[0, 0, 0, -0.5], [-1, 0, 0.75, 0]]]}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+def count_work(monkeypatch, capsys, argv):
+    """Run one command; count its SVDs, inverses and resolvent bundles.
+
+    Every bundle is built through sresolvent.ResolventBundle, so counting
+    that name counts bundles whichever module asks for one.
+    """
+    calls = {"svd": 0, "inv": 0, "bundle": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, owner, name in (("svd", np.linalg, "svd"),
+                             ("inv", np.linalg, "inv"),
+                             ("bundle", sresolvent, "ResolventBundle")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name), key))
     rc = main(argv)
     report = json.loads(capsys.readouterr().out)
-    return rc, report, calls[0]
+    return rc, report, calls
 
 
 def test_series_report_takes_two_svds_per_row(monkeypatch, capsys):
-    rc, rep, svds = count_svds(monkeypatch, capsys, [
+    rc, rep, work = count_work(monkeypatch, capsys, [
         "series", "--q0", "1", "--q", "1.9", "--tol", "1e-14",
         "--nmax", "400"])
     assert rc == 0 and rep["N"] == 299
-    # two bundles (3 SVDs each) and ||S_left(q0)||, then two per row
-    assert svds <= 2 * (rep["N"] + 1) + 7
+    # two bundles (2 SVDs each) and ||S_left(q0)||, then two per row
+    assert work["svd"] <= 2 * (rep["N"] + 1) + 5
 
 
 def test_verify_svd_count_gate(monkeypatch, capsys):
-    rc, rep, svds = count_svds(monkeypatch, capsys, [
+    rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    assert svds <= 4654
+    assert work["svd"] <= 2654
+
+
+def test_verify_bundle_count_gate(monkeypatch, capsys):
+    rc, rep, work = count_work(monkeypatch, capsys, [
+        "verify", "--n", "4", "--trials", "50", "--seed", "42"])
+    assert rc == 0 and rep["all_passed"]
+    # eight bundles per trial: p, q, conj(q), the real center, the
+    # derivative point (twice) with its conjugate, and the series point
+    assert work["bundle"] <= 400
 
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
     # one stacked SVD tests every sample, however many there are
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"n": 2, "entries": [
-        [[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
-        [[0, 0, 0, -0.5], [-1, 0, 0.75, 0]]]}))
+    path.write_text(json.dumps(MAT2))
     counts = []
     for trials in (100, 1000):
-        rc, rep, svds = count_svds(monkeypatch, capsys, [
+        rc, rep, work = count_work(monkeypatch, capsys, [
             "cassini", "--input", str(path), "--trials", str(trials)])
         assert rc == 0 and rep["samples_inside"] == trials
-        counts.append(svds)
-    assert counts == [6, 6]
+        counts.append(work["svd"])
+    assert counts == [5, 5]
+
+
+def test_resolvent_work_gate(monkeypatch, capsys, tmp_path):
+    # the bundle's pencil SVD and ||Q||, then ||S_left||, ||S_right|| and
+    # the shift-pairing residual; the bundle inverts the pencil once
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MAT2))
+    rc, rep, work = count_work(monkeypatch, capsys, [
+        "resolvent", "--input", str(path), "--q", "0.5,1,0,0"])
+    assert rc == 0
+    assert work == {"svd": 5, "inv": 1, "bundle": 1}

@@ -102,6 +102,21 @@ def test_sderiv_real_axis_branch():
     assert op_norm(got + b.Q) <= 1e-8 * (1.0 + b.norm_Q)
 
 
+def test_sderiv_near_the_real_axis():
+    # the difference quotient loses digits as Im q -> 0; below the series
+    # basis cutoff the real-axis branch takes over and stays accurate
+    rng = np.random.default_rng(86)
+    for _ in range(3):
+        A = random_qmatrix(4, rng)
+        f = s_resolvent_map(A)
+        r = certified_real_point(A).w
+        for im in (1e-6, 1e-9, 1e-11):
+            q = Quaternion(r, 0.0, im, 0.0)
+            b = resolvent_bundle(A, q)
+            got = sderiv_operator(f, q)
+            assert op_norm(got + b.Q) <= 1e-10 * (1.0 + b.norm_Q)
+
+
 def test_cauchy_coeffs_alternating_pinned():
     f = s_resolvent_map(QMatrix.zeros(1))
     coeffs = cauchy_coeffs(f, I, 1.0 + 0.0j, 0.5, 256, 10)

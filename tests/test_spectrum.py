@@ -11,7 +11,7 @@ from quatspec.quatcore import (QI, Quaternion, cassini_u_axial,
 from quatspec.spectrum import (SpectrumResult, blowup_probe,
                                boundary_polyline, cassini_dist, cor1_check,
                                in_resolvent, s_spectrum, sample_cassini_ball)
-from quatspec.sresolvent import delta_op
+from quatspec.sresolvent import delta_op, resolvent_bundle
 
 
 def mat_i():
@@ -102,7 +102,8 @@ def test_cassini_dist():
 
 
 def test_spectrum_distance_bound_tight_case():
-    u_dist, bound = cor1_check(mat_i(), Quaternion(2.0))
+    A = mat_i()
+    u_dist, bound = cor1_check(A, resolvent_bundle(A, Quaternion(2.0)))
     assert abs(u_dist - math.sqrt(5.0)) <= 1e-10
     assert abs(bound - math.sqrt(5.0)) <= 1e-10
     assert u_dist >= bound - 1e-12
@@ -116,7 +117,7 @@ def test_spectrum_distance_bound_never_beats_distance():
         q0 = Quaternion(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
         if not in_resolvent(A, q0):
             continue
-        u_dist, bound = cor1_check(A, q0)
+        u_dist, bound = cor1_check(A, resolvent_bundle(A, q0))
         assert u_dist >= bound - 1e-10 * (1.0 + bound)
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from quatspec import sresolvent
 from quatspec.errors import (DegenerateConfiguration, NotInResolventSet,
                              QuatspecError)
-from quatspec.hmat import QMatrix, chi, op_norm, random_qmatrix
+from quatspec.hmat import (QMatrix, chi, op_norm, qmat_inverse, random_qmatrix,
+                           smallest_singular)
 from quatspec.quatcore import QI, QJ, Quaternion, qinv, triangle
 from quatspec.sresolvent import (delta_op, pencil_svals,
                                  random_resolvent_point, resolvent_bundle,
@@ -57,7 +58,7 @@ def test_two_point_resolvent_identity():
             scale = 1.0 + op_norm(bp.S_left) + op_norm(bq.S_left) + \
                 bq.norm_Q * (abs(q - p) +
                              op_norm(bp.S_left) * abs(triangle(q, p)))
-            assert residual_resolvent_eq(A, p, q) <= 1e-12 * scale
+            assert residual_resolvent_eq(bp, bq) <= 1e-12 * scale
 
 
 def test_pseudo_resolvent_identity_both_orderings():
@@ -71,23 +72,25 @@ def test_pseudo_resolvent_identity_both_orderings():
             bq = resolvent_bundle(A, q)
             dd = op_norm(delta_op(A, q) - delta_op(A, p))
             scale = 1.0 + bp.norm_Q + bq.norm_Q + dd * bp.norm_Q * bq.norm_Q
-            r_pq, r_qp = residual_q_eq(A, p, q)
+            r_pq, r_qp = residual_q_eq(bp, bq)
             assert r_pq <= 1e-12 * scale
             assert r_qp <= 1e-12 * scale
 
 
 def test_pseudo_resolvent_scalar_example():
     # zero operator, p = 1, q = 2:  1 - 1/4  =  (4 - 1) * 1 * (1/4)
-    r_pq, r_qp = residual_q_eq(QMatrix.zeros(1), Quaternion(1.0),
-                               Quaternion(2.0))
+    Z = QMatrix.zeros(1)
+    r_pq, r_qp = residual_q_eq(resolvent_bundle(Z, Quaternion(1.0)),
+                               resolvent_bundle(Z, Quaternion(2.0)))
     assert r_pq <= 1e-15
     assert r_qp <= 1e-15
 
 
 def test_mixed_identity_scalar_example():
     # zero operator, p = 1, q = 2: both sides reduce to 1/2
-    assert residual_mixed_eq(QMatrix.zeros(1), Quaternion(1.0),
-                             Quaternion(2.0)) <= 1e-15
+    Z = QMatrix.zeros(1)
+    assert residual_mixed_eq(resolvent_bundle(Z, Quaternion(1.0)),
+                             resolvent_bundle(Z, Quaternion(2.0))) <= 1e-15
 
 
 def test_mixed_identity_random():
@@ -104,13 +107,14 @@ def test_mixed_identity_random():
             diff = op_norm(bq.S_right - bp.S_left)
             scale = 1.0 + op_norm(bq.S_right) * op_norm(bp.S_left) + \
                 diff * (abs(p) + abs(q)) / abs(triangle(q, p))
-            assert residual_mixed_eq(A, p, q) <= 1e-12 * scale
+            assert residual_mixed_eq(bp, bq) <= 1e-12 * scale
 
 
 def test_mixed_identity_degenerate_pairs():
     A = QMatrix.zeros(1)
     with pytest.raises(DegenerateConfiguration):
-        residual_mixed_eq(A, QI, QJ)
+        residual_mixed_eq(resolvent_bundle(A, QI),
+                          resolvent_bundle(A, QJ))
     rng = np.random.default_rng(54)
     for _ in range(20):
         c = rng.uniform(-2, 2, size=4)
@@ -121,7 +125,8 @@ def test_mixed_identity_degenerate_pairs():
             if p == q:
                 continue
             with pytest.raises(DegenerateConfiguration):
-                residual_mixed_eq(A, p, q)
+                residual_mixed_eq(resolvent_bundle(A, p),
+                                  resolvent_bundle(A, q))
 
 
 def test_shift_pairing():
@@ -132,7 +137,25 @@ def test_shift_pairing():
             p = random_resolvent_point(A, rng)
             b = resolvent_bundle(A, p)
             scale = 2.0 + op_norm(b.S_left) * (op_norm(A) + abs(p))
-            assert residual_AS_identity(A, p) <= 1e-12 * scale
+            assert residual_AS_identity(A, b) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_bundle_matches_reference_functions(n, seed):
+    # one SVD and one inverse per bundle give exactly what the reference
+    # functions compute from the pencil on their own
+    rng = np.random.default_rng(seed)
+    A = random_qmatrix(n, rng)
+    for q in (random_resolvent_point(A, rng),
+              random_resolvent_point(A, rng, require_nonreal=True)):
+        D = delta_op(A, q)
+        b = resolvent_bundle(A, q)
+        ref = qmat_inverse(D)
+        assert np.array_equal(b.Q.a1, ref.a1)
+        assert np.array_equal(b.Q.a2, ref.a2)
+        assert b.pencil_smallest_singular == smallest_singular(D)
+        assert b.norm_Q == op_norm(ref)
 
 
 def test_random_resolvent_point_is_deterministic():
