@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,23 +45,6 @@ BALL_FRACTION = 0.99
 ORACLE_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, I/O paths, points, sizes, tolerance."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    format: str = "json"
-    q0: Quaternion | None = None
-    q: Quaternion | None = None
-    n: int | None = None
-    nmax: int = series.DEFAULT_NMAX
-    trials: int | None = None
-    tol: float = 1e-8
-    seed: int = 42
-
-
 def parse_quaternion(text: str) -> Quaternion:
     """Parse "w,x,y,z" (or a bare real "w") of finite numbers."""
     parts = [part.strip() for part in text.split(",")]
@@ -89,7 +71,7 @@ def _quat_list(q: Quaternion) -> list:
     return [q.w, q.x, q.y, q.z]
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -97,26 +79,32 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, report: dict) -> None:
+def _emit_json(cfg: argparse.Namespace, report: dict) -> None:
     _emit(cfg, json.dumps(report, indent=2) + "\n")
 
 
-def _load_matrix(cfg: RunConfig) -> QMatrix:
+def _load_matrix(cfg: argparse.Namespace) -> QMatrix:
     if not cfg.input:
         raise InputError(f"'{cfg.command}' requires --input FILE "
                          "(matrix JSON: {\"n\": ..., \"entries\": ...})")
     with open(cfg.input, "r", encoding="utf-8") as fh:
-        return hmat.qmatrix_from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError;
+            # RecursionError is how the decoder refuses very deep nesting.
+            raise InputError(str(exc)) from exc
+    return hmat.qmatrix_from_json_dict(data)
 
 
-def _load_matrix_or_zero(cfg: RunConfig) -> QMatrix:
+def _load_matrix_or_zero(cfg: argparse.Namespace) -> QMatrix:
     """The input matrix, or the zero matrix of size --n (default 1)."""
     if cfg.input:
         return _load_matrix(cfg)
     return QMatrix.zeros(cfg.n if cfg.n is not None else 1)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     """Spectral spheres plus a pencil-singularity cross-check of each."""
     A = _load_matrix(cfg)
     result = s_spectrum(A)
@@ -157,7 +145,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_resolvent(cfg: RunConfig) -> int:
+def cmd_resolvent(cfg: argparse.Namespace) -> int:
     """Resolvent bundle norms and the shift-pairing residual at one point."""
     A = _load_matrix(cfg)
     if cfg.q is None:
@@ -187,7 +175,7 @@ def cmd_resolvent(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_series(cfg: RunConfig) -> int:
+def cmd_series(cfg: argparse.Namespace) -> int:
     """Per-order series truncation report against the direct resolvent.
 
     Without --input the operator is the zero matrix of size --n (default
@@ -244,7 +232,7 @@ def cmd_series(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cassini(cfg: RunConfig) -> int:
+def cmd_cassini(cfg: argparse.Namespace) -> int:
     """Localization report: distance bound, ball sampling, boundary curve."""
     A = _load_matrix(cfg)
     q0 = cfg.q0 if cfg.q0 is not None else series.certified_real_point(A)
@@ -287,7 +275,7 @@ def cmd_cassini(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     """Full identity suite over seeded random instances."""
     n = cfg.n if cfg.n is not None else 4
     trials = cfg.trials if cfg.trials is not None else 50
@@ -330,50 +318,46 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
-_COMMAND_HELP = {
-    "spectrum": "spectral spheres of a matrix, cross-checked two ways",
-    "resolvent": "resolvent bundle norms at one point",
-    "series": "series truncation report against the direct resolvent",
-    "cassini": "spectrum localization and ball-inclusion report",
-    "verify": "run every operator identity over random instances",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser: a command name and the flags every command takes."""
     parser = argparse.ArgumentParser(
         prog="quatspec",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Quaternionic resolvent toolkit: spectra, series "
-                    "expansions, and identity verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=_COMMAND_HELP[name])
-        sp.add_argument("--input", metavar="FILE",
+                    "expansions,\nand identity verification.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<10} {fn.__doc__.splitlines()[0]}"
+            for name, fn in COMMANDS.items()))
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--input", metavar="FILE",
                         help="matrix JSON file {\"n\": ..., \"entries\": ...}")
-        sp.add_argument("--output", metavar="FILE",
+    parser.add_argument("--output", metavar="FILE",
                         help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--q0", type=parse_quaternion, metavar="W[,X,Y,Z]",
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--q0", type=parse_quaternion, metavar="W[,X,Y,Z]",
                         help="expansion center / localization center")
-        sp.add_argument("--q", type=parse_quaternion, metavar="W[,X,Y,Z]",
+    parser.add_argument("--q", type=parse_quaternion, metavar="W[,X,Y,Z]",
                         help="evaluation point")
-        sp.add_argument("--n", type=int, help="matrix dimension where no "
+    parser.add_argument("--n", type=int, help="matrix dimension where no "
                         "input file applies (verify, series without input)")
-        sp.add_argument("--nmax", type=int, default=series.DEFAULT_NMAX,
+    parser.add_argument("--nmax", type=int, default=series.DEFAULT_NMAX,
                         help="series truncation cap (default 200)")
-        sp.add_argument("--trials", type=int,
+    parser.add_argument("--trials", type=int,
                         help="random instances / samples (command default)")
-        sp.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=1e-8,
                         help="acceptance tolerance (default 1e-8)")
-        sp.add_argument("--seed", type=int, default=42,
+    parser.add_argument("--seed", type=int, default=42,
                         help="root seed of every random draw (default 42)")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, input=args.input,
-                    output=args.output, format=args.format, q0=args.q0,
-                    q=args.q, n=args.n, nmax=args.nmax,
-                    trials=args.trials, tol=args.tol, seed=args.seed)
+PARSER = build_parser()
+
+
+def _validate(cfg: argparse.Namespace) -> None:
+    """Reject flag values that parse but lie outside their range."""
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         raise InputError("--tol must be positive and finite")
     if cfg.nmax < 0:
@@ -382,7 +366,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise InputError("--n must be >= 1")
     if not 0 <= cfg.seed < 2 ** 64:
         raise InputError("--seed must be a non-negative 64-bit integer")
-    return cfg
 
 
 # Flags whose value is a quaternion; "-0.5,1,0,0" after one of them is
@@ -412,14 +395,11 @@ def _attach_point_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_point_values(argv))
+    cfg = PARSER.parse_args(_attach_point_values(argv))
     try:
-        cfg = config_from_args(args)
+        _validate(cfg)
         return COMMANDS[cfg.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuatspecError, np.linalg.LinAlgError) as exc:

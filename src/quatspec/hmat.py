@@ -263,13 +263,13 @@ def qmatrix_from_json_dict(data) -> QMatrix:
     try:
         n = int(data["n"])
         entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"matrix document missing usable 'n'/'entries': {exc}")
     if n < 1:
         raise InputError("matrix dimension must be >= 1")
     try:
         arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"matrix entries are not numeric: {exc}")
     if arr.shape != (n, n, 4):
         raise InputError(f"matrix entries must have shape ({n}, {n}, 4), "

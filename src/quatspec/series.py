@@ -224,14 +224,16 @@ def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
     return _through(terms_Q(state, q), N), tail_bound_Q(state, q, N)
 
 
-def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int) -> float:
-    """Norm of the exact truncation error after the partial sum to 2N+1.
+def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
+    """Norms of the truncation error after the partial sum to 2N+1.
 
-    Computes ||Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1)|| at
-    q = bq.q with the directly inverted S_left(q) of the bundle, checks it
-    against the actually summed truncation error, and checks the
-    closed-form majorant ||S_left(q)|| * (||Q|| * |triangle|)**(N+1); a
-    failure of either internal consistency check raises QuatspecError.
+    Returns (closed form, summed): the closed form is
+    ||Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1)|| at q = bq.q with
+    the directly inverted S_left(q) of the bundle, the summed one is
+    ||S_left(q) - partial sum||.  The two are checked against each other,
+    and the closed form against its majorant
+    ||S_left(q)|| * (||Q|| * |triangle|)**(N+1); a failure of either
+    internal consistency check raises QuatspecError.
     """
     if N < 0:
         raise InputError("truncation index must be >= 0")
@@ -252,7 +254,7 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int) -> float:
     if rem > bound + 1e-12 * scale:
         raise QuatspecError(
             f"truncation error {rem:.6g} exceeds its majorant {bound:.6g}")
-    return rem
+    return rem, direct_err
 
 
 def tail_rule(t: float, rtol: float, partial: QMatrix) -> bool:

@@ -144,9 +144,7 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
         1.0 + b_in.norm_Q)
 
     N = REMAINDER_ORDER
-    rem = series.remainder_exact(state, b_in, N)
-    psum, _ = series.eval_series_S(state, q_in, 2 * N + 1)
-    direct_err = hmat.op_norm(b_in.S_left - psum)
+    rem, direct_err = series.remainder_exact(state, b_in, N)
     out["truncation_remainder"] = abs(direct_err - rem) / (1.0 + norm_s_in)
     return out
 

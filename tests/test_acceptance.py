@@ -155,7 +155,7 @@ def test_partial_sum_plus_exact_remainder():
         scale = 1.0 + op_norm(b.S_left) + op_norm(partial) + op_norm(rem_op)
         assert op_norm(b.S_left - partial - rem_op) <= 1e-10 * scale
         # the closed-form majorant dominates the true remainder
-        rem = remainder_exact(st, b, N)
+        rem, _ = remainder_exact(st, b, N)
         bound = op_norm(b.S_left) * (abs(tri) * st.bundle0.norm_Q) ** (N + 1)
         assert rem <= bound + 1e-12 * scale
 

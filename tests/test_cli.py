@@ -1,16 +1,19 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quatspec
-from quatspec.cli import main, parse_quaternion
+from quatspec.cli import COMMANDS, PARSER, main, parse_quaternion
 from quatspec.hmat import qmatrix_from_json_dict, smallest_singular
 from quatspec.quatcore import Quaternion
 from quatspec.series import certified_real_point
@@ -218,6 +221,18 @@ def test_bad_flag_values(tmp_path, capsys):
     assert main(["series", "--q0", "1", "--q", "0.5", "--tol", "nan"]) == 2
     assert main(["verify", "--n", "0"]) == 2
     capsys.readouterr()
+    # an input file that is not UTF-8, holds a number beyond float range,
+    # or nests too deep for the decoder is an input error: one line, exit 2
+    for name, data in (
+            ("utf8.json", b"\xff\xfe"),
+            ("huge.json", b'{"n": 1, "entries": [[[1' + b"0" * 400
+             + b', 0, 0, 0]]]}'),
+            ("deep.json", b"[" * 100000 + b"]" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["spectrum", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     # a finite point whose pencil overflows is a numeric failure named as
     # such, with no numpy warning on the way
     path = mat_i(tmp_path)
@@ -292,3 +307,54 @@ def test_console_script_entry(tmp_path):
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["spheres"][0]["mult"] == 1
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once, at import; a command only parses with it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["series", "--q0", "1", "--q", "0.5"]) == 0
+    assert main(["verify", "--n", "1", "--trials", "1"]) == 0
+    assert main(["spectrum"]) == 2
+    capsys.readouterr()
+    assert built == []
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, fn in COMMANDS.items():
+        assert name in out
+        assert fn.__doc__.splitlines()[0] in out
+
+
+def test_flags_before_or_after_the_command(capsys):
+    outs = []
+    for argv in (["--seed", "7", "verify", "--n", "2", "--trials", "2"],
+                 ["verify", "--n", "2", "--trials", "2", "--seed", "7"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["seed"] == 7
+
+
+def test_readme_examples_parse():
+    # every command line shown in the README is accepted by the parser
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, in_block = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("quatspec "):
+            examples.append(line)
+    assert len(examples) >= 6
+    for line in examples:
+        PARSER.parse_args(shlex.split(line)[1:])

@@ -177,6 +177,10 @@ def test_json_roundtrip_and_validation():
         qmatrix_from_json_dict({"n": 1, "entries": [[[0, 0, 0, "x"]]]})
     with pytest.raises(InputError):
         qmatrix_from_json_dict({"n": 1, "entries": [[[0, 0, 0, math.inf]]]})
+    with pytest.raises(InputError):   # beyond float range
+        qmatrix_from_json_dict({"n": 1, "entries": [[[10 ** 400, 0, 0, 0]]]})
+    with pytest.raises(InputError):
+        qmatrix_from_json_dict({"n": math.inf, "entries": [[[0, 0, 0, 0]]]})
 
 
 def test_shape_errors():
