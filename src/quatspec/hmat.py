@@ -12,6 +12,10 @@ chi(A) @ vec(x) = vec(A x).  Operator norms, inverses and (elsewhere)
 spectra are computed through chi, which makes them equal to the native
 quaternionic quantities because vec is a bijective isometry.
 
+A QMatrix is immutable (its arrays are read-only), and op_norm stores the
+operator norm on the matrix after one SVD, so every later ||A|| is that
+same float.
+
 Matrices act on column vectors from the left, so they are right-linear:
 A(x*q) = (A x)*q.  The product of an operator with a quaternion scalar is
 entrywise: (A*q) has entries A_ik * q (the operator x -> A(q x)) and (q*A)
@@ -36,17 +40,24 @@ def _scalar_pair(q: Quaternion):
 
 
 class QMatrix:
-    """Square quaternionic matrix as the complex pair a1 + a2*j."""
+    """Square quaternionic matrix as the complex pair a1 + a2*j.
 
-    __slots__ = ("a1", "a2")
+    The component arrays are read-only, so the norm op_norm stores stays
+    valid; a complex ndarray argument is kept as is and becomes read-only.
+    """
+
+    __slots__ = ("a1", "a2", "_norm")
 
     def __init__(self, a1, a2):
         a1 = np.asarray(a1, dtype=complex)
         a2 = np.asarray(a2, dtype=complex)
         if a1.ndim != 2 or a1.shape[0] != a1.shape[1] or a1.shape != a2.shape:
             raise InputError("QMatrix components must be square and congruent")
+        a1.setflags(write=False)
+        a2.setflags(write=False)
         self.a1 = a1
         self.a2 = a2
+        self._norm = None
 
     @property
     def n(self) -> int:
@@ -71,14 +82,9 @@ class QMatrix:
     @classmethod
     def diag(cls, values) -> "QMatrix":
         """Diagonal matrix from a sequence of Quaternions."""
-        vals = list(values)
-        n = len(vals)
-        out = cls.zeros(n)
-        for i, q in enumerate(vals):
-            c1, c2 = _scalar_pair(q)
-            out.a1[i, i] = c1
-            out.a2[i, i] = c2
-        return out
+        pairs = np.array([_scalar_pair(q) for q in values],
+                         dtype=complex).reshape(-1, 2)
+        return cls(np.diag(pairs[:, 0]), np.diag(pairs[:, 1]))
 
     def to_entries(self) -> np.ndarray:
         """The (n, n, 4) array of components [w, x, y, z]."""
@@ -144,16 +150,6 @@ class HVector:
     def n(self) -> int:
         return self.x1.shape[0]
 
-    @classmethod
-    def from_quaternions(cls, quats) -> "HVector":
-        pairs = [_scalar_pair(q) for q in quats]
-        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-
-    def to_quaternions(self):
-        return [Quaternion(float(self.x1[i].real), float(self.x1[i].imag),
-                           float(self.x2[i].real), float(self.x2[i].imag))
-                for i in range(self.n)]
-
     def __add__(self, other):
         return HVector(self.x1 + other.x1, self.x2 + other.x2)
 
@@ -210,9 +206,14 @@ def from_chi(M: np.ndarray) -> QMatrix:
 
 
 def op_norm(A: QMatrix) -> float:
-    """Operator norm sup{||A x|| : ||x|| <= 1} = largest singular value of chi(A)."""
-    sv = np.linalg.svd(chi(A), compute_uv=False)
-    return float(sv[0])
+    """Operator norm sup{||A x|| : ||x|| <= 1} = largest singular value of chi(A).
+
+    The first call takes one SVD and stores the value on A; later calls
+    return that float.
+    """
+    if A._norm is None:
+        A._norm = float(np.linalg.svd(chi(A), compute_uv=False)[0])
+    return A._norm
 
 
 def smallest_singular(A: QMatrix) -> float:

@@ -89,19 +89,8 @@ class Quaternion(NamedTuple):
         # Fixed slot order keeps the value bit-stable under sign flips.
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def im(self):
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def is_real(self, tol=0.0):
         return self.im_norm() <= tol
-
-    def to_list(self):
-        return [self.w, self.x, self.y, self.z]
-
-    @classmethod
-    def from_seq(cls, seq):
-        w, x, y, z = (float(c) for c in seq)
-        return cls(w, x, y, z)
 
 
 ONE = Quaternion(1.0)

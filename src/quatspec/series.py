@@ -69,7 +69,6 @@ class SeriesState:
     q0: Quaternion
     bundle0: ResolventBundle
     R: float
-    norm_S0: float
     coeffs: list = field(default_factory=list)  # coeffs[i] is B_{i+1}
 
     def coeff(self, n: int) -> QMatrix:
@@ -102,8 +101,7 @@ def series_init(A: QMatrix, q0: Quaternion, N: int) -> SeriesState:
         raise InputError("coefficient count must be >= 0")
     bundle0 = resolvent_bundle(A, q0)
     state = SeriesState(A=A, q0=q0, bundle0=bundle0,
-                        R=bundle0.norm_Q ** -0.5,
-                        norm_S0=hmat.op_norm(bundle0.S_left))
+                        R=bundle0.norm_Q ** -0.5)
     state.coeff(max(N + 1, 1))
     return state
 
@@ -165,11 +163,12 @@ def tail_bound_S(state: SeriesState, q: Quaternion, N: int) -> float:
     c2 = ||Q|| * |q - q0| and rho = ||Q|| * |triangle(q0, q)|; summing each
     parity class from its first omitted index gives the bound.
     """
-    rho = state.bundle0.norm_Q * abs(triangle(state.q0, q))
+    nq = state.bundle0.norm_Q
+    rho = nq * abs(triangle(state.q0, q))
     if rho >= 1.0:
         return float("inf")
-    c1 = state.norm_S0
-    c2 = state.bundle0.norm_Q * abs(q - state.q0)
+    c1 = hmat.op_norm(state.bundle0.S_left)
+    c2 = nq * abs(q - state.q0)
     ke = N // 2 + 1          # first omitted even term has k = ke
     ko = (N + 1) // 2        # first omitted odd  term has k = ko
     return (c1 * rho ** ke + c2 * rho ** ko) / (1.0 - rho)
@@ -189,7 +188,7 @@ def tail_bound_Q(state: SeriesState, q: Quaternion, N: int) -> float:
     if rho >= 1.0:
         return float("inf")
     c0 = abs(q) + abs(state.q0)
-    c1 = state.norm_S0
+    c1 = hmat.op_norm(state.bundle0.S_left)
 
     def geo(m):  # sum_{k>=m} rho**k
         return rho ** m / (1.0 - rho)

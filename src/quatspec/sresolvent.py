@@ -14,8 +14,9 @@ associated operators is
     S_right = (conj(q)*I - A) @ Q          (right S-resolvent).
 
 resolvent_bundle builds all of them, with the pencil and its smallest
-singular value, from one SVD and one inverse; everything that reads the
-resolvent at a point takes the bundle.  The residual_* operations
+singular value, from one SVD and one inverse; ||Q|| takes one more SVD,
+only when it is first read.  Everything that reads the resolvent at a
+point takes the bundle.  The residual_* operations
 evaluate on bundles, in the operator norm, the exact identities these
 objects satisfy:
 
@@ -125,8 +126,12 @@ class ResolventBundle:
     Q: QMatrix
     S_left: QMatrix
     S_right: QMatrix
-    norm_Q: float
     pencil_smallest_singular: float
+
+    @property
+    def norm_Q(self) -> float:
+        """||Q||, through hmat.op_norm: one SVD on the first read."""
+        return hmat.op_norm(self.Q)
 
 
 def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:
@@ -151,7 +156,7 @@ def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:
     S_left = Q.scale_right(qc) - A @ Q
     S_right = (QMatrix.identity(A.n).scale_left(qc) - A) @ Q
     return ResolventBundle(q=q, pencil=D, Q=Q, S_left=S_left,
-                           S_right=S_right, norm_Q=hmat.op_norm(Q),
+                           S_right=S_right,
                            pencil_smallest_singular=float(sv[-1]))
 
 
@@ -200,26 +205,23 @@ def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> float:
     return hmat.op_norm(expr)
 
 
-def random_resolvent_point(A: QMatrix, rng, box: float | None = None,
-                           require_nonreal: bool = False,
-                           min_im: float = 0.1,
-                           min_sv_rel: float = 1e-6,
-                           max_tries: int = 10000) -> Quaternion:
+def random_resolvent_point(A: QMatrix, rng,
+                           require_nonreal: bool = False) -> Quaternion:
     """Rejection-sample a quaternion at which the pencil is well conditioned.
 
-    Components are uniform on [-box, box] (default box = 2*(1 + ||A||), which
-    keeps a healthy fraction of draws outside the spectral spheres); a draw
-    is accepted when the pencil's smallest singular value exceeds
-    min_sv_rel times its largest.
+    Components are uniform on [-box, box] with box = 2*(1 + ||A||), which
+    keeps a healthy fraction of draws outside the spectral spheres; with
+    require_nonreal, draws with |Im q| < 0.1 are skipped.  A draw is
+    accepted when the pencil's smallest singular value exceeds 1e-6 times
+    its largest; after 10000 draws NotInResolventSet is raised.
     """
-    if box is None:
-        box = 2.0 * (1.0 + hmat.op_norm(A))
-    for _ in range(max_tries):
+    box = 2.0 * (1.0 + hmat.op_norm(A))
+    for _ in range(10000):
         c = rng.uniform(-box, box, size=4)
         q = Quaternion(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
-        if require_nonreal and q.im_norm() < min_im:
+        if require_nonreal and q.im_norm() < 0.1:
             continue
         sv = pencil_svals(A, [q])[0]
-        if sv[-1] > min_sv_rel * sv[0]:
+        if sv[-1] > 1e-6 * sv[0]:
             return q
     raise NotInResolventSet("failed to sample a well-conditioned resolvent point")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hmat, series, sliceanalysis
 from .errors import DegenerateConfiguration, InputError
-from .hmat import QMatrix
+from .hmat import QMatrix, op_norm
 from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
 from .spectrum import cor1_check
 from .sresolvent import (random_resolvent_point, resolvent_bundle,
@@ -80,52 +80,50 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
     p, q = _sample_off_sphere_pair(A, rng)
     bp = resolvent_bundle(A, p)
     bq = resolvent_bundle(A, q)
-    norm_sp = hmat.op_norm(bp.S_left)
-    norm_sq = hmat.op_norm(bq.S_left)
+    norm_sp = op_norm(bp.S_left)
 
-    scale = 1.0 + norm_sp + norm_sq + bq.norm_Q * (
+    scale = 1.0 + norm_sp + op_norm(bq.S_left) + bq.norm_Q * (
         abs(q - p) + norm_sp * abs(triangle(q, p)))
     out["left_resolvent_two_point"] = residual_resolvent_eq(bp, bq) / scale
 
-    ddiff = hmat.op_norm(bq.pencil - bp.pencil)
+    ddiff = op_norm(bq.pencil - bp.pencil)
     scale = 1.0 + bp.norm_Q + bq.norm_Q + ddiff * bp.norm_Q * bq.norm_Q
     r_pq, r_qp = residual_q_eq(bp, bq)
     out["pseudo_resolvent_pq"] = r_pq / scale
     out["pseudo_resolvent_qp"] = r_qp / scale
 
-    norm_srq = hmat.op_norm(bq.S_right)
-    diff_norm = hmat.op_norm(bq.S_right - bp.S_left)
-    scale = 1.0 + norm_srq * norm_sp + (
+    diff_norm = op_norm(bq.S_right - bp.S_left)
+    scale = 1.0 + op_norm(bq.S_right) * norm_sp + (
         diff_norm * (abs(p) + abs(q)) / abs(triangle(q, p)))
     out["mixed_two_point"] = residual_mixed_eq(bp, bq) / scale
 
-    norm_a = hmat.op_norm(A)
-    scale = 2.0 + norm_sp * (norm_a + abs(p))
+    scale = 2.0 + norm_sp * (op_norm(A) + abs(p))
     out["shift_pairing"] = residual_AS_identity(A, bp) / scale
 
-    scale = 1.0 + norm_a * bq.norm_Q
-    out["pseudo_commute"] = hmat.op_norm(A @ bq.Q - bq.Q @ A) / scale
+    scale = 1.0 + op_norm(A) * bq.norm_Q
+    out["pseudo_commute"] = op_norm(A @ bq.Q - bq.Q @ A) / scale
 
     scale = 1.0 + bp.norm_Q * bq.norm_Q
-    out["pencil_commute"] = hmat.op_norm(bp.Q @ bq.Q - bq.Q @ bp.Q) / scale
+    out["pencil_commute"] = op_norm(bp.Q @ bq.Q - bq.Q @ bp.Q) / scale
 
     # The pencil depends on q only through (Re q, |q|**2), so the bundle at
     # the conjugate point reuses bit-identical inputs and Q matches exactly.
     bqc = resolvent_bundle(A, q.conj())
-    out["conjugate_pair_match"] = hmat.op_norm(bq.Q - bqc.Q) / (
-        1.0 + bq.norm_Q)
+    out["conjugate_pair_match"] = op_norm(bq.Q - bqc.Q) / (1.0 + bq.norm_Q)
 
     r0 = series.certified_real_point(A)
     state = series.series_init(A, r0, 1)
     br = state.bundle0
-    out["real_point_left_right"] = hmat.op_norm(br.S_left - br.S_right) / (
-        1.0 + state.norm_S0)
+    out["real_point_left_right"] = op_norm(br.S_left - br.S_right) / (
+        1.0 + op_norm(br.S_left))
 
     qd = random_resolvent_point(A, rng, require_nonreal=True)
     bd = resolvent_bundle(A, qd)
-    deriv = sliceanalysis.sderiv_operator(sliceanalysis.s_resolvent_map(A), qd)
-    out["derivative_of_resolvent"] = hmat.op_norm(deriv + bd.Q) / (
-        1.0 + bd.norm_Q)
+    bdc = resolvent_bundle(A, qd.conj())
+    s_left = sliceanalysis.SliceEvaluator(
+        {qd: bd.S_left, qd.conj(): bdc.S_left}.__getitem__)
+    deriv = sliceanalysis.sderiv_operator(s_left, qd)
+    out["derivative_of_resolvent"] = op_norm(deriv + bd.Q) / (1.0 + bd.norm_Q)
 
     u_dist, bound = cor1_check(A, bp)
     out["spectrum_distance_bound"] = max(0.0, bound - u_dist) / (1.0 + bound)
@@ -134,18 +132,18 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
         q0=r0, dist=0.5 * state.R, direction=random_unit_imag(rng),
         angle=float(rng.uniform(0.0, 2.0 * np.pi)))
     b_in = resolvent_bundle(A, q_in)
-    norm_s_in = hmat.op_norm(b_in.S_left)
     rtol = SERIES_RTOL_FRACTION * tol
     partial, _, _, _ = series.converge_series_S(state, q_in, rtol, nmax)
-    out["resolvent_series_match"] = hmat.op_norm(partial - b_in.S_left) / (
-        1.0 + norm_s_in)
+    out["resolvent_series_match"] = op_norm(partial - b_in.S_left) / (
+        1.0 + op_norm(b_in.S_left))
     partial, _, _, _ = series.converge_series_Q(state, q_in, rtol, nmax)
-    out["series_derivative_match"] = hmat.op_norm(partial - b_in.Q) / (
+    out["series_derivative_match"] = op_norm(partial - b_in.Q) / (
         1.0 + b_in.norm_Q)
 
     N = REMAINDER_ORDER
     rem, direct_err = series.remainder_exact(state, b_in, N)
-    out["truncation_remainder"] = abs(direct_err - rem) / (1.0 + norm_s_in)
+    out["truncation_remainder"] = abs(direct_err - rem) / (
+        1.0 + op_norm(b_in.S_left))
     return out
 
 

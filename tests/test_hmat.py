@@ -126,6 +126,27 @@ def test_op_norm_scalar_diag():
     assert abs(smallest_singular(D) - 1.0) <= 1e-14
 
 
+def test_qmatrix_is_immutable():
+    A = random_qmatrix(2, np.random.default_rng(31))
+    for arr in (A.a1, A.a2):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_op_norm_is_stored_on_the_matrix(monkeypatch):
+    A = random_qmatrix(3, np.random.default_rng(32))
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    first = op_norm(A)
+    assert op_norm(A) == first
+    assert len(calls) == 1
+
+
 def test_smallest_singular_pinned():
     D = QMatrix.from_entries([[[3, -4, 0, 0]]])
     assert abs(smallest_singular(D) - 5.0) <= 1e-14

@@ -355,28 +355,30 @@ def test_series_report_takes_two_svds_per_row(monkeypatch, capsys):
         "series", "--q0", "1", "--q", "1.9", "--tol", "1e-14",
         "--nmax", "400"])
     assert rc == 0 and rep["N"] == 299
-    # two bundles (2 SVDs each) and ||S_left(q0)||, then two per row
-    assert work["svd"] <= 2 * (rep["N"] + 1) + 5
+    # the center bundle with ||Q(q0)|| (2 SVDs), the direct bundle, whose
+    # ||Q|| is never read (1), and ||S_left(q0)||, then two per row
+    assert work["svd"] <= 2 * (rep["N"] + 1) + 4
 
 
 def test_verify_svd_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    assert work["svd"] <= 2604
+    assert work["svd"] <= 2004
 
 
 def test_verify_bundle_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    # eight bundles per trial: p, q, conj(q), the real center, the
-    # derivative point (twice) with its conjugate, and the series point
-    assert work["bundle"] <= 400
+    # seven bundles per trial: p, q, conj(q), the real center, the
+    # derivative point and its conjugate, and the series point
+    assert work["bundle"] <= 350
 
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
-    # one stacked SVD tests every sample, however many there are
+    # ||A|| (stored, read twice), the bundle at q0 and its ||Q||, then one
+    # stacked SVD tests every sample, however many there are
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MAT2))
     counts = []
@@ -385,7 +387,18 @@ def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
             "cassini", "--input", str(path), "--trials", str(trials)])
         assert rc == 0 and rep["samples_inside"] == trials
         counts.append(work["svd"])
-    assert counts == [5, 5]
+    assert counts == [4, 4]
+
+
+def test_spectrum_svd_count_gate(monkeypatch, capsys, tmp_path):
+    # ||A|| once (stored, read three times) and one stacked SVD for the
+    # spheres and the off-sphere probe
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MAT2))
+    rc, rep, work = count_work(monkeypatch, capsys, [
+        "spectrum", "--input", str(path)])
+    assert rc == 0 and rep["oracle_validation"]["agrees"]
+    assert work == {"svd": 2, "inv": 0, "bundle": 0}
 
 
 def test_resolvent_work_gate(monkeypatch, capsys, tmp_path):

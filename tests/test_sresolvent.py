@@ -158,6 +158,22 @@ def test_bundle_matches_reference_functions(n, seed):
         assert b.norm_Q == op_norm(ref)
 
 
+def test_bundle_takes_one_svd_until_norm_Q_is_read(monkeypatch):
+    A = random_qmatrix(3, np.random.default_rng(59))
+    q = random_resolvent_point(A, np.random.default_rng(60))
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    b = resolvent_bundle(A, q)
+    assert len(calls) == 1
+    assert b.norm_Q == op_norm(b.Q) == b.norm_Q
+    assert len(calls) == 2
+
+
 def test_random_resolvent_point_is_deterministic():
     A = random_qmatrix(3, np.random.default_rng(56))
     p1 = random_resolvent_point(A, np.random.default_rng(99))
