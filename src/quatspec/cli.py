@@ -6,8 +6,12 @@ draws always come from generators seeded with explicit SeedSequence
 entropy, reports are assembled in fixed key order, and CSV numbers are
 printed with 17 significant digits so doubles round-trip exactly.
 
-Exit codes: 0 success, 1 verification/domain failure, 2 input/config
-error.  Nothing else is ever returned.
+Each command returns a Report and writes nothing.  `main` is the only
+writer: it renders the report as JSON or CSV to stdout or --output,
+prints one `error:` line per failed check or raised error, and is the
+only code that chooses the exit code: 0 success, 1 verification/domain
+failure, 2 input/config error (including a size that cannot be
+allocated).  Nothing else is ever returned.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import hmat, series, verify
-from .errors import InputError, OutsideConvergenceDomain, QuatspecError
+from .errors import InputError, QuatspecError
 from .hmat import QMatrix
-from .quatcore import (Quaternion, cassini_u, point_at_cassini_distance,
-                       random_unit_imag)
+from .quatcore import Quaternion, point_at_cassini_distance, random_unit_imag
 from .spectrum import (boundary_polyline, cor1_check, resolvent_mask,
                        s_spectrum, sample_cassini_ball)
 from .sresolvent import pencil_svals, resolvent_bundle, residual_AS_identity
@@ -62,9 +66,42 @@ def parse_quaternion(text: str) -> Quaternion:
     return Quaternion(*vals)
 
 
-def _fmt(x) -> str:
-    """CSV number: 17 significant digits, '.' separator, no locale."""
-    return format(float(x), ".17g")
+class Report(NamedTuple):
+    """One command's result, before it is rendered.
+
+    `doc` is the JSON document; the CSV form is the `# key=value` lines of
+    `comments` ((key, value) pairs), a header of `columns` and one line per
+    entry of `rows`.  `failures` holds one message per failed check; the
+    report is written in full either way.
+    """
+
+    doc: dict
+    comments: tuple
+    columns: tuple
+    rows: list
+    failures: list
+
+
+def _cell(value) -> str:
+    """CSV cell: 17 significant digits, '.' separator, no locale."""
+    if isinstance(value, float):  # most cells; tested first for speed
+        return format(value, ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, Quaternion):
+        return ",".join(_cell(float(c)) for c in value)
+    return format(float(value), ".17g")
+
+
+def _render(fmt: str, report: Report) -> str:
+    if fmt == "json":
+        return json.dumps(report.doc, indent=2) + "\n"
+    lines = [f"# {key}={_cell(value)}" for key, value in report.comments]
+    lines.append(",".join(report.columns))
+    lines += [",".join(map(_cell, row)) for row in report.rows]
+    return "\n".join(lines) + "\n"
 
 
 def _quat_list(q: Quaternion) -> list:
@@ -77,10 +114,6 @@ def _emit(cfg: argparse.Namespace, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(cfg: argparse.Namespace, report: dict) -> None:
-    _emit(cfg, json.dumps(report, indent=2) + "\n")
 
 
 def _load_matrix(cfg: argparse.Namespace) -> QMatrix:
@@ -104,7 +137,7 @@ def _load_matrix_or_zero(cfg: argparse.Namespace) -> QMatrix:
     return QMatrix.zeros(cfg.n if cfg.n is not None else 1)
 
 
-def cmd_spectrum(cfg: argparse.Namespace) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> Report:
     """Spectral spheres plus a pencil-singularity cross-check of each."""
     A = _load_matrix(cfg)
     result = s_spectrum(A)
@@ -118,7 +151,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     on_svs, off_sv = smallest[:-1], smallest[-1]
     agrees = (max(on_svs) <= threshold and off_sv > threshold
               and result.total_multiplicity() == A.n)
-    report = {
+    doc = {
         "n": A.n,
         "spheres": result.to_json_dict()["spheres"],
         "oracle_validation": {
@@ -128,32 +161,23 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
             "agrees": agrees,
         },
     }
-    if cfg.format == "json":
-        _emit_json(cfg, report)
-    else:
-        lines = [f"# n={A.n}",
-                 f"# threshold={_fmt(threshold)}",
-                 f"# off_sphere_probe_sv={_fmt(off_sv)}",
-                 f"# agrees={'true' if agrees else 'false'}",
-                 "r,s,mult"]
-        lines += [f"{_fmt(sp.r)},{_fmt(sp.s)},{m}" for sp, m in result.spheres]
-        _emit(cfg, "\n".join(lines) + "\n")
-    if not agrees:
-        print("error: eigenvalue spheres disagree with the pencil-"
-              "singularity oracle", file=sys.stderr)
-        return 1
-    return 0
+    return Report(
+        doc,
+        (("n", A.n), ("threshold", threshold), ("off_sphere_probe_sv", off_sv),
+         ("agrees", agrees)),
+        ("r", "s", "mult"),
+        [(sp.r, sp.s, m) for sp, m in result.spheres],
+        [] if agrees else ["eigenvalue spheres disagree with the pencil-"
+                           "singularity oracle"])
 
 
-def cmd_resolvent(cfg: argparse.Namespace) -> int:
+def cmd_resolvent(cfg: argparse.Namespace) -> Report:
     """Resolvent bundle norms and the shift-pairing residual at one point."""
     A = _load_matrix(cfg)
     if cfg.q is None:
         raise InputError("'resolvent' requires --q (evaluation point)")
     bundle = resolvent_bundle(A, cfg.q)
-    report = {
-        "n": A.n,
-        "q": _quat_list(cfg.q),
+    values = {
         "pencil_smallest_singular": bundle.pencil_smallest_singular,
         "norm_Q": bundle.norm_Q,
         "norm_S_left": hmat.op_norm(bundle.S_left),
@@ -161,21 +185,16 @@ def cmd_resolvent(cfg: argparse.Namespace) -> int:
         "localization_radius": bundle.norm_Q ** -0.5,
         "shift_pairing_residual": residual_AS_identity(A, bundle),
     }
-    if cfg.format == "json":
-        _emit_json(cfg, report)
-    else:
-        lines = ["key,value", f"n,{A.n}",
-                 f"q_w,{_fmt(cfg.q.w)}", f"q_x,{_fmt(cfg.q.x)}",
-                 f"q_y,{_fmt(cfg.q.y)}", f"q_z,{_fmt(cfg.q.z)}"]
-        for key in ("pencil_smallest_singular", "norm_Q", "norm_S_left",
-                    "norm_S_right", "localization_radius",
-                    "shift_pairing_residual"):
-            lines.append(f"{key},{_fmt(report[key])}")
-        _emit(cfg, "\n".join(lines) + "\n")
-    return 0
+    return Report(
+        {"n": A.n, "q": _quat_list(cfg.q), **values},
+        (),
+        ("key", "value"),
+        [("n", A.n), *zip(("q_w", "q_x", "q_y", "q_z"), cfg.q),
+         *values.items()],
+        [])
 
 
-def cmd_series(cfg: argparse.Namespace) -> int:
+def cmd_series(cfg: argparse.Namespace) -> Report:
     """Per-order series truncation report against the direct resolvent.
 
     Without --input the operator is the zero matrix of size --n (default
@@ -193,16 +212,12 @@ def cmd_series(cfg: argparse.Namespace) -> int:
         q = point_at_cassini_distance(
             q0, SAMPLE_FRACTION * state.R, random_unit_imag(rng),
             float(rng.uniform(0.0, 2.0 * np.pi)))
-    u = cassini_u(q, q0)
-    if not u < state.R:
-        raise OutsideConvergenceDomain(
-            f"u(q, q0) = {u:.6g} is not inside the convergence radius "
-            f"R = {state.R:.6g}")
+    u = series.require_inside(state, q)
     direct = resolvent_bundle(A, q).S_left
     rows, converged = series.residual_report(state, q, direct, cfg.tol,
                                              cfg.nmax)
     last = rows[-1]
-    report = {
+    doc = {
         "q0": _quat_list(q0),
         "R": state.R,
         "q": _quat_list(q),
@@ -213,26 +228,17 @@ def cmd_series(cfg: argparse.Namespace) -> int:
         "converged": converged,
         "rows": rows,
     }
-    if cfg.format == "json":
-        _emit_json(cfg, report)
-    else:
-        lines = [f"# q0={','.join(_fmt(c) for c in _quat_list(q0))}",
-                 f"# q={','.join(_fmt(c) for c in _quat_list(q))}",
-                 f"# R={_fmt(state.R)}",
-                 f"# u={_fmt(u)}",
-                 f"# converged={'true' if converged else 'false'}",
-                 "N,term_norm,tail_bound,residual_vs_direct"]
-        lines += [f"{r[0]},{_fmt(r[1])},{_fmt(r[2])},{_fmt(r[3])}"
-                  for r in rows]
-        _emit(cfg, "\n".join(lines) + "\n")
-    if not converged:
-        print(f"error: residual {last[3]:.6g} did not reach tol {cfg.tol:g} "
-              f"within nmax = {cfg.nmax} terms", file=sys.stderr)
-        return 1
-    return 0
+    return Report(
+        doc,
+        (("q0", q0), ("q", q), ("R", state.R), ("u", u),
+         ("converged", converged)),
+        ("N", "term_norm", "tail_bound", "residual_vs_direct"),
+        rows,
+        [] if converged else [f"residual {last[3]:.6g} did not reach tol "
+                              f"{cfg.tol:g} within nmax = {cfg.nmax} terms"])
 
 
-def cmd_cassini(cfg: argparse.Namespace) -> int:
+def cmd_cassini(cfg: argparse.Namespace) -> Report:
     """Localization report: distance bound, ball sampling, boundary curve."""
     A = _load_matrix(cfg)
     q0 = cfg.q0 if cfg.q0 is not None else series.certified_real_point(A)
@@ -246,43 +252,34 @@ def cmd_cassini(cfg: argparse.Namespace) -> int:
     inside = int(np.count_nonzero(resolvent_mask(A, samples)))
     bound_holds = u_dist >= bound - 1e-10 * (1.0 + bound)
     ok = bound_holds and inside == trials
-    boundary = boundary_polyline(q0, bound)
-    report = {
+    doc = {
         "q0": _quat_list(q0),
         "u_dist": u_dist,
         "bound": bound,
         "bound_holds": bound_holds,
         "samples_total": trials,
         "samples_inside": inside,
-        "boundary": [[r, s] for r, s in boundary],
+        "boundary": [[r, s] for r, s in boundary_polyline(q0, bound)],
     }
-    if cfg.format == "json":
-        _emit_json(cfg, report)
-    else:
-        lines = [f"# q0={','.join(_fmt(c) for c in _quat_list(q0))}",
-                 f"# u_dist={_fmt(u_dist)}",
-                 f"# bound={_fmt(bound)}",
-                 f"# bound_holds={'true' if bound_holds else 'false'}",
-                 f"# samples_inside={inside}/{trials}",
-                 "r,s"]
-        lines += [f"{_fmt(r)},{_fmt(s)}" for r, s in boundary]
-        _emit(cfg, "\n".join(lines) + "\n")
-    if not ok:
-        print("error: localization check failed "
-              f"(bound_holds={bound_holds}, inside={inside}/{trials})",
-              file=sys.stderr)
-        return 1
-    return 0
+    return Report(
+        doc,
+        (("q0", q0), ("u_dist", u_dist), ("bound", bound),
+         ("bound_holds", bound_holds),
+         ("samples_inside", f"{inside}/{trials}")),
+        ("r", "s"),
+        doc["boundary"],
+        [] if ok else [f"localization check failed (bound_holds="
+                       f"{bound_holds}, inside={inside}/{trials})"])
 
 
-def cmd_verify(cfg: argparse.Namespace) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> Report:
     """Full identity suite over seeded random instances."""
     n = cfg.n if cfg.n is not None else 4
     trials = cfg.trials if cfg.trials is not None else 50
     rows = verify.run_identity_suite(n=n, trials=trials, tol=cfg.tol,
                                      seed=cfg.seed, nmax=cfg.nmax)
     all_passed = all(row.passed for row in rows)
-    report = {
+    doc = {
         "n": n,
         "trials": trials,
         "tol": cfg.tol,
@@ -290,24 +287,16 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         "rows": [row.to_json_dict() for row in rows],
         "all_passed": all_passed,
     }
-    if cfg.format == "json":
-        _emit_json(cfg, report)
-    else:
-        lines = [f"# n={n}", f"# trials={trials}", f"# tol={_fmt(cfg.tol)}",
-                 f"# seed={cfg.seed}",
-                 f"# all_passed={'true' if all_passed else 'false'}",
-                 "name,max_residual,worst_trial,passed"]
-        lines += [f"{row.name},{_fmt(row.max_residual)},{row.worst_trial},"
-                  f"{'true' if row.passed else 'false'}" for row in rows]
-        _emit(cfg, "\n".join(lines) + "\n")
-    if not all_passed:
-        for row in rows:
-            if not row.passed:
-                print(f"error: identity {row.name} reached residual "
-                      f"{row.max_residual:.6g} at trial {row.worst_trial} "
-                      f"(seed {cfg.seed})", file=sys.stderr)
-        return 1
-    return 0
+    return Report(
+        doc,
+        (("n", n), ("trials", trials), ("tol", cfg.tol), ("seed", cfg.seed),
+         ("all_passed", all_passed)),
+        ("name", "max_residual", "worst_trial", "passed"),
+        [(row.name, row.max_residual, row.worst_trial, row.passed)
+         for row in rows],
+        [f"identity {row.name} reached residual {row.max_residual:.6g} at "
+         f"trial {row.worst_trial} (seed {cfg.seed})"
+         for row in rows if not row.passed])
 
 
 COMMANDS = {
@@ -398,13 +387,17 @@ def main(argv=None) -> int:
     cfg = PARSER.parse_args(_attach_point_values(argv))
     try:
         _validate(cfg)
-        return COMMANDS[cfg.command](cfg)
-    except (InputError, OSError) as exc:
+        report = COMMANDS[cfg.command](cfg)
+        _emit(cfg, _render(cfg.format, report))
+    except (InputError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuatspecError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for message in report.failures:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if report.failures else 0
 
 
 if __name__ == "__main__":

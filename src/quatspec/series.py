@@ -147,12 +147,14 @@ def _through(terms, N: int) -> QMatrix:
             return partial
 
 
-def _require_inside(state: SeriesState, q: Quaternion) -> None:
+def require_inside(state: SeriesState, q: Quaternion) -> float:
+    """u(q, q0); raises OutsideConvergenceDomain unless it is below R."""
     u = cassini_u(q, state.q0)
     if not u < state.R:
         raise OutsideConvergenceDomain(
             f"u(q, q0) = {u:.6g} is not inside the convergence radius "
             f"R = {state.R:.6g}")
+    return u
 
 
 def tail_bound_S(state: SeriesState, q: Quaternion, N: int) -> float:
@@ -211,7 +213,7 @@ def eval_series_S(state: SeriesState, q: Quaternion, N: int):
     """
     if N < 0:
         raise InputError("truncation index must be >= 0")
-    _require_inside(state, q)
+    require_inside(state, q)
     return _through(terms_S(state, q), N), tail_bound_S(state, q, N)
 
 
@@ -219,7 +221,7 @@ def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
     """Partial sum of the derivative series through index N, with tail bound."""
     if N < 0:
         raise InputError("truncation index must be >= 0")
-    _require_inside(state, q)
+    require_inside(state, q)
     return _through(terms_Q(state, q), N), tail_bound_Q(state, q, N)
 
 
@@ -280,7 +282,7 @@ def _converge(state, q, rtol, nmax, terms, tail):
     non-convergence instead of raising, so near-boundary evaluations
     degrade gracefully.
     """
-    _require_inside(state, q)
+    require_inside(state, q)
     partial = QMatrix.zeros(state.A.n)
     t = float("inf")
     for n, _, partial in islice(terms, max(nmax + 1, 0)):

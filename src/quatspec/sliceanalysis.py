@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import hmat
-from .errors import InputError
+from .errors import InputError, NotInResolventSet
 from .hmat import QMatrix
 from .quatcore import Quaternion, qinv, sderiv_by_quotient
 from .sresolvent import resolvent_bundle
-from .spectrum import in_resolvent
 
 # Unit imaginary directions are validated to this absolute tolerance.
 UNIT_IMAG_TOL = 1e-12
@@ -40,10 +39,9 @@ FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class SliceEvaluator:
-    """An operator-valued map on an axially symmetric set, plus its domain."""
+    """An operator-valued map on an axially symmetric set."""
 
     eval: Callable[[Quaternion], QMatrix]
-    domain: Callable[[Quaternion], bool] = field(default=lambda q: True)
 
 
 class StemPair(NamedTuple):
@@ -54,10 +52,18 @@ class StemPair(NamedTuple):
 
 
 def s_resolvent_map(A: QMatrix) -> SliceEvaluator:
-    """The left S-resolvent of A as a slice evaluator on its resolvent set."""
-    return SliceEvaluator(
-        eval=lambda q: resolvent_bundle(A, q).S_left,
-        domain=lambda q: in_resolvent(A, q))
+    """The left S-resolvent of A as a slice evaluator on its resolvent set.
+
+    One bundle per evaluation: its pencil SVD is also the domain test.
+    """
+    def s_left(q: Quaternion) -> QMatrix:
+        try:
+            return resolvent_bundle(A, q).S_left
+        except NotInResolventSet as exc:
+            raise InputError(
+                f"evaluation point {tuple(q)} is outside the domain") from exc
+
+    return SliceEvaluator(s_left)
 
 
 def _check_unit_imag(j: Quaternion) -> None:
@@ -70,17 +76,11 @@ def slice_point(z: complex, j: Quaternion) -> Quaternion:
     return Quaternion(z.real, z.imag * j.x, z.imag * j.y, z.imag * j.z)
 
 
-def _eval_at(f: SliceEvaluator, q: Quaternion) -> QMatrix:
-    if not f.domain(q):
-        raise InputError(f"evaluation point {tuple(q)} is outside the domain")
-    return f.eval(q)
-
-
 def stem_decompose(f: SliceEvaluator, z: complex, j: Quaternion) -> StemPair:
     """Stem component values of f at z on the slice of j."""
     _check_unit_imag(j)
-    fp = _eval_at(f, slice_point(z, j))
-    fm = _eval_at(f, slice_point(z.conjugate(), j))
+    fp = f.eval(slice_point(z, j))
+    fm = f.eval(slice_point(z.conjugate(), j))
     half = 0.5
     return StemPair(F1=(fp + fm) * half,
                     F2=((fm - fp) * half).scale_right(j))
@@ -101,14 +101,14 @@ def sderiv_operator(f: SliceEvaluator, q: Quaternion) -> QMatrix:
     Richardson-extrapolated central differences.
     """
     if sderiv_by_quotient(q):
-        diff = _eval_at(f, q) - _eval_at(f, q.conj())
+        diff = f.eval(q) - f.eval(q.conj())
         return diff.scale_right(qinv(q - q.conj()))
     r = q.w
     h = FD_STEP * (1.0 + abs(q))
 
     def central(step):
-        up = _eval_at(f, Quaternion(r + step))
-        dn = _eval_at(f, Quaternion(r - step))
+        up = f.eval(Quaternion(r + step))
+        dn = f.eval(Quaternion(r - step))
         return (up - dn) * (0.5 / step)
 
     d1 = central(h)
@@ -126,10 +126,10 @@ def cr_residual(f: SliceEvaluator, z: complex, j: Quaternion, h: float) -> float
     if h <= 0.0:
         raise InputError("finite-difference step must be positive")
     r, s = z.real, z.imag
-    dr = (_eval_at(f, slice_point(complex(r + h, s), j))
-          - _eval_at(f, slice_point(complex(r - h, s), j))) * (0.5 / h)
-    ds = (_eval_at(f, slice_point(complex(r, s + h), j))
-          - _eval_at(f, slice_point(complex(r, s - h), j))) * (0.5 / h)
+    dr = (f.eval(slice_point(complex(r + h, s), j))
+          - f.eval(slice_point(complex(r - h, s), j))) * (0.5 / h)
+    ds = (f.eval(slice_point(complex(r, s + h), j))
+          - f.eval(slice_point(complex(r, s - h), j))) * (0.5 / h)
     return hmat.op_norm(dr + ds.scale_right(j))
 
 
@@ -156,7 +156,7 @@ def cauchy_coeffs(f: SliceEvaluator, j: Quaternion, z0: complex, delta: float,
         raise InputError(f"need at least {8 * (nmax + 1)} quadrature nodes "
                          f"for {nmax + 1} coefficients, got {M}")
     thetas = [2.0 * math.pi * m / M for m in range(M)]
-    samples = [_eval_at(f, slice_point(z0 + delta * cmath.exp(1j * th), j))
+    samples = [f.eval(slice_point(z0 + delta * cmath.exp(1j * th), j))
                for th in thetas]
     n_side = samples[0].n
     coeffs = []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import quatspec
-from quatspec.cli import COMMANDS, PARSER, main, parse_quaternion
+from quatspec.cli import COMMANDS, PARSER, Report, main, parse_quaternion
 from quatspec.hmat import qmatrix_from_json_dict, smallest_singular
 from quatspec.quatcore import Quaternion
 from quatspec.series import certified_real_point
@@ -233,6 +233,13 @@ def test_bad_flag_values(tmp_path, capsys):
         assert main(["spectrum", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # so is a size that cannot be allocated: these ask for 1.4-2.8 PiB,
+    # beyond the x86-64 user address space, so they fail at once
+    for argv in (["verify", "--n", "10000000", "--trials", "1"],
+                 ["series", "--n", "10000000"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     # a finite point whose pencil overflows is a numeric failure named as
     # such, with no numpy warning on the way
     path = mat_i(tmp_path)
@@ -346,15 +353,134 @@ def test_flags_before_or_after_the_command(capsys):
     assert json.loads(outs[0])["seed"] == 7
 
 
-def test_readme_examples_parse():
-    # every command line shown in the README is accepted by the parser
+def readme_blocks():
+    """The README's matrix JSON block and its `quatspec` command lines."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    examples, in_block = [], False
+    matrix, examples, fence = [], [], None
     for line in readme.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
-            in_block = not in_block
-        elif in_block and line.startswith("quatspec "):
+            fence = None if fence is not None else line[3:]
+        elif fence == "json":
+            matrix.append(line)
+        elif fence is not None and line.startswith("quatspec "):
             examples.append(line)
+    return "\n".join(matrix), examples
+
+
+def readme_matrix_dir(tmp_path, monkeypatch):
+    """Work in tmp_path, which holds the README's matrix as mat.json."""
+    (tmp_path / "mat.json").write_text(readme_blocks()[0])
+    monkeypatch.chdir(tmp_path)
+
+
+def test_readme_examples_parse(tmp_path, monkeypatch, capsys):
+    # every command line shown in the README runs and exits 0 on the
+    # README's own matrix
+    readme_matrix_dir(tmp_path, monkeypatch)
+    examples = readme_blocks()[1]
     assert len(examples) >= 6
     for line in examples:
-        PARSER.parse_args(shlex.split(line)[1:])
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().err == ""
+
+
+# One run of each command on the README's matrix.
+README_RUNS = {
+    "spectrum": ["--input", "mat.json"],
+    "resolvent": ["--input", "mat.json", "--q", "3"],
+    "series": ["--input", "mat.json", "--q", "5,0.3,0,0"],
+    "cassini": ["--input", "mat.json", "--q0", "3", "--trials", "10"],
+    "verify": ["--n", "2", "--trials", "2"],
+}
+
+
+def test_commands_return_reports_and_write_nothing(tmp_path, monkeypatch,
+                                                   capsys):
+    readme_matrix_dir(tmp_path, monkeypatch)
+    assert set(README_RUNS) == set(COMMANDS)
+    for name, args in README_RUNS.items():
+        report = COMMANDS[name](PARSER.parse_args([name] + args))
+        assert isinstance(report, Report)
+        assert report.failures == []
+        assert capsys.readouterr() == ("", "")
+
+
+def csv_expected(name, doc):
+    """The (comments, header, rows) that the CSV report of `name` holds,
+    read off its JSON report."""
+    if name == "spectrum":
+        ov = doc["oracle_validation"]
+        return ({"n": doc["n"], "threshold": ov["threshold"],
+                 "off_sphere_probe_sv": ov["pencil_sv_off_sphere_probe"],
+                 "agrees": ov["agrees"]},
+                ["r", "s", "mult"],
+                [[sp["r"], sp["s"], sp["mult"]] for sp in doc["spheres"]])
+    if name == "resolvent":
+        rows = [["n", doc["n"]]]
+        rows += [["q_" + c, v] for c, v in zip("wxyz", doc["q"])]
+        rows += [[k, v] for k, v in doc.items() if k not in ("n", "q")]
+        return {}, ["key", "value"], rows
+    if name == "series":
+        return ({k: doc[k] for k in ("q0", "q", "R", "u", "converged")},
+                ["N", "term_norm", "tail_bound", "residual_vs_direct"],
+                doc["rows"])
+    if name == "cassini":
+        inside = f"{doc['samples_inside']}/{doc['samples_total']}"
+        return ({"q0": doc["q0"], "u_dist": doc["u_dist"],
+                 "bound": doc["bound"], "bound_holds": doc["bound_holds"],
+                 "samples_inside": inside},
+                ["r", "s"], doc["boundary"])
+    return ({k: doc[k] for k in ("n", "trials", "tol", "seed", "all_passed")},
+            ["name", "max_residual", "worst_trial", "passed"],
+            [[r["name"], r["max_residual"], r["worst_trial"], r["passed"]]
+             for r in doc["rows"]])
+
+
+def same_cell(cell, value):
+    """Whether a CSV cell holds the JSON value exactly."""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, str):
+        return cell == value
+    if isinstance(value, list):  # a quaternion, w,x,y,z
+        return [float(c) for c in cell.split(",")] == value
+    return float(cell) == value
+
+
+def test_csv_report_matches_json_report(tmp_path, monkeypatch, capsys):
+    readme_matrix_dir(tmp_path, monkeypatch)
+    for name, args in README_RUNS.items():
+        rc, doc = run_json(capsys, [name] + args)
+        assert rc == 0
+        assert main([name] + args + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        comments = dict(ln[2:].split("=", 1) for ln in lines
+                        if ln.startswith("# "))
+        header, *rows = [ln.split(",") for ln in csv_lines("\n".join(lines))]
+        want_comments, want_header, want_rows = csv_expected(name, doc)
+        assert list(comments) == list(want_comments), name
+        assert all(same_cell(comments[k], v) for k, v in want_comments.items())
+        assert header == want_header and len(rows) == len(want_rows), name
+        for row, want in zip(rows, want_rows):
+            assert len(row) == len(want), name
+            assert all(map(same_cell, row, want)), (name, row)
+
+
+def test_failed_check_still_writes_the_full_report(tmp_path, capsys):
+    argv = ["verify", "--n", "2", "--trials", "2", "--nmax", "0",
+            "--format", "csv"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    rows = [ln.split(",") for ln in csv_lines(out)[1:]]
+    assert len(rows) == 14
+    failed = [row[0] for row in rows if row[3] == "false"]
+    assert failed == ["resolvent_series_match", "series_derivative_match"]
+    assert "# all_passed=false" in out.splitlines()
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for line, name in zip(lines, failed):
+        assert line.startswith(f"error: identity {name} reached residual ")
+    path = tmp_path / "report.csv"
+    assert main(argv + ["--output", str(path)]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert path.read_text(encoding="utf-8") == out

@@ -16,6 +16,8 @@ from quatspec.series import (certified_real_point, converge_series_Q,
                              converge_series_S, eval_series_Q, eval_series_S,
                              remainder_exact, series_init, tail_bound_Q,
                              tail_bound_S, tail_rule, term_norms)
+from quatspec.sliceanalysis import (cauchy_coeffs, s_resolvent_map,
+                                    stem_decompose)
 from quatspec.sresolvent import resolvent_bundle
 
 
@@ -327,8 +329,8 @@ MAT2 = {"n": 2, "entries": [[[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
                             [[0, 0, 0, -0.5], [-1, 0, 0.75, 0]]]}
 
 
-def count_work(monkeypatch, capsys, argv):
-    """Run one command; count its SVDs, inverses and resolvent bundles.
+def count_calls(monkeypatch):
+    """Count SVDs, inverses and resolvent bundles from here on.
 
     Every bundle is built through sresolvent.ResolventBundle, so counting
     that name counts bundles whichever module asks for one.
@@ -345,6 +347,12 @@ def count_work(monkeypatch, capsys, argv):
                              ("inv", np.linalg, "inv"),
                              ("bundle", sresolvent, "ResolventBundle")):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name), key))
+    return calls
+
+
+def count_work(monkeypatch, capsys, argv):
+    """Run one command; count its SVDs, inverses and resolvent bundles."""
+    calls = count_calls(monkeypatch)
     rc = main(argv)
     report = json.loads(capsys.readouterr().out)
     return rc, report, calls
@@ -410,3 +418,17 @@ def test_resolvent_work_gate(monkeypatch, capsys, tmp_path):
         "resolvent", "--input", str(path), "--q", "0.5,1,0,0"])
     assert rc == 0
     assert work == {"svd": 5, "inv": 1, "bundle": 1}
+
+
+def test_slice_resolvent_map_takes_one_svd_per_point(monkeypatch):
+    # each evaluation is one bundle: its pencil SVD is the domain test, and
+    # the bundle inverts the same array
+    A = random_qmatrix(3, np.random.default_rng(88))
+    z0 = complex(certified_real_point(A).w, 0.0)
+    f = s_resolvent_map(A)
+    work = count_calls(monkeypatch)
+    cauchy_coeffs(f, Quaternion(0.0, 1.0), z0, 0.1, 16, 1)
+    assert work == {"svd": 16, "inv": 16, "bundle": 16}
+    work.update(svd=0, inv=0, bundle=0)
+    stem_decompose(f, z0 + 0.1j, Quaternion(0.0, 0.0, 1.0))
+    assert work == {"svd": 2, "inv": 2, "bundle": 2}
