@@ -28,7 +28,7 @@ from .spectrum import (SpectrumResult, blowup_probe, boundary_polyline,
                        cassini_dist, cor1_check, in_resolvent,
                        s_spectrum, sample_cassini_ball)
 from .sresolvent import (ResolventBundle, delta_op, resolvent_bundle,
-                         residual_AS_identity, residual_mixed_eq,
+                         resolvent_bundles, residual_AS_identity, residual_mixed_eq,
                          residual_q_eq, residual_resolvent_eq)
 from .verify import SuiteRow, run_identity_suite
 
@@ -47,7 +47,7 @@ __all__ = [
     "point_at_cassini_distance", "qinv", "qmat_inverse",
     "qmatrix_from_json_dict", "qmatrix_to_json_dict", "qmul", "qpow",
     "random_qmatrix", "remainder_exact", "resolvent_bundle",
-    "residual_AS_identity", "residual_mixed_eq", "residual_q_eq",
+    "resolvent_bundles", "residual_AS_identity", "residual_mixed_eq", "residual_q_eq",
     "residual_resolvent_eq", "run_identity_suite", "s_resolvent_map",
     "s_spectrum", "same_sphere", "sample_cassini_ball", "sderiv_operator",
     "series_init", "slice_point", "smallest_singular",

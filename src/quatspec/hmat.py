@@ -39,6 +39,39 @@ def _scalar_pair(q: Quaternion):
     return complex(q.w, q.x), complex(q.y, q.z)
 
 
+# The pair_* functions are the QMatrix arithmetic on raw component arrays.
+# They broadcast like numpy, so a stack of shape (k, n, n) and per-matrix
+# scalars of shape (k, 1, 1) give k results that equal the one-matrix
+# results bit for bit; resolvent bundles and the series engine work on
+# stacks through them.
+
+def scalar_pairs(pts: np.ndarray):
+    """The pairs (w + x*i, y + z*i) of the rows of a (k, 4) float array.
+
+    The parts are assigned, not summed, so signed zeros survive as they do
+    in complex(w, x).
+    """
+    c1 = np.empty(len(pts), dtype=complex)
+    c2 = np.empty(len(pts), dtype=complex)
+    c1.real, c1.imag, c2.real, c2.imag = pts.T
+    return c1, c2
+
+
+def pair_matmul(a1, a2, b1, b2):
+    """The product (a1 + a2*j) @ (b1 + b2*j) as a complex pair."""
+    return a1 @ b1 - a2 @ np.conj(b2), a1 @ b2 + a2 @ np.conj(b1)
+
+
+def pair_scale_right(a1, a2, c1, c2):
+    """The entrywise right product (a1 + a2*j) * (c1 + c2*j)."""
+    return a1 * c1 - a2 * np.conj(c2), a1 * c2 + a2 * np.conj(c1)
+
+
+def pair_scale_left(c1, c2, a1, a2):
+    """The entrywise left product (c1 + c2*j) * (a1 + a2*j)."""
+    return c1 * a1 - c2 * np.conj(a2), c1 * a2 + c2 * np.conj(a1)
+
+
 class QMatrix:
     """Square quaternionic matrix as the complex pair a1 + a2*j.
 
@@ -107,8 +140,7 @@ class QMatrix:
     def __matmul__(self, other):
         if self.n != other.n:
             raise InputError("matrix dimensions do not match")
-        return QMatrix(self.a1 @ other.a1 - self.a2 @ np.conj(other.a2),
-                       self.a1 @ other.a2 + self.a2 @ np.conj(other.a1))
+        return QMatrix(*pair_matmul(self.a1, self.a2, other.a1, other.a2))
 
     def __mul__(self, c):
         c = float(c)
@@ -118,15 +150,11 @@ class QMatrix:
 
     def scale_right(self, q: Quaternion) -> "QMatrix":
         """Entrywise right product A_ik * q (the operator x -> A(q x))."""
-        c1, c2 = _scalar_pair(q)
-        return QMatrix(self.a1 * c1 - self.a2 * np.conj(c2),
-                       self.a1 * c2 + self.a2 * np.conj(c1))
+        return QMatrix(*pair_scale_right(self.a1, self.a2, *_scalar_pair(q)))
 
     def scale_left(self, q: Quaternion) -> "QMatrix":
         """Entrywise left product q * A_ik."""
-        c1, c2 = _scalar_pair(q)
-        return QMatrix(c1 * self.a1 - c2 * np.conj(self.a2),
-                       c1 * self.a2 + c2 * np.conj(self.a1))
+        return QMatrix(*pair_scale_left(*_scalar_pair(q), self.a1, self.a2))
 
     def adjoint(self) -> "QMatrix":
         """Conjugate transpose (quaternionic adjoint)."""
@@ -185,12 +213,17 @@ def vec(x: HVector) -> np.ndarray:
 
 def chi(A: QMatrix) -> np.ndarray:
     """The complex adjoint representation of A as a 2n x 2n complex matrix."""
-    n = A.n
-    M = np.empty((2 * n, 2 * n), dtype=complex)
-    M[:n, :n] = A.a1
-    np.negative(A.a2, out=M[:n, n:])
-    np.conjugate(A.a2, out=M[n:, :n])
-    np.conjugate(A.a1, out=M[n:, n:])
+    return pair_chi(A.a1, A.a2)
+
+
+def pair_chi(a1, a2) -> np.ndarray:
+    """chi of the pair (a1, a2), stacked along any leading axes."""
+    n = a1.shape[-1]
+    M = np.empty(a1.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    M[..., :n, :n] = a1
+    np.negative(a2, out=M[..., :n, n:])
+    np.conjugate(a2, out=M[..., n:, :n])
+    np.conjugate(a1, out=M[..., n:, n:])
     return M
 
 
@@ -199,10 +232,14 @@ def from_chi(M: np.ndarray) -> QMatrix:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise InputError("a chi image must be square with even dimension")
-    n = M.shape[0] // 2
-    a1 = 0.5 * (M[:n, :n] + np.conj(M[n:, n:]))
-    a2 = 0.5 * (np.conj(M[n:, :n]) - M[:n, n:])
-    return QMatrix(a1, a2)
+    return QMatrix(*pair_from_chi(M))
+
+
+def pair_from_chi(M: np.ndarray):
+    """from_chi as a complex pair, stacked along any leading axes."""
+    n = M.shape[-1] // 2
+    return (0.5 * (M[..., :n, :n] + np.conj(M[..., n:, n:])),
+            0.5 * (np.conj(M[..., n:, :n]) - M[..., :n, n:]))
 
 
 def op_norm(A: QMatrix) -> float:
@@ -214,6 +251,21 @@ def op_norm(A: QMatrix) -> float:
     if A._norm is None:
         A._norm = float(np.linalg.svd(chi(A), compute_uv=False)[0])
     return A._norm
+
+
+def pair_op_norms(a1, a2):
+    """op_norm of each matrix of a (k, n, n) stacked pair, in order.
+
+    An iterator of floats.  The matrices before the first non-finite one
+    take one stacked SVD; each later one takes its own SVD when it is
+    reached, as op_norm would, so one that fails the SVD raises only then.
+    """
+    finite = np.isfinite(a1).all(axis=(1, 2)) & np.isfinite(a2).all(axis=(1, 2))
+    f = len(finite) if finite.all() else int(np.argmin(finite))
+    yield from np.linalg.svd(pair_chi(a1[:f], a2[:f]),
+                             compute_uv=False)[:, 0].tolist()
+    for i in range(f, len(finite)):
+        yield float(np.linalg.svd(pair_chi(a1[i], a2[i]), compute_uv=False)[0])
 
 
 def smallest_singular(A: QMatrix) -> float:

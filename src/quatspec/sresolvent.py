@@ -13,10 +13,11 @@ associated operators is
     S_left  = Q * conj(q) - A @ Q          (left  S-resolvent),
     S_right = (conj(q)*I - A) @ Q          (right S-resolvent).
 
-resolvent_bundle builds all of them, with the pencil and its smallest
-singular value, from one SVD and one inverse; ||Q|| takes one more SVD,
-only when it is first read.  Everything that reads the resolvent at a
-point takes the bundle.  The residual_* operations
+resolvent_bundles builds all of them at k points, with each pencil and
+its smallest singular value, from A@A taken once, one stacked SVD and one
+stacked inverse; resolvent_bundle is its one-point case.  ||Q|| takes one
+more SVD per bundle, only when it is first read.  Everything that reads
+the resolvent at a point takes a bundle.  The residual_* operations
 evaluate on bundles, in the operator norm, the exact identities these
 objects satisfy:
 
@@ -39,6 +40,7 @@ policy belongs to the caller.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +74,50 @@ def _check_finite(finite, points, what: str) -> None:
             f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
 
 
+def _identity_pair(n: int):
+    """The components of the n x n identity."""
+    return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+
+
+def _pencils(A: QMatrix, pts: np.ndarray, eye):
+    """The pencils at the rows of pts, checked in order.
+
+    Returns (D1, D2, k): each pencil is (A@A - 2*Re(q)*A) + |q|**2*I, with
+    `eye` the components of I, entry by entry the arithmetic of the QMatrix
+    expression (whose real scalars numpy casts to complex), with A@A taken
+    once, and the first k points have finite pencils.  The point after
+    them overflows: _raise_overflow(pts, k) names it.
+    """
+    w, x, y, z = pts.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs2 = w * w + x * x + y * y + z * z
+        AA1, AA2 = hmat.pair_matmul(A.a1, A.a2, A.a1, A.a2)
+        tw = (2.0 * w).astype(complex)[:, None, None]
+        s2 = abs2.astype(complex)[:, None, None]
+        D1 = AA1 - tw * A.a1 + s2 * eye[0]
+        D2 = AA2 - tw * A.a2 + s2 * eye[1]
+    if np.isfinite(D1).all() and np.isfinite(D2).all():
+        return D1, D2, len(pts)
+    finite = (np.isfinite(D1).all(axis=(1, 2))
+              & np.isfinite(D2).all(axis=(1, 2)))
+    return D1, D2, int(np.argmin(finite))
+
+
+def _raise_overflow(pts: np.ndarray, k: int) -> None:
+    """Raise the overflow error of the point pts[k]."""
+    w, x, y, z = pts[k].tolist()
+    _check_finite(math.isfinite(w * w + x * x + y * y + z * z), pts[k],
+                  "|q|**2")
+    _check_finite(False, pts[k], PENCIL)
+
+
 def delta_op(A: QMatrix, q: Quaternion) -> QMatrix:
     """The pencil A@A - 2*Re(q)*A + |q|**2*I (real coefficients)."""
-    abs2 = q.abs2()
-    _check_finite(np.isfinite(abs2), q, "|q|**2")
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = A @ A - (2.0 * q.w) * A + abs2 * QMatrix.identity(A.n)
-    _check_finite(np.isfinite(D.a1).all() and np.isfinite(D.a2).all(), q,
-                  PENCIL)
-    return D
+    pts = np.array([q], dtype=float)
+    D1, D2, k = _pencils(A, pts, _identity_pair(A.n))
+    if k == 0:
+        _raise_overflow(pts, 0)
+    return QMatrix(D1[0], D2[0])
 
 
 def pencil_svals(A: QMatrix, points) -> np.ndarray:
@@ -134,30 +171,61 @@ class ResolventBundle:
         return hmat.op_norm(self.Q)
 
 
+def resolvent_bundles(A: QMatrix, points) -> list:
+    """The resolvent_bundle of every point, from one SVD and one inverse.
+
+    `points` is a sequence of Quaternions.  A@A is taken once; the k
+    pencils, their chi images, one stacked SVD and one stacked inverse then
+    repeat the arithmetic of a single point entry by entry, and so do both
+    S-resolvents, so each bundle equals its one-point bundle bit for bit.
+    The SVD decides membership and gives each pencil's smallest singular
+    value; the same chi arrays are inverted, so Q equals
+    hmat.qmat_inverse(pencil) bit for bit.  Points are checked in order,
+    and the first that fails raises what its own call would: QuatspecError
+    when its |q|**2 or its pencil overflows, NotInResolventSet (carrying
+    the smallest singular value) when its pencil fails hmat.nonsingular.
+    """
+    points = list(points)
+    pts = np.fromiter(itertools.chain.from_iterable(points), float,
+                      count=4 * len(points)).reshape(-1, 4)
+    eye = _identity_pair(A.n)
+    D1, D2, ok = _pencils(A, pts, eye)
+    M = hmat.pair_chi(D1[:ok], D2[:ok])
+    sv = np.linalg.svd(M, compute_uv=False)
+    regular = hmat.nonsingular(sv)
+    if not regular.all():
+        i = int(np.argmin(regular))
+        raise NotInResolventSet(
+            f"point {tuple(points[i])} is numerically in the S-spectrum "
+            f"(pencil smallest singular value {sv[i, -1]:.3e})",
+            smallest_singular=float(sv[i, -1]))
+    if ok < len(pts):
+        _raise_overflow(pts, ok)
+    Q1, Q2 = hmat.pair_from_chi(np.linalg.inv(M))
+    # conj(q) = conj(c1) - c2*j at each point, as scalars of shape (k, 1, 1)
+    c1, c2 = hmat.scalar_pairs(pts)
+    c1 = np.conj(c1)[:, None, None]
+    c2 = np.negative(c2)[:, None, None]
+    # S_left = Q*conj(q) - A@Q and S_right = (conj(q)*I - A) @ Q
+    r1, r2 = hmat.pair_scale_right(Q1, Q2, c1, c2)
+    aq1, aq2 = hmat.pair_matmul(A.a1, A.a2, Q1, Q2)
+    L1, L2 = r1 - aq1, r2 - aq2
+    r1, r2 = hmat.pair_scale_left(c1, c2, *eye)
+    R1, R2 = hmat.pair_matmul(r1 - A.a1, r2 - A.a2, Q1, Q2)
+    return [ResolventBundle(q=q, pencil=QMatrix(D1[i], D2[i]),
+                            Q=QMatrix(Q1[i], Q2[i]),
+                            S_left=QMatrix(L1[i], L2[i]),
+                            S_right=QMatrix(R1[i], R2[i]),
+                            pencil_smallest_singular=float(sv[i, -1]))
+            for i, q in enumerate(points)]
+
+
 def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:
     """Invert the pencil at q and assemble both S-resolvents.
 
-    One SVD of chi(pencil) decides membership and gives the pencil's
-    smallest singular value; the same chi array is then inverted, so Q
-    equals hmat.qmat_inverse(pencil) bit for bit.  Raises
-    NotInResolventSet (carrying the smallest singular value) when the
-    pencil fails hmat.nonsingular.
+    The one-point case of resolvent_bundles: one SVD and one inverse.
     """
-    D = delta_op(A, q)
-    M = hmat.chi(D)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if not hmat.nonsingular(sv):
-        raise NotInResolventSet(
-            f"point {tuple(q)} is numerically in the S-spectrum "
-            f"(pencil smallest singular value {sv[-1]:.3e})",
-            smallest_singular=float(sv[-1]))
-    Q = hmat.from_chi(np.linalg.inv(M))
-    qc = q.conj()
-    S_left = Q.scale_right(qc) - A @ Q
-    S_right = (QMatrix.identity(A.n).scale_left(qc) - A) @ Q
-    return ResolventBundle(q=q, pencil=D, Q=Q, S_left=S_left,
-                           S_right=S_right,
-                           pencil_smallest_singular=float(sv[-1]))
+    return resolvent_bundles(A, [q])[0]
 
 
 def residual_resolvent_eq(bp: ResolventBundle, bq: ResolventBundle) -> float:

@@ -19,8 +19,9 @@ from .hmat import QMatrix, op_norm
 from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
 from .spectrum import cor1_check
 from .sresolvent import (random_resolvent_point, resolvent_bundle,
-                         residual_AS_identity, residual_mixed_eq,
-                         residual_q_eq, residual_resolvent_eq)
+                         resolvent_bundles, residual_AS_identity,
+                         residual_mixed_eq, residual_q_eq,
+                         residual_resolvent_eq)
 
 # Fixed emission order of the suite rows.
 ROW_NAMES = (
@@ -78,8 +79,11 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
     """Relative residuals of every identity on one random instance."""
     out = {}
     p, q = _sample_off_sphere_pair(A, rng)
-    bp = resolvent_bundle(A, p)
-    bq = resolvent_bundle(A, q)
+    qd = random_resolvent_point(A, rng, require_nonreal=True)
+    r0 = series.certified_real_point(A)
+    bp, bq, bqc, br, bd, bdc = resolvent_bundles(
+        A, [p, q, q.conj(), r0, qd, qd.conj()])
+    state = series.SeriesState(A, br)
     norm_sp = op_norm(bp.S_left)
 
     scale = 1.0 + norm_sp + op_norm(bq.S_left) + bq.norm_Q * (
@@ -108,18 +112,11 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
 
     # The pencil depends on q only through (Re q, |q|**2), so the bundle at
     # the conjugate point reuses bit-identical inputs and Q matches exactly.
-    bqc = resolvent_bundle(A, q.conj())
     out["conjugate_pair_match"] = op_norm(bq.Q - bqc.Q) / (1.0 + bq.norm_Q)
 
-    r0 = series.certified_real_point(A)
-    state = series.series_init(A, r0, 1)
-    br = state.bundle0
     out["real_point_left_right"] = op_norm(br.S_left - br.S_right) / (
         1.0 + op_norm(br.S_left))
 
-    qd = random_resolvent_point(A, rng, require_nonreal=True)
-    bd = resolvent_bundle(A, qd)
-    bdc = resolvent_bundle(A, qd.conj())
     s_left = sliceanalysis.SliceEvaluator(
         {qd: bd.S_left, qd.conj(): bdc.S_left}.__getitem__)
     deriv = sliceanalysis.sderiv_operator(s_left, qd)

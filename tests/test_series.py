@@ -4,21 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from quatspec import sresolvent
+from quatspec import series, sresolvent
 from quatspec.cli import main
 from quatspec.errors import InputError, OutsideConvergenceDomain
 from quatspec.hmat import (QMatrix, op_norm, qmatrix_to_json_dict,
                            random_qmatrix)
 from quatspec.quatcore import (Quaternion, cassini_u,
                                point_at_cassini_distance, random_unit_imag,
-                               spherical_power, spherical_power_sderiv)
+                               spherical_power, spherical_power_sderiv,
+                               triangle)
 from quatspec.series import (certified_real_point, converge_series_Q,
                              converge_series_S, eval_series_Q, eval_series_S,
-                             remainder_exact, series_init, tail_bound_Q,
-                             tail_bound_S, tail_rule, term_norms)
+                             remainder_exact, residual_report, series_init,
+                             tail_bound_Q, tail_bound_S, tail_rule,
+                             term_norms)
 from quatspec.sliceanalysis import (cauchy_coeffs, s_resolvent_map,
                                     stem_decompose)
-from quatspec.sresolvent import resolvent_bundle
+from quatspec.sresolvent import resolvent_bundle, resolvent_bundles
 
 
 def sample_inside(state, rng, fraction=0.5):
@@ -308,6 +310,114 @@ def test_derivative_engine_near_the_real_axis():
         assert same_bits(eval_series_Q(st, q, N)[0], ref[N][1])
 
 
+def rows_per_block(monkeypatch, n, rows):
+    """Cap the series engine's blocks at `rows` indices for n x n inputs."""
+    monkeypatch.setattr(series, "PENCIL_BLOCK_BYTES", rows * 16 * (2 * n) ** 2)
+
+
+def reference_report(state, q, direct, tol, nmax):
+    """residual_report's rows from the term-by-term definition."""
+    rows = []
+    for n, (term, partial) in enumerate(reference_partials(state, q, nmax)):
+        residual = op_norm(partial - direct)
+        rows.append([n, op_norm(term), tail_bound_S(state, q, n), residual])
+        if residual <= tol:
+            return rows, True
+    return rows, False
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, None])
+def test_engine_bit_identical_across_blocks(rows, monkeypatch):
+    # with small blocks every stopping index falls after the first block
+    rng = np.random.default_rng(81)
+    A = random_qmatrix(2, rng)
+    if rows:
+        rows_per_block(monkeypatch, 2, rows)
+    st = series_init(A, certified_real_point(A), 1)
+    q = sample_inside(st, rng, fraction=0.7)
+    direct = resolvent_bundle(A, q).S_left
+    for derivative, converge in ((False, converge_series_S),
+                                 (True, converge_series_Q)):
+        got = converge(st, q, 1e-13, 200)
+        want = reference_converge(st, q, 1e-13, 200, derivative)
+        assert got[2:] == (want[2], True) and got[2] > 7
+        assert same_bits(got[0], want[0]) and got[1] == want[1]
+    got = residual_report(st, q, direct, 1e-13, 200)
+    assert got == reference_report(st, q, direct, 1e-13, 200)
+    assert got[1] and len(got[0]) > 8
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 3, 5, 6, 10])
+def test_engine_stops_at_nmax_anywhere_in_a_block(nmax, monkeypatch):
+    # three indices per block: nmax = 2 and 5 end a full block, 1, 3, 6
+    # and 10 cut one short, 0 is the first index
+    rng = np.random.default_rng(82)
+    A = random_qmatrix(3, rng)
+    rows_per_block(monkeypatch, 3, 3)
+    st = series_init(A, certified_real_point(A), 1)
+    q = sample_inside(st, rng, fraction=0.8)
+    direct = resolvent_bundle(A, q).S_left
+    for derivative, converge in ((False, converge_series_S),
+                                 (True, converge_series_Q)):
+        got = converge(st, q, 1e-30, nmax)
+        want = reference_converge(st, q, 1e-30, nmax, derivative)
+        assert got[2:] == (nmax, False) == want[2:]
+        assert same_bits(got[0], want[0]) and got[1] == want[1]
+    got = residual_report(st, q, direct, -1.0, nmax)
+    assert got == reference_report(st, q, direct, -1.0, nmax)
+    assert len(got[0]) == nmax + 1 and not got[1]
+    assert term_norms(st, q, nmax) == [op_norm(t) for t, _ in
+                                       reference_partials(st, q, nmax)]
+    assert same_bits(eval_series_Q(st, q, nmax)[0],
+                     reference_partials(st, q, nmax, True)[-1][1])
+
+
+def reference_tail_S(state, q, N):
+    nq = state.bundle0.norm_Q
+    rho = nq * abs(triangle(state.q0, q))
+    if rho >= 1.0:
+        return math.inf
+    c1 = op_norm(state.bundle0.S_left)
+    c2 = nq * abs(q - state.q0)
+    return (c1 * rho ** (N // 2 + 1) + c2 * rho ** ((N + 1) // 2)) / (1.0 - rho)
+
+
+def reference_tail_Q(state, q, N):
+    nq = state.bundle0.norm_Q
+    rho = nq * abs(triangle(state.q0, q))
+    if rho >= 1.0:
+        return math.inf
+    c0 = abs(q) + abs(state.q0)
+    c1 = op_norm(state.bundle0.S_left)
+
+    def arith_geo(m):
+        return rho ** (m - 1) * (m - (m - 1) * rho) / (1.0 - rho) ** 2
+
+    ke, ko = N // 2 + 1, (N + 1) // 2
+    return (2.0 * c1 * c0 * nq * arith_geo(ke)
+            + nq * (rho ** ko / (1.0 - rho))
+            + 2.0 * c0 * c0 * nq * nq * arith_geo(max(ko, 1)))
+
+
+def test_engine_tails_equal_the_closed_forms():
+    # the hoisted constants change no bit of any tail bound
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 4):
+        A = random_qmatrix(n, rng)
+        st = series_init(A, certified_real_point(A), 1)
+        q = sample_inside(st, rng, fraction=0.9)
+        nmax = 60
+        rows, _ = residual_report(st, q, QMatrix.zeros(n), -1.0, nmax)
+        assert [row[2] for row in rows] == [
+            reference_tail_S(st, q, N) for N in range(nmax + 1)]
+        for N in range(nmax + 1):
+            assert tail_bound_S(st, q, N) == reference_tail_S(st, q, N)
+            assert tail_bound_Q(st, q, N) == reference_tail_Q(st, q, N)
+        for N in (0, 1, 17, nmax):
+            assert converge_series_Q(st, q, 1e-30, N)[1] == \
+                reference_tail_Q(st, q, N)
+
+
 def test_tail_rule_screen_never_skips_a_passing_test():
     # for rank-one matrices the Frobenius majorant equals the operator
     # norm, so only the screen's margin absorbs the rounding of either
@@ -319,8 +429,11 @@ def test_tail_rule_screen_never_skips_a_passing_test():
             P = QMatrix(np.outer(u, v.conj()), np.zeros((n, n)))
             rtol = 10.0 ** rng.uniform(-14, -2)
             t = rtol * (1.0 + op_norm(P))
-            assert tail_rule(t, rtol, P)
-            assert not tail_rule(np.nextafter(t, np.inf) * 1.001, rtol, P)
+            # a row of P just failing the rule, then one just passing it
+            t2 = np.array([np.nextafter(t, np.inf) * 1.001, t])
+            p1, p2 = np.stack([P.a1, P.a1]), np.stack([P.a2, P.a2])
+            assert tail_rule(t2, rtol, p1, p2) == 1
+            assert tail_rule(t2[:1], rtol, p1[:1], p2[:1]) is None
 
 
 # --- work gates: these ceilings may be lowered, never raised ---------------
@@ -358,21 +471,27 @@ def count_work(monkeypatch, capsys, argv):
     return rc, report, calls
 
 
-def test_series_report_takes_two_svds_per_row(monkeypatch, capsys):
-    rc, rep, work = count_work(monkeypatch, capsys, [
-        "series", "--q0", "1", "--q", "1.9", "--tol", "1e-14",
-        "--nmax", "400"])
+def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
+    argv = ["series", "--q0", "1", "--q", "1.9", "--tol", "1e-14",
+            "--nmax", "400"]
+    rc, rep, work = count_work(monkeypatch, capsys, argv)
     assert rc == 0 and rep["N"] == 299
     # the center bundle with ||Q(q0)|| (2 SVDs), the direct bundle, whose
-    # ||Q|| is never read (1), and ||S_left(q0)||, then two per row
-    assert work["svd"] <= 2 * (rep["N"] + 1) + 4
+    # ||Q|| is never read (1), and ||S_left(q0)||, then two stacked SVDs
+    # per block: all 300 rows fit in the first (4096 rows at n = 1)
+    assert work["svd"] <= 4 + 2 * 1
+    # at 64 rows per block the 300 rows take five blocks
+    rows_per_block(monkeypatch, 1, 64)
+    rc, rep, work = count_work(monkeypatch, capsys, argv)
+    assert rc == 0 and rep["N"] == 299
+    assert work["svd"] <= 4 + 2 * 5
 
 
 def test_verify_svd_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    assert work["svd"] <= 2004
+    assert work["svd"] <= 1754
 
 
 def test_verify_bundle_count_gate(monkeypatch, capsys):
@@ -382,6 +501,26 @@ def test_verify_bundle_count_gate(monkeypatch, capsys):
     # seven bundles per trial: p, q, conj(q), the real center, the
     # derivative point and its conjugate, and the series point
     assert work["bundle"] <= 350
+
+
+def test_verify_inverse_count_gate(monkeypatch, capsys):
+    rc, rep, work = count_work(monkeypatch, capsys, [
+        "verify", "--n", "4", "--trials", "50", "--seed", "42"])
+    assert rc == 0 and rep["all_passed"]
+    # two stacked inverses per trial: the six points known before the
+    # series center, then the series point
+    assert work["inv"] <= 100
+
+
+@pytest.mark.parametrize("k", [1, 6, 40])
+def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
+    rng = np.random.default_rng(89)
+    A = random_qmatrix(4, rng)
+    points = [certified_real_point(A) + Quaternion(*rng.uniform(0, 1, 4))
+              for _ in range(k)]
+    work = count_calls(monkeypatch)
+    resolvent_bundles(A, points)
+    assert work == {"svd": 1, "inv": 1, "bundle": k}
 
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):

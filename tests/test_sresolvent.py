@@ -10,7 +10,7 @@ from quatspec.hmat import (QMatrix, chi, op_norm, qmat_inverse, random_qmatrix,
 from quatspec.quatcore import QI, QJ, Quaternion, qinv, triangle
 from quatspec.sresolvent import (delta_op, pencil_svals,
                                  random_resolvent_point, resolvent_bundle,
-                                 residual_AS_identity, residual_mixed_eq,
+                                 resolvent_bundles, residual_AS_identity, residual_mixed_eq,
                                  residual_q_eq, residual_resolvent_eq)
 
 
@@ -229,3 +229,69 @@ def test_pencil_svals_default_blocks_and_edges():
         pencil_svals(A, [Quaternion(1.0), Quaternion(0.0, 1e200)])
     with pytest.raises(QuatspecError, match="overflows"):
         delta_op(A, Quaternion(1e155))
+
+
+# --- stacked bundles ---------------------------------------------------------
+
+def same_matrix(P, R):
+    return P.a1.tobytes() == R.a1.tobytes() and P.a2.tobytes() == R.a2.tobytes()
+
+
+@pytest.mark.parametrize("n, real", [(1, True), (1, False), (2, False),
+                                     (4, True), (4, False), (8, False)])
+def test_stacked_bundles_equal_one_point_bundles(n, real):
+    # real entries leave zero a2 components, whose signs must match too
+    rng = np.random.default_rng(61 + n)
+    A = random_qmatrix(n, rng)
+    if real:
+        A = QMatrix(A.a1.real, np.zeros((n, n)))
+    points = [random_resolvent_point(A, rng) for _ in range(4)]
+    points += [points[0].conj(), Quaternion(points[1].w),
+               random_resolvent_point(A, rng, require_nonreal=True)]
+    stacked = resolvent_bundles(A, points)
+    assert [b.q for b in stacked] == points
+    for q, b in zip(points, stacked):
+        one = resolvent_bundle(A, q)
+        for name in ("pencil", "Q", "S_left", "S_right"):
+            assert same_matrix(getattr(b, name), getattr(one, name)), name
+        assert b.pencil_smallest_singular == one.pencil_smallest_singular
+        assert b.norm_Q == one.norm_Q
+        # the QMatrix expressions the stacked arithmetic repeats
+        qc = q.conj()
+        assert same_matrix(b.pencil, A @ A - (2.0 * q.w) * A
+                           + q.abs2() * QMatrix.identity(n))
+        assert same_matrix(b.S_left, b.Q.scale_right(qc) - A @ b.Q)
+        assert same_matrix(
+            b.S_right, (QMatrix.identity(n).scale_left(qc) - A) @ b.Q)
+
+
+def test_stacked_bundles_refuse_the_first_spectral_point():
+    A = QMatrix.from_entries([[[0, 1, 0, 0]]])
+    with pytest.raises(NotInResolventSet) as one:
+        resolvent_bundle(A, QJ)
+    with pytest.raises(NotInResolventSet) as stacked:
+        resolvent_bundles(A, [Quaternion(3.0), QJ, QI, Quaternion(0.0, 2.0)])
+    assert str(stacked.value) == str(one.value)
+    assert stacked.value.smallest_singular == one.value.smallest_singular
+
+
+def test_stacked_bundles_refuse_an_overflowing_point_in_order():
+    A = random_qmatrix(2, np.random.default_rng(63))
+    big, huge = Quaternion(0.0, 1e200), Quaternion(1e155)
+    for bad in (big, huge):
+        with pytest.raises(QuatspecError) as one:
+            resolvent_bundle(A, bad)
+        with pytest.raises(QuatspecError, match="the pencil overflows") as got:
+            resolvent_bundles(A, [Quaternion(9.0), bad, Quaternion(8.0)])
+        assert str(got.value) == str(one.value)
+    # |q|**2 is finite here, but A@A is not
+    B = QMatrix.from_entries([[[1e160, 0, 0, 0]]])
+    with pytest.raises(QuatspecError, match=r"A@A .* is not finite at q = "
+                                            r"\(2, 0, 0, 0\)"):
+        resolvent_bundles(B, [Quaternion(2.0), Quaternion(3.0)])
+    # a point that is refused earlier in the list is the one reported
+    Z = QMatrix.zeros(1)
+    with pytest.raises(NotInResolventSet):
+        resolvent_bundles(Z, [Quaternion(1.0), Quaternion(0.0), big])
+    with pytest.raises(QuatspecError, match="overflows"):
+        resolvent_bundles(Z, [Quaternion(1.0), big, Quaternion(0.0)])
