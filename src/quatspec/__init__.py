@@ -20,10 +20,9 @@ from .quatcore import (QI, QJ, QK, CassiniBall, Quaternion, SpherePoint,
 from .series import (SeriesState, certified_real_point, converge_series_Q,
                      converge_series_S, eval_series_Q, eval_series_S,
                      remainder_exact, series_init, tail_bound_Q, tail_bound_S)
-from .sliceanalysis import (SliceEvaluator, StemPair, cauchy_coeffs,
-                            cr_residual, s_resolvent_map, sderiv_operator,
-                            slice_point, stem_decompose, stem_reconstruct,
-                            taylor_eval)
+from .sliceanalysis import (StemPair, cauchy_coeffs, cr_residual,
+                            s_resolvent_map, sderiv_operator, slice_point,
+                            stem_decompose, stem_reconstruct, taylor_eval)
 from .spectrum import (SpectrumResult, blowup_probe, boundary_polyline,
                        cassini_dist, cor1_check, in_resolvent,
                        s_spectrum, sample_cassini_ball)
@@ -38,7 +37,7 @@ __all__ = [
     "CassiniBall", "DegenerateConfiguration", "HVector", "InputError",
     "NotInResolventSet", "OutsideConvergenceDomain", "QI", "QJ", "QK",
     "QMatrix", "Quaternion", "QuatspecError", "ResolventBundle",
-    "SeriesState", "SingularOperator", "SliceEvaluator", "SpectrumResult",
+    "SeriesState", "SingularOperator", "SpectrumResult",
     "SpherePoint", "StemPair", "SuiteRow", "blowup_probe",
     "boundary_polyline", "cassini_dist", "cassini_u", "cauchy_coeffs",
     "certified_real_point", "chi", "converge_series_Q", "converge_series_S",

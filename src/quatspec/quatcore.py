@@ -160,23 +160,27 @@ def same_sphere(p: Quaternion, q: Quaternion, tol: float = SAME_SPHERE_TOL) -> b
     return abs(sp.r - sq.r) <= tol and abs(sp.s - sq.s) <= tol
 
 
-def cassini_quartic(pr, ps, qr, qs):
-    """u**4 between the spheres (pr, ps) and (qr, qs): the product m1*m2.
+def cassini_factors(pr, ps, qr, qs):
+    """The factors (m1, m2) of u**4 between the spheres (pr, ps), (qr, qs).
 
     The planar factorization |triangle|**2 = m1*m2 with
     m1 = (pr-qr)**2 + (ps-qs)**2 and m2 = (pr-qr)**2 + (ps+qs)**2 is
     symmetric bit-for-bit and exactly zero iff the axial pairs coincide
-    exactly.  Works elementwise on floats and numpy arrays alike.
+    exactly.  Works elementwise on floats and numpy arrays alike.  Past
+    coordinates of about 1e77 the product m1*m2 overflows, and its readers
+    fall back to sqrt(m1)*sqrt(m2) = u**2, which stays finite.
     """
     dr = pr - qr
-    m1 = dr * dr + (ps - qs) * (ps - qs)
-    m2 = dr * dr + (ps + qs) * (ps + qs)
-    return m1 * m2
+    return dr * dr + (ps - qs) * (ps - qs), dr * dr + (ps + qs) * (ps + qs)
 
 
 def cassini_u_axial(p: SpherePoint, q: SpherePoint) -> float:
     """Cassini pseudo-metric between two spheres given in axial coordinates."""
-    return cassini_quartic(p.r, p.s, q.r, q.s) ** 0.25
+    m1, m2 = cassini_factors(p.r, p.s, q.r, q.s)
+    quartic = m1 * m2
+    if math.isfinite(quartic):
+        return quartic ** 0.25
+    return math.sqrt(math.sqrt(m1) * math.sqrt(m2))
 
 
 def cassini_u(p: Quaternion, q: Quaternion) -> float:
@@ -196,17 +200,23 @@ class CassiniBall(NamedTuple):
 
     def contains(self, p: Quaternion) -> bool:
         ps = sphere_of(p)
-        return self.contains_axial(ps.r, ps.s)
+        return bool(self.contains_axial(ps.r, ps.s))
 
     def contains_axial(self, r, s):
         """contains() for points with axial coordinates (r, s).
 
         u < radius iff u**4 < radius**4; comparing the quartics avoids the
-        fractional powers.  Floats give a bool, arrays a boolean mask.
+        fractional powers.  Where a quartic or radius**4 overflows, u**2 <
+        radius**2 is compared instead.  Floats give a 0-d boolean array,
+        arrays a boolean mask.
         """
         cs = sphere_of(self.center)
         r2 = self.radius * self.radius
-        return cassini_quartic(r, s, cs.r, cs.s) < r2 * r2
+        m1, m2 = cassini_factors(r, s, cs.r, cs.s)
+        with np.errstate(over="ignore"):
+            quartic, target = np.multiply(m1, m2), np.multiply(r2, r2)
+        return np.where(np.isfinite(quartic) & np.isfinite(target),
+                        quartic < target, np.sqrt(m1) * np.sqrt(m2) < r2)
 
 
 def spherical_power(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
@@ -310,12 +320,18 @@ def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
     dimension, and every element is bisected at once with the float
     operations of a scalar 200-step bisection.  The loop stops early once
     no bracket (lo, hi) can change any more, so the roots are those of the
-    full 200 steps bit for bit.  As with Python floats, overflow to inf
-    passes silently.
+    full 200 steps bit for bit.  The root is homogeneous of degree one in
+    (b, dist), so where dist**4 overflows, b and dist are divided by 2**e,
+    with e the binary exponent of dist, and the root multiplied back by
+    2**e, both exactly; elsewhere e = 0.  As with Python floats, other
+    overflow to inf passes silently.
     """
     b, dist, sin_a = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (b, dist, sin_a)))
     with np.errstate(over="ignore", invalid="ignore"):
+        target = (dist * dist) * (dist * dist)
+        e = np.where(np.isfinite(target), 0, np.frexp(dist)[1])
+        b, dist = np.ldexp(b, -e), np.ldexp(dist, -e)
         target = (dist * dist) * (dist * dist)
         one_minus = 1.0 - sin_a * sin_a
         cos2 = np.where(one_minus > 0.0, one_minus, 0.0)
@@ -347,8 +363,8 @@ def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
             hi = np.where(below, hi, mid)
             if settled:
                 break
-        return np.where(dist == 0.0, 0.0,
-                        np.where(b == 0.0, dist, 0.5 * (lo + hi)))
+        return np.ldexp(np.where(dist == 0.0, 0.0,
+                                 np.where(b == 0.0, dist, 0.5 * (lo + hi))), e)
 
 
 def point_at_cassini_distance(q0: Quaternion, dist: float,

@@ -29,10 +29,11 @@ streams of quatcore (one quaternion product per index), its terms from
 one broadcast scale_right over per-index scalars, and its partial sums
 from a cumulative sum of the signed terms carried on from the previous
 block, so a run through N costs O(N) and its partial sums equal those
-of the term-by-term definition bit for bit.  A block holds at most
-PENCIL_BLOCK_BYTES of chi images.  The tail bounds stay scalar loops
-over N with their constants hoisted: np.power can differ from Python's
-** in the last bit.  Two stopping rules read the series:
+of the term-by-term definition bit for bit.  A block holds as many
+indices as a block of pencils (sresolvent.block_rows).  The tail bounds
+stay scalar loops over N with their constants hoisted: np.power can
+differ from Python's ** in the last bit.  Two stopping rules read the
+series:
 
 - the library rule (used by converge_series_S/Q): stop at the first N
   with tail_bound(N) <= rtol * (1 + ||partial_N||), checked at every N in
@@ -58,7 +59,7 @@ from .errors import InputError, OutsideConvergenceDomain, QuatspecError
 from .hmat import QMatrix
 from .quatcore import (Quaternion, cassini_u, qpow, spherical_power_sderivs,
                        spherical_powers, triangle)
-from .sresolvent import PENCIL_BLOCK_BYTES, ResolventBundle, resolvent_bundle
+from .sresolvent import ResolventBundle, block_rows, resolvent_bundle
 
 # Default cap for adaptive truncation; exceeding it flags non-convergence
 # instead of raising, so near-boundary evaluations degrade gracefully.
@@ -163,15 +164,16 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
     subtracting it in IEEE arithmetic, and np.add.accumulate adds in index
     order, so every partial equals the term-by-term sum bit for bit.
 
-    A block takes at most PENCIL_BLOCK_BYTES of chi images, which bounds
-    the working memory whatever `last` is; ends(lo, hi) may end it sooner.
+    A block takes at most sresolvent.block_rows(n) indices, the rule the
+    pencils follow, which bounds the working memory whatever `last` is;
+    ends(lo, hi) may end it sooner.
     Rows past a stopping index are computed, so overflow in them is not
     warned about.  No domain gate.
     """
     basis = (spherical_power_sderivs if derivative else spherical_powers)(
         state.q0, q)
     n = state.A.n
-    cap = max(1, PENCIL_BLOCK_BYTES // (16 * (2 * n) ** 2))
+    cap = block_rows(n)
     carry = (np.zeros((n, n), dtype=complex),) * 2
     lo = 0
     while lo <= last:

@@ -2,9 +2,9 @@
 operator-valued maps, Cauchy–Riemann residuals, and contour Taylor
 coefficients on a slice.
 
-An operator-valued map f on an axially symmetric domain restricts, for each
-unit imaginary j, to a map f_j(r + s*i) = f(r + s*j) on a complex
-half-plane.  Its stem components
+An operator-valued map f, here any function from a Quaternion to a QMatrix,
+on an axially symmetric domain restricts, for each unit imaginary j, to a
+map f_j(r + s*i) = f(r + s*j) on a complex half-plane.  Its stem components
 
     F1(z) = (f(r+sj) + f(r-sj)) / 2,
     F2(z) = -(f(r+sj) - f(r-sj)) * j / 2
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import hmat
@@ -37,13 +36,6 @@ UNIT_IMAG_TOL = 1e-12
 FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class SliceEvaluator:
-    """An operator-valued map on an axially symmetric set."""
-
-    eval: Callable[[Quaternion], QMatrix]
-
-
 class StemPair(NamedTuple):
     """Stem component values (F1, F2) at one slice point."""
 
@@ -51,8 +43,8 @@ class StemPair(NamedTuple):
     F2: QMatrix
 
 
-def s_resolvent_map(A: QMatrix) -> SliceEvaluator:
-    """The left S-resolvent of A as a slice evaluator on its resolvent set.
+def s_resolvent_map(A: QMatrix) -> Callable[[Quaternion], QMatrix]:
+    """The left S-resolvent of A as a map on its resolvent set.
 
     One bundle per evaluation: its pencil SVD is also the domain test.
     """
@@ -63,7 +55,7 @@ def s_resolvent_map(A: QMatrix) -> SliceEvaluator:
             raise InputError(
                 f"evaluation point {tuple(q)} is outside the domain") from exc
 
-    return SliceEvaluator(s_left)
+    return s_left
 
 
 def _check_unit_imag(j: Quaternion) -> None:
@@ -76,11 +68,12 @@ def slice_point(z: complex, j: Quaternion) -> Quaternion:
     return Quaternion(z.real, z.imag * j.x, z.imag * j.y, z.imag * j.z)
 
 
-def stem_decompose(f: SliceEvaluator, z: complex, j: Quaternion) -> StemPair:
+def stem_decompose(f: Callable[[Quaternion], QMatrix], z: complex,
+                   j: Quaternion) -> StemPair:
     """Stem component values of f at z on the slice of j."""
     _check_unit_imag(j)
-    fp = f.eval(slice_point(z, j))
-    fm = f.eval(slice_point(z.conjugate(), j))
+    fp = f(slice_point(z, j))
+    fm = f(slice_point(z.conjugate(), j))
     half = 0.5
     return StemPair(F1=(fp + fm) * half,
                     F2=((fm - fp) * half).scale_right(j))
@@ -91,7 +84,8 @@ def stem_reconstruct(pair: StemPair, j: Quaternion) -> QMatrix:
     return pair.F1 + pair.F2.scale_right(j)
 
 
-def sderiv_operator(f: SliceEvaluator, q: Quaternion) -> QMatrix:
+def sderiv_operator(f: Callable[[Quaternion], QMatrix],
+                    q: Quaternion) -> QMatrix:
     """Spherical derivative of f at q.
 
     Off the real axis this is (f(q) - f(conj(q))) * (q - conj(q))**(-1).
@@ -101,14 +95,14 @@ def sderiv_operator(f: SliceEvaluator, q: Quaternion) -> QMatrix:
     Richardson-extrapolated central differences.
     """
     if sderiv_by_quotient(q):
-        diff = f.eval(q) - f.eval(q.conj())
+        diff = f(q) - f(q.conj())
         return diff.scale_right(qinv(q - q.conj()))
     r = q.w
     h = FD_STEP * (1.0 + abs(q))
 
     def central(step):
-        up = f.eval(Quaternion(r + step))
-        dn = f.eval(Quaternion(r - step))
+        up = f(Quaternion(r + step))
+        dn = f(Quaternion(r - step))
         return (up - dn) * (0.5 / step)
 
     d1 = central(h)
@@ -116,7 +110,8 @@ def sderiv_operator(f: SliceEvaluator, q: Quaternion) -> QMatrix:
     return (d2 * 4.0 - d1) * (1.0 / 3.0)
 
 
-def cr_residual(f: SliceEvaluator, z: complex, j: Quaternion, h: float) -> float:
+def cr_residual(f: Callable[[Quaternion], QMatrix], z: complex,
+                j: Quaternion, h: float) -> float:
     """Norm of the Cauchy–Riemann defect of f_j at z, by central differences.
 
     Approximates || d(f_j)/dr + (d(f_j)/ds) * j ||; the value is O(h**2)
@@ -126,15 +121,15 @@ def cr_residual(f: SliceEvaluator, z: complex, j: Quaternion, h: float) -> float
     if h <= 0.0:
         raise InputError("finite-difference step must be positive")
     r, s = z.real, z.imag
-    dr = (f.eval(slice_point(complex(r + h, s), j))
-          - f.eval(slice_point(complex(r - h, s), j))) * (0.5 / h)
-    ds = (f.eval(slice_point(complex(r, s + h), j))
-          - f.eval(slice_point(complex(r, s - h), j))) * (0.5 / h)
+    dr = (f(slice_point(complex(r + h, s), j))
+          - f(slice_point(complex(r - h, s), j))) * (0.5 / h)
+    ds = (f(slice_point(complex(r, s + h), j))
+          - f(slice_point(complex(r, s - h), j))) * (0.5 / h)
     return hmat.op_norm(dr + ds.scale_right(j))
 
 
-def cauchy_coeffs(f: SliceEvaluator, j: Quaternion, z0: complex, delta: float,
-                  M: int, nmax: int):
+def cauchy_coeffs(f: Callable[[Quaternion], QMatrix], j: Quaternion,
+                  z0: complex, delta: float, M: int, nmax: int):
     """Slice Taylor coefficients of f at z0 by trapezoidal contour quadrature.
 
     Averages f over M equispaced nodes of the counterclockwise circle of
@@ -156,7 +151,7 @@ def cauchy_coeffs(f: SliceEvaluator, j: Quaternion, z0: complex, delta: float,
         raise InputError(f"need at least {8 * (nmax + 1)} quadrature nodes "
                          f"for {nmax + 1} coefficients, got {M}")
     thetas = [2.0 * math.pi * m / M for m in range(M)]
-    samples = [f.eval(slice_point(z0 + delta * cmath.exp(1j * th), j))
+    samples = [f(slice_point(z0 + delta * cmath.exp(1j * th), j))
                for th in thetas]
     n_side = samples[0].n
     coeffs = []

@@ -13,9 +13,12 @@ associated operators is
     S_left  = Q * conj(q) - A @ Q          (left  S-resolvent),
     S_right = (conj(q)*I - A) @ Q          (right S-resolvent).
 
-resolvent_bundles builds all of them at k points, with each pencil and
-its smallest singular value, from A@A taken once, one stacked SVD and one
-stacked inverse; resolvent_bundle is its one-point case.  ||Q|| takes one
+Every pencil is built one way: _pencils takes A@A once and forms the
+pencils of a block of points on the complex pair, and each block's chi
+images take one stacked SVD.  pencil_svals returns those singular values,
+resolvent_bundles adds one stacked inverse and the S-resolvents, and
+delta_op and resolvent_bundle are the one-point cases, so every reader of
+a pencil at q sees the same singular values bit for bit.  ||Q|| takes one
 more SVD per bundle, only when it is first read.  Everything that reads
 the resolvent at a point takes a bundle.  The residual_* operations
 evaluate on bundles, in the operator norm, the exact identities these
@@ -54,24 +57,34 @@ from .quatcore import Quaternion, qinv, triangle
 # falls below this times (1 + |p|**2 + |q|**2).
 DEGENERATE_REL_TOL = 1e-12
 
-# pencil_svals decomposes at most this many bytes of pencils per stacked
-# SVD (64 points at n = 8, 1024 at n = 2), which bounds its working memory.
+# A stacked SVD takes at most this many bytes of chi images (64 pencils at
+# n = 8, 1024 at n = 2), which bounds the working memory of pencil_svals,
+# resolvent_bundles and the series engine; block_rows turns it into rows.
 PENCIL_BLOCK_BYTES = 1 << 18
 
 # How overflow messages name the pencil.
 PENCIL = "A@A - 2*Re(q)*A + |q|**2*I"
 
 
-def _check_finite(finite, points, what: str) -> None:
-    """Refuse the points at which `what` is not finite: the pencil overflows.
+def block_rows(n: int) -> int:
+    """How many n x n matrices one stacked block holds: the number of
+    2n x 2n complex chi images in PENCIL_BLOCK_BYTES, at least one."""
+    return max(1, PENCIL_BLOCK_BYTES // (16 * (2 * n) ** 2))
 
-    `finite` holds one flag per point (or one for a single point).
-    """
-    if not np.all(finite):
-        w, x, y, z = np.reshape(points, (-1, 4))[np.argmin(finite)]
-        raise QuatspecError(
-            f"the pencil overflows: {what} is not finite at "
-            f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
+
+def _rows(points) -> np.ndarray:
+    """The (k, 4) float array of a sequence of Quaternions or [w, x, y, z]."""
+    # fromiter skips the per-row objects np.asarray builds from tuples.
+    return np.fromiter(itertools.chain.from_iterable(points), float,
+                       count=4 * len(points)).reshape(-1, 4)
+
+
+def _overflow(q) -> QuatspecError:
+    """The overflow error of the point q: |q|**2, else its pencil."""
+    w, x, y, z = q.tolist()
+    what = PENCIL if math.isfinite(w * w + x * x + y * y + z * z) else "|q|**2"
+    return QuatspecError(f"the pencil overflows: {what} is not finite at "
+                         f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
 
 
 def _identity_pair(n: int):
@@ -79,78 +92,58 @@ def _identity_pair(n: int):
     return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
 
 
-def _pencils(A: QMatrix, pts: np.ndarray, eye):
-    """The pencils at the rows of pts, checked in order.
+def _pencils(A: QMatrix, pts: np.ndarray):
+    """The pencils at the rows of pts, block_rows(A.n) points at a time.
 
-    Returns (D1, D2, k): each pencil is (A@A - 2*Re(q)*A) + |q|**2*I, with
-    `eye` the components of I, entry by entry the arithmetic of the QMatrix
-    expression (whose real scalars numpy casts to complex), with A@A taken
-    once, and the first k points have finite pencils.  The point after
-    them overflows: _raise_overflow(pts, k) names it.
+    Yields (lo, D1, D2): the pencils of the points lo, lo + 1, ... as two
+    stacked component arrays.  Each pencil is (A@A - 2*Re(q)*A) +
+    |q|**2*I, with I the identity's components, entry by entry the
+    arithmetic of the QMatrix expression (whose real scalars numpy casts
+    to complex), and A@A is taken once.  Points are checked in order: a
+    block ends before the first point whose pencil is not finite, and
+    resuming the generator then raises that point's overflow error.
     """
-    w, x, y, z = pts.T
+    eye = _identity_pair(A.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        abs2 = w * w + x * x + y * y + z * z
         AA1, AA2 = hmat.pair_matmul(A.a1, A.a2, A.a1, A.a2)
-        tw = (2.0 * w).astype(complex)[:, None, None]
-        s2 = abs2.astype(complex)[:, None, None]
-        D1 = AA1 - tw * A.a1 + s2 * eye[0]
-        D2 = AA2 - tw * A.a2 + s2 * eye[1]
-    if np.isfinite(D1).all() and np.isfinite(D2).all():
-        return D1, D2, len(pts)
-    finite = (np.isfinite(D1).all(axis=(1, 2))
-              & np.isfinite(D2).all(axis=(1, 2)))
-    return D1, D2, int(np.argmin(finite))
-
-
-def _raise_overflow(pts: np.ndarray, k: int) -> None:
-    """Raise the overflow error of the point pts[k]."""
-    w, x, y, z = pts[k].tolist()
-    _check_finite(math.isfinite(w * w + x * x + y * y + z * z), pts[k],
-                  "|q|**2")
-    _check_finite(False, pts[k], PENCIL)
+    step = block_rows(A.n)
+    for lo in range(0, len(pts), step):
+        w, x, y, z = pts[lo:lo + step].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            abs2 = w * w + x * x + y * y + z * z
+            tw = (2.0 * w).astype(complex)[:, None, None]
+            s2 = abs2.astype(complex)[:, None, None]
+            D1 = AA1 - tw * A.a1 + s2 * eye[0]
+            D2 = AA2 - tw * A.a2 + s2 * eye[1]
+        finite = (np.isfinite(D1).all(axis=(1, 2))
+                  & np.isfinite(D2).all(axis=(1, 2)))
+        k = len(finite) if finite.all() else int(np.argmin(finite))
+        if k:
+            yield lo, D1[:k], D2[:k]
+        if k < len(finite):
+            raise _overflow(pts[lo + k])
 
 
 def delta_op(A: QMatrix, q: Quaternion) -> QMatrix:
     """The pencil A@A - 2*Re(q)*A + |q|**2*I (real coefficients)."""
-    pts = np.array([q], dtype=float)
-    D1, D2, k = _pencils(A, pts, _identity_pair(A.n))
-    if k == 0:
-        _raise_overflow(pts, 0)
+    _, D1, D2 = next(_pencils(A, np.array([q], dtype=float)))
     return QMatrix(D1[0], D2[0])
 
 
 def pencil_svals(A: QMatrix, points) -> np.ndarray:
     """Singular values of chi(delta_op(A, q)) for each point q, shape (k, 2n).
 
-    `points` is a sequence of Quaternions (or of [w, x, y, z] rows).  The
-    stack chi(A@A) - 2*Re(q)*chi(A) + |q|**2*I repeats delta_op's
-    arithmetic entry by entry (signs of zero entries aside), so each row
-    agrees with the SVD of that point's own pencil to rounding.  Each
-    stacked SVD takes at most PENCIL_BLOCK_BYTES of pencils.  Rows are in
-    descending order.
+    `points` is a sequence of Quaternions (or of [w, x, y, z] rows).  Each
+    block of pencils takes one stacked SVD of its chi images, so every row
+    equals the SVD of that point's own chi(delta_op(A, q)) bit for bit.
+    Rows are in descending order.  Points are checked in order, and the
+    first whose pencil overflows raises QuatspecError.
     """
-    # fromiter skips the per-row objects np.asarray builds from tuples.
-    pts = np.fromiter(itertools.chain.from_iterable(points), float,
-                      count=4 * len(points)).reshape(-1, 4)
-    w, x, y, z = pts.T
-    with np.errstate(over="ignore"):
-        abs2 = w * w + x * x + y * y + z * z
-    _check_finite(np.isfinite(abs2), pts, "|q|**2")
-    C = hmat.chi(A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        C2 = hmat.chi(A @ A)
-    m = 2 * A.n
-    block = max(1, PENCIL_BLOCK_BYTES // C.nbytes)
-    out = np.empty((len(pts), m))
-    for lo in range(0, len(pts), block):
-        blk = slice(lo, lo + block)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack = np.multiply((2.0 * w[blk])[:, None, None], C)
-            np.subtract(C2, stack, out=stack)
-            stack.reshape(-1, m * m)[:, ::m + 1] += abs2[blk, None]
-        _check_finite(np.isfinite(stack).all(axis=(1, 2)), pts[blk], PENCIL)
-        out[blk] = np.linalg.svd(stack, compute_uv=False)
+    pts = _rows(points)
+    out = np.empty((len(pts), 2 * A.n))
+    for lo, D1, D2 in _pencils(A, pts):
+        out[lo:lo + len(D1)] = np.linalg.svd(hmat.pair_chi(D1, D2),
+                                             compute_uv=False)
     return out
 
 
@@ -172,52 +165,51 @@ class ResolventBundle:
 
 
 def resolvent_bundles(A: QMatrix, points) -> list:
-    """The resolvent_bundle of every point, from one SVD and one inverse.
+    """The resolvent_bundle of every point, a block of pencils at a time.
 
-    `points` is a sequence of Quaternions.  A@A is taken once; the k
-    pencils, their chi images, one stacked SVD and one stacked inverse then
-    repeat the arithmetic of a single point entry by entry, and so do both
-    S-resolvents, so each bundle equals its one-point bundle bit for bit.
-    The SVD decides membership and gives each pencil's smallest singular
-    value; the same chi arrays are inverted, so Q equals
-    hmat.qmat_inverse(pencil) bit for bit.  Points are checked in order,
-    and the first that fails raises what its own call would: QuatspecError
-    when its |q|**2 or its pencil overflows, NotInResolventSet (carrying
-    the smallest singular value) when its pencil fails hmat.nonsingular.
+    `points` is a sequence of Quaternions.  Each block of pencils from
+    _pencils takes one stacked SVD of its chi images, which decides
+    membership and gives each pencil's smallest singular value, and one
+    stacked inverse of the same arrays, so Q equals
+    hmat.qmat_inverse(pencil) bit for bit; both S-resolvents repeat the
+    arithmetic of a single point entry by entry, so each bundle equals its
+    one-point bundle bit for bit.  Points are checked in order, and the
+    first that fails raises what its own call would: QuatspecError when
+    its |q|**2 or its pencil overflows, NotInResolventSet (carrying the
+    smallest singular value) when its pencil fails hmat.nonsingular.
     """
     points = list(points)
-    pts = np.fromiter(itertools.chain.from_iterable(points), float,
-                      count=4 * len(points)).reshape(-1, 4)
+    pts = _rows(points)
     eye = _identity_pair(A.n)
-    D1, D2, ok = _pencils(A, pts, eye)
-    M = hmat.pair_chi(D1[:ok], D2[:ok])
-    sv = np.linalg.svd(M, compute_uv=False)
-    regular = hmat.nonsingular(sv)
-    if not regular.all():
-        i = int(np.argmin(regular))
-        raise NotInResolventSet(
-            f"point {tuple(points[i])} is numerically in the S-spectrum "
-            f"(pencil smallest singular value {sv[i, -1]:.3e})",
-            smallest_singular=float(sv[i, -1]))
-    if ok < len(pts):
-        _raise_overflow(pts, ok)
-    Q1, Q2 = hmat.pair_from_chi(np.linalg.inv(M))
-    # conj(q) = conj(c1) - c2*j at each point, as scalars of shape (k, 1, 1)
-    c1, c2 = hmat.scalar_pairs(pts)
-    c1 = np.conj(c1)[:, None, None]
-    c2 = np.negative(c2)[:, None, None]
-    # S_left = Q*conj(q) - A@Q and S_right = (conj(q)*I - A) @ Q
-    r1, r2 = hmat.pair_scale_right(Q1, Q2, c1, c2)
-    aq1, aq2 = hmat.pair_matmul(A.a1, A.a2, Q1, Q2)
-    L1, L2 = r1 - aq1, r2 - aq2
-    r1, r2 = hmat.pair_scale_left(c1, c2, *eye)
-    R1, R2 = hmat.pair_matmul(r1 - A.a1, r2 - A.a2, Q1, Q2)
-    return [ResolventBundle(q=q, pencil=QMatrix(D1[i], D2[i]),
-                            Q=QMatrix(Q1[i], Q2[i]),
-                            S_left=QMatrix(L1[i], L2[i]),
-                            S_right=QMatrix(R1[i], R2[i]),
-                            pencil_smallest_singular=float(sv[i, -1]))
-            for i, q in enumerate(points)]
+    bundles = []
+    for lo, D1, D2 in _pencils(A, pts):
+        M = hmat.pair_chi(D1, D2)
+        sv = np.linalg.svd(M, compute_uv=False)
+        regular = hmat.nonsingular(sv)
+        if not regular.all():
+            i = int(np.argmin(regular))
+            raise NotInResolventSet(
+                f"point {tuple(points[lo + i])} is numerically in the "
+                f"S-spectrum (pencil smallest singular value "
+                f"{sv[i, -1]:.3e})", smallest_singular=float(sv[i, -1]))
+        Q1, Q2 = hmat.pair_from_chi(np.linalg.inv(M))
+        # conj(q) = conj(c1) - c2*j at each point, as scalars (k, 1, 1)
+        c1, c2 = hmat.scalar_pairs(pts[lo:lo + len(M)])
+        c1 = np.conj(c1)[:, None, None]
+        c2 = np.negative(c2)[:, None, None]
+        # S_left = Q*conj(q) - A@Q and S_right = (conj(q)*I - A) @ Q
+        r1, r2 = hmat.pair_scale_right(Q1, Q2, c1, c2)
+        aq1, aq2 = hmat.pair_matmul(A.a1, A.a2, Q1, Q2)
+        L1, L2 = r1 - aq1, r2 - aq2
+        r1, r2 = hmat.pair_scale_left(c1, c2, *eye)
+        R1, R2 = hmat.pair_matmul(r1 - A.a1, r2 - A.a2, Q1, Q2)
+        bundles += [ResolventBundle(q=q, pencil=QMatrix(D1[i], D2[i]),
+                                    Q=QMatrix(Q1[i], Q2[i]),
+                                    S_left=QMatrix(L1[i], L2[i]),
+                                    S_right=QMatrix(R1[i], R2[i]),
+                                    pencil_smallest_singular=float(sv[i, -1]))
+                    for i, q in enumerate(points[lo:lo + len(M)])]
+    return bundles
 
 
 def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:

@@ -117,9 +117,8 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
     out["real_point_left_right"] = op_norm(br.S_left - br.S_right) / (
         1.0 + op_norm(br.S_left))
 
-    s_left = sliceanalysis.SliceEvaluator(
-        {qd: bd.S_left, qd.conj(): bdc.S_left}.__getitem__)
-    deriv = sliceanalysis.sderiv_operator(s_left, qd)
+    deriv = sliceanalysis.sderiv_operator(
+        {qd: bd.S_left, qd.conj(): bdc.S_left}.__getitem__, qd)
     out["derivative_of_resolvent"] = op_norm(deriv + bd.Q) / (1.0 + bd.norm_Q)
 
     u_dist, bound = cor1_check(A, bp)

@@ -271,7 +271,7 @@ def test_contour_coefficients_and_disk_reconstruction():
     for k in range(12):
         z = z0 + 0.25 * float(rng.uniform(0.2, 1.0)) * np.exp(
             1j * float(rng.uniform(0.0, 2 * math.pi)))
-        direct = f.eval(slice_point(z, I))
+        direct = f(slice_point(z, I))
         assert op_norm(taylor_eval(coeffs, z0, z, I) - direct) <= 1e-8
 
 

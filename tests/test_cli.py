@@ -15,7 +15,8 @@ import pytest
 import quatspec
 from quatspec.cli import COMMANDS, PARSER, Report, main, parse_quaternion
 from quatspec.hmat import qmatrix_from_json_dict, smallest_singular
-from quatspec.quatcore import Quaternion
+from quatspec.quatcore import (Quaternion, SpherePoint, cassini_u_axial,
+                               sphere_of)
 from quatspec.series import certified_real_point
 from quatspec.sresolvent import delta_op
 
@@ -30,10 +31,19 @@ def mat_i(tmp_path):
     return write_matrix(tmp_path, "mat_i.json", [[[0, 1, 0, 0]]])
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+    return json.loads(text, parse_constant=reject_constant)
+
+
 def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
-    return rc, json.loads(out)
+    return rc, strict_json(out)
 
 
 def csv_lines(text):
@@ -135,6 +145,27 @@ def test_cassini_tight_case(tmp_path, capsys):
     assert rep["samples_inside"] == rep["samples_total"] == 100
 
 
+@pytest.mark.parametrize("entry, args", [
+    (1.0, ["--q0", "1e78"]),
+    (1.0, ["--q0", "1e80"]),
+    (1.0, ["--q0", "1e150"]),
+    (1.0, ["--q0", "1e78,1e78,0,0"]),
+    (1e100, [])])
+def test_cassini_beyond_quartic_overflow(tmp_path, capsys, entry, args):
+    # u**4 and radius**4 overflow here; the geometry compares u**2 instead
+    path = write_matrix(tmp_path, "m.json", [[[0, entry, 0, 0]]])
+    rc, rep = run_json(capsys, ["cassini", "--input", path] + args)
+    assert rc == 0
+    # for a 1 x 1 input the distance and the bound agree in exact arithmetic
+    u_dist, bound = rep["u_dist"], rep["bound"]
+    assert abs(u_dist - bound) <= 1e-14 * bound
+    assert rep["samples_inside"] == rep["samples_total"] == 100
+    center = sphere_of(Quaternion(*rep["q0"]))
+    for r, s in rep["boundary"]:
+        u = cassini_u_axial(SpherePoint(r, abs(s)), center)
+        assert abs(u - bound) <= 1e-12 * bound
+
+
 def test_cassini_spectral_center_exits_one(tmp_path, capsys):
     rc = main(["cassini", "--input", mat_i(tmp_path), "--q0", "0,1,0,0"])
     assert rc == 1
@@ -195,7 +226,7 @@ def test_output_file_and_determinism(tmp_path, capsys):
     capsys.readouterr()
     b1, b2 = f1.read_bytes(), f2.read_bytes()
     assert b1 == b2 and len(b1) > 0
-    json.loads(b1)  # file content is valid json
+    strict_json(b1)  # file content is valid json
 
 
 def test_seed_changes_output(tmp_path, capsys):
@@ -245,7 +276,8 @@ def test_bad_flag_values(tmp_path, capsys):
     path = mat_i(tmp_path)
     for argv in (["resolvent", "--input", path, "--q", "1e200"],
                  ["resolvent", "--input", path, "--q", "1e155"],
-                 ["cassini", "--input", path, "--q0", "1e200"]):
+                 ["cassini", "--input", path, "--q0", "1e200"],
+                 ["cassini", "--input", path, "--q0", "1e160"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 1
@@ -296,7 +328,7 @@ def test_negative_point_after_flag(tmp_path, capsys):
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and outs[2] == outs[3]
-    assert json.loads(outs[0])["q"] == [-0.5, 1.0, 0.0, 0.0]
+    assert strict_json(outs[0])["q"] == [-0.5, 1.0, 0.0, 0.0]
 
 
 def test_console_script_entry(tmp_path):
@@ -312,7 +344,7 @@ def test_console_script_entry(tmp_path):
     out = subprocess.run(cmd + ["spectrum", "--input", mat_i(tmp_path)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0
-    rep = json.loads(out.stdout)
+    rep = strict_json(out.stdout)
     assert rep["spheres"][0]["mult"] == 1
 
 
@@ -350,7 +382,7 @@ def test_flags_before_or_after_the_command(capsys):
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    assert json.loads(outs[0])["seed"] == 7
+    assert strict_json(outs[0])["seed"] == 7
 
 
 def readme_blocks():

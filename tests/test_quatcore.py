@@ -240,12 +240,20 @@ def test_point_at_cassini_distance_lands_on_level_set():
 
 
 def radial_offset_root_reference(b, dist, sin_a):
-    """The scalar 200-step bisection radial_offset_roots must reproduce."""
+    """The scalar 200-step bisection radial_offset_roots must reproduce.
+
+    Where dist**4 overflows, the bisection runs on (b, dist) / 2**e, e the
+    binary exponent of dist, and its root is scaled back by 2**e.
+    """
     if dist == 0.0:
         return 0.0
     if b == 0.0:
         return dist
     target = (dist * dist) * (dist * dist)
+    if not math.isfinite(target):
+        e = math.frexp(dist)[1]
+        return math.ldexp(radial_offset_root_reference(
+            math.ldexp(b, -e), math.ldexp(dist, -e), sin_a), e)
     cos2 = max(0.0, 1.0 - sin_a * sin_a)
 
     def g(t):

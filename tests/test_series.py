@@ -311,8 +311,25 @@ def test_derivative_engine_near_the_real_axis():
 
 
 def rows_per_block(monkeypatch, n, rows):
-    """Cap the series engine's blocks at `rows` indices for n x n inputs."""
-    monkeypatch.setattr(series, "PENCIL_BLOCK_BYTES", rows * 16 * (2 * n) ** 2)
+    """Cap every block at `rows` indices for n x n inputs.
+
+    Patches the byte budget where the one block rule reads it, and returns
+    a list that collects (lo, size) for every series block run from here
+    on, so a test can see that its runs span more than one block.
+    """
+    monkeypatch.setattr(sresolvent, "PENCIL_BLOCK_BYTES",
+                        rows * 16 * (2 * n) ** 2)
+    assert sresolvent.block_rows(n) == rows
+    ran = []
+    blocks = series._blocks
+
+    def recorded(*args, **kwargs):
+        for block in blocks(*args, **kwargs):
+            ran.append((block[0], len(block[1])))
+            yield block
+
+    monkeypatch.setattr(series, "_blocks", recorded)
+    return ran
 
 
 def reference_report(state, q, direct, tol, nmax):
@@ -331,8 +348,7 @@ def test_engine_bit_identical_across_blocks(rows, monkeypatch):
     # with small blocks every stopping index falls after the first block
     rng = np.random.default_rng(81)
     A = random_qmatrix(2, rng)
-    if rows:
-        rows_per_block(monkeypatch, 2, rows)
+    ran = rows_per_block(monkeypatch, 2, rows) if rows else []
     st = series_init(A, certified_real_point(A), 1)
     q = sample_inside(st, rng, fraction=0.7)
     direct = resolvent_bundle(A, q).S_left
@@ -345,6 +361,9 @@ def test_engine_bit_identical_across_blocks(rows, monkeypatch):
     got = residual_report(st, q, direct, 1e-13, 200)
     assert got == reference_report(st, q, direct, 1e-13, 200)
     assert got[1] and len(got[0]) > 8
+    if rows:
+        assert max(size for _, size in ran) <= rows
+        assert max(lo for lo, _ in ran) > 0
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 5, 6, 10])
@@ -353,7 +372,7 @@ def test_engine_stops_at_nmax_anywhere_in_a_block(nmax, monkeypatch):
     # and 10 cut one short, 0 is the first index
     rng = np.random.default_rng(82)
     A = random_qmatrix(3, rng)
-    rows_per_block(monkeypatch, 3, 3)
+    ran = rows_per_block(monkeypatch, 3, 3)
     st = series_init(A, certified_real_point(A), 1)
     q = sample_inside(st, rng, fraction=0.8)
     direct = resolvent_bundle(A, q).S_left
@@ -370,6 +389,9 @@ def test_engine_stops_at_nmax_anywhere_in_a_block(nmax, monkeypatch):
                                        reference_partials(st, q, nmax)]
     assert same_bits(eval_series_Q(st, q, nmax)[0],
                      reference_partials(st, q, nmax, True)[-1][1])
+    # every run past index 2 spans more than one block
+    assert max(size for _, size in ran) <= 3
+    assert (max(lo for lo, _ in ran) > 0) == (nmax > 2)
 
 
 def reference_tail_S(state, q, N):
@@ -481,9 +503,10 @@ def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
     # per block: all 300 rows fit in the first (4096 rows at n = 1)
     assert work["svd"] <= 4 + 2 * 1
     # at 64 rows per block the 300 rows take five blocks
-    rows_per_block(monkeypatch, 1, 64)
+    ran = rows_per_block(monkeypatch, 1, 64)
     rc, rep, work = count_work(monkeypatch, capsys, argv)
     assert rc == 0 and rep["N"] == 299
+    assert [lo for lo, _ in ran] == [0, 64, 128, 192, 256]
     assert work["svd"] <= 4 + 2 * 5
 
 

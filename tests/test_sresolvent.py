@@ -8,6 +8,8 @@ from quatspec.errors import (DegenerateConfiguration, NotInResolventSet,
 from quatspec.hmat import (QMatrix, chi, op_norm, qmat_inverse, random_qmatrix,
                            smallest_singular)
 from quatspec.quatcore import QI, QJ, Quaternion, qinv, triangle
+from quatspec.series import certified_real_point
+from quatspec.spectrum import in_resolvent, s_spectrum
 from quatspec.sresolvent import (delta_op, pencil_svals,
                                  random_resolvent_point, resolvent_bundle,
                                  resolvent_bundles, residual_AS_identity, residual_mixed_eq,
@@ -201,34 +203,93 @@ def random_points(rng, k):
     return [Quaternion(*row) for row in c.tolist()]
 
 
+# A 3 x 3 diagonal at whose certified real point 2*(1 + ||A||) the sum
+# chi(A@A) - 2*Re(q)*chi(A) + |q|**2*I, formed on chi images, gives a
+# smallest singular value one ulp from that of chi(delta_op(A, q)).
+DIAG3 = QMatrix.diag([
+    Quaternion(0.28689560901488065, 0.14730107892785216, 0.6527741016265896,
+               -0.6565165822341401),
+    Quaternion(-0.7590845659126866, 0.018554406223467046, 0.7049571902061125,
+               0.5385003696955362),
+    Quaternion(-0.23047201181721433, -0.7326173935077758, 0.3932309592427117,
+               -0.9272079589484712)])
+
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 8), k=st.integers(1, 12),
+@given(n=st.integers(1, 8), k=st.integers(4, 12),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_pencil_svals_match_per_point_svds(n, k, seed):
     rng = np.random.default_rng(seed)
     A = random_qmatrix(n, rng)
     points = random_points(rng, k)
     want = per_point_svals(A, points)
-    # three pencils per stacked SVD, so most batches span several blocks
+    # three pencils per stacked SVD, so every batch spans several blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sresolvent, "PENCIL_BLOCK_BYTES", 3 * chi(A).nbytes)
+        calls = count_svds(mp)
         got = pencil_svals(A, points)
+    assert len(calls) == -(-k // 3) > 1
     assert got.shape == (k, 2 * n)
-    assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
+    assert np.array_equal(got, want)
 
 
-def test_pencil_svals_default_blocks_and_edges():
+def test_pencil_svals_default_blocks_and_edges(monkeypatch):
     rng = np.random.default_rng(56)
     A = random_qmatrix(8, rng)
-    points = random_points(rng, 150)  # three blocks at n = 8
+    points = random_points(rng, 150)  # 64 + 64 + 22 points at n = 8
     want = per_point_svals(A, points)
+    calls = count_svds(monkeypatch)
     got = pencil_svals(A, points)
-    assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
+    assert len(calls) == 3
+    assert np.array_equal(got, want)
+    for B in (DIAG3, QMatrix(DIAG3.a1.real, np.zeros((3, 3)))):
+        q = certified_real_point(B)
+        assert np.array_equal(pencil_svals(B, [q]), per_point_svals(B, [q]))
     assert pencil_svals(A, []).shape == (0, 16)
     with pytest.raises(QuatspecError, match="overflows"):
         pencil_svals(A, [Quaternion(1.0), Quaternion(0.0, 1e200)])
     with pytest.raises(QuatspecError, match="overflows"):
         delta_op(A, Quaternion(1e155))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "on_sphere", "near_sphere"]))
+def test_one_membership_verdict(n, seed, kind):
+    # in_resolvent, the pencil_svals rows and the bundles read one pencil
+    rng = np.random.default_rng(seed)
+    A = random_qmatrix(n, rng)
+    if kind == "random":
+        q = random_points(rng, 1)[0]
+    else:
+        spheres = s_spectrum(A).spheres
+        sp = spheres[int(rng.integers(len(spheres)))][0]
+        if kind == "near_sphere":
+            sp = sp._replace(s=sp.s * (1.0 + float(rng.uniform(-1e-9, 1e-9))))
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        q = Quaternion(sp.r, *(sp.s * v).tolist())
+    sv = pencil_svals(A, [q])[0]
+    try:
+        b = resolvent_bundle(A, q)
+    except NotInResolventSet as exc:
+        assert not in_resolvent(A, q)
+        assert exc.smallest_singular == sv[-1]
+    else:
+        assert in_resolvent(A, q)
+        assert b.pencil_smallest_singular == sv[-1]
 
 
 # --- stacked bundles ---------------------------------------------------------
