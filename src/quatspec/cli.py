@@ -182,7 +182,7 @@ def cmd_resolvent(cfg: argparse.Namespace) -> Report:
         "norm_Q": bundle.norm_Q,
         "norm_S_left": hmat.op_norm(bundle.S_left),
         "norm_S_right": hmat.op_norm(bundle.S_right),
-        "localization_radius": bundle.norm_Q ** -0.5,
+        "localization_radius": bundle.radius,
         "shift_pairing_residual": residual_AS_identity(A, bundle),
     }
     return Report(
@@ -203,7 +203,7 @@ def cmd_series(cfg: argparse.Namespace) -> Report:
     """
     A = _load_matrix_or_zero(cfg)
     q0 = cfg.q0 if cfg.q0 is not None else series.certified_real_point(A)
-    state = series.series_init(A, q0, 1)
+    state = series.series_init(A, q0)
     if cfg.q is not None:
         q = cfg.q
     else:

@@ -185,14 +185,10 @@ class HVector:
         return HVector(self.x1 - other.x1, self.x2 - other.x2)
 
     def scale_right(self, q: Quaternion) -> "HVector":
-        c1, c2 = _scalar_pair(q)
-        return HVector(self.x1 * c1 - self.x2 * np.conj(c2),
-                       self.x1 * c2 + self.x2 * np.conj(c1))
+        return HVector(*pair_scale_right(self.x1, self.x2, *_scalar_pair(q)))
 
     def scale_left(self, q: Quaternion) -> "HVector":
-        c1, c2 = _scalar_pair(q)
-        return HVector(c1 * self.x1 - c2 * np.conj(self.x2),
-                       c1 * self.x2 + c2 * np.conj(self.x1))
+        return HVector(*pair_scale_left(*_scalar_pair(q), self.x1, self.x2))
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.x1) ** 2 + np.abs(self.x2) ** 2)))
@@ -202,8 +198,7 @@ def matvec(A: QMatrix, x: HVector) -> HVector:
     """Left action (A x)_i = sum_k A_ik x_k; right-linear by construction."""
     if A.n != x.n:
         raise InputError("matrix and vector dimensions do not match")
-    return HVector(A.a1 @ x.x1 - A.a2 @ np.conj(x.x2),
-                   A.a1 @ x.x2 + A.a2 @ np.conj(x.x1))
+    return HVector(*pair_matmul(A.a1, A.a2, x.x1, x.x2))
 
 
 def vec(x: HVector) -> np.ndarray:

@@ -87,7 +87,7 @@ class SeriesState:
 
     def __post_init__(self):
         self.q0 = self.bundle0.q
-        self.R = self.bundle0.norm_Q ** -0.5
+        self.R = self.bundle0.radius
         self._b1 = self._b2 = np.empty((0, self.A.n, self.A.n), dtype=complex)
         self._count = 0
 
@@ -141,13 +141,9 @@ def certified_real_point(A: QMatrix) -> Quaternion:
     return Quaternion(2.0 * (1.0 + hmat.op_norm(A)))
 
 
-def series_init(A: QMatrix, q0: Quaternion, N: int) -> SeriesState:
-    """Prepare an expansion around q0 with coefficients through B_{N+1}."""
-    if N < 0:
-        raise InputError("coefficient count must be >= 0")
-    state = SeriesState(A, resolvent_bundle(A, q0))
-    state.coeff_rows(1, max(N + 1, 1))
-    return state
+def series_init(A: QMatrix, q0: Quaternion) -> SeriesState:
+    """Prepare an expansion around q0; B_n are computed as they are read."""
+    return SeriesState(A, resolvent_bundle(A, q0))
 
 
 def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,

@@ -98,10 +98,10 @@ def cassini_dist(q0: Quaternion, spec: SpectrumResult) -> float:
 def cor1_check(A: QMatrix, bundle: ResolventBundle):
     """The pair (Cassini distance to the spectrum, ||Q||**(-1/2)) at bundle.q.
 
-    The distance can never fall below the bound; equality is attained e.g.
-    for A = [i] at q0 = 2.
+    The bound is bundle.radius; the distance can never fall below it, and
+    equality is attained e.g. for A = [i] at q0 = 2.
     """
-    return cassini_dist(bundle.q, s_spectrum(A)), bundle.norm_Q ** -0.5
+    return cassini_dist(bundle.q, s_spectrum(A)), bundle.radius
 
 
 def blowup_probe(A: QMatrix, target: Quaternion, steps: int):

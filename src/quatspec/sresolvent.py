@@ -18,11 +18,11 @@ pencils of a block of points on the complex pair, and each block's chi
 images take one stacked SVD.  pencil_svals returns those singular values,
 resolvent_bundles adds one stacked inverse and the S-resolvents, and
 delta_op and resolvent_bundle are the one-point cases, so every reader of
-a pencil at q sees the same singular values bit for bit.  ||Q|| takes one
-more SVD per bundle, only when it is first read.  Everything that reads
-the resolvent at a point takes a bundle.  The residual_* operations
-evaluate on bundles, in the operator norm, the exact identities these
-objects satisfy:
+a pencil at q sees the same singular values bit for bit; a bundle reads
+||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
+them.  Everything that reads the resolvent at a point takes a bundle.
+The residual_* operations evaluate on bundles, in the operator norm, the
+exact identities these objects satisfy:
 
   * two-point identity of left S-resolvents:
         S_left(p) - S_left(q)
@@ -87,11 +87,6 @@ def _overflow(q) -> QuatspecError:
                          f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
 
 
-def _identity_pair(n: int):
-    """The components of the n x n identity."""
-    return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
-
-
 def _pencils(A: QMatrix, pts: np.ndarray):
     """The pencils at the rows of pts, block_rows(A.n) points at a time.
 
@@ -103,7 +98,7 @@ def _pencils(A: QMatrix, pts: np.ndarray):
     block ends before the first point whose pencil is not finite, and
     resuming the generator then raises that point's overflow error.
     """
-    eye = _identity_pair(A.n)
+    eye = QMatrix.identity(A.n)
     with np.errstate(over="ignore", invalid="ignore"):
         AA1, AA2 = hmat.pair_matmul(A.a1, A.a2, A.a1, A.a2)
     step = block_rows(A.n)
@@ -113,8 +108,8 @@ def _pencils(A: QMatrix, pts: np.ndarray):
             abs2 = w * w + x * x + y * y + z * z
             tw = (2.0 * w).astype(complex)[:, None, None]
             s2 = abs2.astype(complex)[:, None, None]
-            D1 = AA1 - tw * A.a1 + s2 * eye[0]
-            D2 = AA2 - tw * A.a2 + s2 * eye[1]
+            D1 = AA1 - tw * A.a1 + s2 * eye.a1
+            D2 = AA2 - tw * A.a2 + s2 * eye.a2
         finite = (np.isfinite(D1).all(axis=(1, 2))
                   & np.isfinite(D2).all(axis=(1, 2)))
         k = len(finite) if finite.all() else int(np.argmin(finite))
@@ -160,8 +155,13 @@ class ResolventBundle:
 
     @property
     def norm_Q(self) -> float:
-        """||Q||, through hmat.op_norm: one SVD on the first read."""
-        return hmat.op_norm(self.Q)
+        """||Q|| = 1/sigma_min of the pencil; takes no SVD."""
+        return 1.0 / self.pencil_smallest_singular
+
+    @property
+    def radius(self) -> float:
+        """The localization radius ||Q||**(-1/2) = sqrt(sigma_min)."""
+        return math.sqrt(self.pencil_smallest_singular)
 
 
 def resolvent_bundles(A: QMatrix, points) -> list:
@@ -176,18 +176,23 @@ def resolvent_bundles(A: QMatrix, points) -> list:
     one-point bundle bit for bit.  Points are checked in order, and the
     first that fails raises what its own call would: QuatspecError when
     its |q|**2 or its pencil overflows, NotInResolventSet (carrying the
-    smallest singular value) when its pencil fails hmat.nonsingular.
+    smallest singular value) when its pencil fails hmat.nonsingular, and
+    QuatspecError when its 1/sigma_min overflows (sigma_min subnormal).
     """
     points = list(points)
     pts = _rows(points)
-    eye = _identity_pair(A.n)
+    eye = QMatrix.identity(A.n)
     bundles = []
     for lo, D1, D2 in _pencils(A, pts):
         M = hmat.pair_chi(D1, D2)
         sv = np.linalg.svd(M, compute_uv=False)
-        regular = hmat.nonsingular(sv)
-        if not regular.all():
-            i = int(np.argmin(regular))
+        with np.errstate(divide="ignore", over="ignore"):
+            ok = hmat.nonsingular(sv) & np.isfinite(1.0 / sv[:, -1])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if hmat.nonsingular(sv[i]):
+                raise QuatspecError(f"||Q|| = 1/{sv[i, -1]:.3e} overflows at "
+                                    f"point {tuple(points[lo + i])}")
             raise NotInResolventSet(
                 f"point {tuple(points[lo + i])} is numerically in the "
                 f"S-spectrum (pencil smallest singular value "
@@ -201,7 +206,7 @@ def resolvent_bundles(A: QMatrix, points) -> list:
         r1, r2 = hmat.pair_scale_right(Q1, Q2, c1, c2)
         aq1, aq2 = hmat.pair_matmul(A.a1, A.a2, Q1, Q2)
         L1, L2 = r1 - aq1, r2 - aq2
-        r1, r2 = hmat.pair_scale_left(c1, c2, *eye)
+        r1, r2 = hmat.pair_scale_left(c1, c2, eye.a1, eye.a2)
         R1, R2 = hmat.pair_matmul(r1 - A.a1, r2 - A.a2, Q1, Q2)
         bundles += [ResolventBundle(q=q, pencil=QMatrix(D1[i], D2[i]),
                                     Q=QMatrix(Q1[i], Q2[i]),

@@ -119,7 +119,7 @@ def test_series_convergence_and_term_ratio():
     rng = np.random.default_rng(1005)
     for t in range(24):
         A = random_qmatrix((t % 4) + 1, rng)
-        st = series_init(A, certified_real_point(A), 1)
+        st = series_init(A, certified_real_point(A))
         q = point_at_cassini_distance(st.q0, 0.5 * st.R,
                                       random_unit_imag(rng),
                                       float(rng.uniform(0.0, 2 * math.pi)))
@@ -141,7 +141,7 @@ def test_partial_sum_plus_exact_remainder():
     rng = np.random.default_rng(1006)
     for t in range(100):
         A = random_qmatrix((t % 4) + 1, rng)
-        st = series_init(A, certified_real_point(A), 16)
+        st = series_init(A, certified_real_point(A))
         q = point_at_cassini_distance(st.q0,
                                       float(rng.uniform(0.3, 0.7)) * st.R,
                                       random_unit_imag(rng),
@@ -164,7 +164,7 @@ def test_pseudo_resolvent_series_accuracy():
     rng = np.random.default_rng(1007)
     for t in range(24):
         A = random_qmatrix((t % 4) + 1, rng)
-        st = series_init(A, certified_real_point(A), 1)
+        st = series_init(A, certified_real_point(A))
         q = point_at_cassini_distance(st.q0, 0.5 * st.R,
                                       random_unit_imag(rng),
                                       float(rng.uniform(0.0, 2 * math.pi)))
@@ -181,7 +181,7 @@ def test_localization_ball_stays_in_resolvent_set():
     for t in range(50):
         A = random_qmatrix(SIZES[t % 4], rng)
         q0 = random_resolvent_point(A, rng)
-        R = resolvent_bundle(A, q0).norm_Q ** -0.5
+        R = resolvent_bundle(A, q0).radius
         pts = sample_cassini_ball(q0, 0.99 * R, 100, rng)
         assert len(pts) == 100
         assert all(in_resolvent(A, p) for p in pts)

@@ -166,6 +166,26 @@ def test_cassini_beyond_quartic_overflow(tmp_path, capsys, entry, args):
         assert abs(u - bound) <= 1e-12 * bound
 
 
+@pytest.mark.parametrize("entry", [1e-160, 1e-155])
+def test_subnormal_pencil_is_refused_at_its_point(tmp_path, capsys, entry):
+    # at 3x the entry's scale sigma_min is subnormal and ||Q|| = 1/sigma_min
+    # is not finite: each command names the point in one error line
+    path = write_matrix(tmp_path, "tiny.json", [[[0, entry, 0, 0]]])
+    q0, q = repr(3 * entry), repr(3.1 * entry)
+    for argv in (["resolvent", "--q", q0], ["series", "--q0", q0, "--q", q],
+                 ["cassini", "--q0", q0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--input", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ||Q|| = 1/")
+        assert captured.err.endswith(
+            f" overflows at point ({q0}, 0.0, 0.0, 0.0)\n")
+        assert captured.err.count("\n") == 1
+
+
 def test_cassini_spectral_center_exits_one(tmp_path, capsys):
     rc = main(["cassini", "--input", mat_i(tmp_path), "--q0", "0,1,0,0"])
     assert rc == 1

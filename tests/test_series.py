@@ -33,12 +33,12 @@ def test_radius_pinned_example():
     # 1x1 operator [i] around the real center 2: pencil value 3 - 4i,
     # modulus 5, so the certified radius is sqrt(5)
     A = QMatrix.from_entries([[[0, 1, 0, 0]]])
-    st = series_init(A, Quaternion(2.0), 1)
+    st = series_init(A, Quaternion(2.0))
     assert abs(st.R - math.sqrt(5.0)) <= 1e-14
 
 
 def test_scalar_series_values():
-    st = series_init(QMatrix.zeros(1), Quaternion(1.0), 1)
+    st = series_init(QMatrix.zeros(1), Quaternion(1.0))
     assert st.R == 1.0
     pS, tS = eval_series_S(st, Quaternion(0.5), 60)
     pQ, tQ = eval_series_Q(st, Quaternion(0.5), 60)
@@ -49,7 +49,7 @@ def test_scalar_series_values():
 
 def test_scalar_remainder_exact_value():
     Z = QMatrix.zeros(1)
-    st = series_init(Z, Quaternion(1.0), 1)
+    st = series_init(Z, Quaternion(1.0))
     rem, summed = remainder_exact(st, resolvent_bundle(Z, Quaternion(0.5)), 3)
     assert abs(rem - 2.0 * 0.25 ** 4) <= 1e-16
     assert abs(summed - 2.0 * 0.25 ** 4) <= 1e-16
@@ -60,7 +60,7 @@ def test_series_matches_direct_resolvent():
     for n in (1, 2, 4):
         for _ in range(5):
             A = random_qmatrix(n, rng)
-            st = series_init(A, certified_real_point(A), 1)
+            st = series_init(A, certified_real_point(A))
             q = sample_inside(st, rng)
             b = resolvent_bundle(A, q)
             partial, tail, N, conv = converge_series_S(st, q, 1e-10)
@@ -86,7 +86,7 @@ def test_neumann_reduction_oracle():
         A = QMatrix.from_entries(entries)
         r0 = certified_real_point(A)
         z0 = complex(r0.w, 0.0)
-        st = series_init(A, r0, 1)
+        st = series_init(A, r0)
 
         # direct check on S at a slice point
         z = z0 + 0.3 * st.R * np.exp(0.7j)
@@ -116,7 +116,7 @@ def test_geometric_term_decay():
     rng = np.random.default_rng(72)
     for _ in range(10):
         A = random_qmatrix(3, rng)
-        st = series_init(A, certified_real_point(A), 1)
+        st = series_init(A, certified_real_point(A))
         q = sample_inside(st, rng)
         rho = st.bundle0.norm_Q * cassini_u(q, st.q0) ** 2
         tn = term_norms(st, q, 40)
@@ -128,7 +128,7 @@ def test_tail_bounds_majorize_true_tails():
     rng = np.random.default_rng(73)
     for _ in range(8):
         A = random_qmatrix(2, rng)
-        st = series_init(A, certified_real_point(A), 1)
+        st = series_init(A, certified_real_point(A))
         q = sample_inside(st, rng, fraction=0.6)
         b = resolvent_bundle(A, q)
         sS, _, _, _ = converge_series_S(st, q, 1e-13)
@@ -147,7 +147,7 @@ def test_tail_bounds_majorize_true_tails():
 
 
 def test_domain_gate():
-    st = series_init(QMatrix.zeros(1), Quaternion(1.0), 1)
+    st = series_init(QMatrix.zeros(1), Quaternion(1.0))
     with pytest.raises(OutsideConvergenceDomain):
         eval_series_S(st, Quaternion(3.0), 5)
     with pytest.raises(OutsideConvergenceDomain):
@@ -169,15 +169,11 @@ def test_certified_real_point_always_resolvent():
         b = resolvent_bundle(A, r0)
         # the pencil (A - r0)^2 keeps its smallest singular value >= 4
         assert b.norm_Q <= 0.25 + 1e-12
-        assert st_radius_lower(b.norm_Q) >= 2.0 - 1e-12
-
-
-def st_radius_lower(norm_q):
-    return norm_q ** -0.5
+        assert b.radius >= 2.0 - 1e-12
 
 
 def test_convergence_cap_flags_not_converged():
-    st = series_init(QMatrix.zeros(1), Quaternion(1.0), 1)
+    st = series_init(QMatrix.zeros(1), Quaternion(1.0))
     partial, tail, N, conv = converge_series_S(st, Quaternion(0.5), 1e-30,
                                                nmax=10)
     assert not conv and N == 10
@@ -190,7 +186,7 @@ def test_expansion_center_off_axis():
     rng = np.random.default_rng(75)
     A = random_qmatrix(2, rng)
     q0 = Quaternion(2.0 * (1.0 + op_norm(A)), 0.0, 1.0, 0.0)
-    st = series_init(A, q0, 1)
+    st = series_init(A, q0)
     q = sample_inside(st, rng, fraction=0.4)
     b = resolvent_bundle(A, q)
     partial, tail, N, conv = converge_series_S(st, q, 1e-11)
@@ -237,7 +233,7 @@ def same_bits(P, R):
 
 def reference_rows(A, q0, q, tol, nmax):
     """CSV rows of `quatspec series` from the term-by-term definition."""
-    state = series_init(A, q0, 1)
+    state = series_init(A, q0)
     direct = resolvent_bundle(A, q).S_left
     rows = []
     for n, (term, partial) in enumerate(reference_partials(state, q, nmax)):
@@ -272,7 +268,7 @@ def test_engine_bit_identical_at_nonreal_points(n, tmp_path, capsys):
     centers = [certified_real_point(A),
                Quaternion(2.0 * (1.0 + op_norm(A)), 0.0, 1.0, 0.0)]
     for q0 in centers:
-        st = series_init(A, q0, 1)
+        st = series_init(A, q0)
         q = sample_inside(st, rng, fraction=0.6)
         assert not q.is_real()
         ref_S = reference_partials(st, q, 30)
@@ -292,7 +288,7 @@ def test_engine_bit_identical_at_nonreal_points(n, tmp_path, capsys):
     path = tmp_path / "A.json"
     path.write_text(json.dumps(qmatrix_to_json_dict(A)))
     q0 = centers[1]
-    q = sample_inside(series_init(A, q0, 1), rng, fraction=0.5)
+    q = sample_inside(series_init(A, q0), rng, fraction=0.5)
     rows = cli_csv_rows(capsys, ["series", "--input", str(path),
                                  "--q0=" + ",".join(map(repr, q0)),
                                  "--q=" + ",".join(map(repr, q)),
@@ -303,7 +299,7 @@ def test_engine_bit_identical_at_nonreal_points(n, tmp_path, capsys):
 def test_derivative_engine_near_the_real_axis():
     # below the real-axis cutoff the closed form is used, as pointwise
     A = random_qmatrix(2, np.random.default_rng(79))
-    st = series_init(A, certified_real_point(A), 1)
+    st = series_init(A, certified_real_point(A))
     q = Quaternion(st.q0.w - 0.5 * st.R, 1e-9, 0.0, 0.0)
     ref = reference_partials(st, q, 20, derivative=True)
     for N in (0, 1, 5, 20):
@@ -349,7 +345,7 @@ def test_engine_bit_identical_across_blocks(rows, monkeypatch):
     rng = np.random.default_rng(81)
     A = random_qmatrix(2, rng)
     ran = rows_per_block(monkeypatch, 2, rows) if rows else []
-    st = series_init(A, certified_real_point(A), 1)
+    st = series_init(A, certified_real_point(A))
     q = sample_inside(st, rng, fraction=0.7)
     direct = resolvent_bundle(A, q).S_left
     for derivative, converge in ((False, converge_series_S),
@@ -373,7 +369,7 @@ def test_engine_stops_at_nmax_anywhere_in_a_block(nmax, monkeypatch):
     rng = np.random.default_rng(82)
     A = random_qmatrix(3, rng)
     ran = rows_per_block(monkeypatch, 3, 3)
-    st = series_init(A, certified_real_point(A), 1)
+    st = series_init(A, certified_real_point(A))
     q = sample_inside(st, rng, fraction=0.8)
     direct = resolvent_bundle(A, q).S_left
     for derivative, converge in ((False, converge_series_S),
@@ -426,7 +422,7 @@ def test_engine_tails_equal_the_closed_forms():
     rng = np.random.default_rng(83)
     for n in (1, 2, 4):
         A = random_qmatrix(n, rng)
-        st = series_init(A, certified_real_point(A), 1)
+        st = series_init(A, certified_real_point(A))
         q = sample_inside(st, rng, fraction=0.9)
         nmax = 60
         rows, _ = residual_report(st, q, QMatrix.zeros(n), -1.0, nmax)
@@ -498,23 +494,23 @@ def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
             "--nmax", "400"]
     rc, rep, work = count_work(monkeypatch, capsys, argv)
     assert rc == 0 and rep["N"] == 299
-    # the center bundle with ||Q(q0)|| (2 SVDs), the direct bundle, whose
-    # ||Q|| is never read (1), and ||S_left(q0)||, then two stacked SVDs
-    # per block: all 300 rows fit in the first (4096 rows at n = 1)
-    assert work["svd"] <= 4 + 2 * 1
+    # the center bundle, whose ||Q(q0)|| is 1/sigma_min, the direct
+    # bundle and ||S_left(q0)|| (3 SVDs), then two stacked SVDs per block:
+    # all 300 rows fit in the first (4096 rows at n = 1)
+    assert work["svd"] <= 3 + 2 * 1
     # at 64 rows per block the 300 rows take five blocks
     ran = rows_per_block(monkeypatch, 1, 64)
     rc, rep, work = count_work(monkeypatch, capsys, argv)
     assert rc == 0 and rep["N"] == 299
     assert [lo for lo, _ in ran] == [0, 64, 128, 192, 256]
-    assert work["svd"] <= 4 + 2 * 5
+    assert work["svd"] <= 3 + 2 * 5
 
 
 def test_verify_svd_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    assert work["svd"] <= 1754
+    assert work["svd"] <= 1504
 
 
 def test_verify_bundle_count_gate(monkeypatch, capsys):
@@ -547,8 +543,9 @@ def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
 
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
-    # ||A|| (stored, read twice), the bundle at q0 and its ||Q||, then one
-    # stacked SVD tests every sample, however many there are
+    # ||A|| (stored, read twice) and the bundle at q0, whose pencil SVD
+    # gives the bound, then one stacked SVD tests every sample, however
+    # many there are
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MAT2))
     counts = []
@@ -557,7 +554,7 @@ def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
             "cassini", "--input", str(path), "--trials", str(trials)])
         assert rc == 0 and rep["samples_inside"] == trials
         counts.append(work["svd"])
-    assert counts == [4, 4]
+    assert counts == [3, 3]
 
 
 def test_spectrum_svd_count_gate(monkeypatch, capsys, tmp_path):
@@ -572,14 +569,15 @@ def test_spectrum_svd_count_gate(monkeypatch, capsys, tmp_path):
 
 
 def test_resolvent_work_gate(monkeypatch, capsys, tmp_path):
-    # the bundle's pencil SVD and ||Q||, then ||S_left||, ||S_right|| and
-    # the shift-pairing residual; the bundle inverts the pencil once
+    # the bundle's pencil SVD, which also gives ||Q|| and the radius, then
+    # ||S_left||, ||S_right|| and the shift-pairing residual; the bundle
+    # inverts the pencil once
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MAT2))
     rc, rep, work = count_work(monkeypatch, capsys, [
         "resolvent", "--input", str(path), "--q", "0.5,1,0,0"])
     assert rc == 0
-    assert work == {"svd": 5, "inv": 1, "bundle": 1}
+    assert work == {"svd": 4, "inv": 1, "bundle": 1}
 
 
 def test_slice_resolvent_map_takes_one_svd_per_point(monkeypatch):

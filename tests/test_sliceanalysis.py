@@ -126,7 +126,7 @@ def test_cauchy_coeffs_alternating_pinned():
 def test_cauchy_taylor_roundtrip():
     rng = np.random.default_rng(86)
     A = random_qmatrix(3, rng)
-    st = series_init(A, certified_real_point(A), 1)
+    st = series_init(A, certified_real_point(A))
     z0 = complex(st.q0.w, 0.0)
     delta = 0.3 * st.R
     f = s_resolvent_map(A)
@@ -144,7 +144,7 @@ def test_cauchy_matches_expansion_coefficients():
     # introduces
     rng = np.random.default_rng(87)
     A = random_qmatrix(2, rng)
-    st = series_init(A, certified_real_point(A), 6)
+    st = series_init(A, certified_real_point(A))
     z0 = complex(st.q0.w, 0.0)
     coeffs = cauchy_coeffs(s_resolvent_map(A), I, z0, 0.3 * st.R, 256, 4)
     for n, a in enumerate(coeffs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,13 @@ from quatspec.hmat import (QMatrix, chi, op_norm, qmat_inverse, random_qmatrix,
                            smallest_singular)
 from quatspec.quatcore import QI, QJ, Quaternion, qinv, triangle
 from quatspec.series import certified_real_point
-from quatspec.spectrum import in_resolvent, s_spectrum
+from quatspec.spectrum import blowup_probe, in_resolvent, s_spectrum
 from quatspec.sresolvent import (delta_op, pencil_svals,
                                  random_resolvent_point, resolvent_bundle,
                                  resolvent_bundles, residual_AS_identity, residual_mixed_eq,
                                  residual_q_eq, residual_resolvent_eq)
+
+EPS = np.finfo(float).eps
 
 
 def test_zero_operator_closed_forms():
@@ -157,23 +161,40 @@ def test_bundle_matches_reference_functions(n, seed):
         assert np.array_equal(b.Q.a1, ref.a1)
         assert np.array_equal(b.Q.a2, ref.a2)
         assert b.pencil_smallest_singular == smallest_singular(D)
-        assert b.norm_Q == op_norm(ref)
+        assert b.norm_Q == 1.0 / b.pencil_smallest_singular
+        assert b.radius == math.sqrt(b.pencil_smallest_singular)
+        # ||Q|| of the computed inverse differs from 1/sigma_min by the
+        # inverse's rounding, a few eps * cond(pencil) relative (at most
+        # 3.6 eps * cond over 6000 sampled points at n = 1..8)
+        cond = op_norm(D) * b.norm_Q
+        assert abs(b.norm_Q - op_norm(ref)) <= 32 * EPS * cond * b.norm_Q
 
 
-def test_bundle_takes_one_svd_until_norm_Q_is_read(monkeypatch):
+def test_bundle_takes_one_svd_and_one_inverse(monkeypatch):
+    # reading ||Q|| or the localization radius takes no further SVD
     A = random_qmatrix(3, np.random.default_rng(59))
     q = random_resolvent_point(A, np.random.default_rng(60))
-    svd, calls = np.linalg.svd, []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = {"svd": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(np.linalg, name), key=name, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     b = resolvent_bundle(A, q)
-    assert len(calls) == 1
-    assert b.norm_Q == op_norm(b.Q) == b.norm_Q
-    assert len(calls) == 2
+    assert calls == {"svd": 1, "inv": 1}
+    assert b.norm_Q > 0.0 and b.radius > 0.0
+    assert calls == {"svd": 1, "inv": 1}
+
+
+def test_blowup_probe_reads_the_bundle_norm():
+    # both read ||Q|| as 1/sigma_min of the same pencil SVD
+    A = QMatrix.from_entries([[[0, 1, 0, 0]]])
+    for p, norm_q in blowup_probe(A, QI, 12):
+        assert resolvent_bundle(A, p).norm_Q == norm_q
+    B = random_qmatrix(3, np.random.default_rng(64))
+    lam = Quaternion(*s_spectrum(B).spheres[0][0])
+    for p, norm_q in blowup_probe(B, lam, 8):
+        assert resolvent_bundle(B, p).norm_Q == norm_q
 
 
 def test_random_resolvent_point_is_deterministic():
@@ -356,3 +377,26 @@ def test_stacked_bundles_refuse_an_overflowing_point_in_order():
         resolvent_bundles(Z, [Quaternion(1.0), Quaternion(0.0), big])
     with pytest.raises(QuatspecError, match="overflows"):
         resolvent_bundles(Z, [Quaternion(1.0), big, Quaternion(0.0)])
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-160])
+def test_bundles_refuse_a_point_whose_norm_Q_overflows(scale):
+    # sigma_min is subnormal at 3x the scale of [scale*i]: 1/sigma_min
+    # is not finite, and the refusal names the first such point
+    A = QMatrix.from_entries([[[0, scale, 0, 0]]])
+    bad = Quaternion(3 * scale)
+    with pytest.raises(QuatspecError) as one:
+        resolvent_bundle(A, bad)
+    assert not isinstance(one.value, NotInResolventSet)
+    assert str(one.value).startswith("||Q|| = 1/")
+    assert str(one.value).endswith(f"overflows at point {tuple(bad)}")
+    with pytest.raises(QuatspecError) as got:
+        resolvent_bundles(A, [Quaternion(1.0), bad, Quaternion(5 * scale)])
+    assert str(got.value) == str(one.value)
+    # a spectral point earlier in the list is the one reported
+    with pytest.raises(NotInResolventSet):
+        resolvent_bundles(QMatrix.zeros(1), [Quaternion(0.0), bad])
+    # at 3x a normal-range scale the bundle is built
+    b = resolvent_bundle(QMatrix.from_entries([[[0, 1e-150, 0, 0]]]),
+                         Quaternion(3e-150))
+    assert math.isfinite(b.norm_Q) and b.radius > 0.0

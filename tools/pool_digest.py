@@ -13,7 +13,10 @@ in both formats, failing checks, ``--output`` files and an unwritable
 ``--output`` path.  Each command runs in-process through
 ``quatspec.cli.main``; OUT receives one JSON record per command with its
 argv, exit code, stderr, and the sha256 of stdout and of the ``--output``
-file (null when none was written).
+file (null when none was written).  An uncaught exception is recorded as
+a string exit code.  After writing OUT, the first form exits 1 when any
+command's exit code is not 0, 1 or 2, the README's exit-code contract,
+and lists those commands.
 
 The second form compares two digests and exits 1 when any command
 differs, listing the differing commands.  Two checkouts give equal
@@ -118,7 +121,7 @@ def run(main, argv: list) -> dict:
             "output_sha256": written}
 
 
-def digest(src: str, out_path: str) -> None:
+def digest(src: str, out_path: str) -> int:
     out_path = os.path.abspath(out_path)
     sys.path[:0] = [os.path.abspath(src), ROOT]
     from quatspec import cli
@@ -136,6 +139,10 @@ def digest(src: str, out_path: str) -> None:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
     print(f"{len(records)} commands digested from {cli.__file__}")
+    broken = [rec for rec in records if rec["rc"] not in (0, 1, 2)]
+    for rec in broken:
+        print(f"exit code {rec['rc']!r}: {' '.join(rec['argv'])}")
+    return 1 if broken else 0
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -165,8 +172,7 @@ def main() -> int:
         return compare(*args.compare)
     if len(args.paths) != 2:
         parser.error("expected SRC OUT, or --compare A B")
-    digest(*args.paths)
-    return 0
+    return digest(*args.paths)
 
 
 if __name__ == "__main__":
