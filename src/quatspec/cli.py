@@ -309,9 +309,14 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser: a command name and the flags every command takes."""
+    """The one parser: a command name and the flags every command takes.
+
+    Flags are spelled out in full: an abbreviation such as --trial is a
+    usage error, not a silent --trials.
+    """
     parser = argparse.ArgumentParser(
         prog="quatspec",
+        allow_abbrev=False,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Quaternionic resolvent toolkit: spectra, series "
                     "expansions,\nand identity verification.",

@@ -248,6 +248,20 @@ def op_norm(A: QMatrix) -> float:
     return A._norm
 
 
+def finite_rows(a1, a2) -> int:
+    """How many leading matrices of a (k, n, n) stacked pair are finite."""
+    finite = np.isfinite(a1).all(axis=(1, 2)) & np.isfinite(a2).all(axis=(1, 2))
+    return len(finite) if finite.all() else int(np.argmin(finite))
+
+
+def finite_op_norms(a1, a2) -> list:
+    """op_norm of each matrix of a (k, n, n) stacked pair of finite ones.
+
+    One stacked SVD; a list of floats in order.
+    """
+    return np.linalg.svd(pair_chi(a1, a2), compute_uv=False)[:, 0].tolist()
+
+
 def pair_op_norms(a1, a2):
     """op_norm of each matrix of a (k, n, n) stacked pair, in order.
 
@@ -255,11 +269,9 @@ def pair_op_norms(a1, a2):
     take one stacked SVD; each later one takes its own SVD when it is
     reached, as op_norm would, so one that fails the SVD raises only then.
     """
-    finite = np.isfinite(a1).all(axis=(1, 2)) & np.isfinite(a2).all(axis=(1, 2))
-    f = len(finite) if finite.all() else int(np.argmin(finite))
-    yield from np.linalg.svd(pair_chi(a1[:f], a2[:f]),
-                             compute_uv=False)[:, 0].tolist()
-    for i in range(f, len(finite)):
+    f = finite_rows(a1, a2)
+    yield from finite_op_norms(a1[:f], a2[:f])
+    for i in range(f, len(a1)):
         yield float(np.linalg.svd(pair_chi(a1[i], a2[i]), compute_uv=False)[0])
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,11 @@ SAME_SPHERE_TOL = 1e-12
 # form of the spherical derivative is abandoned for the exact real-axis
 # derivative: the quotient loses all significant digits as Im(q) -> 0.
 REAL_AXIS_CUTOFF = 1e-7
+
+# The smallest normal double.  A quartic of the Cassini geometry below it
+# has lost digits to underflow, as one above the largest has overflowed;
+# either way the geometry takes square roots before multiplying.
+QUARTIC_MIN = sys.float_info.min
 
 
 class Quaternion(NamedTuple):
@@ -167,8 +173,9 @@ def cassini_factors(pr, ps, qr, qs):
     m1 = (pr-qr)**2 + (ps-qs)**2 and m2 = (pr-qr)**2 + (ps+qs)**2 is
     symmetric bit-for-bit and exactly zero iff the axial pairs coincide
     exactly.  Works elementwise on floats and numpy arrays alike.  Past
-    coordinates of about 1e77 the product m1*m2 overflows, and its readers
-    fall back to sqrt(m1)*sqrt(m2) = u**2, which stays finite.
+    coordinates of about 1e77 the product m1*m2 overflows, and below about
+    1e-77 it underflows; there its readers fall back to
+    sqrt(m1)*sqrt(m2) = u**2, which stays in range.
     """
     dr = pr - qr
     return dr * dr + (ps - qs) * (ps - qs), dr * dr + (ps + qs) * (ps + qs)
@@ -178,7 +185,7 @@ def cassini_u_axial(p: SpherePoint, q: SpherePoint) -> float:
     """Cassini pseudo-metric between two spheres given in axial coordinates."""
     m1, m2 = cassini_factors(p.r, p.s, q.r, q.s)
     quartic = m1 * m2
-    if math.isfinite(quartic):
+    if QUARTIC_MIN <= quartic < math.inf:
         return quartic ** 0.25
     return math.sqrt(math.sqrt(m1) * math.sqrt(m2))
 
@@ -206,17 +213,19 @@ class CassiniBall(NamedTuple):
         """contains() for points with axial coordinates (r, s).
 
         u < radius iff u**4 < radius**4; comparing the quartics avoids the
-        fractional powers.  Where a quartic or radius**4 overflows, u**2 <
-        radius**2 is compared instead.  Floats give a 0-d boolean array,
-        arrays a boolean mask.
+        fractional powers.  Where a quartic or radius**4 overflows or falls
+        below QUARTIC_MIN, u**2 < radius**2 is compared instead.  Floats
+        give a 0-d boolean array, arrays a boolean mask.
         """
         cs = sphere_of(self.center)
         r2 = self.radius * self.radius
         m1, m2 = cassini_factors(r, s, cs.r, cs.s)
         with np.errstate(over="ignore"):
             quartic, target = np.multiply(m1, m2), np.multiply(r2, r2)
-        return np.where(np.isfinite(quartic) & np.isfinite(target),
-                        quartic < target, np.sqrt(m1) * np.sqrt(m2) < r2)
+        in_range = ((quartic >= QUARTIC_MIN) & (quartic < math.inf)
+                    & (target >= QUARTIC_MIN) & (target < math.inf))
+        return np.where(in_range, quartic < target,
+                        np.sqrt(m1) * np.sqrt(m2) < r2)
 
 
 def spherical_power(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
@@ -321,16 +330,17 @@ def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
     operations of a scalar 200-step bisection.  The loop stops early once
     no bracket (lo, hi) can change any more, so the roots are those of the
     full 200 steps bit for bit.  The root is homogeneous of degree one in
-    (b, dist), so where dist**4 overflows, b and dist are divided by 2**e,
-    with e the binary exponent of dist, and the root multiplied back by
-    2**e, both exactly; elsewhere e = 0.  As with Python floats, other
-    overflow to inf passes silently.
+    (b, dist), so where dist**4 overflows or falls below QUARTIC_MIN, b and
+    dist are divided by 2**e, with e the binary exponent of dist, and the
+    root multiplied back by 2**e, both exactly; elsewhere e = 0.  As with
+    Python floats, other overflow to inf passes silently.
     """
     b, dist, sin_a = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (b, dist, sin_a)))
     with np.errstate(over="ignore", invalid="ignore"):
         target = (dist * dist) * (dist * dist)
-        e = np.where(np.isfinite(target), 0, np.frexp(dist)[1])
+        e = np.where((target >= QUARTIC_MIN) & (target < math.inf), 0,
+                     np.frexp(dist)[1])
         b, dist = np.ldexp(b, -e), np.ldexp(dist, -e)
         target = (dist * dist) * (dist * dist)
         one_minus = 1.0 - sin_a * sin_a

@@ -371,6 +371,10 @@ def _converge(state, q, rtol, nmax, derivative):
     of partial sums at a time.  ||partial_N|| is at most
     ||B_1|| + tail(0), so the first block ends where the rule could first
     pass; every later block ends where tail(N) <= rtol, where it must.
+    The run also stops, unconverged, before the first partial sum that is
+    not finite (a term that is not finite makes its partial sum so), and
+    returns the last finite one: partial_0 = B_1 is finite, or its norm
+    would have failed above.
     """
     require_inside(state, q)
     if nmax < 0:
@@ -383,10 +387,16 @@ def _converge(state, q, rtol, nmax, derivative):
         return _scan(tail, tails, lo, hi, rtol if lo else first)
 
     for lo, _, _, p1, p2 in _blocks(state, q, derivative, nmax, ends):
-        i = tail_rule(np.array(tails[lo:]), rtol, p1, p2)
+        k = hmat.finite_rows(p1, p2)
+        i = tail_rule(np.array(tails[lo:lo + k]), rtol, p1[:k], p2[:k])
         if i is not None:
             return QMatrix(p1[i], p2[i]), tails[lo + i], lo + i, True
-    return QMatrix(p1[-1], p2[-1]), tails[nmax], nmax, False
+        if k:
+            last = lo + k - 1, p1[k - 1], p2[k - 1]
+        if k < len(p1):
+            break
+    N, a1, a2 = last
+    return QMatrix(a1, a2), tails[N], N, False
 
 
 def converge_series_S(state: SeriesState, q: Quaternion, rtol: float,
@@ -410,7 +420,9 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
     Returns (rows, converged).  The residual is at most about
     tail_bound_S(N), so the first block ends where that reaches tol, and
     each later block doubles the rows so far.  Two stacked SVDs per block;
-    no domain gate.
+    no domain gate.  The rows also end, unconverged, before the first
+    residual that is not finite, which a term or partial sum that is not
+    finite makes so: no SVD is taken of such a matrix.
     """
     rows = []
     if nmax < 0:
@@ -424,12 +436,21 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
         return _scan(tail, tails, lo, hi, tol)
 
     for lo, t1, t2, p1, p2 in _blocks(state, q, False, nmax, ends):
-        norms = hmat.pair_op_norms(t1, t2)
-        for n, residual in enumerate(
-                hmat.pair_op_norms(p1 - direct.a1, p2 - direct.a2), lo):
-            rows.append([n, next(norms), tails[n], residual])
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1, d2 = p1 - direct.a1, p2 - direct.a2
+        # A term that is not finite makes its partial sum, and so its
+        # residual, not finite: rows before k are finite throughout.
+        k = hmat.finite_rows(d1, d2)
+        if not k:
+            break
+        for n, norm, residual in zip(
+                range(lo, lo + k), hmat.finite_op_norms(t1[:k], t2[:k]),
+                hmat.finite_op_norms(d1[:k], d2[:k])):
+            rows.append([n, norm, tails[n], residual])
             if residual <= tol:
                 return rows, True
+        if k < len(d1):
+            break
     return rows, False
 
 

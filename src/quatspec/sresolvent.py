@@ -110,12 +110,10 @@ def _pencils(A: QMatrix, pts: np.ndarray):
             s2 = abs2.astype(complex)[:, None, None]
             D1 = AA1 - tw * A.a1 + s2 * eye.a1
             D2 = AA2 - tw * A.a2 + s2 * eye.a2
-        finite = (np.isfinite(D1).all(axis=(1, 2))
-                  & np.isfinite(D2).all(axis=(1, 2)))
-        k = len(finite) if finite.all() else int(np.argmin(finite))
+        k = hmat.finite_rows(D1, D2)
         if k:
             yield lo, D1[:k], D2[:k]
-        if k < len(finite):
+        if k < len(D1):
             raise _overflow(pts[lo + k])
 
 

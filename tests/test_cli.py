@@ -153,6 +153,22 @@ def test_cassini_tight_case(tmp_path, capsys):
     (1e100, [])])
 def test_cassini_beyond_quartic_overflow(tmp_path, capsys, entry, args):
     # u**4 and radius**4 overflow here; the geometry compares u**2 instead
+    check_cassini_one_by_one(tmp_path, capsys, entry, args)
+
+
+@pytest.mark.parametrize("entry, args", [
+    (1e-90, ["--q0", "3e-90"]),
+    (1e-90, ["--q0=3e-90,1e-90,0,0"]),
+    (1e-120, ["--q0", "3e-120"]),
+    (1e-150, ["--q0", "3e-150"])])
+def test_cassini_below_quartic_underflow(tmp_path, capsys, entry, args):
+    # u**4 and radius**4 fall below the smallest normal double here; the
+    # geometry compares u**2, or solves on coordinates scaled up by 2**-e
+    check_cassini_one_by_one(tmp_path, capsys, entry, args)
+
+
+def check_cassini_one_by_one(tmp_path, capsys, entry, args):
+    """cassini on the 1 x 1 input [entry * i] passes and is exact."""
     path = write_matrix(tmp_path, "m.json", [[[0, entry, 0, 0]]])
     rc, rep = run_json(capsys, ["cassini", "--input", path] + args)
     assert rc == 0
@@ -184,6 +200,22 @@ def test_subnormal_pencil_is_refused_at_its_point(tmp_path, capsys, entry):
         assert captured.err.endswith(
             f" overflows at point ({q0}, 0.0, 0.0, 0.0)\n")
         assert captured.err.count("\n") == 1
+
+
+def test_series_that_overflows_reports_its_finite_rows(tmp_path, capsys):
+    # the residual floor sits above the absolute --tol, and the rows run on
+    # until the series overflows after N = 31: the report stops before
+    # that row and the error names the tolerance, not a failed SVD
+    path = write_matrix(tmp_path, "tiny.json", [[[0, 1e-10, 0, 0]]])
+    rc = main(["series", "--input", path, "--q0", "3e-10", "--q", "3.1e-10"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: residual ")
+    assert "did not reach tol 1e-08" in captured.err
+    assert captured.err.count("\n") == 1
+    rep = strict_json(captured.out)
+    assert rep["converged"] is False and rep["N"] == 31
+    assert [row[0] for row in rep["rows"]] == list(range(32))
 
 
 def test_cassini_spectral_center_exits_one(tmp_path, capsys):
@@ -257,6 +289,18 @@ def test_seed_changes_output(tmp_path, capsys):
           "--output", str(f2)])
     capsys.readouterr()
     assert f1.read_bytes() != f2.read_bytes()
+
+
+def test_flags_are_spelled_out_in_full(capsys):
+    # an abbreviation of a flag is a usage error, not that flag
+    for argv in (["verify", "--trial", "3"], ["verify", "--se", "7"],
+                 ["series", "--q0", "1", "--q", "0.5", "--form", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quatspec ")
+        assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 def test_bad_flag_values(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 from itertools import islice
 
 import numpy as np
@@ -242,15 +243,16 @@ def test_point_at_cassini_distance_lands_on_level_set():
 def radial_offset_root_reference(b, dist, sin_a):
     """The scalar 200-step bisection radial_offset_roots must reproduce.
 
-    Where dist**4 overflows, the bisection runs on (b, dist) / 2**e, e the
-    binary exponent of dist, and its root is scaled back by 2**e.
+    Where dist**4 overflows or falls below the smallest normal double, the
+    bisection runs on (b, dist) / 2**e, e the binary exponent of dist, and
+    its root is scaled back by 2**e.
     """
     if dist == 0.0:
         return 0.0
     if b == 0.0:
         return dist
     target = (dist * dist) * (dist * dist)
-    if not math.isfinite(target):
+    if not sys.float_info.min <= target < math.inf:
         e = math.frexp(dist)[1]
         return math.ldexp(radial_offset_root_reference(
             math.ldexp(b, -e), math.ldexp(dist, -e), sin_a), e)
@@ -287,6 +289,10 @@ def test_radial_offset_roots_match_scalar_bisection_bit_for_bit():
     sin_a[::5] = -rng.uniform(math.sqrt(8.0) / 3.0, 1.0, len(sin_a[::5]))
     dist[::13] = 10.0 ** rng.uniform(-150, 150, len(dist[::13]))
     b[::17] = 10.0 ** rng.uniform(-150, 150, len(b[::17]))
+    # both coordinates scaled far below the quartic's underflow
+    tiny = 10.0 ** rng.uniform(-150, -80, len(b[::19]))
+    b[::19] *= tiny
+    dist[::19] *= tiny
     steep = (sin_a < 0) & (9.0 * sin_a * sin_a >= 8.0) & (b > 0) & (dist > 0)
     assert steep.sum() > 100
     want = [radial_offset_root_reference(*args)
@@ -294,10 +300,33 @@ def test_radial_offset_roots_match_scalar_bisection_bit_for_bit():
     got = radial_offset_roots(b, dist, sin_a)
     assert got.tolist() == want
     assert np.signbit(got).tolist() == [math.copysign(1, w) < 0 for w in want]
+    # the root is homogeneous of degree one in (b, dist): moved past either
+    # end of the quartic's range, the rows of moderate size keep theirs
+    plain = np.ones(k, dtype=bool)
+    plain[::13] = plain[::17] = plain[::19] = False
+    for scale in (2.0 ** -300, 2.0 ** 300):
+        scaled = radial_offset_roots(b[plain] * scale, dist[plain] * scale,
+                                     sin_a[plain])
+        assert np.allclose(scaled / scale, got[plain], rtol=1e-12, atol=0.0)
     # scalars broadcast to a batch of one
     for i in range(0, k, 97):
         assert radial_offset_roots(b[i], dist[i], sin_a[i]).tolist() \
             == [want[i]]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-90, 1.0, 1e90, 1e150])
+def test_cassini_geometry_scales_past_the_quartic_range(scale):
+    # where u**4 underflows or overflows, u and ball membership still scale
+    # with the coordinates
+    want = cassini_u_axial(SpherePoint(3.0, 0.5), SpherePoint(0.25, 1.0))
+    p = SpherePoint(3.0 * scale, 0.5 * scale)
+    u = cassini_u_axial(p, SpherePoint(0.25 * scale, 1.0 * scale))
+    assert abs(u / scale - want) <= 1e-14 * want
+    center = Quaternion(0.25 * scale, 0.0, scale, 0.0)
+    for factor, inside in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+        ball = CassiniBall(center, want * scale * factor)
+        assert bool(ball.contains_axial(p.r, p.s)) is inside
+        assert ball.contains(Quaternion(p.r, 0.0, 0.0, p.s)) is inside
 
 
 def test_axial_metric_zero_iff_same_axial_pair():

@@ -13,11 +13,11 @@ from quatspec.quatcore import (Quaternion, cassini_u,
                                point_at_cassini_distance, random_unit_imag,
                                spherical_power, spherical_power_sderiv,
                                triangle)
-from quatspec.series import (certified_real_point, converge_series_Q,
-                             converge_series_S, eval_series_Q, eval_series_S,
-                             remainder_exact, residual_report, series_init,
-                             tail_bound_Q, tail_bound_S, tail_rule,
-                             term_norms)
+from quatspec.series import (DEFAULT_NMAX, certified_real_point,
+                             converge_series_Q, converge_series_S,
+                             eval_series_Q, eval_series_S, remainder_exact,
+                             residual_report, series_init, tail_bound_Q,
+                             tail_bound_S, tail_rule, term_norms)
 from quatspec.sliceanalysis import (cauchy_coeffs, s_resolvent_map,
                                     stem_decompose)
 from quatspec.sresolvent import resolvent_bundle, resolvent_bundles
@@ -178,6 +178,38 @@ def test_convergence_cap_flags_not_converged():
                                                nmax=10)
     assert not conv and N == 10
     assert tail > 1e-30
+
+
+@pytest.mark.parametrize("rows", [None, 20, 32])
+def test_series_stops_before_its_first_non_finite_row(monkeypatch, rows):
+    # on [1e-10 i] around 3e-10, B_n = Q**k overflows near n = 32 while the
+    # spherical powers underflow, so term 32 is not finite; both rules stop
+    # at N = 31, and no SVD ever sees a matrix that is not finite.  Blocks
+    # of 20 rows put row 32 inside a block, of 32 rows at its start.
+    if rows:
+        rows_per_block(monkeypatch, 1, rows)
+    A = QMatrix.from_entries([[[0, 1e-10, 0, 0]]])
+    st = series_init(A, Quaternion(3e-10))
+    q = Quaternion(3.1e-10)
+    svd = np.linalg.svd
+
+    def finite_svd(a, *args, **kwargs):
+        assert np.isfinite(a).all()
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", finite_svd)
+    rows_out, converged = residual_report(
+        st, q, resolvent_bundle(A, q).S_left, 1e-8, DEFAULT_NMAX)
+    assert not converged
+    assert [row[0] for row in rows_out] == list(range(32))
+    assert np.isfinite(rows_out).all()
+    for converge, evaluate in ((converge_series_S, eval_series_S),
+                               (converge_series_Q, eval_series_Q)):
+        partial, tail, N, conv = converge(st, q, 1e-60)
+        assert (N, conv) == (31, False) and math.isfinite(tail)
+        want, _ = evaluate(st, q, 31)
+        assert np.array_equal(partial.a1, want.a1)
+        assert np.array_equal(partial.a2, want.a2)
 
 
 def test_expansion_center_off_axis():

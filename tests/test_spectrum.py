@@ -5,12 +5,13 @@ import pytest
 
 from quatspec.errors import InputError
 from quatspec.hmat import QMatrix, chi, op_norm, random_qmatrix, smallest_singular
-from quatspec.quatcore import (QI, Quaternion, cassini_u_axial,
-                               point_at_cassini_distance, random_unit_imag,
-                               sphere_of)
+from quatspec.quatcore import (QI, CassiniBall, Quaternion, cassini_u,
+                               cassini_u_axial, point_at_cassini_distance,
+                               random_unit_imag, sphere_of)
 from quatspec.spectrum import (SpectrumResult, blowup_probe,
-                               boundary_polyline, cassini_dist, cor1_check,
-                               in_resolvent, s_spectrum, sample_cassini_ball)
+                               boundary_polyline, cassini_box, cassini_dist,
+                               cor1_check, in_resolvent, s_spectrum,
+                               sample_cassini_ball)
 from quatspec.sresolvent import delta_op, resolvent_bundle
 
 
@@ -147,7 +148,6 @@ def test_sample_cassini_ball():
     q0 = Quaternion(1.0, 0.0, 1.5, 0.0)
     pts = sample_cassini_ball(q0, 1.25, 200, rng)
     assert len(pts) == 200
-    from quatspec.quatcore import CassiniBall, cassini_u
     ball = CassiniBall(q0, 1.25)
     for p in pts:
         assert type(p) is Quaternion
@@ -158,6 +158,114 @@ def test_sample_cassini_ball():
     pts2 = sample_cassini_ball(q0, 1.25, 200, np.random.default_rng(64))
     pts1 = sample_cassini_ball(q0, 1.25, 200, np.random.default_rng(64))
     assert pts1 == pts2
+
+
+# (|Im q0|, radius) at unit scale: a real center, radius below |Im q0|,
+# the lemniscate radius = |Im q0|, between it and sqrt(2)*|Im q0|, where
+# the two forms of the box's half-width meet, and far beyond.
+BOX_SHAPES = [(0.0, 1.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.2),
+              (1.0, math.sqrt(2.0)), (1.0, 1000.0)]
+BOX_SCALES = [1e-80, 1.0, 1e150]
+
+
+def box_centers():
+    """(q0, radius) over BOX_SHAPES x BOX_SCALES, centers off the axis."""
+    for scale in BOX_SCALES:
+        for b, radius in BOX_SHAPES:
+            q0 = Quaternion(0.7 * scale, 0.6 * b * scale, 0.0, 0.8 * b * scale)
+            yield q0, radius * scale
+
+
+def test_cassini_box_is_the_exact_bounding_box():
+    for q0, radius in box_centers():
+        a, b = q0.w, q0.im_norm()
+        h, s_lo, s_hi = cassini_box(b, radius)
+        pts = np.array(boundary_polyline(q0, radius, count=4001))
+        x, s = np.abs(pts[:, 0] - a), np.abs(pts[:, 1])
+        slack = 1e-12 * s_hi
+        assert x.max() <= h + slack
+        assert s.min() >= s_lo - slack and s.max() <= s_hi + slack
+        # every side of the box is touched by the region; at s_lo = 0 the
+        # polyline crosses the real axis between two rays, or touches it
+        assert x.max() >= (1.0 - 1e-6) * h
+        assert pts[:, 1].min() <= s_lo + 1e-6 * s_hi
+        assert s.max() >= (1.0 - 1e-6) * s_hi
+
+
+def loose_box_sample(q0, radius, count, rng):
+    """Axial (r, s) of count points by rejection from a loose box.
+
+    The box |r - a| <= d, s <= b + d with d = b + sqrt(b**2 + radius**2)
+    holds the planar region around (a, b); an independent reference for
+    the distribution of sample_cassini_ball.
+    """
+    a, b = q0.w, q0.im_norm()
+    d = b + math.hypot(b, radius)
+    ball = CassiniBall(q0, radius)
+    r_kept, s_kept = [], []
+    while sum(map(len, r_kept)) < count:
+        r = a + rng.uniform(-d, d, size=4096)
+        s = rng.uniform(0.0, b + d, size=4096)
+        ok = ball.contains_axial(r, s)
+        r_kept.append(r[ok])
+        s_kept.append(s[ok])
+    return np.concatenate(r_kept)[:count], np.concatenate(s_kept)[:count]
+
+
+def ks_pvalue(x, y):
+    """Asymptotic p-value of the two-sample Kolmogorov-Smirnov test."""
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    d = np.max(np.abs(np.searchsorted(x, both, side="right") / len(x)
+                      - np.searchsorted(y, both, side="right") / len(y)))
+    ne = len(x) * len(y) / (len(x) + len(y))
+    lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
+    p = 2.0 * sum((-1) ** (j - 1) * math.exp(-2.0 * (j * lam) ** 2)
+                  for j in range(1, 101))
+    return min(1.0, max(0.0, p))
+
+
+def test_sampler_matches_loose_box_rejection():
+    # the exact box changes which points are drawn, not their law
+    for seed, (b, radius) in enumerate(BOX_SHAPES):
+        q0 = Quaternion(0.7, 0.6 * b, 0.0, 0.8 * b)
+        pts = sample_cassini_ball(q0, radius, 2000,
+                                  np.random.default_rng(300 + seed))
+        r, s = loose_box_sample(q0, radius, 2000,
+                                np.random.default_rng(400 + seed))
+        assert ks_pvalue([p.w for p in pts], r) > 0.01
+        assert ks_pvalue([p.im_norm() for p in pts], s) > 0.01
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the candidates the sampler draws.
+
+    Each candidate takes one normal 3-vector for its direction.
+    """
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.candidates = 0
+
+    def normal(self, size):
+        self.candidates += size[0]
+        return self.rng.normal(size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_sampler_draw_count_gate():
+    # the region fills at least 0.70 of its box, so the first block of
+    # 2 * count candidates nearly always suffices; lower this bound only
+    count = 100
+    for seed, (q0, radius) in enumerate(box_centers()):
+        rng = CountingGenerator(500 + seed)
+        pts = sample_cassini_ball(q0, radius, count, rng)
+        assert len(pts) == count
+        ball = CassiniBall(q0, radius)
+        assert all(ball.contains(p) for p in pts)
+        assert rng.candidates <= 3 * count
 
 
 def test_boundary_polyline_on_level_set():

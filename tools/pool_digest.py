@@ -9,14 +9,15 @@ The first form imports quatspec from the source directory SRC (``src``,
 or the ``src`` of a second checkout), generates the command pool of every
 perfbench workload at seeds 3, 11, 19 and 29 with ``perfbench.gen``, and
 adds a fixed list of extra commands: ``verify`` at n = 1, 2, 3, 4 and 8
-in both formats, failing checks, ``--output`` files and an unwritable
-``--output`` path.  Each command runs in-process through
-``quatspec.cli.main``; OUT receives one JSON record per command with its
-argv, exit code, stderr, and the sha256 of stdout and of the ``--output``
-file (null when none was written).  An uncaught exception is recorded as
-a string exit code.  After writing OUT, the first form exits 1 when any
-command's exit code is not 0, 1 or 2, the README's exit-code contract,
-and lists those commands.
+in both formats, failing checks, ``--output`` files, an unwritable
+``--output`` path, ``series`` and ``cassini`` on 1x1 inputs scaled far
+below 1, an abbreviated flag and a 10000-sample ``cassini``.  Each
+command runs in-process through ``quatspec.cli.main``; OUT receives one
+JSON record per command with its argv, exit code, stderr, and the sha256
+of stdout and of the ``--output`` file (null when none was written).  An
+uncaught exception is recorded as a string exit code.  After writing OUT,
+the first form exits 1 when any command's exit code is not 0, 1 or 2,
+the README's exit-code contract, and lists those commands.
 
 The second form compares two digests and exits 1 when any command
 differs, listing the differing commands.  Two checkouts give equal
@@ -63,7 +64,11 @@ def pool_commands() -> list:
 
 def extra_commands() -> list:
     """Small inputs, failing checks and --output targets."""
-    for name, doc in (("mat.json", README_MATRIX), ("mat_i.json", MAT_I)):
+    for name, doc in (("mat.json", README_MATRIX), ("mat_i.json", MAT_I),
+                      ("mat_i_1e-10.json",
+                       {"n": 1, "entries": [[[0, 1e-10, 0, 0]]]}),
+                      ("mat_i_1e-90.json",
+                       {"n": 1, "entries": [[[0, 1e-90, 0, 0]]]})):
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
     argvs = []
@@ -94,6 +99,19 @@ def extra_commands() -> list:
             ["spectrum", "--input", "mat.json",
              "--output", os.path.join("missing", OUTPUT)] + tail,
         ]
+    argvs += [
+        # the series overflows after N = 31, short of the absolute --tol
+        ["series", "--input", "mat_i_1e-10.json", "--q0", "3e-10",
+         "--q", "3.1e-10"],
+        # u**4 and the radius**4 fall below the smallest normal double
+        ["cassini", "--input", "mat_i_1e-90.json", "--q0", "3e-90"],
+        ["cassini", "--input", "mat_i_1e-90.json", "--q0=3e-90,1e-90,0,0"],
+        # an abbreviated flag is a usage error
+        ["verify", "--trial", "3"],
+        # a non-real center whose samples take several blocks
+        ["cassini", "--input", "mat.json", "--q0", "3,1,0,0",
+         "--trials", "10000"],
+    ]
     return argvs
 
 
