@@ -11,8 +11,8 @@ expansions with certified tails (series), slice/stem function tools
 from .errors import (DegenerateConfiguration, InputError, NotInResolventSet,
                      OutsideConvergenceDomain, QuatspecError, SingularOperator)
 from .hmat import (HVector, QMatrix, chi, from_chi, matvec, op_norm,
-                   qmat_inverse, qmatrix_from_json_dict, qmatrix_to_json_dict,
-                   random_qmatrix, smallest_singular)
+                   op_norms, qmat_inverse, qmatrix_from_json_dict,
+                   qmatrix_to_json_dict, random_qmatrix, smallest_singular)
 from .quatcore import (QI, QJ, QK, CassiniBall, Quaternion, SpherePoint,
                        cassini_u, point_at_cassini_distance, qinv, qmul, qpow,
                        same_sphere, sphere_of, spherical_power,
@@ -43,7 +43,7 @@ __all__ = [
     "certified_real_point", "chi", "converge_series_Q", "converge_series_S",
     "cor1_check", "cr_residual", "delta_op", "eval_series_Q",
     "eval_series_S", "from_chi", "in_resolvent", "matvec", "op_norm",
-    "point_at_cassini_distance", "qinv", "qmat_inverse",
+    "op_norms", "point_at_cassini_distance", "qinv", "qmat_inverse",
     "qmatrix_from_json_dict", "qmatrix_to_json_dict", "qmul", "qpow",
     "random_qmatrix", "remainder_exact", "resolvent_bundle",
     "resolvent_bundles", "residual_AS_identity", "residual_mixed_eq", "residual_q_eq",

@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -104,10 +105,6 @@ def _render(fmt: str, report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _quat_list(q: Quaternion) -> list:
-    return [q.w, q.x, q.y, q.z]
-
-
 def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -177,16 +174,18 @@ def cmd_resolvent(cfg: argparse.Namespace) -> Report:
     if cfg.q is None:
         raise InputError("'resolvent' requires --q (evaluation point)")
     bundle = resolvent_bundle(A, cfg.q)
+    norm_left, norm_right, shift = hmat.op_norms(
+        [bundle.S_left, bundle.S_right, residual_AS_identity(A, bundle)])
     values = {
         "pencil_smallest_singular": bundle.pencil_smallest_singular,
         "norm_Q": bundle.norm_Q,
-        "norm_S_left": hmat.op_norm(bundle.S_left),
-        "norm_S_right": hmat.op_norm(bundle.S_right),
+        "norm_S_left": norm_left,
+        "norm_S_right": norm_right,
         "localization_radius": bundle.radius,
-        "shift_pairing_residual": residual_AS_identity(A, bundle),
+        "shift_pairing_residual": shift,
     }
     return Report(
-        {"n": A.n, "q": _quat_list(cfg.q), **values},
+        {"n": A.n, "q": list(cfg.q), **values},
         (),
         ("key", "value"),
         [("n", A.n), *zip(("q_w", "q_x", "q_y", "q_z"), cfg.q),
@@ -217,10 +216,13 @@ def cmd_series(cfg: argparse.Namespace) -> Report:
     rows, converged = series.residual_report(state, q, direct, cfg.tol,
                                              cfg.nmax)
     last = rows[-1]
+    # the rows end before nmax only before a row that is not finite
+    why = (f" within nmax = {cfg.nmax} terms" if last[0] == cfg.nmax else
+           f": the series stopped being finite after N = {last[0]}")
     doc = {
-        "q0": _quat_list(q0),
+        "q0": list(q0),
         "R": state.R,
-        "q": _quat_list(q),
+        "q": list(q),
         "u": u,
         "N": last[0],
         "tail_bound": last[2],
@@ -235,7 +237,7 @@ def cmd_series(cfg: argparse.Namespace) -> Report:
         ("N", "term_norm", "tail_bound", "residual_vs_direct"),
         rows,
         [] if converged else [f"residual {last[3]:.6g} did not reach tol "
-                              f"{cfg.tol:g} within nmax = {cfg.nmax} terms"])
+                              f"{cfg.tol:g}{why}"])
 
 
 def cmd_cassini(cfg: argparse.Namespace) -> Report:
@@ -253,7 +255,7 @@ def cmd_cassini(cfg: argparse.Namespace) -> Report:
     bound_holds = u_dist >= bound - 1e-10 * (1.0 + bound)
     ok = bound_holds and inside == trials
     doc = {
-        "q0": _quat_list(q0),
+        "q0": list(q0),
         "u_dist": u_dist,
         "bound": bound,
         "bound_holds": bound_holds,
@@ -284,7 +286,7 @@ def cmd_verify(cfg: argparse.Namespace) -> Report:
         "trials": trials,
         "tol": cfg.tol,
         "seed": cfg.seed,
-        "rows": [row.to_json_dict() for row in rows],
+        "rows": [asdict(row) for row in rows],
         "all_passed": all_passed,
     }
     return Report(

@@ -13,8 +13,8 @@ spectra are computed through chi, which makes them equal to the native
 quaternionic quantities because vec is a bijective isometry.
 
 A QMatrix is immutable (its arrays are read-only), and op_norm stores the
-operator norm on the matrix after one SVD, so every later ||A|| is that
-same float.
+operator norm on the matrix after one SVD (op_norms: one stacked SVD for
+a list), so every later ||A|| is that same float.
 
 Matrices act on column vectors from the left, so they are right-linear:
 A(x*q) = (A x)*q.  The product of an operator with a quaternion scalar is
@@ -248,18 +248,25 @@ def op_norm(A: QMatrix) -> float:
     return A._norm
 
 
+def op_norms(mats) -> list:
+    """op_norm of each QMatrix in mats (all of one size), in order.
+
+    The norms not stored yet take one pair_op_norms call and are stored in
+    order; a matrix that is not finite raises LinAlgError as op_norm would.
+    """
+    todo = list({id(A): A for A in mats if A._norm is None}.values())
+    if todo:
+        norms = pair_op_norms(np.stack([A.a1 for A in todo]),
+                              np.stack([A.a2 for A in todo]))
+        for A, norm in zip(todo, norms):
+            A._norm = norm
+    return [A._norm for A in mats]
+
+
 def finite_rows(a1, a2) -> int:
     """How many leading matrices of a (k, n, n) stacked pair are finite."""
     finite = np.isfinite(a1).all(axis=(1, 2)) & np.isfinite(a2).all(axis=(1, 2))
     return len(finite) if finite.all() else int(np.argmin(finite))
-
-
-def finite_op_norms(a1, a2) -> list:
-    """op_norm of each matrix of a (k, n, n) stacked pair of finite ones.
-
-    One stacked SVD; a list of floats in order.
-    """
-    return np.linalg.svd(pair_chi(a1, a2), compute_uv=False)[:, 0].tolist()
 
 
 def pair_op_norms(a1, a2):
@@ -267,10 +274,11 @@ def pair_op_norms(a1, a2):
 
     An iterator of floats.  The matrices before the first non-finite one
     take one stacked SVD; each later one takes its own SVD when it is
-    reached, as op_norm would, so one that fails the SVD raises only then.
+    reached, so one that fails the SVD raises only then.
     """
     f = finite_rows(a1, a2)
-    yield from finite_op_norms(a1[:f], a2[:f])
+    yield from np.linalg.svd(pair_chi(a1[:f], a2[:f]),
+                             compute_uv=False)[:, 0].tolist()
     for i in range(f, len(a1)):
         yield float(np.linalg.svd(pair_chi(a1[i], a2[i]), compute_uv=False)[0])
 

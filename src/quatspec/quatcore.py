@@ -36,6 +36,12 @@ REAL_AXIS_CUTOFF = 1e-7
 # either way the geometry takes square roots before multiplying.
 QUARTIC_MIN = sys.float_info.min
 
+# radial_offset_roots bisects until its brackets settle, which takes fewer
+# than BISECTION_STEPS steps from any bracket of doubles, and scales its
+# quartic where b exceeds dist by more than 2**WIDE_EXP.
+BISECTION_STEPS = 2200
+WIDE_EXP = 64
+
 
 class Quaternion(NamedTuple):
     """A quaternion w + x*i + y*j + z*k of four doubles.
@@ -74,8 +80,7 @@ class Quaternion(NamedTuple):
         # Real scalars commute with every quaternion.
         if not isinstance(other, (int, float)):
             return NotImplemented
-        c = float(other)
-        return Quaternion(self.w * c, self.x * c, self.y * c, self.z * c)
+        return self * other
 
     def __truediv__(self, other):
         c = float(other)
@@ -94,9 +99,6 @@ class Quaternion(NamedTuple):
     def im_norm(self):
         # Fixed slot order keeps the value bit-stable under sign flips.
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def is_real(self, tol=0.0):
-        return self.im_norm() <= tol
 
 
 ONE = Quaternion(1.0)
@@ -327,13 +329,16 @@ def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
 
     The arguments broadcast against each other into arrays of at least one
     dimension, and every element is bisected at once with the float
-    operations of a scalar 200-step bisection.  The loop stops early once
-    no bracket (lo, hi) can change any more, so the roots are those of the
-    full 200 steps bit for bit.  The root is homogeneous of degree one in
-    (b, dist), so where dist**4 overflows or falls below QUARTIC_MIN, b and
+    operations of a scalar bisection, which runs until no bracket (lo, hi)
+    can change any more.  The root is homogeneous of degree one in (b,
+    dist), so where dist**4 overflows or falls below QUARTIC_MIN, b and
     dist are divided by 2**e, with e the binary exponent of dist, and the
-    root multiplied back by 2**e, both exactly; elsewhere e = 0.  As with
-    Python floats, other overflow to inf passes silently.
+    root multiplied back by 2**e, both exactly; elsewhere e = 0.  Where
+    b/dist exceeds 2**WIDE_EXP, t*t would underflow at the root and
+    (t + 2b*sin_a)**2 may overflow, so the quartic takes t*2**k and
+    (t + 2b*sin_a)*2**-k, k the binary exponent of b/dist less WIDE_EXP;
+    elsewhere k = 0.  As with Python floats, other overflow to inf passes
+    silently.
     """
     b, dist, sin_a = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (b, dist, sin_a)))
@@ -346,10 +351,15 @@ def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
         one_minus = 1.0 - sin_a * sin_a
         cos2 = np.where(one_minus > 0.0, one_minus, 0.0)
         shift = 2.0 * b * sin_a
-        lift = 4.0 * b * b * cos2
+        k = np.maximum(0, np.frexp(b)[1] - np.frexp(dist)[1] - WIDE_EXP)
+        wide = k.any()
+        bk = np.ldexp(b, -k)
+        lift = 4.0 * bk * bk * cos2
 
         def g(t):
             u = t + shift
+            if wide:
+                t, u = np.ldexp(t, k), np.ldexp(u, -k)
             return t * t * (u * u + lift)
 
         hi = dist + 2.0 * b
@@ -363,7 +373,7 @@ def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
         closed_form = (dist == 0.0) | (b == 0.0)
         lo = np.zeros_like(hi)
         hi = np.where(closed_form, 0.0, hi)
-        for _ in range(200):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             # Once every mid repeats an end of its bracket, the update
             # below leaves brackets that no later step changes.

@@ -321,12 +321,10 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     q = bq.q
     tri = triangle(state.q0, q)
     rem_op = (state.coeff(2 * N + 2) @ bq.S_left).scale_right(qpow(tri, N + 1))
-    rem = hmat.op_norm(rem_op)
-
     partial = _partial_through(state, q, False, 2 * N + 1)
-    direct_err = hmat.op_norm(bq.S_left - partial)
-    norm_sq = hmat.op_norm(bq.S_left)
-    scale = 1.0 + norm_sq + hmat.op_norm(partial) + rem
+    rem, direct_err, norm_sq, norm_partial = hmat.op_norms(
+        [rem_op, bq.S_left - partial, bq.S_left, partial])
+    scale = 1.0 + norm_sq + norm_partial + rem
     if abs(direct_err - rem) > 1e-10 * scale:
         raise QuatspecError(
             f"closed-form truncation error {rem:.6g} disagrees with the "
@@ -444,8 +442,8 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
         if not k:
             break
         for n, norm, residual in zip(
-                range(lo, lo + k), hmat.finite_op_norms(t1[:k], t2[:k]),
-                hmat.finite_op_norms(d1[:k], d2[:k])):
+                range(lo, lo + k), hmat.pair_op_norms(t1[:k], t2[:k]),
+                hmat.pair_op_norms(d1[:k], d2[:k])):
             rows.append([n, norm, tails[n], residual])
             if residual <= tol:
                 return rows, True

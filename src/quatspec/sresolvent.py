@@ -21,8 +21,8 @@ delta_op and resolvent_bundle are the one-point cases, so every reader of
 a pencil at q sees the same singular values bit for bit; a bundle reads
 ||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
 them.  Everything that reads the resolvent at a point takes a bundle.
-The residual_* operations evaluate on bundles, in the operator norm, the
-exact identities these objects satisfy:
+The residual_* operations evaluate on bundles the exact identities these
+objects satisfy, as lhs - rhs:
 
   * two-point identity of left S-resolvents:
         S_left(p) - S_left(q)
@@ -36,8 +36,8 @@ exact identities these objects satisfy:
                 - conj(q)*(S_right(q) - S_left(p)) ] * triangle(q, p)^(-1);
   * the shift pairing A @ S_left(p) = S_left(p)*p - I.
 
-All residuals are returned as absolute operator norms; relative-tolerance
-policy belongs to the caller.
+Each residual is returned as an operator whose norm is the absolute
+residual; the norms (hmat.op_norms) and the tolerance belong to the caller.
 """
 
 from __future__ import annotations
@@ -223,29 +223,27 @@ def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:
     return resolvent_bundles(A, [q])[0]
 
 
-def residual_resolvent_eq(bp: ResolventBundle, bq: ResolventBundle) -> float:
-    """Residual norm of the two-point identity of left S-resolvents."""
+def residual_resolvent_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
+    """Residual operator of the two-point identity of left S-resolvents."""
     p, q = bp.q, bq.q
     lhs = bp.S_left - bq.S_left
     rhs = bq.Q.scale_right(q - p) + (bq.Q @ bp.S_left).scale_right(triangle(q, p))
-    return hmat.op_norm(lhs - rhs)
+    return lhs - rhs
 
 
 def residual_q_eq(bp: ResolventBundle, bq: ResolventBundle):
-    """Residual norms of the pseudo-resolvent two-point identity.
+    """Residual operators of the pseudo-resolvent two-point identity.
 
     Returns the pair for the factor orderings Q(p)@Q(q) and Q(q)@Q(p);
     both vanish in exact arithmetic because the factors commute.
     """
     lhs = bp.Q - bq.Q
     ddiff = bq.pencil - bp.pencil
-    r_pq = hmat.op_norm(lhs - ddiff @ (bp.Q @ bq.Q))
-    r_qp = hmat.op_norm(lhs - ddiff @ (bq.Q @ bp.Q))
-    return r_pq, r_qp
+    return lhs - ddiff @ (bp.Q @ bq.Q), lhs - ddiff @ (bq.Q @ bp.Q)
 
 
-def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> float:
-    """Residual norm of the mixed right/left S-resolvent product identity.
+def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
+    """Residual operator of the mixed right/left S-resolvent product identity.
 
     Raises DegenerateConfiguration when p lies on the sphere of q, where
     the scalar factor triangle(q, p) is not invertible.
@@ -259,13 +257,12 @@ def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> float:
     lhs = bq.S_right @ bp.S_left
     bracket = diff.scale_right(p) - diff.scale_left(q.conj())
     rhs = bracket.scale_right(qinv(tri))
-    return hmat.op_norm(lhs - rhs)
+    return lhs - rhs
 
 
-def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> float:
-    """Residual norm of A @ S_left(p) - S_left(p)*p + I at p = b.q."""
-    expr = A @ b.S_left - b.S_left.scale_right(b.q) + QMatrix.identity(A.n)
-    return hmat.op_norm(expr)
+def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> QMatrix:
+    """Residual operator A @ S_left(p) - S_left(p)*p + I at p = b.q."""
+    return A @ b.S_left - b.S_left.scale_right(b.q) + QMatrix.identity(A.n)
 
 
 def random_resolvent_point(A: QMatrix, rng,

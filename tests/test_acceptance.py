@@ -56,7 +56,7 @@ def test_resolvent_two_point_identity_at_desk_scale():
         scale = (1.0 + op_norm(bp.S_left) + op_norm(bq.S_left)
                  + bq.norm_Q * (abs(q - p)
                                 + op_norm(bp.S_left) * abs(triangle(q, p))))
-        worst = max(worst, residual_resolvent_eq(bp, bq) / scale)
+        worst = max(worst, op_norm(residual_resolvent_eq(bp, bq)) / scale)
     assert worst <= 1e-10
 
 
@@ -71,7 +71,7 @@ def test_pseudo_resolvent_identity_both_orderings():
         bq = resolvent_bundle(A, q)
         dnorm = op_norm(delta_op(A, q) - delta_op(A, p))
         scale = 1.0 + bp.norm_Q + bq.norm_Q + dnorm * bp.norm_Q * bq.norm_Q
-        r_pq, r_qp = residual_q_eq(bp, bq)
+        r_pq, r_qp = map(op_norm, residual_q_eq(bp, bq))
         worst = max(worst, r_pq / scale, r_qp / scale)
     assert worst <= 1e-10
 
@@ -92,7 +92,7 @@ def test_mixed_identity_off_sphere_and_degenerate_guard():
         prod = op_norm(bq.S_right) * op_norm(bp.S_left)
         diff = op_norm(bq.S_right - bp.S_left)
         scale = 1.0 + prod + diff * (abs(p) + abs(q)) / abs(tri)
-        worst = max(worst, residual_mixed_eq(bp, bq) / scale)
+        worst = max(worst, op_norm(residual_mixed_eq(bp, bq)) / scale)
         checked += 1
     assert checked >= 95
     assert worst <= 1e-10

@@ -205,17 +205,28 @@ def test_subnormal_pencil_is_refused_at_its_point(tmp_path, capsys, entry):
 def test_series_that_overflows_reports_its_finite_rows(tmp_path, capsys):
     # the residual floor sits above the absolute --tol, and the rows run on
     # until the series overflows after N = 31: the report stops before
-    # that row and the error names the tolerance, not a failed SVD
+    # that row and the error names where the series stopped being finite,
+    # not nmax and not a failed SVD
     path = write_matrix(tmp_path, "tiny.json", [[[0, 1e-10, 0, 0]]])
     rc = main(["series", "--input", path, "--q0", "3e-10", "--q", "3.1e-10"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: residual ")
-    assert "did not reach tol 1e-08" in captured.err
+    assert captured.err.endswith(" did not reach tol 1e-08: the series "
+                                 "stopped being finite after N = 31\n")
     assert captured.err.count("\n") == 1
     rep = strict_json(captured.out)
     assert rep["converged"] is False and rep["N"] == 31
     assert [row[0] for row in rep["rows"]] == list(range(32))
+    # rows that run through nmax end at the cap, and the error says so
+    rc = main(["series", "--input", path, "--q0", "3e-10", "--q", "3.1e-10",
+               "--nmax", "12"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: residual ")
+    assert captured.err.endswith(" did not reach tol 1e-08 within nmax = 12 "
+                                 "terms\n")
+    assert strict_json(captured.out)["N"] == 12
 
 
 def test_cassini_spectral_center_exits_one(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from quatspec.errors import InputError, SingularOperator
 from quatspec.hmat import (HVector, QMatrix, chi, from_chi, matvec, op_norm,
-                           qmat_inverse, qmatrix_from_json_dict,
+                           op_norms, qmat_inverse, qmatrix_from_json_dict,
                            qmatrix_to_json_dict, random_hvector,
                            random_qmatrix, smallest_singular, vec)
 from quatspec.quatcore import Quaternion, qmul
@@ -145,6 +145,62 @@ def test_op_norm_is_stored_on_the_matrix(monkeypatch):
     first = op_norm(A)
     assert op_norm(A) == first
     assert len(calls) == 1
+
+
+def count_svds(monkeypatch) -> list:
+    """The shapes of the arrays np.linalg.svd is called on from now on."""
+    svd, shapes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_op_norms_equal_op_norm_bit_for_bit(n, monkeypatch):
+    rng = np.random.default_rng(40 + n)
+    mats = [QMatrix.from_entries(rng.uniform(-1, 1, (n, n, 4))
+                                 * 10.0 ** rng.uniform(-150, 150))
+            for _ in range(40)]
+    mats += [QMatrix.zeros(n), QMatrix.identity(n)]
+    want = [op_norm(QMatrix(A.a1, A.a2)) for A in mats]
+    shapes = count_svds(monkeypatch)
+    assert op_norms(mats) == want
+    assert shapes == [(len(mats), 2 * n, 2 * n)]
+    # stored on the matrices: reading them again takes no SVD
+    assert [op_norm(A) for A in mats] == want
+    assert op_norms(mats) == want
+    assert len(shapes) == 1
+
+
+def test_op_norms_keep_a_stored_norm(monkeypatch):
+    rng = np.random.default_rng(39)
+    A, B = random_qmatrix(3, rng), random_qmatrix(3, rng)
+    stored, want = op_norm(A), op_norm(QMatrix(B.a1, B.a2))
+    shapes = count_svds(monkeypatch)
+    # A is stored and B appears twice: one SVD of one matrix
+    assert op_norms([B, A, B]) == [want, stored, want]
+    assert shapes == [(1, 6, 6)]
+    assert op_norm(A) == stored and op_norm(B) == want
+    assert len(shapes) == 1
+
+
+def test_op_norms_raise_where_op_norm_raises(monkeypatch):
+    rng = np.random.default_rng(38)
+    A, C = random_qmatrix(3, rng), random_qmatrix(3, rng)
+    a1 = np.array(A.a1)
+    a1[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(QMatrix(a1, A.a2))
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norms([A, QMatrix(a1, A.a2), C])
+    # the norm before the failing matrix was stored
+    want = op_norm(QMatrix(A.a1, A.a2))
+    shapes = count_svds(monkeypatch)
+    assert op_norm(A) == want and not shapes
 
 
 def test_smallest_singular_pinned():

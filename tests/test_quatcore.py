@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from quatspec.errors import QuatspecError
-from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
-                               SpherePoint, cassini_u, cassini_u_axial,
+from quatspec.quatcore import (BISECTION_STEPS, ONE, QI, QJ, QK, WIDE_EXP,
+                               CassiniBall, Quaternion, SpherePoint,
+                               cassini_u, cassini_u_axial,
                                point_at_cassini_distance, qinv, qmul, qpow,
                                radial_offset_roots, random_unit_imag,
                                same_sphere, sphere_of,
@@ -241,11 +242,14 @@ def test_point_at_cassini_distance_lands_on_level_set():
 
 
 def radial_offset_root_reference(b, dist, sin_a):
-    """The scalar 200-step bisection radial_offset_roots must reproduce.
+    """The scalar bisection radial_offset_roots must reproduce.
 
-    Where dist**4 overflows or falls below the smallest normal double, the
-    bisection runs on (b, dist) / 2**e, e the binary exponent of dist, and
-    its root is scaled back by 2**e.
+    It bisects until the bracket settles (a midpoint equal to one of its
+    ends), at most BISECTION_STEPS times.  Where dist**4 overflows or falls
+    below the smallest normal double, the bisection runs on (b, dist) /
+    2**e, e the binary exponent of dist, and its root is scaled back by
+    2**e.  The quartic takes t times 2**k and t + 2b*sin_a times 2**-k,
+    where k is the binary exponent of b/dist less WIDE_EXP, if positive.
     """
     if dist == 0.0:
         return 0.0
@@ -257,10 +261,16 @@ def radial_offset_root_reference(b, dist, sin_a):
         return math.ldexp(radial_offset_root_reference(
             math.ldexp(b, -e), math.ldexp(dist, -e), sin_a), e)
     cos2 = max(0.0, 1.0 - sin_a * sin_a)
+    k = max(0, math.frexp(b)[1] - math.frexp(dist)[1] - WIDE_EXP)
+    bk = math.ldexp(b, -k)
+    lift = 4.0 * bk * bk * cos2
 
     def g(t):
-        u = t + 2.0 * b * sin_a
-        return t * t * (u * u + 4.0 * b * b * cos2)
+        # np.ldexp, unlike math.ldexp, overflows to inf as a product does
+        with np.errstate(over="ignore"):
+            u = float(np.ldexp(t + 2.0 * b * sin_a, -k))
+            t = float(np.ldexp(t, k))
+        return t * t * (u * u + lift)
 
     hi = dist + 2.0 * b
     disc = 9.0 * sin_a * sin_a - 8.0
@@ -269,12 +279,15 @@ def radial_offset_root_reference(b, dist, sin_a):
         if g(t_peak) >= target:
             hi = t_peak
     lo = 0.0
-    for _ in range(200):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
+        settled = mid in (lo, hi)
         if g(mid) < target:
             lo = mid
         else:
             hi = mid
+        if settled:
+            break
     return 0.5 * (lo + hi)
 
 
@@ -312,6 +325,31 @@ def test_radial_offset_roots_match_scalar_bisection_bit_for_bit():
     for i in range(0, k, 97):
         assert radial_offset_roots(b[i], dist[i], sin_a[i]).tolist() \
             == [want[i]]
+
+
+@pytest.mark.parametrize("dist", [1e-100, 1e-30, 1.0, 1e30])
+def test_radial_offset_roots_solve_the_quartic_for_b_far_above_dist(dist):
+    # b/dist from 1 to 1e200: the root's quartic equals dist**4, compared
+    # as the square root t * |(t + 2b*sin_a, 2b*cos_a)| against dist**2,
+    # which neither overflows nor underflows here
+    rng = np.random.default_rng(26)
+    ratio = 10.0 ** np.concatenate([np.arange(0, 201, 5.0),
+                                    rng.uniform(0, 200, 200)])
+    b = dist * ratio
+    sin_a = np.array([math.sin(a) for a in rng.uniform(0, 2 * math.pi,
+                                                       len(b))])
+    sin_a[::4] = -rng.uniform(math.sqrt(8.0) / 3.0, 1.0, len(sin_a[::4]))
+    sin_a[1::9] = -1.0
+    t = radial_offset_roots(b, dist, sin_a)
+    assert (t > 0.0).all()
+    for ti, bi, si in zip(t.tolist(), b.tolist(), sin_a.tolist()):
+        ci = math.sqrt(max(0.0, 1.0 - si * si))
+        root = ti * math.hypot(ti + 2.0 * bi * si, 2.0 * bi * ci)
+        assert abs(root / dist - dist) <= 1e-14 * dist
+    # the root of the example once cut short after 200 bisection steps
+    got = radial_offset_roots(1.0, 1e-80, 0.3)[0]
+    assert abs(got * math.hypot(got + 0.6, 2.0 * math.sqrt(0.91))
+               - 1e-160) <= 1e-174
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-90, 1.0, 1e90, 1e150])
