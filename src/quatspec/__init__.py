@@ -10,9 +10,9 @@ expansions with certified tails (series), slice/stem function tools
 
 from .errors import (DegenerateConfiguration, InputError, NotInResolventSet,
                      OutsideConvergenceDomain, QuatspecError, SingularOperator)
-from .hmat import (HVector, QMatrix, chi, from_chi, matvec, op_norm,
-                   op_norms, qmat_inverse, qmatrix_from_json_dict,
-                   qmatrix_to_json_dict, random_qmatrix, smallest_singular)
+from .hmat import (QMatrix, chi, from_chi, op_norm, op_norms, qmat_inverse,
+                   qmatrix_from_json_dict, qmatrix_to_json_dict,
+                   random_qmatrix, smallest_singular)
 from .quatcore import (QI, QJ, QK, CassiniBall, Quaternion, SpherePoint,
                        cassini_u, point_at_cassini_distance, qinv, qmul, qpow,
                        same_sphere, sphere_of, spherical_power,
@@ -34,7 +34,7 @@ from .verify import SuiteRow, run_identity_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "CassiniBall", "DegenerateConfiguration", "HVector", "InputError",
+    "CassiniBall", "DegenerateConfiguration", "InputError",
     "NotInResolventSet", "OutsideConvergenceDomain", "QI", "QJ", "QK",
     "QMatrix", "Quaternion", "QuatspecError", "ResolventBundle",
     "SeriesState", "SingularOperator", "SpectrumResult",
@@ -42,7 +42,7 @@ __all__ = [
     "boundary_polyline", "cassini_dist", "cassini_u", "cauchy_coeffs",
     "certified_real_point", "chi", "converge_series_Q", "converge_series_S",
     "cor1_check", "cr_residual", "delta_op", "eval_series_Q",
-    "eval_series_S", "from_chi", "in_resolvent", "matvec", "op_norm",
+    "eval_series_S", "from_chi", "in_resolvent", "op_norm",
     "op_norms", "point_at_cassini_distance", "qinv", "qmat_inverse",
     "qmatrix_from_json_dict", "qmatrix_to_json_dict", "qmul", "qpow",
     "random_qmatrix", "remainder_exact", "resolvent_bundle",

@@ -161,51 +161,6 @@ class QMatrix:
         return QMatrix(np.conj(self.a1).T, -self.a2.T)
 
 
-class HVector:
-    """Column vector in H^n as the complex pair x1 + x2*j."""
-
-    __slots__ = ("x1", "x2")
-
-    def __init__(self, x1, x2):
-        x1 = np.asarray(x1, dtype=complex)
-        x2 = np.asarray(x2, dtype=complex)
-        if x1.ndim != 1 or x1.shape != x2.shape:
-            raise InputError("HVector components must be congruent 1-d arrays")
-        self.x1 = x1
-        self.x2 = x2
-
-    @property
-    def n(self) -> int:
-        return self.x1.shape[0]
-
-    def __add__(self, other):
-        return HVector(self.x1 + other.x1, self.x2 + other.x2)
-
-    def __sub__(self, other):
-        return HVector(self.x1 - other.x1, self.x2 - other.x2)
-
-    def scale_right(self, q: Quaternion) -> "HVector":
-        return HVector(*pair_scale_right(self.x1, self.x2, *_scalar_pair(q)))
-
-    def scale_left(self, q: Quaternion) -> "HVector":
-        return HVector(*pair_scale_left(*_scalar_pair(q), self.x1, self.x2))
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.x1) ** 2 + np.abs(self.x2) ** 2)))
-
-
-def matvec(A: QMatrix, x: HVector) -> HVector:
-    """Left action (A x)_i = sum_k A_ik x_k; right-linear by construction."""
-    if A.n != x.n:
-        raise InputError("matrix and vector dimensions do not match")
-    return HVector(*pair_matmul(A.a1, A.a2, x.x1, x.x2))
-
-
-def vec(x: HVector) -> np.ndarray:
-    """Isometric vectorization of H^n into C^(2n): (x1, conj(x2))."""
-    return np.concatenate([x.x1, np.conj(x.x2)])
-
-
 def chi(A: QMatrix) -> np.ndarray:
     """The complex adjoint representation of A as a 2n x 2n complex matrix."""
     return pair_chi(A.a1, A.a2)
@@ -241,10 +196,16 @@ def op_norm(A: QMatrix) -> float:
     """Operator norm sup{||A x|| : ||x|| <= 1} = largest singular value of chi(A).
 
     The first call takes one SVD and stores the value on A; later calls
-    return that float.
+    return that float.  A matrix that is not finite raises LinAlgError
+    before LAPACK sees it: on an inf, LAPACK would print to file
+    descriptor 1, past sys.stdout, and return nan.
     """
     if A._norm is None:
-        A._norm = float(np.linalg.svd(chi(A), compute_uv=False)[0])
+        M = chi(A)
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError(
+                "a matrix that is not finite has no operator norm")
+        A._norm = float(np.linalg.svd(M, compute_uv=False)[0])
     return A._norm
 
 
@@ -273,14 +234,15 @@ def pair_op_norms(a1, a2):
     """op_norm of each matrix of a (k, n, n) stacked pair, in order.
 
     An iterator of floats.  The matrices before the first non-finite one
-    take one stacked SVD; each later one takes its own SVD when it is
-    reached, so one that fails the SVD raises only then.
+    take one stacked SVD; that one raises LinAlgError, as in op_norm, when
+    it is reached.
     """
     f = finite_rows(a1, a2)
     yield from np.linalg.svd(pair_chi(a1[:f], a2[:f]),
                              compute_uv=False)[:, 0].tolist()
-    for i in range(f, len(a1)):
-        yield float(np.linalg.svd(pair_chi(a1[i], a2[i]), compute_uv=False)[0])
+    if f < len(a1):
+        raise np.linalg.LinAlgError(
+            "a matrix that is not finite has no operator norm")
 
 
 def smallest_singular(A: QMatrix) -> float:
@@ -312,11 +274,6 @@ def qmat_inverse(A: QMatrix) -> QMatrix:
 def random_qmatrix(n: int, rng) -> QMatrix:
     """Random matrix with all entry components uniform on [-1, 1]."""
     return QMatrix.from_entries(rng.uniform(-1.0, 1.0, size=(n, n, 4)))
-
-
-def random_hvector(n: int, rng) -> HVector:
-    comps = rng.uniform(-1.0, 1.0, size=(n, 4))
-    return HVector(comps[:, 0] + 1j * comps[:, 1], comps[:, 2] + 1j * comps[:, 3])
 
 
 def qmatrix_to_json_dict(A: QMatrix) -> dict:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -31,16 +30,9 @@ SAME_SPHERE_TOL = 1e-12
 # derivative: the quotient loses all significant digits as Im(q) -> 0.
 REAL_AXIS_CUTOFF = 1e-7
 
-# The smallest normal double.  A quartic of the Cassini geometry below it
-# has lost digits to underflow, as one above the largest has overflowed;
-# either way the geometry takes square roots before multiplying.
-QUARTIC_MIN = sys.float_info.min
-
 # radial_offset_roots bisects until its brackets settle, which takes fewer
-# than BISECTION_STEPS steps from any bracket of doubles, and scales its
-# quartic where b exceeds dist by more than 2**WIDE_EXP.
+# than BISECTION_STEPS steps from any bracket of doubles.
 BISECTION_STEPS = 2200
-WIDE_EXP = 64
 
 
 class Quaternion(NamedTuple):
@@ -174,10 +166,11 @@ def cassini_factors(pr, ps, qr, qs):
     The planar factorization |triangle|**2 = m1*m2 with
     m1 = (pr-qr)**2 + (ps-qs)**2 and m2 = (pr-qr)**2 + (ps+qs)**2 is
     symmetric bit-for-bit and exactly zero iff the axial pairs coincide
-    exactly.  Works elementwise on floats and numpy arrays alike.  Past
-    coordinates of about 1e77 the product m1*m2 overflows, and below about
-    1e-77 it underflows; there its readers fall back to
-    sqrt(m1)*sqrt(m2) = u**2, which stays in range.
+    exactly.  Works elementwise on floats and numpy arrays alike.  Its
+    readers never form m1*m2; they take u**2 = sqrt(m1)*sqrt(m2).  That
+    holds for coordinates whose squares are normal doubles, about 1e-154
+    to 1e154 in modulus, and there scaling every coordinate by 2**k scales
+    u**2 by exactly 4**k.
     """
     dr = pr - qr
     return dr * dr + (ps - qs) * (ps - qs), dr * dr + (ps + qs) * (ps + qs)
@@ -186,9 +179,6 @@ def cassini_factors(pr, ps, qr, qs):
 def cassini_u_axial(p: SpherePoint, q: SpherePoint) -> float:
     """Cassini pseudo-metric between two spheres given in axial coordinates."""
     m1, m2 = cassini_factors(p.r, p.s, q.r, q.s)
-    quartic = m1 * m2
-    if QUARTIC_MIN <= quartic < math.inf:
-        return quartic ** 0.25
     return math.sqrt(math.sqrt(m1) * math.sqrt(m2))
 
 
@@ -214,20 +204,13 @@ class CassiniBall(NamedTuple):
     def contains_axial(self, r, s):
         """contains() for points with axial coordinates (r, s).
 
-        u < radius iff u**4 < radius**4; comparing the quartics avoids the
-        fractional powers.  Where a quartic or radius**4 overflows or falls
-        below QUARTIC_MIN, u**2 < radius**2 is compared instead.  Floats
-        give a 0-d boolean array, arrays a boolean mask.
+        u < radius iff u**2 = sqrt(m1)*sqrt(m2) < radius**2, with (m1, m2)
+        the cassini_factors.  Floats give a numpy bool, arrays a boolean
+        mask.
         """
         cs = sphere_of(self.center)
-        r2 = self.radius * self.radius
         m1, m2 = cassini_factors(r, s, cs.r, cs.s)
-        with np.errstate(over="ignore"):
-            quartic, target = np.multiply(m1, m2), np.multiply(r2, r2)
-        in_range = ((quartic >= QUARTIC_MIN) & (quartic < math.inf)
-                    & (target >= QUARTIC_MIN) & (target < math.inf))
-        return np.where(in_range, quartic < target,
-                        np.sqrt(m1) * np.sqrt(m2) < r2)
+        return np.sqrt(m1) * np.sqrt(m2) < self.radius * self.radius
 
 
 def spherical_power(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
@@ -320,47 +303,37 @@ def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
 
 
 def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
-    """Smallest t >= 0 with t**2*((t + 2b*sin_a)**2 + (2b*cos_a)**2) = dist**4.
+    """Smallest t >= 0 with t * |(t + 2b*sin_a, 2b*cos_a)| = dist**2.
 
     This is the radial offset, within a slice half-plane, from the axial
     representative (a, b) of a center to a point at Cassini distance `dist`
-    along the planar direction with sine `sin_a`.  A root always exists in
-    [0, dist + 2b]; for b = 0 it is exactly t = dist.
+    along the planar direction with sine `sin_a`: the square root of the
+    quartic t**2*((t + 2b*sin_a)**2 + (2b*cos_a)**2) = dist**4, with the
+    modulus taken by hypot.  A root always exists in [0, dist + 2b]; for
+    b = 0 it is exactly t = dist.
 
     The arguments broadcast against each other into arrays of at least one
     dimension, and every element is bisected at once with the float
     operations of a scalar bisection, which runs until no bracket (lo, hi)
     can change any more.  The root is homogeneous of degree one in (b,
-    dist), so where dist**4 overflows or falls below QUARTIC_MIN, b and
-    dist are divided by 2**e, with e the binary exponent of dist, and the
-    root multiplied back by 2**e, both exactly; elsewhere e = 0.  Where
-    b/dist exceeds 2**WIDE_EXP, t*t would underflow at the root and
-    (t + 2b*sin_a)**2 may overflow, so the quartic takes t*2**k and
-    (t + 2b*sin_a)*2**-k, k the binary exponent of b/dist less WIDE_EXP;
-    elsewhere k = 0.  As with Python floats, other overflow to inf passes
-    silently.
+    dist), so b and dist are always divided by 2**e, with e the binary
+    exponent of dist, and the root multiplied back by 2**e, both exactly.
+    Scaling (b, dist) by 2**k therefore scales the root by exactly 2**k
+    wherever the arguments and both roots are normal doubles.  As with
+    Python floats, overflow to inf passes silently.
     """
     b, dist, sin_a = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (b, dist, sin_a)))
     with np.errstate(over="ignore", invalid="ignore"):
-        target = (dist * dist) * (dist * dist)
-        e = np.where((target >= QUARTIC_MIN) & (target < math.inf), 0,
-                     np.frexp(dist)[1])
+        e = np.frexp(dist)[1]
         b, dist = np.ldexp(b, -e), np.ldexp(dist, -e)
-        target = (dist * dist) * (dist * dist)
+        target = dist * dist
         one_minus = 1.0 - sin_a * sin_a
-        cos2 = np.where(one_minus > 0.0, one_minus, 0.0)
-        shift = 2.0 * b * sin_a
-        k = np.maximum(0, np.frexp(b)[1] - np.frexp(dist)[1] - WIDE_EXP)
-        wide = k.any()
-        bk = np.ldexp(b, -k)
-        lift = 4.0 * bk * bk * cos2
+        cos_a = np.sqrt(np.where(one_minus > 0.0, one_minus, 0.0))
+        shift, lift = 2.0 * b * sin_a, 2.0 * b * cos_a
 
         def g(t):
-            u = t + shift
-            if wide:
-                t, u = np.ldexp(t, k), np.ldexp(u, -k)
-            return t * t * (u * u + lift)
+            return t * np.hypot(t + shift, lift)
 
         hi = dist + 2.0 * b
         # For steep downward directions g is not monotone; bracket the
@@ -393,8 +366,8 @@ def point_at_cassini_distance(q0: Quaternion, dist: float,
 
     The point lies in the half-plane spanned by the real axis and the unit
     imaginary quaternion `direction`: with (a, b) the axial coordinates of
-    q0 and t >= 0 the solution of t**2*(t**2 + 4*b*t*sin(angle) + 4*b**2)
-    = dist**4,
+    q0 and t >= 0 the solution of t*sqrt(t**2 + 4*b*t*sin(angle) + 4*b**2)
+    = dist**2 (radial_offset_roots),
 
         q = (a + t*cos(angle)) + (b + t*sin(angle)) * direction.
 

@@ -42,11 +42,6 @@ class SpectrumResult:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.spheres)
 
-    def contains(self, q: Quaternion, tol: float = 1e-8) -> bool:
-        sq = sphere_of(q)
-        return any(abs(sp.r - sq.r) <= tol and abs(sp.s - sq.s) <= tol
-                   for sp, _ in self.spheres)
-
     def to_json_dict(self) -> dict:
         return {"spheres": [{"r": sp.r, "s": sp.s, "mult": m}
                             for sp, m in self.spheres]}
@@ -175,7 +170,7 @@ def sample_cassini_ball(q0: Quaternion, radius: float, count: int, rng):
         v = rng.normal(size=(block, 3))
         vn = np.sqrt(np.sum(v * v, axis=1))
         x, y, z = (s[:, None] * (v / vn[:, None])).T
-        # As with Python floats, a quartic that overflows rejects silently.
+        # As with Python floats, a factor that overflows rejects silently.
         with np.errstate(over="ignore", invalid="ignore"):
             ok = (vn > 1e-6) & ball.contains_axial(
                 r, np.sqrt(x * x + y * y + z * z))
@@ -189,8 +184,8 @@ def boundary_polyline(q0: Quaternion, radius: float, count: int = 181):
     """Planar polyline (r, s) tracing {u(., q0) = radius} for plotting.
 
     Points are taken along rays from the axial representative (a, b) of
-    q0; each is at radial offset solving the exact quartic level-set
-    equation, so every emitted point lies on the Cassini boundary.  For a
+    q0; each is at the radial offset radial_offset_roots solves for the
+    level set, so every emitted point lies on the Cassini boundary.  For a
     real center the curve is the circle of radius `radius`.
     """
     if count < 2:

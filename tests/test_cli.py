@@ -152,7 +152,7 @@ def test_cassini_tight_case(tmp_path, capsys):
     (1.0, ["--q0", "1e78,1e78,0,0"]),
     (1e100, [])])
 def test_cassini_beyond_quartic_overflow(tmp_path, capsys, entry, args):
-    # u**4 and radius**4 overflow here; the geometry compares u**2 instead
+    # u**4 and radius**4 would overflow here; the geometry never forms them
     check_cassini_one_by_one(tmp_path, capsys, entry, args)
 
 
@@ -162,8 +162,8 @@ def test_cassini_beyond_quartic_overflow(tmp_path, capsys, entry, args):
     (1e-120, ["--q0", "3e-120"]),
     (1e-150, ["--q0", "3e-150"])])
 def test_cassini_below_quartic_underflow(tmp_path, capsys, entry, args):
-    # u**4 and radius**4 fall below the smallest normal double here; the
-    # geometry compares u**2, or solves on coordinates scaled up by 2**-e
+    # u**4 and radius**4 would fall below the smallest normal double here;
+    # the geometry never forms them
     check_cassini_one_by_one(tmp_path, capsys, entry, args)
 
 

@@ -4,13 +4,49 @@ import numpy as np
 import pytest
 
 from quatspec.errors import InputError, SingularOperator
-from quatspec.hmat import (HVector, QMatrix, chi, from_chi, matvec, op_norm,
-                           op_norms, qmat_inverse, qmatrix_from_json_dict,
-                           qmatrix_to_json_dict, random_hvector,
-                           random_qmatrix, smallest_singular, vec)
+from quatspec.hmat import (QMatrix, chi, from_chi, op_norm, op_norms,
+                           pair_matmul, pair_op_norms, pair_scale_right,
+                           qmat_inverse, qmatrix_from_json_dict,
+                           qmatrix_to_json_dict, random_qmatrix,
+                           smallest_singular)
 from quatspec.quatcore import Quaternion, qmul
 
 TOL = 1e-12
+
+
+# ### Column vectors of H^n as complex pairs x1 + x2*j, for checking chi
+# against the action of a QMatrix on vectors.
+
+class HVector:
+    """Column vector in H^n as the complex pair x1 + x2*j."""
+
+    def __init__(self, x1, x2):
+        self.x1 = np.asarray(x1, dtype=complex)
+        self.x2 = np.asarray(x2, dtype=complex)
+
+    def scale_right(self, q: Quaternion) -> "HVector":
+        return HVector(*pair_scale_right(self.x1, self.x2,
+                                         complex(q.w, q.x), complex(q.y, q.z)))
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(np.abs(self.x1) ** 2 + np.abs(self.x2) ** 2)))
+
+
+def matvec(A: QMatrix, x: HVector) -> HVector:
+    """Left action (A x)_i = sum_k A_ik x_k; right-linear by construction."""
+    if A.n != len(x.x1):
+        raise InputError("matrix and vector dimensions do not match")
+    return HVector(*pair_matmul(A.a1, A.a2, x.x1, x.x2))
+
+
+def vec(x: HVector) -> np.ndarray:
+    """Isometric vectorization of H^n into C^(2n): (x1, conj(x2))."""
+    return np.concatenate([x.x1, np.conj(x.x2)])
+
+
+def random_hvector(n: int, rng) -> HVector:
+    comps = rng.uniform(-1.0, 1.0, size=(n, 4))
+    return HVector(comps[:, 0] + 1j * comps[:, 1], comps[:, 2] + 1j * comps[:, 3])
 
 
 # ### A from-scratch operator-norm oracle in plain quaternion arithmetic.
@@ -201,6 +237,22 @@ def test_op_norms_raise_where_op_norm_raises(monkeypatch):
     want = op_norm(QMatrix(A.a1, A.a2))
     shapes = count_svds(monkeypatch)
     assert op_norm(A) == want and not shapes
+
+
+def test_an_infinite_matrix_raises_before_lapack_prints(capfd):
+    # LAPACK's DLASCL would print its complaint about an inf on fd 1, past
+    # sys.stdout, and return nan
+    rng = np.random.default_rng(41)
+    A = random_qmatrix(3, rng)
+    a2 = np.array(A.a2)
+    a2[0, 1] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(QMatrix(A.a1, a2))
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norms([A, QMatrix(A.a1, a2)])
+    with pytest.raises(np.linalg.LinAlgError):
+        list(pair_op_norms(np.stack([A.a1, A.a1]), np.stack([A.a2, a2])))
+    assert capfd.readouterr().out == ""
 
 
 def test_smallest_singular_pinned():

@@ -5,9 +5,11 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatspec.errors import QuatspecError
-from quatspec.quatcore import (BISECTION_STEPS, ONE, QI, QJ, QK, WIDE_EXP,
+from quatspec.quatcore import (BISECTION_STEPS, ONE, QI, QJ, QK,
                                CassiniBall, Quaternion, SpherePoint,
                                cassini_u, cassini_u_axial,
                                point_at_cassini_distance, qinv, qmul, qpow,
@@ -244,33 +246,26 @@ def test_point_at_cassini_distance_lands_on_level_set():
 def radial_offset_root_reference(b, dist, sin_a):
     """The scalar bisection radial_offset_roots must reproduce.
 
-    It bisects until the bracket settles (a midpoint equal to one of its
-    ends), at most BISECTION_STEPS times.  Where dist**4 overflows or falls
-    below the smallest normal double, the bisection runs on (b, dist) /
-    2**e, e the binary exponent of dist, and its root is scaled back by
-    2**e.  The quartic takes t times 2**k and t + 2b*sin_a times 2**-k,
-    where k is the binary exponent of b/dist less WIDE_EXP, if positive.
+    It bisects on t * hypot(t + 2b*sin_a, 2b*cos_a) < dist**2 until the
+    bracket settles (a midpoint equal to one of its ends), at most
+    BISECTION_STEPS times, with (b, dist) divided by 2**e, e the binary
+    exponent of dist, and its root multiplied back by 2**e.  np.hypot, not
+    math.hypot: the two differ in the last bit now and then.
     """
     if dist == 0.0:
         return 0.0
+    e = math.frexp(dist)[1]
+    # np.ldexp, unlike math.ldexp, overflows to inf as a product does
+    with np.errstate(over="ignore"):
+        b, dist = float(np.ldexp(b, -e)), float(np.ldexp(dist, -e))
     if b == 0.0:
-        return dist
-    target = (dist * dist) * (dist * dist)
-    if not sys.float_info.min <= target < math.inf:
-        e = math.frexp(dist)[1]
-        return math.ldexp(radial_offset_root_reference(
-            math.ldexp(b, -e), math.ldexp(dist, -e), sin_a), e)
-    cos2 = max(0.0, 1.0 - sin_a * sin_a)
-    k = max(0, math.frexp(b)[1] - math.frexp(dist)[1] - WIDE_EXP)
-    bk = math.ldexp(b, -k)
-    lift = 4.0 * bk * bk * cos2
+        return math.ldexp(dist, e)
+    target = dist * dist
+    shift = 2.0 * b * sin_a
+    lift = 2.0 * b * math.sqrt(max(0.0, 1.0 - sin_a * sin_a))
 
     def g(t):
-        # np.ldexp, unlike math.ldexp, overflows to inf as a product does
-        with np.errstate(over="ignore"):
-            u = float(np.ldexp(t + 2.0 * b * sin_a, -k))
-            t = float(np.ldexp(t, k))
-        return t * t * (u * u + lift)
+        return t * float(np.hypot(t + shift, lift))
 
     hi = dist + 2.0 * b
     disc = 9.0 * sin_a * sin_a - 8.0
@@ -288,7 +283,7 @@ def radial_offset_root_reference(b, dist, sin_a):
             hi = mid
         if settled:
             break
-    return 0.5 * (lo + hi)
+    return math.ldexp(0.5 * (lo + hi), e)
 
 
 def test_radial_offset_roots_match_scalar_bisection_bit_for_bit():
@@ -313,14 +308,16 @@ def test_radial_offset_roots_match_scalar_bisection_bit_for_bit():
     got = radial_offset_roots(b, dist, sin_a)
     assert got.tolist() == want
     assert np.signbit(got).tolist() == [math.copysign(1, w) < 0 for w in want]
-    # the root is homogeneous of degree one in (b, dist): moved past either
-    # end of the quartic's range, the rows of moderate size keep theirs
-    plain = np.ones(k, dtype=bool)
-    plain[::13] = plain[::17] = plain[::19] = False
-    for scale in (2.0 ** -300, 2.0 ** 300):
-        scaled = radial_offset_roots(b[plain] * scale, dist[plain] * scale,
-                                     sin_a[plain])
-        assert np.allclose(scaled / scale, got[plain], rtol=1e-12, atol=0.0)
+    # the root is homogeneous of degree one in (b, dist): scaled by 2**k,
+    # every row whose root is a normal double before and after keeps it
+    # times 2**k exactly
+    for k in (-300, 300):
+        scaled = radial_offset_roots(np.ldexp(b, k), np.ldexp(dist, k), sin_a)
+        want_scaled = np.ldexp(got, k)
+        normal = ((np.abs(got) >= sys.float_info.min)
+                  & (np.abs(want_scaled) >= sys.float_info.min))
+        assert normal.sum() > 2500
+        assert scaled[normal].tolist() == want_scaled[normal].tolist()
     # scalars broadcast to a batch of one
     for i in range(0, k, 97):
         assert radial_offset_roots(b[i], dist[i], sin_a[i]).tolist() \
@@ -354,8 +351,8 @@ def test_radial_offset_roots_solve_the_quartic_for_b_far_above_dist(dist):
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-90, 1.0, 1e90, 1e150])
 def test_cassini_geometry_scales_past_the_quartic_range(scale):
-    # where u**4 underflows or overflows, u and ball membership still scale
-    # with the coordinates
+    # u and ball membership scale with the coordinates, also where u**4
+    # would underflow or overflow
     want = cassini_u_axial(SpherePoint(3.0, 0.5), SpherePoint(0.25, 1.0))
     p = SpherePoint(3.0 * scale, 0.5 * scale)
     u = cassini_u_axial(p, SpherePoint(0.25 * scale, 1.0 * scale))
@@ -365,6 +362,29 @@ def test_cassini_geometry_scales_past_the_quartic_range(scale):
         ball = CassiniBall(center, want * scale * factor)
         assert bool(ball.contains_axial(p.r, p.s)) is inside
         assert ball.contains(Quaternion(p.r, 0.0, 0.0, p.s)) is inside
+
+
+# Multiples of 2**-30 up to 2**10 in modulus: every square and sum of
+# squares the geometry forms stays a normal double under any 2**k scaling
+# with |k| <= 450.
+grid = st.integers(-2 ** 40, 2 ** 40).map(lambda m: math.ldexp(m, -30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pr=grid, ps=grid.map(abs), qr=grid, qs=grid.map(abs),
+       radius=grid.map(abs).filter(bool), k=st.integers(-450, 450))
+def test_cassini_geometry_is_exactly_homogeneous(pr, ps, qr, qs, radius, k):
+    # scaling every coordinate by 2**k scales u by exactly 2**k and keeps
+    # every ball membership
+    p, q = SpherePoint(pr, ps), SpherePoint(qr, qs)
+    p_k, q_k = (SpherePoint(math.ldexp(v.r, k), math.ldexp(v.s, k))
+                for v in (p, q))
+    assert cassini_u_axial(p_k, q_k) == math.ldexp(cassini_u_axial(p, q), k)
+    ball = CassiniBall(Quaternion(qr, 0.0, qs, 0.0), radius)
+    ball_k = CassiniBall(Quaternion(q_k.r, 0.0, q_k.s, 0.0),
+                         math.ldexp(radius, k))
+    assert bool(ball_k.contains_axial(p_k.r, p_k.s)) \
+        is bool(ball.contains_axial(pr, ps))
 
 
 def test_axial_metric_zero_iff_same_axial_pair():

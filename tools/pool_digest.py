@@ -11,7 +11,8 @@ perfbench workload at seeds 3, 11, 19 and 29 with ``perfbench.gen``, and
 adds a fixed list of extra commands: ``verify`` at n = 1, 2, 3, 4 and 8
 in both formats, failing checks, ``--output`` files, an unwritable
 ``--output`` path, ``series`` and ``cassini`` on 1x1 inputs scaled far
-below 1, an abbreviated flag and a 10000-sample ``cassini``.  Each
+below 1, ``cassini`` at centers far above 1, an abbreviated flag and a
+10000-sample ``cassini``.  Each
 command runs in-process through ``quatspec.cli.main``; OUT receives one
 JSON record per command with its argv, exit code, stderr, and the sha256
 of stdout and of the ``--output`` file (null when none was written).  An
@@ -103,9 +104,15 @@ def extra_commands() -> list:
         # the series overflows after N = 31, short of the absolute --tol
         ["series", "--input", "mat_i_1e-10.json", "--q0", "3e-10",
          "--q", "3.1e-10"],
-        # u**4 and the radius**4 fall below the smallest normal double
+        # u**4 and the radius**4 would fall below the smallest normal double
         ["cassini", "--input", "mat_i_1e-90.json", "--q0", "3e-90"],
         ["cassini", "--input", "mat_i_1e-90.json", "--q0=3e-90,1e-90,0,0"],
+        # u**4 and the radius**4 would overflow; at 1e154 the squared
+        # modulus of the samples does, and the command exits 1
+        ["cassini", "--input", "mat_i.json", "--q0", "1e78"],
+        ["cassini", "--input", "mat_i.json", "--q0", "1e150"],
+        ["cassini", "--input", "mat_i.json", "--q0=1e78,1e78,0,0"],
+        ["cassini", "--input", "mat_i.json", "--q0", "1e154"],
         # an abbreviated flag is a usage error
         ["verify", "--trial", "3"],
         # a non-real center whose samples take several blocks
