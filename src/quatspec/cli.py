@@ -246,8 +246,6 @@ def cmd_cassini(cfg: argparse.Namespace) -> Report:
     q0 = cfg.q0 if cfg.q0 is not None else series.certified_real_point(A)
     u_dist, bound = cor1_check(A, resolvent_bundle(A, q0))
     trials = cfg.trials if cfg.trials is not None else 100
-    if trials < 0:
-        raise InputError("--trials must be >= 0")
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, STREAM_CASSINI]))
     samples = sample_cassini_ball(q0, BALL_FRACTION * bound, trials, rng)
@@ -360,6 +358,8 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise InputError("--nmax must be >= 0")
     if cfg.n is not None and cfg.n < 1:
         raise InputError("--n must be >= 1")
+    if cfg.trials is not None and cfg.trials < 0:
+        raise InputError("--trials must be >= 0")
     if not 0 <= cfg.seed < 2 ** 64:
         raise InputError("--seed must be a non-negative 64-bit integer")
 

@@ -30,10 +30,6 @@ SAME_SPHERE_TOL = 1e-12
 # derivative: the quotient loses all significant digits as Im(q) -> 0.
 REAL_AXIS_CUTOFF = 1e-7
 
-# radial_offset_roots bisects until its brackets settle, which takes fewer
-# than BISECTION_STEPS steps from any bracket of doubles.
-BISECTION_STEPS = 2200
-
 
 class Quaternion(NamedTuple):
     """A quaternion w + x*i + y*j + z*k of four doubles.
@@ -302,62 +298,34 @@ def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
     return Quaternion(t ** k) + (Quaternion(r) - q0) * (k * t ** (k - 1) * dt)
 
 
-def radial_offset_roots(b, dist, sin_a) -> np.ndarray:
-    """Smallest t >= 0 with t * |(t + 2b*sin_a, 2b*cos_a)| = dist**2.
+def cassini_points(b: float, radius: float, angle):
+    """Points (x, s) of the planar Cassini oval |w**2 + b**2| = radius**2.
 
-    This is the radial offset, within a slice half-plane, from the axial
-    representative (a, b) of a center to a point at Cassini distance `dist`
-    along the planar direction with sine `sin_a`: the square root of the
-    quartic t**2*((t + 2b*sin_a)**2 + (2b*cos_a)**2) = dist**4, with the
-    modulus taken by hypot.  A root always exists in [0, dist + 2b]; for
-    b = 0 it is exactly t = dist.
-
-    The arguments broadcast against each other into arrays of at least one
-    dimension, and every element is bisected at once with the float
-    operations of a scalar bisection, which runs until no bracket (lo, hi)
-    can change any more.  The root is homogeneous of degree one in (b,
-    dist), so b and dist are always divided by 2**e, with e the binary
-    exponent of dist, and the root multiplied back by 2**e, both exactly.
-    Scaling (b, dist) by 2**k therefore scales the root by exactly 2**k
-    wherever the arguments and both roots are normal doubles.  As with
-    Python floats, overflow to inf passes silently.
+    In a slice plane, with z0 = a + b*i the axial point of a center and
+    z = a + w, w = x + s*i, triangle(z0, z) = w**2 + b**2: this oval is
+    the level set u = radius.  With rot = exp(i*angle), each angle gives
+    w = rot*sqrt(radius**2 - b**2*conj(rot)**2), where triangle =
+    radius**2*rot**2, for radius >= b (exactly radius*rot at b = 0), and
+    otherwise w = i*sqrt(b**2 - radius**2*rot), where triangle =
+    radius**2*rot, on the oval about z0 (s > 0).  Angles over [0, 2*pi)
+    trace the oval once.  (b, radius) are divided by 2**e, e the binary
+    exponent of max(b, radius), and the points multiplied back, exactly:
+    scaling (b, radius) by 2**k scales every normal point by 2**k, and a
+    point that overflows is inf, silently.  Each point is within a few
+    units of eps*max(b, radius)**2/radius, the doubles' spacing there, of
+    the level set.
     """
-    b, dist, sin_a = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (b, dist, sin_a)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.frexp(dist)[1]
-        b, dist = np.ldexp(b, -e), np.ldexp(dist, -e)
-        target = dist * dist
-        one_minus = 1.0 - sin_a * sin_a
-        cos_a = np.sqrt(np.where(one_minus > 0.0, one_minus, 0.0))
-        shift, lift = 2.0 * b * sin_a, 2.0 * b * cos_a
-
-        def g(t):
-            return t * np.hypot(t + shift, lift)
-
-        hi = dist + 2.0 * b
-        # For steep downward directions g is not monotone; bracket the
-        # smallest root by the local maximum when the dip would otherwise
-        # be skipped.
-        disc = 9.0 * sin_a * sin_a - 8.0
-        steep = (sin_a < 0.0) & (disc >= 0.0)
-        t_peak = 0.5 * b * (-3.0 * sin_a - np.sqrt(np.where(steep, disc, 0.0)))
-        hi = np.where(steep & (g(t_peak) >= target), t_peak, hi)
-        closed_form = (dist == 0.0) | (b == 0.0)
-        lo = np.zeros_like(hi)
-        hi = np.where(closed_form, 0.0, hi)
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            # Once every mid repeats an end of its bracket, the update
-            # below leaves brackets that no later step changes.
-            settled = ((mid == lo) | (mid == hi)).all()
-            below = g(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if settled:
-                break
-        return np.ldexp(np.where(dist == 0.0, 0.0,
-                                 np.where(b == 0.0, dist, 0.5 * (lo + hi))), e)
+    e = math.frexp(max(b, radius))[1]
+    b, radius = math.ldexp(b, -e), math.ldexp(radius, -e)
+    # math's cos and sin, which the real-center points have always used
+    rot = np.array([complex(math.cos(t), math.sin(t))
+                    for t in np.atleast_1d(angle).tolist()])
+    if radius >= b:
+        w = rot * np.sqrt(radius * radius - b * b * np.conj(rot) ** 2)
+    else:
+        w = 1j * np.sqrt(b * b - radius * radius * rot)
+    with np.errstate(over="ignore"):
+        return np.ldexp(w.real, e), np.ldexp(w.imag, e)
 
 
 def point_at_cassini_distance(q0: Quaternion, dist: float,
@@ -366,20 +334,19 @@ def point_at_cassini_distance(q0: Quaternion, dist: float,
 
     The point lies in the half-plane spanned by the real axis and the unit
     imaginary quaternion `direction`: with (a, b) the axial coordinates of
-    q0 and t >= 0 the solution of t*sqrt(t**2 + 4*b*t*sin(angle) + 4*b**2)
-    = dist**2 (radial_offset_roots),
+    q0 and (x, s) = cassini_points(b, dist, angle),
 
-        q = (a + t*cos(angle)) + (b + t*sin(angle)) * direction.
+        q = (a + x) + s * direction.
 
-    For a real center (b = 0) the offset is t = dist exactly.
+    For dist >= b, `angle` is half the argument of triangle(q0, q), and
+    for a real center (b = 0) the point is a + dist*(cos(angle) +
+    sin(angle)*direction) exactly.  For dist < b, `angle` is the argument
+    of triangle(q0, q) itself, and q lies on the oval about q0 (s > 0).
     """
     if dist < 0.0:
         raise QuatspecError("Cassini distance must be >= 0")
-    a, b = q0.w, q0.im_norm()
-    sin_a, cos_a = math.sin(angle), math.cos(angle)
-    t = float(radial_offset_roots(b, dist, sin_a)[0])
-    s = b + t * sin_a
-    return Quaternion(a + t * cos_a, s * direction.x, s * direction.y,
+    x, s = (float(c[0]) for c in cassini_points(q0.im_norm(), dist, angle))
+    return Quaternion(q0.w + x, s * direction.x, s * direction.y,
                       s * direction.z)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from . import hmat
 from .errors import InputError, QuatspecError
 from .hmat import QMatrix
-from .quatcore import (CassiniBall, Quaternion, SpherePoint, cassini_u_axial,
-                       radial_offset_roots, sphere_of)
+from .quatcore import (CassiniBall, Quaternion, SpherePoint, cassini_points,
+                       cassini_u_axial, sphere_of)
 from .sresolvent import ResolventBundle, pencil_svals
 
 # Two eigenvalue-derived spheres merge when both coordinates agree to this
@@ -183,17 +183,13 @@ def sample_cassini_ball(q0: Quaternion, radius: float, count: int, rng):
 def boundary_polyline(q0: Quaternion, radius: float, count: int = 181):
     """Planar polyline (r, s) tracing {u(., q0) = radius} for plotting.
 
-    Points are taken along rays from the axial representative (a, b) of
-    q0; each is at the radial offset radial_offset_roots solves for the
-    level set, so every emitted point lies on the Cassini boundary.  For a
-    real center the curve is the circle of radius `radius`.
+    The points are cassini_points at count angles evenly spaced over
+    [0, 2*pi], shifted by Re(q0); each lies on the Cassini boundary.  For a
+    real center the curve is the circle of radius `radius`; for a radius
+    below |Im(q0)| it is the oval about q0, with s > 0.
     """
     if count < 2:
         raise InputError("a polyline needs at least two points")
-    a, b = q0.w, q0.im_norm()
     angles = [2.0 * math.pi * m / (count - 1) for m in range(count)]
-    sines = [math.sin(ang) for ang in angles]
-    cosines = [math.cos(ang) for ang in angles]
-    t = radial_offset_roots(b, radius, sines).tolist()
-    return [(a + tm * cm, b + tm * sm)
-            for tm, cm, sm in zip(t, cosines, sines)]
+    x, s = cassini_points(q0.im_norm(), radius, angles)
+    return [(q0.w + xm, sm) for xm, sm in zip(x.tolist(), s.tolist())]

@@ -235,6 +235,15 @@ def test_cassini_spectral_center_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_trials_are_a_usage_error_before_any_work(tmp_path, capsys):
+    # checked with the other flag ranges, ahead of the spectral center
+    # that would make the command exit 1
+    rc = main(["cassini", "--input", mat_i(tmp_path), "--q0", "0,1,0,0",
+               "--trials", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --trials must be >= 0\n"
+
+
 def test_cassini_csv_polyline(tmp_path, capsys):
     rc = main(["cassini", "--input", mat_i(tmp_path), "--q0", "2",
                "--format", "csv", "--trials", "0"])

@@ -1,6 +1,8 @@
 import math
 import struct
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -9,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatspec.errors import QuatspecError
-from quatspec.quatcore import (BISECTION_STEPS, ONE, QI, QJ, QK,
-                               CassiniBall, Quaternion, SpherePoint,
-                               cassini_u, cassini_u_axial,
-                               point_at_cassini_distance, qinv, qmul, qpow,
-                               radial_offset_roots, random_unit_imag,
+from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
+                               SpherePoint, cassini_points, cassini_u,
+                               cassini_u_axial, point_at_cassini_distance,
+                               qinv, qmul, qpow, random_unit_imag,
                                same_sphere, sphere_of,
                                spherical_power, spherical_power_sderiv,
                                spherical_power_sderivs, spherical_powers,
@@ -243,110 +244,59 @@ def test_point_at_cassini_distance_lands_on_level_set():
         assert abs(cassini_u(p, q0) - d) <= 1e-9 * (1.0 + d + abs(q0)) ** 2
 
 
-def radial_offset_root_reference(b, dist, sin_a):
-    """The scalar bisection radial_offset_roots must reproduce.
-
-    It bisects on t * hypot(t + 2b*sin_a, 2b*cos_a) < dist**2 until the
-    bracket settles (a midpoint equal to one of its ends), at most
-    BISECTION_STEPS times, with (b, dist) divided by 2**e, e the binary
-    exponent of dist, and its root multiplied back by 2**e.  np.hypot, not
-    math.hypot: the two differ in the last bit now and then.
-    """
-    if dist == 0.0:
-        return 0.0
-    e = math.frexp(dist)[1]
-    # np.ldexp, unlike math.ldexp, overflows to inf as a product does
-    with np.errstate(over="ignore"):
-        b, dist = float(np.ldexp(b, -e)), float(np.ldexp(dist, -e))
-    if b == 0.0:
-        return math.ldexp(dist, e)
-    target = dist * dist
-    shift = 2.0 * b * sin_a
-    lift = 2.0 * b * math.sqrt(max(0.0, 1.0 - sin_a * sin_a))
-
-    def g(t):
-        return t * float(np.hypot(t + shift, lift))
-
-    hi = dist + 2.0 * b
-    disc = 9.0 * sin_a * sin_a - 8.0
-    if sin_a < 0.0 and disc >= 0.0:
-        t_peak = 0.5 * b * (-3.0 * sin_a - math.sqrt(disc))
-        if g(t_peak) >= target:
-            hi = t_peak
-    lo = 0.0
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        settled = mid in (lo, hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if settled:
-            break
-    return math.ldexp(0.5 * (lo + hi), e)
-
-
-def test_radial_offset_roots_match_scalar_bisection_bit_for_bit():
+def test_cassini_points_at_a_real_center_are_exact():
+    # b = 0: the point is radius*(cos, sin)(angle) bit for bit, the point
+    # every real-center caller (verify's q_in among them) has always used
     rng = np.random.default_rng(25)
-    k = 3000
-    b = rng.uniform(0.0, 3.0, k)
-    dist = rng.uniform(0.0, 3.0, k)
-    sin_a = np.array([math.sin(a) for a in rng.uniform(0, 2 * math.pi, k)])
-    b[::7] = 0.0
-    dist[::11] = 0.0
-    sin_a[::5] = -rng.uniform(math.sqrt(8.0) / 3.0, 1.0, len(sin_a[::5]))
-    dist[::13] = 10.0 ** rng.uniform(-150, 150, len(dist[::13]))
-    b[::17] = 10.0 ** rng.uniform(-150, 150, len(b[::17]))
-    # both coordinates scaled far below the quartic's underflow
-    tiny = 10.0 ** rng.uniform(-150, -80, len(b[::19]))
-    b[::19] *= tiny
-    dist[::19] *= tiny
-    steep = (sin_a < 0) & (9.0 * sin_a * sin_a >= 8.0) & (b > 0) & (dist > 0)
-    assert steep.sum() > 100
-    want = [radial_offset_root_reference(*args)
-            for args in zip(b.tolist(), dist.tolist(), sin_a.tolist())]
-    got = radial_offset_roots(b, dist, sin_a)
-    assert got.tolist() == want
-    assert np.signbit(got).tolist() == [math.copysign(1, w) < 0 for w in want]
-    # the root is homogeneous of degree one in (b, dist): scaled by 2**k,
-    # every row whose root is a normal double before and after keeps it
-    # times 2**k exactly
-    for k in (-300, 300):
-        scaled = radial_offset_roots(np.ldexp(b, k), np.ldexp(dist, k), sin_a)
-        want_scaled = np.ldexp(got, k)
-        normal = ((np.abs(got) >= sys.float_info.min)
-                  & (np.abs(want_scaled) >= sys.float_info.min))
-        assert normal.sum() > 2500
-        assert scaled[normal].tolist() == want_scaled[normal].tolist()
-    # scalars broadcast to a batch of one
-    for i in range(0, k, 97):
-        assert radial_offset_roots(b[i], dist[i], sin_a[i]).tolist() \
-            == [want[i]]
+    angle = rng.uniform(0.0, 2.0 * math.pi, 400).tolist()
+    for radius in (1e-150, 1e-20, 0.37, 1.0, 3.0, 1e40, 1e150):
+        x, s = cassini_points(0.0, radius, angle)
+        assert x.tolist() == [radius * math.cos(a) for a in angle]
+        assert s.tolist() == [radius * math.sin(a) for a in angle]
 
 
-@pytest.mark.parametrize("dist", [1e-100, 1e-30, 1.0, 1e30])
-def test_radial_offset_roots_solve_the_quartic_for_b_far_above_dist(dist):
-    # b/dist from 1 to 1e200: the root's quartic equals dist**4, compared
-    # as the square root t * |(t + 2b*sin_a, 2b*cos_a)| against dist**2,
-    # which neither overflows nor underflows here
+def level_error(b, radius, x, s):
+    """|u - radius| at the point (x, s), in units of eps*max(b, radius)**2/radius.
+
+    u = |w**2 + b**2|**(1/2) with w = x + s*i, taken in exact rational
+    arithmetic and rounded to 60 digits; the unit is the spacing of the
+    doubles near the point, carried over to u.
+    """
+    xf, sf, bf = Fraction(x), Fraction(s), Fraction(b)
+    mod2 = (xf * xf - sf * sf + bf * bf) ** 2 + 4 * xf * xf * sf * sf
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u = (Decimal(mod2.numerator) / Decimal(mod2.denominator)).sqrt().sqrt()
+        unit = Decimal(sys.float_info.epsilon) * Decimal(max(b, radius)) ** 2
+        return float(abs(u - Decimal(radius)) * Decimal(radius) / unit)
+
+
+@pytest.mark.parametrize("b", [1e-100, 1e-30, 1.0, 1e30])
+def test_cassini_points_lie_on_the_level_set(b):
+    # radius/b from 1e-200 to 1e200, both regimes and the lemniscate
+    # radius = b between them, within a few units of the doubles' spacing
     rng = np.random.default_rng(26)
-    ratio = 10.0 ** np.concatenate([np.arange(0, 201, 5.0),
-                                    rng.uniform(0, 200, 200)])
-    b = dist * ratio
-    sin_a = np.array([math.sin(a) for a in rng.uniform(0, 2 * math.pi,
-                                                       len(b))])
-    sin_a[::4] = -rng.uniform(math.sqrt(8.0) / 3.0, 1.0, len(sin_a[::4]))
-    sin_a[1::9] = -1.0
-    t = radial_offset_roots(b, dist, sin_a)
-    assert (t > 0.0).all()
-    for ti, bi, si in zip(t.tolist(), b.tolist(), sin_a.tolist()):
-        ci = math.sqrt(max(0.0, 1.0 - si * si))
-        root = ti * math.hypot(ti + 2.0 * bi * si, 2.0 * bi * ci)
-        assert abs(root / dist - dist) <= 1e-14 * dist
-    # the root of the example once cut short after 200 bisection steps
-    got = radial_offset_roots(1.0, 1e-80, 0.3)[0]
-    assert abs(got * math.hypot(got + 0.6, 2.0 * math.sqrt(0.91))
-               - 1e-160) <= 1e-174
+    ratio = np.concatenate([10.0 ** np.arange(-200, 201, 10.0),
+                            10.0 ** rng.uniform(-3, 3, 20),
+                            1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])])
+    for radius in (b * ratio).tolist():
+        angle = rng.uniform(0.0, 2.0 * math.pi, 24)
+        angle[:4] = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+        x, s = cassini_points(b, radius, angle)
+        if radius < b:
+            assert (s > 0.0).all()
+        assert max(level_error(b, radius, xi, si)
+                   for xi, si in zip(x.tolist(), s.tolist())) <= 4.0
+    # the example a 200-step bisection once cut short
+    x, s = cassini_points(1.0, 1e-80, 0.3)
+    assert level_error(1.0, 1e-80, x[0], s[0]) <= 4.0
+
+
+def test_cassini_points_far_below_the_center_scale_are_finite():
+    # radius/b below the smallest double: the point is the center itself,
+    # where the bisection's bracket overflowed to inf
+    x, s = cassini_points(1e300, 1e-300, [0.0, 0.5, 4.0])
+    assert x.tolist() == [0.0] * 3 and s.tolist() == [1e300] * 3
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-90, 1.0, 1e90, 1e150])
@@ -372,10 +322,12 @@ grid = st.integers(-2 ** 40, 2 ** 40).map(lambda m: math.ldexp(m, -30))
 
 @settings(max_examples=300, deadline=None)
 @given(pr=grid, ps=grid.map(abs), qr=grid, qs=grid.map(abs),
-       radius=grid.map(abs).filter(bool), k=st.integers(-450, 450))
-def test_cassini_geometry_is_exactly_homogeneous(pr, ps, qr, qs, radius, k):
-    # scaling every coordinate by 2**k scales u by exactly 2**k and keeps
-    # every ball membership
+       radius=grid.map(abs).filter(bool), k=st.integers(-450, 450),
+       angle=st.integers(0, 7 * 2 ** 30).map(lambda m: math.ldexp(m, -30)))
+def test_cassini_geometry_is_exactly_homogeneous(pr, ps, qr, qs, radius, k,
+                                                 angle):
+    # scaling every coordinate by 2**k scales u and every level-set point
+    # by exactly 2**k and keeps every ball membership
     p, q = SpherePoint(pr, ps), SpherePoint(qr, qs)
     p_k, q_k = (SpherePoint(math.ldexp(v.r, k), math.ldexp(v.s, k))
                 for v in (p, q))
@@ -385,6 +337,9 @@ def test_cassini_geometry_is_exactly_homogeneous(pr, ps, qr, qs, radius, k):
                          math.ldexp(radius, k))
     assert bool(ball_k.contains_axial(p_k.r, p_k.s)) \
         is bool(ball.contains_axial(pr, ps))
+    for got, want in zip(cassini_points(q_k.s, ball_k.radius, angle),
+                         cassini_points(qs, radius, angle)):
+        assert got.tolist() == np.ldexp(want, k).tolist()
 
 
 def test_axial_metric_zero_iff_same_axial_pair():

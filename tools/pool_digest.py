@@ -11,17 +11,20 @@ perfbench workload at seeds 3, 11, 19 and 29 with ``perfbench.gen``, and
 adds a fixed list of extra commands: ``verify`` at n = 1, 2, 3, 4 and 8
 in both formats, failing checks, ``--output`` files, an unwritable
 ``--output`` path, ``series`` and ``cassini`` on 1x1 inputs scaled far
-below 1, ``cassini`` at centers far above 1, an abbreviated flag and a
-10000-sample ``cassini``.  Each
-command runs in-process through ``quatspec.cli.main``; OUT receives one
-JSON record per command with its argv, exit code, stderr, and the sha256
-of stdout and of the ``--output`` file (null when none was written).  An
-uncaught exception is recorded as a string exit code.  After writing OUT,
+below 1, ``cassini`` at centers far above 1, ``cassini`` at non-real
+centers whose boundary is two ovals, an abbreviated flag and a
+10000-sample ``cassini``.  Each command runs in-process through
+``quatspec.cli.main``; OUT receives one JSON record per command with its
+argv, exit code, stderr, stdout, and the sha256 of stdout and of the
+``--output`` file (null when none was written).  An uncaught exception
+is recorded as a string exit code.  After writing OUT,
 the first form exits 1 when any command's exit code is not 0, 1 or 2,
 the README's exit-code contract, and lists those commands.
 
 The second form compares two digests and exits 1 when any command
-differs, listing the differing commands.  Two checkouts give equal
+differs, listing the differing commands with the fields that differ; for
+a differing stdout it names the top-level JSON keys that differ, or the
+number of differing lines of a CSV report.  Two checkouts give equal
 digests exactly when their CLI output is byte-identical on all of them.
 
 Matrix files are written into a temporary directory that is also the
@@ -104,15 +107,20 @@ def extra_commands() -> list:
         # the series overflows after N = 31, short of the absolute --tol
         ["series", "--input", "mat_i_1e-10.json", "--q0", "3e-10",
          "--q", "3.1e-10"],
-        # u**4 and the radius**4 would fall below the smallest normal double
+        # fourth powers of the coordinates fall below the smallest normal
+        # double; the squares the geometry forms do not
         ["cassini", "--input", "mat_i_1e-90.json", "--q0", "3e-90"],
         ["cassini", "--input", "mat_i_1e-90.json", "--q0=3e-90,1e-90,0,0"],
-        # u**4 and the radius**4 would overflow; at 1e154 the squared
-        # modulus of the samples does, and the command exits 1
+        # fourth powers of the coordinates overflow, their squares do not;
+        # at 1e154 the squared modulus of the samples does, and the
+        # command exits 1
         ["cassini", "--input", "mat_i.json", "--q0", "1e78"],
         ["cassini", "--input", "mat_i.json", "--q0", "1e150"],
         ["cassini", "--input", "mat_i.json", "--q0=1e78,1e78,0,0"],
         ["cassini", "--input", "mat_i.json", "--q0", "1e154"],
+        # the bound is below |Im q0|: the boundary is the oval about q0
+        ["cassini", "--input", "mat_i.json", "--q0=0,1e150,0,0"],
+        ["cassini", "--input", "mat_i_1e-90.json", "--q0=0,3e-90,0,0"],
         # an abbreviated flag is a usage error
         ["verify", "--trial", "3"],
         # a non-real center whose samples take several blocks
@@ -123,7 +131,7 @@ def extra_commands() -> list:
 
 
 def run(main, argv: list) -> dict:
-    """One command in-process: exit code, stderr and output digests."""
+    """One command in-process: exit code, stderr, stdout and digests."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
@@ -141,6 +149,7 @@ def run(main, argv: list) -> dict:
             written = hashlib.sha256(fh.read()).hexdigest()
         os.remove(OUTPUT)
     return {"argv": argv, "rc": rc, "stderr": err.getvalue(),
+            "stdout": out.getvalue(),
             "stdout_sha256": hashlib.sha256(
                 out.getvalue().encode("utf-8")).hexdigest(),
             "output_sha256": written}
@@ -170,6 +179,21 @@ def digest(src: str, out_path: str) -> int:
     return 1 if broken else 0
 
 
+def stdout_change(a: str, b: str) -> str:
+    """Where two reports differ: top-level JSON keys, or CSV line count."""
+    try:
+        doc_a, doc_b = json.loads(a), json.loads(b)
+    except ValueError:
+        lines_a, lines_b = a.splitlines(), b.splitlines()
+        count = (sum(x != y for x, y in zip(lines_a, lines_b))
+                 + abs(len(lines_a) - len(lines_b)))
+        return f"{count} CSV lines"
+    missing = object()
+    keys = [k for k in {**doc_a, **doc_b}
+            if doc_a.get(k, missing) != doc_b.get(k, missing)]
+    return f"JSON keys {', '.join(keys)}"
+
+
 def compare(a_path: str, b_path: str) -> int:
     def load(path):
         with open(path, encoding="utf-8") as fh:
@@ -181,8 +205,10 @@ def compare(a_path: str, b_path: str) -> int:
         return 1
     differ = [(ra, rb) for ra, rb in zip(a, b) if ra != rb]
     for ra, rb in differ:
-        keys = [k for k in ra if ra[k] != rb[k]]
-        print(f"differs in {', '.join(keys)}: {' '.join(ra['argv'])}")
+        keys = [k for k in ra if ra[k] != rb.get(k)]
+        where = (f" ({stdout_change(ra['stdout'], rb['stdout'])})"
+                 if "stdout" in keys and "stdout" in rb else "")
+        print(f"differs in {', '.join(keys)}{where}: {' '.join(ra['argv'])}")
     print(f"{len(differ)} of {len(a)} commands differ")
     return 1 if differ else 0
 
