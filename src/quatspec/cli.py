@@ -17,10 +17,12 @@ allocated).  Nothing else is ever returned.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -96,9 +98,78 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
+# The exact types json spells with repr; bool, a subclass of int, is not one.
+NUMBER_TYPES = (float, int)
+
+
+def _spelled(text: str) -> str:
+    """Joined number reprs with nan and inf spelled as json spells them."""
+    # Finite reprs hold no "n"; "nan" and "inf" (also in "-inf") do.
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _is_table(value) -> bool:
+    """Whether value is a non-empty list of equally long lists of numbers."""
+    width = len(value[0]) if type(value[0]) in (list, tuple) else 0
+    return (width > 0
+            and all(type(row) in (list, tuple) and len(row) == width
+                    for row in value)
+            and all(type(item) in NUMBER_TYPES
+                    for item in itertools.chain.from_iterable(value)))
+
+
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2) at indentation pad, byte for byte.
+
+    The stdlib encodes with indent in pure Python, one call per value;
+    here a list of numbers, or a table of them (a list of equally long
+    number lists, such as the boundary and series rows), is one join.
+    Keys must be strings.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _spelled(float.__repr__(value))
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        opener, closer = "{", "}"
+        body = sep.join(f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                        for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        opener, closer = "[", "]"
+        if all(type(item) in NUMBER_TYPES for item in value):
+            body = _spelled(sep.join(map(repr, value)))
+        elif _is_table(value):
+            cell = inner + "  "
+            reprs = map(repr, itertools.chain.from_iterable(value))
+            rows = map((",\n" + cell).join, zip(*[reprs] * len(value[0])))
+            between = "\n" + inner + "]" + sep + "[\n" + cell
+            body = _spelled("[\n" + cell + between.join(rows) + "\n" + inner
+                            + "]")
+        else:
+            body = sep.join(_json(item, inner) for item in value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+    return opener + "\n" + inner + body + "\n" + pad + closer
+
+
 def _render(fmt: str, report: Report) -> str:
     if fmt == "json":
-        return json.dumps(report.doc, indent=2) + "\n"
+        return _json(report.doc) + "\n"
     lines = [f"# {key}={_cell(value)}" for key, value in report.comments]
     lines.append(",".join(report.columns))
     lines += [",".join(map(_cell, row)) for row in report.rows]

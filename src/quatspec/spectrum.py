@@ -23,7 +23,7 @@ from .errors import InputError, QuatspecError
 from .hmat import QMatrix
 from .quatcore import (CassiniBall, Quaternion, SpherePoint, cassini_points,
                        cassini_u_axial, sphere_of)
-from .sresolvent import ResolventBundle, pencil_svals
+from .sresolvent import ResolventBundle, pencil_chis, pencil_svals
 
 # Two eigenvalue-derived spheres merge when both coordinates agree to this
 # times (1 + ||A||); eigenvalue clustering noise sits far below it.
@@ -74,12 +74,26 @@ def s_spectrum(A: QMatrix) -> SpectrumResult:
 
 
 def resolvent_mask(A: QMatrix, points) -> np.ndarray:
-    """Per point: whether the pencil is invertible at the package threshold."""
-    return hmat.nonsingular(pencil_svals(A, points))
+    """Per point: whether the pencil is invertible at the package threshold.
+
+    The verdict is hmat.nonsingular(pencil_svals(A, points)) row for row,
+    taken on the blocks of pencil_chis with their overflow refusal.  Each
+    block first takes one stacked inverse, and the rows that
+    hmat.certified_nonsingular proves nonsingular need no SVD; only the
+    undecided rows take one stacked SVD and hmat.nonsingular.
+    """
+    out = np.empty(len(points), dtype=bool)
+    for lo, M in pencil_chis(A, points):
+        ok = hmat.certified_nonsingular(M)
+        if not ok.all():
+            ok[~ok] = hmat.nonsingular(np.linalg.svd(M[~ok], compute_uv=False))
+        out[lo:lo + len(M)] = ok
+    return out
 
 
 def in_resolvent(A: QMatrix, q: Quaternion) -> bool:
-    """Whether the pencil at q is invertible at the package threshold."""
+    """Whether the pencil at q is invertible at the package threshold, as
+    resolvent_mask decides it: a certified inverse, else an SVD."""
     return bool(resolvent_mask(A, [q])[0])
 
 

@@ -14,11 +14,13 @@ associated operators is
     S_right = (conj(q)*I - A) @ Q          (right S-resolvent).
 
 Every pencil is built one way: _pencils takes A@A once and forms the
-pencils of a block of points on the complex pair, and each block's chi
-images take one stacked SVD.  pencil_svals returns those singular values,
-resolvent_bundles adds one stacked inverse and the S-resolvents, and
-delta_op and resolvent_bundle are the one-point cases, so every reader of
-a pencil at q sees the same singular values bit for bit; a bundle reads
+pencils of a block of points on the complex pair, and pencil_chis yields
+each block's chi images.  pencil_svals takes one stacked SVD of each
+block, resolvent_bundles adds one stacked inverse and the S-resolvents,
+and delta_op and resolvent_bundle are the one-point cases, so every
+reader of a pencil's singular values at q sees them bit for bit (the
+membership mask of spectrum.resolvent_mask needs them only for the
+pencils its inverse certificate leaves undecided); a bundle reads
 ||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
 them.  Everything that reads the resolvent at a point takes a bundle.
 The residual_* operations evaluate on bundles the exact identities these
@@ -123,20 +125,29 @@ def delta_op(A: QMatrix, q: Quaternion) -> QMatrix:
     return QMatrix(D1[0], D2[0])
 
 
+def pencil_chis(A: QMatrix, points):
+    """The chi images of the pencils at `points`, a block at a time.
+
+    `points` is a sequence of Quaternions (or of [w, x, y, z] rows).
+    Yields (lo, M): the stacked chi(delta_op(A, q)) of the points lo,
+    lo + 1, ...  Points are checked in order, and the first whose pencil
+    overflows raises QuatspecError once the blocks before it are taken.
+    """
+    for lo, D1, D2 in _pencils(A, _rows(points)):
+        yield lo, hmat.pair_chi(D1, D2)
+
+
 def pencil_svals(A: QMatrix, points) -> np.ndarray:
     """Singular values of chi(delta_op(A, q)) for each point q, shape (k, 2n).
 
-    `points` is a sequence of Quaternions (or of [w, x, y, z] rows).  Each
-    block of pencils takes one stacked SVD of its chi images, so every row
-    equals the SVD of that point's own chi(delta_op(A, q)) bit for bit.
-    Rows are in descending order.  Points are checked in order, and the
-    first whose pencil overflows raises QuatspecError.
+    Each block of pencil_chis takes one stacked SVD, so every row equals
+    the SVD of that point's own chi(delta_op(A, q)) bit for bit.  Rows
+    are in descending order; an overflowing pencil raises as in
+    pencil_chis.
     """
-    pts = _rows(points)
-    out = np.empty((len(pts), 2 * A.n))
-    for lo, D1, D2 in _pencils(A, pts):
-        out[lo:lo + len(D1)] = np.linalg.svd(hmat.pair_chi(D1, D2),
-                                             compute_uv=False)
+    out = np.empty((len(points), 2 * A.n))
+    for lo, M in pencil_chis(A, points):
+        out[lo:lo + len(M)] = np.linalg.svd(M, compute_uv=False)
     return out
 
 

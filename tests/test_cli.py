@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quatspec
+from quatspec import cli
 from quatspec.cli import COMMANDS, PARSER, Report, main, parse_quaternion
 from quatspec.hmat import qmatrix_from_json_dict, smallest_singular
 from quatspec.quatcore import (Quaternion, SpherePoint, cassini_u_axial,
@@ -600,3 +602,44 @@ def test_failed_check_still_writes_the_full_report(tmp_path, capsys):
     assert main(argv + ["--output", str(path)]) == 1
     assert capsys.readouterr() == ("", err)
     assert path.read_text(encoding="utf-8") == out
+
+
+# JSON values as the reports hold them: numbers (non-finite ones too),
+# strings with escapes and non-ASCII, and nested lists, tuples and dicts,
+# among them tables of equally long number rows.
+JSON_NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70))
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), JSON_NUMBERS, st.text())
+JSON_TABLES = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(JSON_NUMBERS, min_size=width, max_size=width), max_size=6))
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_LEAVES, JSON_TABLES),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_the_stdlib(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_edge_values():
+    for value in ([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324],
+                  [[1, float("nan")], [2.5, -float("inf")]], [[1.0], [2.0, 3.0]],
+                  [[1.0, True]], [[], []], [np.float64(2.5), 1.0],
+                  [[np.float64(-1e300)]], np.float64("nan"), {"": {}}):
+        assert cli._json(value) == json.dumps(value, indent=2)
+    for value in ([np.int64(1)], {1: 2}, {"a": {1.5}}):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def test_json_reports_render_as_the_stdlib(tmp_path, monkeypatch, capsys):
+    readme_matrix_dir(tmp_path, monkeypatch)
+    for name, args in README_RUNS.items():
+        report = COMMANDS[name](PARSER.parse_args([name] + args))
+        assert main([name] + args) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(report.doc, indent=2) + "\n", name

@@ -579,17 +579,20 @@ def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
     # ||A|| (stored, read twice) and the bundle at q0, whose pencil SVD
-    # gives the bound, then one stacked SVD tests every sample, however
-    # many there are
+    # gives the bound and whose inverse gives Q; then one stacked inverse
+    # certifies every sample, however many there are (1000 samples of a
+    # 2x2 input fit one block), and no sample needs an SVD
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MAT2))
-    counts = []
+    svds, invs = [], []
     for trials in (100, 1000):
         rc, rep, work = count_work(monkeypatch, capsys, [
             "cassini", "--input", str(path), "--trials", str(trials)])
         assert rc == 0 and rep["samples_inside"] == trials
-        counts.append(work["svd"])
-    assert counts == [3, 3]
+        svds.append(work["svd"])
+        invs.append(work["inv"])
+    assert svds == [2, 2]
+    assert invs == [2, 2]
 
 
 def test_spectrum_svd_count_gate(monkeypatch, capsys, tmp_path):

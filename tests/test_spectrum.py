@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quatspec import hmat, sresolvent
 from quatspec.errors import InputError
 from quatspec.hmat import QMatrix, chi, op_norm, random_qmatrix, smallest_singular
-from quatspec.quatcore import (QI, CassiniBall, Quaternion, cassini_u,
-                               cassini_u_axial, point_at_cassini_distance,
-                               random_unit_imag, sphere_of)
+from quatspec.quatcore import (QI, CassiniBall, Quaternion, SpherePoint,
+                               cassini_u, cassini_u_axial,
+                               point_at_cassini_distance, random_unit_imag,
+                               sphere_of)
 from quatspec.spectrum import (SpectrumResult, blowup_probe,
                                boundary_polyline, cassini_box, cassini_dist,
-                               cor1_check, in_resolvent, s_spectrum,
-                               sample_cassini_ball)
-from quatspec.sresolvent import delta_op, resolvent_bundle
+                               cor1_check, in_resolvent, resolvent_mask,
+                               s_spectrum, sample_cassini_ball)
+from quatspec.sresolvent import (delta_op, pencil_chis, pencil_svals,
+                                 resolvent_bundle)
 
 
 def mat_i():
@@ -100,6 +104,81 @@ def test_in_resolvent():
     assert not in_resolvent(A, Quaternion(0, 0, 0, 1))
     assert in_resolvent(A, Quaternion(2.0))
     assert in_resolvent(A, Quaternion(0.0))  # 0 is off the unit sphere
+
+
+def mask_case(kind, n, rng):
+    """A matrix of the kind and the spheres (r, s) of its spectrum."""
+    if kind == "random":
+        A = random_qmatrix(n, rng)
+        return A, [sp for sp, _ in s_spectrum(A).spheres]
+    if kind == "jordan":
+        # lam*I plus ones above the diagonal: one sphere, a Jordan block
+        lam = Quaternion(*rng.uniform(-2.0, 2.0, size=4).tolist())
+        A = (QMatrix.diag([lam] * n)
+             + QMatrix(np.eye(n, k=1), np.zeros((n, n))))
+        return A, [sphere_of(lam)]
+    d = rng.uniform(-2.0, 2.0, size=n)   # a real diagonal
+    return QMatrix(np.diag(d), np.zeros((n, n))), [SpherePoint(float(r), 0.0)
+                                                 for r in d]
+
+
+def on_sphere(sp, rel, rng):
+    """A point of the sphere sp in a random imaginary direction, moved
+    rel*(1 + |r| + s) along the real axis."""
+    v = rng.normal(size=3)
+    v *= sp.s / np.linalg.norm(v)
+    q = Quaternion(sp.r, *v.tolist())
+    if rel:
+        q = q + Quaternion(rel * (1.0 + abs(sp.r) + sp.s))
+    return q
+
+
+def test_resolvent_mask_is_the_svd_verdict():
+    # resolvent_mask's certificate never changes hmat.nonsingular's verdict;
+    # the drawn cases reach certified rows, SVD rows of either verdict and
+    # an exactly singular pencil, whose zero pivot makes inv raise
+    seen = {"certified": 0, "svd_true": 0, "svd_false": 0, "inv_raises": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["random", "jordan", "real_diagonal"]),
+           n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           where=st.lists(st.one_of(st.just("random"), st.just(0),
+                                    st.integers(2, 14)),
+                          min_size=1, max_size=8),
+           block=st.sampled_from([None, 1, 3]))
+    def check(kind, n, seed, where, block):
+        rng = np.random.default_rng(seed)
+        A, spheres = mask_case(kind, n, rng)
+        box = 2.0 * (1.0 + op_norm(A))
+        points = []
+        for w in where:
+            if w == "random":
+                points.append(Quaternion(*rng.uniform(-box, box, 4).tolist()))
+            else:   # on a sphere (0) or 10**-w off it
+                sp = spheres[int(rng.integers(len(spheres)))]
+                points.append(on_sphere(sp, 10.0 ** -w if w else 0.0, rng))
+        if kind == "real_diagonal":
+            # the pencil (A - d)**2 has an exact zero on its diagonal
+            d = float(A.a1[0, 0].real)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(chi(delta_op(A, Quaternion(d))))
+            points.insert(int(rng.integers(len(points) + 1)), Quaternion(d))
+            seen["inv_raises"] += 1
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(sresolvent, "PENCIL_BLOCK_BYTES",
+                           block * chi(A).nbytes)
+            mask = resolvent_mask(A, points)
+            certified = np.concatenate([hmat.certified_nonsingular(M)
+                                        for _, M in pencil_chis(A, points)])
+        want = hmat.nonsingular(pencil_svals(A, points))
+        assert np.array_equal(mask, want)
+        seen["certified"] += int(np.count_nonzero(certified))
+        seen["svd_true"] += int(np.count_nonzero(~certified & want))
+        seen["svd_false"] += int(np.count_nonzero(~certified & ~want))
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_cassini_dist():
