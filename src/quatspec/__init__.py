@@ -15,8 +15,8 @@ from .hmat import (QMatrix, chi, from_chi, op_norm, op_norms, qmat_inverse,
                    random_qmatrix, smallest_singular)
 from .quatcore import (QI, QJ, QK, CassiniBall, Quaternion, SpherePoint,
                        cassini_u, point_at_cassini_distance, qinv, qmul, qpow,
-                       same_sphere, sphere_of, spherical_power,
-                       spherical_power_sderiv, triangle)
+                       sphere_of, spherical_power, spherical_power_sderiv,
+                       triangle)
 from .series import (SeriesState, certified_real_point, converge_series_Q,
                      converge_series_S, eval_series_Q, eval_series_S,
                      remainder_exact, series_init, tail_bound_Q, tail_bound_S)
@@ -48,7 +48,7 @@ __all__ = [
     "random_qmatrix", "remainder_exact", "resolvent_bundle",
     "resolvent_bundles", "residual_AS_identity", "residual_mixed_eq", "residual_q_eq",
     "residual_resolvent_eq", "run_identity_suite", "s_resolvent_map",
-    "s_spectrum", "same_sphere", "sample_cassini_ball", "sderiv_operator",
+    "s_spectrum", "sample_cassini_ball", "sderiv_operator",
     "series_init", "slice_point", "smallest_singular",
     "sphere_of", "spherical_power", "spherical_power_sderiv",
     "stem_decompose", "stem_reconstruct", "tail_bound_Q", "tail_bound_S",

@@ -8,8 +8,10 @@ module provides the degree-two axial polynomial
 
 which vanishes exactly when p lies on the sphere Re(q) + |Im(q)|*S of q,
 the Cassini pseudo-metric u(p, q) = |triangle(q, p)|**(1/2) built from it,
-and the spherical power basis (with its spherical derivatives) used by the
-resolvent series expansion, both element by element and as streams.
+and the spherical power basis used by the resolvent series expansion with
+its spherical derivatives, both element by element and as streams.  The
+derivatives come from t**k = A_k + D_k*Im(q), t = triangle(q0, q), and the
+real recurrence D_{k+1} = A_k*D_1 + D_k*A_1, with no division by Im(q).
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuatspecError
-
-# Absolute tolerance for deciding that two axial pairs (Re, |Im|) coincide.
-SAME_SPHERE_TOL = 1e-12
-
-# Below this imaginary radius (relative to 1 + |q|) the difference-quotient
-# form of the spherical derivative is abandoned for the exact real-axis
-# derivative: the quotient loses all significant digits as Im(q) -> 0.
-REAL_AXIS_CUTOFF = 1e-7
 
 
 class Quaternion(NamedTuple):
@@ -90,7 +84,6 @@ class Quaternion(NamedTuple):
 
 
 ONE = Quaternion(1.0)
-ZERO = Quaternion(0.0)
 QI = Quaternion(0.0, 1.0, 0.0, 0.0)
 QJ = Quaternion(0.0, 0.0, 1.0, 0.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
@@ -149,11 +142,6 @@ class SpherePoint(NamedTuple):
 
 def sphere_of(q: Quaternion) -> SpherePoint:
     return SpherePoint(q.w, q.im_norm())
-
-
-def same_sphere(p: Quaternion, q: Quaternion, tol: float = SAME_SPHERE_TOL) -> bool:
-    sp, sq = sphere_of(p), sphere_of(q)
-    return abs(sp.r - sq.r) <= tol and abs(sp.s - sq.s) <= tol
 
 
 def cassini_factors(pr, ps, qr, qs):
@@ -240,62 +228,36 @@ def spherical_powers(q0: Quaternion, q: Quaternion):
         tk = qmul(tk, t)
 
 
-def sderiv_by_quotient(q: Quaternion) -> bool:
-    """Whether spherical derivatives at q use the difference quotient."""
-    return q.im_norm() > REAL_AXIS_CUTOFF * (1.0 + abs(q))
-
-
 def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
     """The endless stream spherical_power_sderiv(q0, n, q), n = 0, 1, 2, ...
 
-    Off the real axis the difference quotient runs over two spherical_powers
-    streams, at q and at conj(q); near it the closed form is evaluated per
-    n.  Either way every element equals spherical_power_sderiv(q0, n, q)
-    bit for bit.
+    In the slice of q the powers of t = triangle(q0, q) are
+    t**k = A_k + D_k*Im(q) with real A_k, D_k, so sderiv t**k = D_k and
+    sderiv (q - q0)*t**k = A_k + (Re(q) - q0)*D_k.  A_k is the real part of
+    the power qmul builds; D_0 = 0, D_1 = 2*(Re(q) - Re(q0)) and
+    D_{k+1} = A_k*D_1 + D_k*A_1.  Nothing divides by Im(q), so one stream
+    serves the real axis and the rest of the space alike.
     """
-    yield ZERO
-    if sderiv_by_quotient(q):
-        inv = qinv(q - q.conj())
-        pairs = zip(spherical_powers(q0, q), spherical_powers(q0, q.conj()))
-        next(pairs)
-        for fq, fqc in pairs:
-            yield qmul(fq - fqc, inv)
-    else:
-        for n in itertools.count(1):
-            yield spherical_power_sderiv(q0, n, q)
+    t = triangle(q0, q)
+    d1 = 2.0 * (q.w - q0.w)
+    dq = Quaternion(q.w) - q0
+    tk, dk = ONE, 0.0
+    while True:
+        yield Quaternion(dk)
+        yield Quaternion(tk.w) + dq * dk
+        tk, dk = qmul(tk, t), tk.w * d1 + dk * t.w
 
 
 def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
     """Spherical derivative of spherical_power(q0, n, .) at q.
 
     Off the real axis this is the symmetric difference quotient
-    (f(q) - f(conj(q))) * (q - conj(q))**(-1).  Near and on the axis the
-    quotient degenerates, so the exact derivative of the real-axis
-    restriction is used instead:
-
-        d/dr t(r)**k             = k * t(r)**(k-1) * (2r - 2*Re(q0)),
-        d/dr (r - q0) * t(r)**k  = t(r)**k
-                                   + (r - q0) * k * t(r)**(k-1) * (2r - 2*Re(q0)),
-
-    where t(r) = r**2 - 2*Re(q0)*r + |q0|**2.
+    (f(q) - f(conj(q))) * (q - conj(q))**(-1), on it the derivative of the
+    real restriction; both are element n of spherical_power_sderivs.
     """
     if n < 0:
         raise QuatspecError("spherical_power index must be >= 0")
-    if n == 0:
-        return ZERO
-    if sderiv_by_quotient(q):
-        fq = spherical_power(q0, n, q)
-        fqc = spherical_power(q0, n, q.conj())
-        return qmul(fq - fqc, qinv(q - q.conj()))
-    r = q.w
-    k, odd = divmod(n, 2)
-    t = r * r - 2.0 * q0.w * r + q0.abs2()
-    dt = 2.0 * r - 2.0 * q0.w
-    if not odd:
-        return Quaternion(k * t ** (k - 1) * dt)
-    if k == 0:
-        return ONE
-    return Quaternion(t ** k) + (Quaternion(r) - q0) * (k * t ** (k - 1) * dt)
+    return next(itertools.islice(spherical_power_sderivs(q0, q), n, None))
 
 
 def cassini_points(b: float, radius: float, angle):

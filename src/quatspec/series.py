@@ -12,7 +12,8 @@ around q0, and the pseudo-resolvent is its negated spherical derivative:
     Q(q) = sum_{n>=0} (-1)**(n+1) * B_{n+1} * spherical_power_sderiv(q0, n, q).
 
 Truncations come with a posteriori geometric tail bounds driven by
-rho = ||Q(q0)|| * |triangle(q0, q)| = (u(q, q0)/R)**2 < 1, and the
+rho = ||Q(q0)|| * u * u = (u/R)**2 < 1 with u = cassini_u(q, q0), a product
+that overflows only when rho does, unlike |triangle(q0, q)| = u**2, and the
 truncation error itself has the exact closed form
 
     S_left(q) - partial_sum(2N+1)
@@ -213,7 +214,8 @@ def require_inside(state: SeriesState, q: Quaternion) -> float:
 def _tails_S(state: SeriesState, q: Quaternion):
     """tail_bound_S(state, q, .) as a function of N, constants hoisted."""
     nq = state.bundle0.norm_Q
-    rho = nq * abs(triangle(state.q0, q))
+    u = cassini_u(q, state.q0)
+    rho = nq * u * u
     if rho >= 1.0:
         return lambda N: math.inf
     c1 = hmat.op_norm(state.bundle0.S_left)
@@ -231,7 +233,7 @@ def tail_bound_S(state: SeriesState, q: Quaternion, N: int) -> float:
 
     Even terms satisfy ||B_{2k+1} * p_{2k}|| <= c1 * rho**k and odd terms
     ||B_{2k+2} * p_{2k+1}|| <= c2 * rho**k with c1 = ||S_left(q0)||,
-    c2 = ||Q|| * |q - q0| and rho = ||Q|| * |triangle(q0, q)|; summing each
+    c2 = ||Q|| * |q - q0| and rho = ||Q|| * u(q, q0)**2; summing each
     parity class from its first omitted index gives the bound.
     """
     return _tails_S(state, q)(N)
@@ -240,7 +242,8 @@ def tail_bound_S(state: SeriesState, q: Quaternion, N: int) -> float:
 def _tails_Q(state: SeriesState, q: Quaternion):
     """tail_bound_Q(state, q, .) as a function of N, constants hoisted."""
     nq = state.bundle0.norm_Q
-    rho = nq * abs(triangle(state.q0, q))
+    u = cassini_u(q, state.q0)
+    rho = nq * u * u
     if rho >= 1.0:
         return lambda N: math.inf
     c0 = abs(q) + abs(state.q0)
@@ -313,7 +316,7 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     the directly inverted S_left(q) of the bundle, the summed one is
     ||S_left(q) - partial sum||.  The two are checked against each other,
     and the closed form against its majorant
-    ||S_left(q)|| * (||Q|| * |triangle|)**(N+1); a failure of either
+    ||S_left(q)|| * rho**(N+1); a failure of either
     internal consistency check raises QuatspecError.
     """
     if N < 0:
@@ -329,7 +332,8 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
         raise QuatspecError(
             f"closed-form truncation error {rem:.6g} disagrees with the "
             f"summed truncation error {direct_err:.6g}")
-    bound = norm_sq * (abs(tri) * state.bundle0.norm_Q) ** (N + 1)
+    u = cassini_u(q, state.q0)
+    bound = norm_sq * (state.bundle0.norm_Q * u * u) ** (N + 1)
     if rem > bound + 1e-12 * scale:
         raise QuatspecError(
             f"truncation error {rem:.6g} exceeds its majorant {bound:.6g}")

@@ -25,14 +25,16 @@ from typing import Callable, NamedTuple
 from . import hmat
 from .errors import InputError, NotInResolventSet
 from .hmat import QMatrix
-from .quatcore import Quaternion, qinv, sderiv_by_quotient
+from .quatcore import Quaternion, qinv
 from .sresolvent import resolvent_bundle
 
 # Unit imaginary directions are validated to this absolute tolerance.
 UNIT_IMAG_TOL = 1e-12
 
-# Central-difference step for the real-axis spherical derivative, relative
-# to 1 + |q|; one level of Richardson extrapolation is applied on top.
+# Below the imaginary radius REAL_AXIS_CUTOFF, relative to 1 + |q|, the
+# spherical derivative is a central difference of step FD_STEP * (1 + |q|)
+# along the real axis, with one level of Richardson extrapolation on top.
+REAL_AXIS_CUTOFF = 1e-7
 FD_STEP = 1e-5
 
 
@@ -89,12 +91,12 @@ def sderiv_operator(f: Callable[[Quaternion], QMatrix],
     """Spherical derivative of f at q.
 
     Off the real axis this is (f(q) - f(conj(q))) * (q - conj(q))**(-1).
-    Below quatcore.REAL_AXIS_CUTOFF, the cutoff of the series basis, the
-    quotient has lost its digits, and the derivative of the real-axis
-    restriction at Re(q) is used instead, approximated by
+    f is a black box, so nothing avoids that division: below
+    REAL_AXIS_CUTOFF the quotient has lost its digits, and the derivative
+    of the real-axis restriction at Re(q) is used instead, by
     Richardson-extrapolated central differences.
     """
-    if sderiv_by_quotient(q):
+    if q.im_norm() > REAL_AXIS_CUTOFF * (1.0 + abs(q)):
         diff = f(q) - f(q.conj())
         return diff.scale_right(qinv(q - q.conj()))
     r = q.w

@@ -231,6 +231,19 @@ def test_series_that_overflows_reports_its_finite_rows(tmp_path, capsys):
     assert strict_json(captured.out)["N"] == 12
 
 
+def test_series_tail_bound_where_the_triangle_overflows(tmp_path, capsys):
+    # triangle(q0, q) forms q*q - 2*Re(q0)*q, which overflows, although its
+    # value is only -1e16; the tail ratio ||Q|| * u * u does not overflow,
+    # and the report is strict JSON
+    rc, rep = run_json(capsys, ["series", "--input", mat_i(tmp_path),
+                                "--q0=1e154", "--q=1e154,0,0,1e8",
+                                "--tol", "1e-3", "--nmax", "5"])
+    assert rc == 0
+    assert rep["converged"] is True and rep["N"] == 0
+    assert math.isfinite(rep["tail_bound"])
+    assert rep["rows"][0][2] == rep["tail_bound"]
+
+
 def test_cassini_spectral_center_exits_one(tmp_path, capsys):
     rc = main(["cassini", "--input", mat_i(tmp_path), "--q0", "0,1,0,0"])
     assert rc == 1

@@ -15,10 +15,9 @@ from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
                                SpherePoint, cassini_points, cassini_u,
                                cassini_u_axial, point_at_cassini_distance,
                                qinv, qmul, qpow, random_unit_imag,
-                               same_sphere, sphere_of,
-                               spherical_power, spherical_power_sderiv,
-                               spherical_power_sderivs, spherical_powers,
-                               triangle)
+                               sphere_of, spherical_power,
+                               spherical_power_sderiv, spherical_power_sderivs,
+                               spherical_powers, triangle)
 
 TOL = 1e-12
 
@@ -106,7 +105,7 @@ def test_cassini_same_sphere_vanishes_exactly():
         for p in (q, q.conj(), Quaternion(q.w, -q.x, q.y, -q.z),
                   Quaternion(q.w, q.y, q.x, q.z)):
             assert cassini_u(p, q) == 0.0
-            assert same_sphere(p, q)
+            assert sphere_of(p) == sphere_of(q)
 
 
 def test_cassini_example():
@@ -173,8 +172,8 @@ def bits(q):
 def test_basis_streams_are_bit_identical_to_the_pointwise_basis():
     rng = np.random.default_rng(25)
     points = [(rand_quat(rng), rand_quat(rng)) for _ in range(20)]
-    # real points and a point below the real-axis cutoff take the closed
-    # form of the spherical derivative
+    # real points and a point where a difference quotient would have lost
+    # its digits take the same recurrence as every other point
     points += [(Quaternion(0.3, 0.8), Quaternion(1.7)),
                (Quaternion(2.0), Quaternion(1.2, 1e-9, 0.0, 0.0)),
                (Quaternion(-1.0), Quaternion(-0.5, -0.0, 0.0, -0.0))]
@@ -215,15 +214,86 @@ def test_sderiv_is_real_valued_slice_invariant():
 
 
 def test_sderiv_continuous_across_axis_gate():
-    # quotient branch just above the cutoff vs exact real-axis branch
+    # one recurrence on and off the real axis, at Im(q) = 1e-8 and 3e-7,
+    # either side of where a difference quotient loses its digits: the
+    # exact derivative moves with Im(q)**2 only, by at most 1e-13 relative
+    # here (at Im(q) = 1e-6 by 1.1e-12)
     q0 = Quaternion(0.3, 0.8, 0.0, 0.0)
     r = 1.7
     for n in range(1, 8):
         on_axis = spherical_power_sderiv(q0, n, Quaternion(r))
-        near = spherical_power_sderiv(q0, n, Quaternion(r, 1e-6, 0, 0))
-        assert abs(near - on_axis) <= 1e-4 * (1.0 + abs(on_axis))
+        for im in (1e-8, 3e-7):
+            near = spherical_power_sderiv(q0, n, Quaternion(r, im, 0, 0))
+            assert abs(near - on_axis) <= 1e-12 * (1.0 + abs(on_axis))
     assert spherical_power_sderiv(q0, 0, Quaternion(r)) == Quaternion(0.0)
     assert spherical_power_sderiv(q0, 1, Quaternion(r)) == ONE
+
+
+def exact_sderivs(q0, q, count):
+    """The spherical derivatives of the basis at q, in exact rationals.
+
+    Off the real axis the exact difference quotient of the basis at q and
+    conj(q); on it the derivative of the real restriction r -> p_n(r).
+    """
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1] - p[2] * q[2] - p[3] * q[3],
+                p[0] * q[1] + p[1] * q[0] + p[2] * q[3] - p[3] * q[2],
+                p[0] * q[2] - p[1] * q[3] + p[2] * q[0] + p[3] * q[1],
+                p[0] * q[3] + p[1] * q[2] - p[2] * q[1] + p[3] * q[0])
+
+    def basis(p):
+        pp, a2 = mul(p, p), 2 * z0[0]
+        t = (pp[0] - a2 * p[0] + sum(c * c for c in z0),
+             *(pp[i] - a2 * p[i] for i in (1, 2, 3)))
+        tk, out = (Fraction(1),) + (Fraction(0),) * 3, []
+        while len(out) < count:
+            out += [tk, mul(tuple(x - y for x, y in zip(p, z0)), tk)]
+            tk = mul(tk, t)
+        return out[:count]
+
+    z0, cq = tuple(map(Fraction, q0)), tuple(map(Fraction, q))
+    if any(cq[1:]):
+        im2 = sum(c * c for c in cq[1:])
+        inv = (Fraction(0),) + tuple(-c / (2 * im2) for c in cq[1:])
+        conj = (cq[0],) + tuple(-c for c in cq[1:])
+        return [mul(tuple(x - y for x, y in zip(f, g)), inv)
+                for f, g in zip(basis(cq), basis(conj))]
+    r = cq[0]
+    t = r * r - 2 * z0[0] * r + sum(c * c for c in z0)
+    out = []
+    for n in range(count):
+        k, odd = divmod(n, 2)
+        d = k * t ** (k - 1) * (2 * r - 2 * z0[0]) if k else Fraction(0)
+        out.append((t ** k + (r - z0[0]) * d, -z0[1] * d, -z0[2] * d,
+                    -z0[3] * d) if odd else (d, 0, 0, 0))
+    return out
+
+
+def test_sderivs_against_exact_rationals():
+    # Im(q) runs from 0 through 1e-7, where a difference quotient has lost
+    # about nine digits, to 1; the scale is the larger of the exact value
+    # and the majorant in series.tail_bound_Q's docstring
+    rng = np.random.default_rng(26)
+    centers = [Quaternion(float(rng.uniform(-3, 3))) for _ in range(2)]
+    centers += [rand_quat(rng, 3.0) for _ in range(2)]
+    for q0 in centers:
+        for im in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1.2e-7, 3e-7, 1e-6,
+                   1e-3, 1.0):
+            d = random_unit_imag(rng)
+            q = Quaternion(float(rng.uniform(-3, 3)), im * d.x, im * d.y,
+                           im * d.z)
+            c0, t = abs(q) + abs(q0), abs(triangle(q0, q))
+            exact = exact_sderivs(q0, q, 40)
+            got = islice(spherical_power_sderivs(q0, q), 40)
+            for n, (g, e) in enumerate(zip(got, exact)):
+                k, odd = divmod(n, 2)
+                majorant = 2 * k * c0 * t ** (k - 1) if k else 0.0
+                if odd:
+                    majorant = t ** k + c0 * majorant
+                err = math.sqrt(sum((Fraction(x) - y) ** 2
+                                    for x, y in zip(g, e)))
+                size = math.sqrt(sum(y * y for y in e))
+                assert err <= 1e-12 * max(size, majorant), (q0, q, n)
 
 
 def test_point_at_cassini_distance_real_center_exact():

@@ -11,8 +11,7 @@ from quatspec.hmat import (QMatrix, op_norm, qmatrix_to_json_dict,
                            random_qmatrix)
 from quatspec.quatcore import (Quaternion, cassini_u,
                                point_at_cassini_distance, random_unit_imag,
-                               spherical_power, spherical_power_sderiv,
-                               triangle)
+                               spherical_power, spherical_power_sderiv)
 from quatspec.series import (DEFAULT_NMAX, certified_real_point,
                              converge_series_Q, converge_series_S,
                              eval_series_Q, eval_series_S, remainder_exact,
@@ -329,7 +328,8 @@ def test_engine_bit_identical_at_nonreal_points(n, tmp_path, capsys):
 
 
 def test_derivative_engine_near_the_real_axis():
-    # below the real-axis cutoff the closed form is used, as pointwise
+    # at Im(q) = 1e-9 a difference quotient would have lost its digits; the
+    # engine's basis stream and the pointwise basis are one recurrence
     A = random_qmatrix(2, np.random.default_rng(79))
     st = series_init(A, certified_real_point(A))
     q = Quaternion(st.q0.w - 0.5 * st.R, 1e-9, 0.0, 0.0)
@@ -424,7 +424,8 @@ def test_engine_stops_at_nmax_anywhere_in_a_block(nmax, monkeypatch):
 
 def reference_tail_S(state, q, N):
     nq = state.bundle0.norm_Q
-    rho = nq * abs(triangle(state.q0, q))
+    u = cassini_u(q, state.q0)
+    rho = nq * u * u
     if rho >= 1.0:
         return math.inf
     c1 = op_norm(state.bundle0.S_left)
@@ -434,7 +435,8 @@ def reference_tail_S(state, q, N):
 
 def reference_tail_Q(state, q, N):
     nq = state.bundle0.norm_Q
-    rho = nq * abs(triangle(state.q0, q))
+    u = cassini_u(q, state.q0)
+    rho = nq * u * u
     if rho >= 1.0:
         return math.inf
     c0 = abs(q) + abs(state.q0)

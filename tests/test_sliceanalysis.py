@@ -101,8 +101,8 @@ def test_sderiv_real_axis_branch():
 
 
 def test_sderiv_near_the_real_axis():
-    # the difference quotient loses digits as Im q -> 0; below the series
-    # basis cutoff the real-axis branch takes over and stays accurate
+    # the difference quotient loses digits as Im q -> 0; below
+    # REAL_AXIS_CUTOFF the real-axis branch takes over and stays accurate
     rng = np.random.default_rng(86)
     for _ in range(3):
         A = random_qmatrix(4, rng)

@@ -11,9 +11,9 @@ perfbench workload at seeds 3, 11, 19 and 29 with ``perfbench.gen``, and
 adds a fixed list of extra commands: ``verify`` at n = 1, 2, 3, 4 and 8
 in both formats, failing checks, ``--output`` files, an unwritable
 ``--output`` path, ``series`` and ``cassini`` on 1x1 inputs scaled far
-below 1, ``cassini`` at centers far above 1, ``cassini`` at non-real
-centers whose boundary is two ovals, an abbreviated flag and a
-10000-sample ``cassini``.  Each command runs in-process through
+below 1, ``series`` and ``cassini`` at centers far above 1, ``cassini``
+at non-real centers whose boundary is two ovals, an abbreviated flag and
+a 10000-sample ``cassini``.  Each command runs in-process through
 ``quatspec.cli.main``; OUT receives one JSON record per command with its
 argv, exit code, stderr, stdout, and the sha256 of stdout and of the
 ``--output`` file (null when none was written).  An uncaught exception
@@ -107,6 +107,10 @@ def extra_commands() -> list:
         # the series overflows after N = 31, short of the absolute --tol
         ["series", "--input", "mat_i_1e-10.json", "--q0", "3e-10",
          "--q", "3.1e-10"],
+        # triangle(q0, q) overflows on the way to -1e16; the tail bound
+        # does not
+        ["series", "--input", "mat_i.json", "--q0=1e154",
+         "--q=1e154,0,0,1e8", "--tol", "1e-3", "--nmax", "5"],
         # fourth powers of the coordinates fall below the smallest normal
         # double; the squares the geometry forms do not
         ["cassini", "--input", "mat_i_1e-90.json", "--q0", "3e-90"],
