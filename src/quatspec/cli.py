@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -98,6 +97,27 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
+# The printf spelling of a CSV cell of each exact type for which it is
+# _cell's spelling; bool, a subclass of int, is not one of them.
+CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%d"}
+
+
+def _csv_lines(rows: list) -> list:
+    """One CSV line per row, each as ",".join(map(_cell, row)) spells it.
+
+    When the rows are equally long and each column's cells share one
+    printf spelling, every row is one %-format; otherwise every cell goes
+    through _cell.
+    """
+    if len(set(map(len, rows))) == 1:
+        spellings = [set(map(CELL_FORMATS.get, map(type, column)))
+                     for column in zip(*rows)]
+        if all(len(s) == 1 and None not in s for s in spellings):
+            fmt = ",".join(s.pop() for s in spellings)
+            return [fmt % tuple(row) for row in rows]
+    return [",".join(map(_cell, row)) for row in rows]
+
+
 # The exact types json spells with repr; bool, a subclass of int, is not one.
 NUMBER_TYPES = (float, int)
 
@@ -172,7 +192,7 @@ def _render(fmt: str, report: Report) -> str:
         return _json(report.doc) + "\n"
     lines = [f"# {key}={_cell(value)}" for key, value in report.comments]
     lines.append(",".join(report.columns))
-    lines += [",".join(map(_cell, row)) for row in report.rows]
+    lines += _csv_lines(report.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -355,7 +375,7 @@ def cmd_verify(cfg: argparse.Namespace) -> Report:
         "trials": trials,
         "tol": cfg.tol,
         "seed": cfg.seed,
-        "rows": [asdict(row) for row in rows],
+        "rows": [row._asdict() for row in rows],
         "all_passed": all_passed,
     }
     return Report(
@@ -363,8 +383,7 @@ def cmd_verify(cfg: argparse.Namespace) -> Report:
         (("n", n), ("trials", trials), ("tol", cfg.tol), ("seed", cfg.seed),
          ("all_passed", all_passed)),
         ("name", "max_residual", "worst_trial", "passed"),
-        [(row.name, row.max_residual, row.worst_trial, row.passed)
-         for row in rows],
+        rows,
         [f"identity {row.name} reached residual {row.max_residual:.6g} at "
          f"trial {row.worst_trial} (seed {cfg.seed})"
          for row in rows if not row.passed])

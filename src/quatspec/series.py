@@ -43,8 +43,10 @@ series:
   and those take one stacked SVD;
 - the report rule (residual_report, behind `quatspec series`): stop at
   the first N with ||partial_N - S_left(q)|| <= tol against the directly
-  inverted S_left(q).  Each block takes two stacked SVDs: the residuals
-  and the term norms.
+  inverted S_left(q).  Each block takes two stacked SVDs, the residuals
+  and the term norms: the Frobenius majorant of each residual ends the
+  residual SVD at the first row it proves <= tol, and the first residual
+  <= tol ends the term SVD, so only printed rows take a term norm.
 """
 
 from __future__ import annotations
@@ -66,10 +68,10 @@ from .sresolvent import ResolventBundle, block_rows, resolvent_bundle
 # instead of raising, so near-boundary evaluations degrade gracefully.
 DEFAULT_NMAX = 200
 
-# Relative inflation of the Frobenius majorant in the tail rule's screen.
-# For a rank-one matrix the majorant equals the operator norm, and the SVD
-# may round above it; the margin is far above that rounding for chi images
-# up to 16 x 16.
+# Relative inflation of the Frobenius majorant in the screens of the tail
+# rule and of the residual report.  For a rank-one matrix the majorant
+# equals the operator norm, and the SVD may round above it; the margin is
+# far above that rounding for chi images up to 16 x 16.
 SCREEN_MARGIN = 1e-12
 
 
@@ -251,7 +253,9 @@ def _tails_Q(state: SeriesState, q: Quaternion):
     d = 1.0 - rho
     d2 = d ** 2
     even = 2.0 * c1 * c0 * nq
-    odd = 2.0 * c0 * c0 * nq * nq
+    # c0 * nq before squaring: c0**2 overflows at |q| near 1e154 while
+    # the product stays small
+    odd = 2.0 * (c0 * nq) * (c0 * nq)
 
     def arith_geo(m):  # sum_{k>=m} k * rho**(k-1)
         return rho ** (m - 1) * (m - (m - 1) * rho) / d2
@@ -340,6 +344,20 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     return rem, direct_err
 
 
+def _majorants(a1, a2) -> np.ndarray:
+    """(1 + SCREEN_MARGIN) * sqrt(||a1||_F**2 + ||a2||_F**2) per matrix.
+
+    Each is at least the operator norm of its matrix of the stacked pair
+    (see tail_rule) while the squares of the entries are normal doubles;
+    a square that overflows gives inf, and squares of entries below about
+    1e-154 lose precision or vanish, so a majorant may then fall short.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return (1.0 + SCREEN_MARGIN) * np.sqrt(np.sum(
+            a1.real ** 2 + a1.imag ** 2 + a2.real ** 2 + a2.imag ** 2,
+            axis=(1, 2)))
+
+
 def tail_rule(t: np.ndarray, rtol: float, p1, p2):
     """The library stopping rule t <= rtol * (1 + ||partial||) on a block.
 
@@ -353,10 +371,7 @@ def tail_rule(t: np.ndarray, rtol: float, p1, p2):
     norm never skips a row that the exact norm would pass; the rows left
     take one stacked SVD, and the verdict is the unscreened one.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        frob = np.sqrt(np.sum(p1.real ** 2 + p1.imag ** 2 + p2.real ** 2
-                              + p2.imag ** 2, axis=(1, 2)))
-    rows = np.flatnonzero(~(t > rtol * (1.0 + (1.0 + SCREEN_MARGIN) * frob)))
+    rows = np.flatnonzero(~(t > rtol * (1.0 + _majorants(p1, p2))))
     for i, norm in zip(rows.tolist(),
                        hmat.pair_op_norms(p1[rows], p2[rows])):
         if t[i] <= rtol * (1.0 + norm):
@@ -421,10 +436,19 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
     directly inverted resolvent `direct` drops to tol, or through nmax.
     Returns (rows, converged).  The residual is at most about
     tail_bound_S(N), so the first block ends where that reaches tol, and
-    each later block doubles the rows so far.  Two stacked SVDs per block;
-    no domain gate.  The rows also end, unconverged, before the first
-    residual that is not finite, which a term or partial sum that is not
-    finite makes so: no SVD is taken of such a matrix.
+    each later block doubles the rows so far.
+
+    A block takes two stacked SVDs, the residuals and the term norms.  Its
+    residuals are screened by their Frobenius majorants (see tail_rule):
+    the first row whose majorant is <= tol has a residual <= tol, so the
+    residual SVD runs through that row, and the term SVD through the
+    first residual <= tol among them.  Where squares of tiny entries
+    underflow, a majorant can pass a row that the SVD does not; the
+    block then takes the residuals of its remaining rows before it
+    decides.  Every number is the row's own stacked SVD, whatever the
+    screen decides.  No domain gate.  The rows also end, unconverged,
+    before the first residual that is not finite, which a term or partial
+    sum that is not finite makes so: no SVD is taken of such a matrix.
     """
     rows = []
     if nmax < 0:
@@ -445,12 +469,17 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
         k = hmat.finite_rows(d1, d2)
         if not k:
             break
-        for n, norm, residual in zip(
-                range(lo, lo + k), hmat.pair_op_norms(t1[:k], t2[:k]),
-                hmat.pair_op_norms(d1[:k], d2[:k])):
-            rows.append([n, norm, tails[n], residual])
-            if residual <= tol:
-                return rows, True
+        passed = np.flatnonzero(_majorants(d1[:k], d2[:k]) <= tol)
+        cut = int(passed[0]) + 1 if len(passed) else k
+        residuals = list(hmat.pair_op_norms(d1[:cut], d2[:cut]))
+        if cut < k and not min(residuals) <= tol:
+            residuals += hmat.pair_op_norms(d1[cut:k], d2[cut:k])
+        m = next((i + 1 for i, r in enumerate(residuals) if r <= tol), k)
+        rows += ([n, norm, tails[n], r] for n, norm, r in zip(
+            range(lo, lo + m), hmat.pair_op_norms(t1[:m], t2[:m]),
+            residuals))
+        if rows[-1][3] <= tol:
+            return rows, True
         if k < len(d1):
             break
     return rows, False

@@ -11,7 +11,7 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ SERIES_RTOL_FRACTION = 0.05
 REMAINDER_ORDER = 3
 
 
-@dataclass(frozen=True)
-class SuiteRow:
+class SuiteRow(NamedTuple):
     """Max relative residual of one identity over all trials."""
 
     name: str

@@ -649,6 +649,41 @@ def test_json_writer_edge_values():
             cli._json(value)
 
 
+# CSV cells as the reports hold them: floats (non-finite, negative zero,
+# subnormal and numpy ones too), ints, bools, strings and quaternions.
+# Each column draws from floats, ints or any cell, so rows of one printf
+# spelling per column and rows that need _cell both occur.
+CSV_FLOATS = st.one_of(st.floats(), st.floats().map(np.float64))
+CSV_INTS = st.integers(-2 ** 70, 2 ** 70)
+CSV_CELLS = st.one_of(CSV_FLOATS, CSV_INTS, st.booleans(), st.text(),
+                      st.builds(Quaternion, *[st.floats()] * 4))
+CSV_ROWS = st.lists(st.sampled_from([CSV_FLOATS, CSV_INTS, CSV_CELLS]),
+                    min_size=1, max_size=4).flatmap(
+    lambda columns: st.lists(st.tuples(*columns), max_size=6))
+
+
+def csv_lines_by_cell(rows):
+    return [",".join(map(cli._cell, row)) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(CSV_ROWS)
+def test_csv_rows_render_as_cell_by_cell(rows):
+    assert cli._csv_lines(rows) == csv_lines_by_cell(rows)
+
+
+def test_csv_rows_edge_values():
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+               np.float64(-0.0), np.float64("nan"), np.float64(2.5e-310),
+               0.1, 1e300, 2 ** 70, -3]
+    for rows in ([special], [[x, x] for x in special], [[1.0, 2], [3.0, 4]],
+                 [[1.0, True]], [[1, 2.0], [2.0, 1]], [[1.0], [2.0, 3.0]],
+                 [[np.int64(7), 1.0]], [[np.float32(0.1), 1.0]],
+                 [["x", 1.0]], [[Quaternion(1.0, -0.0, 5e-324, 2.0)]],
+                 [[]], []):
+        assert cli._csv_lines(rows) == csv_lines_by_cell(rows), rows
+
+
 def test_json_reports_render_as_the_stdlib(tmp_path, monkeypatch, capsys):
     readme_matrix_dir(tmp_path, monkeypatch)
     for name, args in README_RUNS.items():
@@ -656,3 +691,13 @@ def test_json_reports_render_as_the_stdlib(tmp_path, monkeypatch, capsys):
         assert main([name] + args) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(report.doc, indent=2) + "\n", name
+
+
+def test_csv_reports_render_cell_by_cell(tmp_path, monkeypatch, capsys):
+    readme_matrix_dir(tmp_path, monkeypatch)
+    for name, args in README_RUNS.items():
+        report = COMMANDS[name](PARSER.parse_args([name] + args))
+        assert main([name] + args + ["--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        body = out.splitlines()[len(report.comments) + 1:]
+        assert body == csv_lines_by_cell(report.rows), name

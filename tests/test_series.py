@@ -448,7 +448,7 @@ def reference_tail_Q(state, q, N):
     ke, ko = N // 2 + 1, (N + 1) // 2
     return (2.0 * c1 * c0 * nq * arith_geo(ke)
             + nq * (rho ** ko / (1.0 - rho))
-            + 2.0 * c0 * c0 * nq * nq * arith_geo(max(ko, 1)))
+            + 2.0 * (c0 * nq) * (c0 * nq) * arith_geo(max(ko, 1)))
 
 
 def test_engine_tails_equal_the_closed_forms():
@@ -468,6 +468,40 @@ def test_engine_tails_equal_the_closed_forms():
         for N in (0, 1, 17, nmax):
             assert converge_series_Q(st, q, 1e-30, N)[1] == \
                 reference_tail_Q(st, q, N)
+
+
+def test_derivative_tail_where_c0_squared_overflows():
+    # on [i] around 1e154, c0 = |q| + |q0| squared overflows, while
+    # odd = 2 * (c0 * ||Q||)**2 is about 8e-308 and rho about 1e-292
+    A = QMatrix.from_entries([[[0, 1, 0, 0]]])
+    st = series_init(A, Quaternion(1e154))
+    for k in (1.0, -1.0, 3.0):
+        q = Quaternion(1e154, 0.0, 0.0, 1e8 * k)
+        assert math.isfinite(tail_bound_Q(st, q, 0))
+        partial, tail, N, conv = converge_series_Q(st, q, 1e-3)
+        assert (N, conv) == (0, True)
+        assert 0.0 < tail <= 1e-300 and np.isfinite(partial.a1).all()
+
+
+def test_report_screen_falls_back_where_squares_underflow():
+    # q has a j-part of 1e-170 and `direct` is a partial sum the series
+    # reaches exactly, so from N = 53 on the residual's complex part is
+    # zero and its j-part at most 1.2e-184: every square of its entries
+    # underflows and the Frobenius majorant reads 0 <= tol, yet the
+    # residual stays above tol until the j-part is reached at N = 58
+    st = series_init(QMatrix.zeros(1), Quaternion(1.0))
+    q = Quaternion(0.5, 0.0, 1e-170, 0.0)
+    direct, _ = eval_series_S(st, q, 200)
+    tol = 1e-200
+    got = residual_report(st, q, direct, tol, 200)
+    assert got == reference_report(st, q, direct, tol, 200)
+    rows, converged = got
+    assert converged and rows[-1][3] == 0.0
+    screened = [N for N, (_, partial) in enumerate(
+                    reference_partials(st, q, rows[-1][0]))
+                if series._majorants((partial - direct).a1[None],
+                                     (partial - direct).a2[None])[0] <= tol]
+    assert rows[screened[0]][3] > tol
 
 
 def test_tail_rule_screen_never_skips_a_passing_test():
@@ -538,6 +572,35 @@ def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
     assert rc == 0 and rep["N"] == 299
     assert [lo for lo, _ in ran] == [0, 64, 128, 192, 256]
     assert work["svd"] <= 3 + 2 * 5
+
+
+def count_svd_rows(monkeypatch):
+    """Count the matrices handed to np.linalg.svd from here on.
+
+    A stack of k matrices counts k, a single matrix 1.
+    """
+    rows = [0]
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        rows[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return rows
+
+
+@pytest.mark.parametrize("n, most", [(1, 603), (8, 611)])
+def test_series_report_svd_row_gate(n, most, monkeypatch, capsys):
+    # the 300 rows print 600 norms, and the center bundle, the direct
+    # bundle and ||S_left(q0)|| take one SVD each; at n = 8 the residual
+    # SVDs of blocks of 64 rows run a few rows past the first passing one,
+    # to the first row whose Frobenius majorant passes
+    rows = count_svd_rows(monkeypatch)
+    rc = main(["series", "--n", str(n), "--q0", "1", "--q", "1.9",
+               "--tol", "1e-14", "--nmax", "400"])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["N"] == 299
+    assert rows[0] <= most
 
 
 def test_verify_svd_count_gate(monkeypatch, capsys):
