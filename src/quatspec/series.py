@@ -312,16 +312,13 @@ def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
     return _partial_through(state, q, True, N), tail_bound_Q(state, q, N)
 
 
-def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
-    """Norms of the truncation error after the partial sum to 2N+1.
+def remainder_operators(state: SeriesState, bq: ResolventBundle, N: int):
+    """The operators remainder_exact takes the norms of, in its order.
 
-    Returns (closed form, summed): the closed form is
-    ||Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1)|| at q = bq.q with
-    the directly inverted S_left(q) of the bundle, the summed one is
-    ||S_left(q) - partial sum||.  The two are checked against each other,
-    and the closed form against its majorant
-    ||S_left(q)|| * rho**(N+1); a failure of either
-    internal consistency check raises QuatspecError.
+    Returns (closed form, summed error, S_left(q), partial sum to 2N+1) at
+    q = bq.q: the closed form is Q(q0)^(N+1) @ S_left(q) *
+    triangle(q0, q)**(N+1) with the directly inverted S_left(q) of the
+    bundle, the summed error is S_left(q) - partial sum.
     """
     if N < 0:
         raise InputError("truncation index must be >= 0")
@@ -329,8 +326,17 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     tri = triangle(state.q0, q)
     rem_op = (state.coeff(2 * N + 2) @ bq.S_left).scale_right(qpow(tri, N + 1))
     partial = _partial_through(state, q, False, 2 * N + 1)
-    rem, direct_err, norm_sq, norm_partial = hmat.op_norms(
-        [rem_op, bq.S_left - partial, bq.S_left, partial])
+    return rem_op, bq.S_left - partial, bq.S_left, partial
+
+
+def check_remainder(state: SeriesState, q: Quaternion, N: int, ops):
+    """remainder_exact's checks on the norms of its remainder_operators.
+
+    Takes the norms of ops with hmat.op_norms, so norms already stored
+    cost nothing, and returns (closed form, summed) after both checks of
+    remainder_exact.
+    """
+    rem, direct_err, norm_sq, norm_partial = hmat.op_norms(ops)
     scale = 1.0 + norm_sq + norm_partial + rem
     if abs(direct_err - rem) > 1e-10 * scale:
         raise QuatspecError(
@@ -342,6 +348,22 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
         raise QuatspecError(
             f"truncation error {rem:.6g} exceeds its majorant {bound:.6g}")
     return rem, direct_err
+
+
+def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
+    """Norms of the truncation error after the partial sum to 2N+1.
+
+    Returns (closed form, summed): the closed form is
+    ||Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1)|| at q = bq.q with
+    the directly inverted S_left(q) of the bundle, the summed one is
+    ||S_left(q) - partial sum||.  The two are checked against each other,
+    and the closed form against its majorant
+    ||S_left(q)|| * rho**(N+1); a failure of either
+    internal consistency check raises QuatspecError.  The four norms
+    (remainder_operators) take one stacked SVD; a caller with more norms
+    to take can stack them with its own and call check_remainder.
+    """
+    return check_remainder(state, bq.q, N, remainder_operators(state, bq, N))
 
 
 def _majorants(a1, a2) -> np.ndarray:

@@ -59,6 +59,16 @@ from .quatcore import Quaternion, qinv, triangle
 # falls below this times (1 + |p|**2 + |q|**2).
 DEGENERATE_REL_TOL = 1e-12
 
+# random_resolvent_point accepts a draw when its pencil's smallest
+# singular value exceeds this fraction of its largest.
+WELL_CONDITIONED_RATIO = 1e-6
+
+# With require_nonreal it skips draws with |Im q| below this.
+NONREAL_MIN_IMAG = 0.1
+
+# It gives up after this many draws.
+SAMPLE_DRAWS = 10000
+
 # A stacked SVD takes at most this many bytes of chi images (64 pencils at
 # n = 8, 1024 at n = 2), which bounds the working memory of pencil_svals,
 # resolvent_bundles and the series engine; block_rows turns it into rows.
@@ -276,23 +286,34 @@ def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> QMatrix:
     return A @ b.S_left - b.S_left.scale_right(b.q) + QMatrix.identity(A.n)
 
 
+def sampling_box(A: QMatrix) -> float:
+    """The half-width 2*(1 + ||A||) of random_resolvent_point's box, which
+    keeps a healthy fraction of draws outside the spectral spheres."""
+    return 2.0 * (1.0 + hmat.op_norm(A))
+
+
+def well_conditioned(sv):
+    """Whether sigma_min > WELL_CONDITIONED_RATIO * sigma_max, per row of
+    pencil_svals (a bool array; a single row gives a numpy bool)."""
+    return sv[..., -1] > WELL_CONDITIONED_RATIO * sv[..., 0]
+
+
 def random_resolvent_point(A: QMatrix, rng,
                            require_nonreal: bool = False) -> Quaternion:
     """Rejection-sample a quaternion at which the pencil is well conditioned.
 
-    Components are uniform on [-box, box] with box = 2*(1 + ||A||), which
-    keeps a healthy fraction of draws outside the spectral spheres; with
-    require_nonreal, draws with |Im q| < 0.1 are skipped.  A draw is
-    accepted when the pencil's smallest singular value exceeds 1e-6 times
-    its largest; after 10000 draws NotInResolventSet is raised.
+    Components are uniform on [-box, box] with box = sampling_box(A);
+    with require_nonreal, draws with |Im q| < NONREAL_MIN_IMAG are
+    skipped.  A draw is accepted when well_conditioned holds for its
+    pencil's singular values; after SAMPLE_DRAWS draws NotInResolventSet
+    is raised.
     """
-    box = 2.0 * (1.0 + hmat.op_norm(A))
-    for _ in range(10000):
+    box = sampling_box(A)
+    for _ in range(SAMPLE_DRAWS):
         c = rng.uniform(-box, box, size=4)
         q = Quaternion(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
-        if require_nonreal and q.im_norm() < 0.1:
+        if require_nonreal and q.im_norm() < NONREAL_MIN_IMAG:
             continue
-        sv = pencil_svals(A, [q])[0]
-        if sv[-1] > 1e-6 * sv[0]:
+        if well_conditioned(pencil_svals(A, [q])[0]):
             return q
     raise NotInResolventSet("failed to sample a well-conditioned resolvent point")

@@ -2,8 +2,11 @@
 
 Each trial draws a fresh random matrix and well-conditioned evaluation
 points, evaluates both sides of every identity the package implements,
-and records the relative residual; the identities are one table, and one
-stacked SVD takes every norm a trial's table reads.  The suite reports,
+and records the relative residual.  A trial runs in three stacked
+stages: one pencil SVD stack tests its random points and gives the
+series radius, one resolvent_bundles call builds all seven bundles, and
+one stacked SVD takes every norm its table of identities and the exact
+remainder's checks read.  The suite reports,
 per identity, the maximum residual over all trials together with the
 trial index attaining it, so a failure is reproducible from (seed, trial)
 alone.
@@ -11,19 +14,21 @@ alone.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from . import hmat, series, sliceanalysis
+from . import hmat, series, sliceanalysis, sresolvent
 from .errors import DegenerateConfiguration, InputError
 from .hmat import QMatrix, op_norm, op_norms
-from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
+from .quatcore import (Quaternion, point_at_cassini_distance,
+                       random_unit_imag, triangle)
 from .spectrum import cor1_check
-from .sresolvent import (random_resolvent_point, resolvent_bundle,
+from .sresolvent import (pencil_svals, random_resolvent_point,
                          resolvent_bundles, residual_AS_identity,
                          residual_mixed_eq, residual_q_eq,
-                         residual_resolvent_eq)
+                         residual_resolvent_eq, sampling_box, well_conditioned)
 
 # The convergent-series rows stop at this fraction of the requested
 # tolerance, leaving headroom between truncation error and the gate.
@@ -31,6 +36,10 @@ SERIES_RTOL_FRACTION = 0.05
 
 # Truncation order for the exact-remainder row (partial sum to 2N+1).
 REMAINDER_ORDER = 3
+
+# p counts as off the sphere of q when |triangle(q, p)| exceeds this
+# times (1 + |p|**2 + |q|**2).
+OFF_SPHERE_REL_TOL = 1e-9
 
 
 class SuiteRow(NamedTuple):
@@ -42,16 +51,51 @@ class SuiteRow(NamedTuple):
     passed: bool
 
 
+def _off_sphere(q, p) -> bool:
+    """Whether p is off the sphere of q at OFF_SPHERE_REL_TOL."""
+    return abs(triangle(q, p)) > OFF_SPHERE_REL_TOL * (
+        1.0 + p.abs2() + q.abs2())
+
+
 def _sample_off_sphere_pair(A, rng):
     """Two resolvent points with p off the sphere of q (retry on collision)."""
     q = random_resolvent_point(A, rng)
     for _ in range(5):
         p = random_resolvent_point(A, rng)
-        tri = triangle(q, p)
-        if abs(tri) > 1e-9 * (1.0 + p.abs2() + q.abs2()):
+        if _off_sphere(q, p):
             return p, q
     raise DegenerateConfiguration(
         "could not sample a pair off each other's spheres")
+
+
+def _sample_points(A, rng):
+    """A trial's points p, q, qd, its real series center r0 and radius R.
+
+    p, q and qd are what _sample_off_sphere_pair followed by
+    random_resolvent_point(A, rng, require_nonreal=True) return, and rng
+    is left where they leave it; R equals resolvent_bundle(A, r0).radius.
+    The draws of q, p and qd come in the samplers' order, and one
+    pencil_svals call tests them and gives R from r0's row.  When a draw
+    fails a test, the samplers would have drawn again: rng goes back to
+    its state before the draws, and they run from there.
+    """
+    r0 = series.certified_real_point(A)
+    saved = rng.bit_generator.state
+    box = sampling_box(A)
+    # one (2, 4) draw takes the stream of two draws of size 4
+    q, p = (Quaternion(*c)
+            for c in rng.uniform(-box, box, size=(2, 4)).tolist())
+    for _ in range(sresolvent.SAMPLE_DRAWS):
+        qd = Quaternion(*rng.uniform(-box, box, size=4).tolist())
+        if qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG:
+            break
+    sv = pencil_svals(A, [q, p, qd, r0])
+    if not (well_conditioned(sv[:3]).all() and _off_sphere(q, p)
+            and qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG):
+        rng.bit_generator.state = saved
+        p, q = _sample_off_sphere_pair(A, rng)
+        qd = random_resolvent_point(A, rng, require_nonreal=True)
+    return p, q, qd, r0, math.sqrt(float(sv[3, -1]))
 
 
 def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
@@ -59,13 +103,16 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
 
     A row of the table is (name, residual, mats, scale): the residual is an
     operator, whose norm is the absolute residual, or that number itself,
-    and scale maps the norms of mats to the row's scale.
+    and scale maps the norms of mats to the row's scale.  One op_norms
+    stack takes the table's norms and the four of the exact remainder,
+    whose checks then read them; its row comes last.
     """
-    p, q = _sample_off_sphere_pair(A, rng)
-    qd = random_resolvent_point(A, rng, require_nonreal=True)
-    r0 = series.certified_real_point(A)
-    bp, bq, bqc, br, bd, bdc = resolvent_bundles(
-        A, [p, q, q.conj(), r0, qd, qd.conj()])
+    p, q, qd, r0, R = _sample_points(A, rng)
+    q_in = point_at_cassini_distance(
+        q0=r0, dist=0.5 * R, direction=random_unit_imag(rng),
+        angle=float(rng.uniform(0.0, 2.0 * np.pi)))
+    bp, bq, bqc, br, bd, bdc, b_in = resolvent_bundles(
+        A, [p, q, q.conj(), r0, qd, qd.conj(), q_in])
     state = series.SeriesState(A, br)
     tri = abs(triangle(q, p))
     r_pq, r_qp = residual_q_eq(bp, bq)
@@ -78,15 +125,10 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
         {qd: bd.S_left, qd.conj(): bdc.S_left}.__getitem__, qd)
     u_dist, bound = cor1_check(A, bp)
 
-    q_in = point_at_cassini_distance(
-        q0=r0, dist=0.5 * state.R, direction=random_unit_imag(rng),
-        angle=float(rng.uniform(0.0, 2.0 * np.pi)))
-    b_in = resolvent_bundle(A, q_in)
     rtol = SERIES_RTOL_FRACTION * tol
     s_sum = series.converge_series_S(state, q_in, rtol, nmax)[0]
     q_sum = series.converge_series_Q(state, q_in, rtol, nmax)[0]
-    rem, direct_err = series.remainder_exact(state, b_in, REMAINDER_ORDER)
-
+    rem_ops = series.remainder_operators(state, b_in, REMAINDER_ORDER)
     table = (
         ("left_resolvent_two_point", residual_resolvent_eq(bp, bq),
          (bp.S_left, bq.S_left), lambda sp, sq: 1.0 + sp + sq + bq.norm_Q * (
@@ -117,11 +159,13 @@ def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
          lambda s: 1.0 + s),
         ("series_derivative_match", q_sum - b_in.Q, (),
          lambda: 1.0 + b_in.norm_Q),
-        ("truncation_remainder", abs(direct_err - rem), (b_in.S_left,),
-         lambda s: 1.0 + s),
     )
     op_norms([M for _, res, mats, _ in table
-              for M in (res, *mats) if isinstance(M, QMatrix)])
+              for M in (res, *mats) if isinstance(M, QMatrix)] + list(rem_ops))
+    rem, direct_err = series.check_remainder(state, q_in, REMAINDER_ORDER,
+                                             rem_ops)
+    table += (("truncation_remainder", abs(direct_err - rem), (b_in.S_left,),
+               lambda s: 1.0 + s),)
     return {name: (op_norm(res) if isinstance(res, QMatrix) else res)
             / scale(*map(op_norm, mats))
             for name, res, mats, scale in table}

@@ -607,18 +607,19 @@ def test_verify_svd_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    # per trial: the sampler's pencil SVDs, two stacked bundle SVDs, the
-    # series screens, one stacked SVD in remainder_exact and one for every
-    # norm the row table reads
-    assert work["svd"] <= 554
+    # per trial: one stacked pencil SVD tests the sampled points and gives
+    # the series radius, one stacked SVD takes the seven bundles, then the
+    # series screens, and one stacked SVD takes every norm the row table
+    # and the exact remainder read
+    assert work["svd"] <= 354
 
 
 def test_verify_bundle_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    # seven bundles per trial: p, q, conj(q), the real center, the
-    # derivative point and its conjugate, and the series point
+    # seven bundles per trial, in one call: p, q, conj(q), the real
+    # center, the derivative point and its conjugate, and the series point
     assert work["bundle"] <= 350
 
 
@@ -626,9 +627,9 @@ def test_verify_inverse_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    # two stacked inverses per trial: the six points known before the
-    # series center, then the series point
-    assert work["inv"] <= 100
+    # one stacked inverse per trial: the series point is placed from the
+    # sampling stack's radius, so all seven bundles take one call
+    assert work["inv"] <= 50
 
 
 @pytest.mark.parametrize("k", [1, 6, 40])
