@@ -23,9 +23,9 @@ from .series import (SeriesState, certified_real_point, converge_series_Q,
 from .sliceanalysis import (StemPair, cauchy_coeffs, cr_residual,
                             s_resolvent_map, sderiv_operator, slice_point,
                             stem_decompose, stem_reconstruct, taylor_eval)
-from .spectrum import (SpectrumResult, blowup_probe, boundary_polyline,
-                       cassini_dist, cor1_check, in_resolvent,
-                       s_spectrum, sample_cassini_ball)
+from .spectrum import (SpectrumResult, boundary_polyline, cassini_dist,
+                       cor1_check, in_resolvent, s_spectrum,
+                       sample_cassini_ball)
 from .sresolvent import (ResolventBundle, delta_op, resolvent_bundle,
                          resolvent_bundles, residual_AS_identity, residual_mixed_eq,
                          residual_q_eq, residual_resolvent_eq)
@@ -38,7 +38,7 @@ __all__ = [
     "NotInResolventSet", "OutsideConvergenceDomain", "QI", "QJ", "QK",
     "QMatrix", "Quaternion", "QuatspecError", "ResolventBundle",
     "SeriesState", "SingularOperator", "SpectrumResult",
-    "SpherePoint", "StemPair", "SuiteRow", "blowup_probe",
+    "SpherePoint", "StemPair", "SuiteRow",
     "boundary_polyline", "cassini_dist", "cassini_u", "cauchy_coeffs",
     "certified_real_point", "chi", "converge_series_Q", "converge_series_S",
     "cor1_check", "cr_residual", "delta_op", "eval_series_Q",

@@ -30,9 +30,10 @@ from . import hmat, series, verify
 from .errors import InputError, QuatspecError
 from .hmat import QMatrix
 from .quatcore import Quaternion, point_at_cassini_distance, random_unit_imag
-from .spectrum import (boundary_polyline, cor1_check, resolvent_mask,
+from .spectrum import (boundary_polyline, cassini_dist, resolvent_mask,
                        s_spectrum, sample_cassini_ball)
-from .sresolvent import pencil_svals, resolvent_bundle, residual_AS_identity
+from .sresolvent import (localization_radius, pencil_svals, resolvent_bundle,
+                         residual_AS_identity)
 
 # Per-command stream indices fed to SeedSequence([seed, stream]) so that
 # different commands never share a random stream for the same seed.
@@ -335,7 +336,9 @@ def cmd_cassini(cfg: argparse.Namespace) -> Report:
     """Localization report: distance bound, ball sampling, boundary curve."""
     A = _load_matrix(cfg)
     q0 = cfg.q0 if cfg.q0 is not None else series.certified_real_point(A)
-    u_dist, bound = cor1_check(A, resolvent_bundle(A, q0))
+    # the bound first: a center outside the resolvent set is refused
+    bound = localization_radius(A, q0)
+    u_dist = cassini_dist(q0, s_spectrum(A))
     trials = cfg.trials if cfg.trials is not None else 100
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, STREAM_CASSINI]))
@@ -350,7 +353,7 @@ def cmd_cassini(cfg: argparse.Namespace) -> Report:
         "bound_holds": bound_holds,
         "samples_total": trials,
         "samples_inside": inside,
-        "boundary": [[r, s] for r, s in boundary_polyline(q0, bound)],
+        "boundary": boundary_polyline(q0, bound).tolist(),
     }
     return Report(
         doc,

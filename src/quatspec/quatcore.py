@@ -16,6 +16,7 @@ real recurrence D_{k+1} = A_k*D_1 + D_k*A_1, with no division by Im(q).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -154,16 +155,33 @@ def cassini_factors(pr, ps, qr, qs):
     readers never form m1*m2; they take u**2 = sqrt(m1)*sqrt(m2).  That
     holds for coordinates whose squares are normal doubles, about 1e-154
     to 1e154 in modulus, and there scaling every coordinate by 2**k scales
-    u**2 by exactly 4**k.
+    u**2 by exactly 4**k.  Where a factor overflows, which ps + qs near
+    1e154 can make it do, they take u = sqrt(h1)*sqrt(h2) from
+    cassini_hypots instead.
     """
     dr = pr - qr
     return dr * dr + (ps - qs) * (ps - qs), dr * dr + (ps + qs) * (ps + qs)
 
 
+def cassini_hypots(pr, ps, qr, qs):
+    """sqrt of the cassini_factors, (h1, h2), each taken by hypot.
+
+    hypot forms no square, so neither overflows while the distances
+    |z - z0| and |z - conj(z0)| of the planar points are finite, and
+    u = sqrt(h1)*sqrt(h2) is finite with them.
+    """
+    dr = pr - qr
+    return np.hypot(dr, ps - qs), np.hypot(dr, ps + qs)
+
+
 def cassini_u_axial(p: SpherePoint, q: SpherePoint) -> float:
     """Cassini pseudo-metric between two spheres given in axial coordinates."""
     m1, m2 = cassini_factors(p.r, p.s, q.r, q.s)
-    return math.sqrt(math.sqrt(m1) * math.sqrt(m2))
+    u2 = math.sqrt(m1) * math.sqrt(m2)
+    if math.isfinite(u2):
+        return math.sqrt(u2)
+    h1, h2 = cassini_hypots(p.r, p.s, q.r, q.s)
+    return float(np.sqrt(h1) * np.sqrt(h2))
 
 
 def cassini_u(p: Quaternion, q: Quaternion) -> float:
@@ -189,12 +207,21 @@ class CassiniBall(NamedTuple):
         """contains() for points with axial coordinates (r, s).
 
         u < radius iff u**2 = sqrt(m1)*sqrt(m2) < radius**2, with (m1, m2)
-        the cassini_factors.  Floats give a numpy bool, arrays a boolean
-        mask.
+        the cassini_factors, and where that product is not finite iff
+        sqrt(h1)*sqrt(h2) < radius, with (h1, h2) the cassini_hypots.
+        Floats give a numpy bool, arrays a boolean mask.
         """
         cs = sphere_of(self.center)
-        m1, m2 = cassini_factors(r, s, cs.r, cs.s)
-        return np.sqrt(m1) * np.sqrt(m2) < self.radius * self.radius
+        with np.errstate(over="ignore", invalid="ignore"):
+            m1, m2 = cassini_factors(r, s, cs.r, cs.s)
+            u2 = np.sqrt(m1) * np.sqrt(m2)
+            inside = u2 < self.radius * self.radius
+            over = ~np.isfinite(u2)
+            if over.any():
+                h1, h2 = cassini_hypots(r, s, cs.r, cs.s)
+                by_hypot = np.sqrt(h1) * np.sqrt(h2) < self.radius
+                inside = np.where(over, by_hypot, inside)[()]
+        return inside
 
 
 def spherical_power(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
@@ -277,11 +304,32 @@ def cassini_points(b: float, radius: float, angle):
     units of eps*max(b, radius)**2/radius, the doubles' spacing there, of
     the level set.
     """
+    return cassini_points_rotated(b, radius, _rotations(angle))
+
+
+def _rotations(angle) -> np.ndarray:
+    """exp(i*angle) per angle as a complex array, from math's cos and
+    sin, which the real-center points have always used."""
+    return np.array([complex(math.cos(t), math.sin(t))
+                     for t in np.atleast_1d(angle).tolist()])
+
+
+@functools.lru_cache(maxsize=8)
+def boundary_rotations(count: int) -> np.ndarray:
+    """exp(i*angle) at the count >= 2 angles 2*pi*m/(count - 1), m = 0, 1,
+    ..., count - 1, evenly spaced over [0, 2*pi].
+
+    Taken once per count and read-only, so every caller shares one table.
+    """
+    rot = _rotations([2.0 * math.pi * m / (count - 1) for m in range(count)])
+    rot.flags.writeable = False
+    return rot
+
+
+def cassini_points_rotated(b: float, radius: float, rot: np.ndarray):
+    """cassini_points at the angles whose rotations exp(i*angle) are rot."""
     e = math.frexp(max(b, radius))[1]
     b, radius = math.ldexp(b, -e), math.ldexp(radius, -e)
-    # math's cos and sin, which the real-center points have always used
-    rot = np.array([complex(math.cos(t), math.sin(t))
-                    for t in np.atleast_1d(angle).tolist()])
     if radius >= b:
         w = rot * np.sqrt(radius * radius - b * b * np.conj(rot) ** 2)
     else:

@@ -21,9 +21,10 @@ import numpy as np
 from . import hmat
 from .errors import InputError, QuatspecError
 from .hmat import QMatrix
-from .quatcore import (CassiniBall, Quaternion, SpherePoint, cassini_points,
+from .quatcore import (CassiniBall, Quaternion, SpherePoint,
+                       boundary_rotations, cassini_points_rotated,
                        cassini_u_axial, sphere_of)
-from .sresolvent import ResolventBundle, pencil_chis, pencil_svals
+from .sresolvent import ResolventBundle, pencil_chis
 
 # Two eigenvalue-derived spheres merge when both coordinates agree to this
 # times (1 + ||A||); eigenvalue clustering noise sits far below it.
@@ -113,26 +114,6 @@ def cor1_check(A: QMatrix, bundle: ResolventBundle):
     return cassini_dist(bundle.q, s_spectrum(A)), bundle.radius
 
 
-def blowup_probe(A: QMatrix, target: Quaternion, steps: int):
-    """Pseudo-resolvent norms along a Cassini-convergent approach to target.
-
-    Probes p_m = target + 2**(-m), m = 1..steps, approach the sphere of
-    target along the real direction.  The norm ||Q(p_m)|| is evaluated as
-    the reciprocal smallest singular value of the pencil, which stays
-    finite and exact arbitrarily close to the spectrum (no inversion is
-    attempted).  Raises InputError when target is not in the spectrum at
-    the package tolerance.
-    """
-    if steps < 1:
-        raise InputError("blowup_probe needs at least one step")
-    if in_resolvent(A, target):
-        raise InputError("blow-up probe target must lie in the S-spectrum")
-    probes = [target + Quaternion(2.0 ** -m) for m in range(1, steps + 1)]
-    smallest = pencil_svals(A, probes)[:, -1]
-    return [(p, math.inf if sv == 0.0 else 1.0 / float(sv))
-            for p, sv in zip(probes, smallest)]
-
-
 def cassini_box(b: float, radius: float):
     """The bounding box (h, s_lo, s_hi) of the folded planar Cassini region.
 
@@ -144,18 +125,25 @@ def cassini_box(b: float, radius: float):
     (x**2 + b**2)**2 beyond, so |x| <= h = radius**2/(2b) for
     radius <= sqrt(2)*b and h = sqrt(radius**2 - b**2) otherwise.  Every
     bound is attained, and each is formed without squaring a coordinate,
-    so none overflows or underflows before the answer does.
+    so none overflows or underflows before the answer does.  Where radius
+    is far below b, both s bounds round to about b, and s_lo is held at
+    most s_hi.
     """
+    s_hi = math.hypot(b, radius)
     s_lo = math.sqrt(b - radius) * math.sqrt(b + radius) if radius < b else 0.0
     if radius <= math.sqrt(2.0) * b:
         h = radius * (radius / (2.0 * b))
     else:
         h = math.sqrt(radius - b) * math.sqrt(radius + b)
-    return h, s_lo, math.hypot(b, radius)
+    return h, min(s_lo, s_hi), s_hi
 
 
-def sample_cassini_ball(q0: Quaternion, radius: float, count: int, rng):
+def sample_cassini_ball(q0: Quaternion, radius: float, count: int,
+                        rng) -> np.ndarray:
     """count points uniform in the Cassini ball {u(., q0) < radius}.
+
+    Returns a (count, 4) float array of rows (w, x, y, z), which
+    resolvent_mask and the other pencil readers take as they are.
 
     Sampling is by rejection on cassini_box, the exact bounding box of the
     planar region {|z - z0|*|z - conj(z0)| < radius**2} folded to s >= 0
@@ -190,20 +178,21 @@ def sample_cassini_ball(q0: Quaternion, radius: float, count: int, rng):
                 r, np.sqrt(x * x + y * y + z * z))
         kept.append(np.stack([r, x, y, z], axis=1)[ok])
         found += len(kept[-1])
-    cols = np.concatenate(kept)[:count].T.tolist()
-    return [Quaternion(*c) for c in zip(*cols)]
+    return np.concatenate(kept)[:count]
 
 
-def boundary_polyline(q0: Quaternion, radius: float, count: int = 181):
-    """Planar polyline (r, s) tracing {u(., q0) = radius} for plotting.
+def boundary_polyline(q0: Quaternion, radius: float,
+                      count: int = 181) -> np.ndarray:
+    """Planar polyline tracing {u(., q0) = radius} for plotting.
 
-    The points are cassini_points at count angles evenly spaced over
-    [0, 2*pi], shifted by Re(q0); each lies on the Cassini boundary.  For a
-    real center the curve is the circle of radius `radius`; for a radius
-    below |Im(q0)| it is the oval about q0, with s > 0.
+    A (count, 2) float array of rows (r, s): the cassini_points at the
+    count angles of boundary_rotations, evenly spaced over [0, 2*pi],
+    shifted by Re(q0); each lies on the Cassini boundary.  For a real
+    center the curve is the circle of radius `radius`; for a radius below
+    |Im(q0)| it is the oval about q0, with s > 0.
     """
     if count < 2:
         raise InputError("a polyline needs at least two points")
-    angles = [2.0 * math.pi * m / (count - 1) for m in range(count)]
-    x, s = cassini_points(q0.im_norm(), radius, angles)
-    return [(q0.w + xm, sm) for xm, sm in zip(x.tolist(), s.tolist())]
+    x, s = cassini_points_rotated(q0.im_norm(), radius,
+                                  boundary_rotations(count))
+    return np.stack([q0.w + x, s], axis=1)

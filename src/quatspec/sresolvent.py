@@ -22,7 +22,9 @@ reader of a pencil's singular values at q sees them bit for bit (the
 membership mask of spectrum.resolvent_mask needs them only for the
 pencils its inverse certificate leaves undecided); a bundle reads
 ||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
-them.  Everything that reads the resolvent at a point takes a bundle.
+them.  localization_radius reads the same radius off the pencil's SVD
+alone and refuses a point with the bundle's error.  Everything else that
+reads the resolvent at a point takes a bundle.
 The residual_* operations evaluate on bundles the exact identities these
 objects satisfy, as lhs - rhs:
 
@@ -85,7 +87,16 @@ def block_rows(n: int) -> int:
 
 
 def _rows(points) -> np.ndarray:
-    """The (k, 4) float array of a sequence of Quaternions or [w, x, y, z]."""
+    """The (k, 4) float array of a sequence of Quaternions or [w, x, y, z].
+
+    A (k, 4) float array, such as spectrum.sample_cassini_ball returns,
+    is passed through as it is.
+    """
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2 or points.shape[1] != 4 or points.dtype != float:
+            raise ValueError(f"points must be a (k, 4) float array, not "
+                             f"{points.dtype} of shape {points.shape}")
+        return points
     # fromiter skips the per-row objects np.asarray builds from tuples.
     return np.fromiter(itertools.chain.from_iterable(points), float,
                        count=4 * len(points)).reshape(-1, 4)
@@ -161,6 +172,44 @@ def pencil_svals(A: QMatrix, points) -> np.ndarray:
     return out
 
 
+def _radius(smallest: float) -> float:
+    """The localization radius ||Q||**(-1/2) = sqrt(sigma_min)."""
+    return math.sqrt(smallest)
+
+
+def _require_resolvent(points, sv: np.ndarray, lo: int = 0) -> None:
+    """Refuse the first of the points lo, lo + 1, ... that is not usable.
+
+    sv holds their pencils' singular values, a row per point.  A point is
+    refused with NotInResolventSet (carrying the smallest singular value)
+    when its pencil fails hmat.nonsingular, and with QuatspecError when
+    its ||Q|| = 1/sigma_min overflows (sigma_min subnormal).
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        ok = hmat.nonsingular(sv) & np.isfinite(1.0 / sv[:, -1])
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    point = tuple(points[lo + i])
+    if hmat.nonsingular(sv[i]):
+        raise QuatspecError(f"||Q|| = 1/{sv[i, -1]:.3e} overflows at "
+                            f"point {point}")
+    raise NotInResolventSet(
+        f"point {point} is numerically in the S-spectrum (pencil smallest "
+        f"singular value {sv[i, -1]:.3e})", smallest_singular=float(sv[i, -1]))
+
+
+def localization_radius(A: QMatrix, q: Quaternion) -> float:
+    """The radius ||Q(q)||**(-1/2) = sqrt(sigma_min) of resolvent_bundle(A, q).
+
+    Takes only the pencil's SVD, the one resolvent_bundle takes, and
+    refuses q exactly as resolvent_bundle does.
+    """
+    sv = pencil_svals(A, [q])
+    _require_resolvent([q], sv)
+    return _radius(float(sv[0, -1]))
+
+
 @dataclass(frozen=True)
 class ResolventBundle:
     """Everything the package needs at one resolvent-set point."""
@@ -180,7 +229,7 @@ class ResolventBundle:
     @property
     def radius(self) -> float:
         """The localization radius ||Q||**(-1/2) = sqrt(sigma_min)."""
-        return math.sqrt(self.pencil_smallest_singular)
+        return _radius(self.pencil_smallest_singular)
 
 
 def resolvent_bundles(A: QMatrix, points) -> list:
@@ -194,9 +243,8 @@ def resolvent_bundles(A: QMatrix, points) -> list:
     arithmetic of a single point entry by entry, so each bundle equals its
     one-point bundle bit for bit.  Points are checked in order, and the
     first that fails raises what its own call would: QuatspecError when
-    its |q|**2 or its pencil overflows, NotInResolventSet (carrying the
-    smallest singular value) when its pencil fails hmat.nonsingular, and
-    QuatspecError when its 1/sigma_min overflows (sigma_min subnormal).
+    its |q|**2 or its pencil overflows, else the refusal of
+    _require_resolvent.
     """
     points = list(points)
     pts = _rows(points)
@@ -205,17 +253,7 @@ def resolvent_bundles(A: QMatrix, points) -> list:
     for lo, D1, D2 in _pencils(A, pts):
         M = hmat.pair_chi(D1, D2)
         sv = np.linalg.svd(M, compute_uv=False)
-        with np.errstate(divide="ignore", over="ignore"):
-            ok = hmat.nonsingular(sv) & np.isfinite(1.0 / sv[:, -1])
-        if not ok.all():
-            i = int(np.argmin(ok))
-            if hmat.nonsingular(sv[i]):
-                raise QuatspecError(f"||Q|| = 1/{sv[i, -1]:.3e} overflows at "
-                                    f"point {tuple(points[lo + i])}")
-            raise NotInResolventSet(
-                f"point {tuple(points[lo + i])} is numerically in the "
-                f"S-spectrum (pencil smallest singular value "
-                f"{sv[i, -1]:.3e})", smallest_singular=float(sv[i, -1]))
+        _require_resolvent(points, sv, lo)
         Q1, Q2 = hmat.pair_from_chi(np.linalg.inv(M))
         # conj(q) = conj(c1) - c2*j at each point, as scalars (k, 1, 1)
         c1, c2 = hmat.scalar_pairs(pts[lo:lo + len(M)])

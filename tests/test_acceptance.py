@@ -22,11 +22,13 @@ from quatspec.series import (certified_real_point, converge_series_Q,
                              term_norms)
 from quatspec.sliceanalysis import (cauchy_coeffs, s_resolvent_map,
                                     sderiv_operator, slice_point, taylor_eval)
-from quatspec.spectrum import (blowup_probe, cassini_dist, cor1_check,
-                               in_resolvent, s_spectrum, sample_cassini_ball)
+from quatspec.spectrum import (cassini_dist, cor1_check, in_resolvent,
+                               s_spectrum, sample_cassini_ball)
 from quatspec.sresolvent import (delta_op, random_resolvent_point,
                                  residual_mixed_eq, residual_q_eq,
                                  residual_resolvent_eq, resolvent_bundle)
+
+from oracles import blowup_probe
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 SIZES = (1, 2, 4, 6)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -204,6 +206,23 @@ def test_subnormal_pencil_is_refused_at_its_point(tmp_path, capsys, entry):
         assert captured.err.count("\n") == 1
 
 
+def test_cassini_center_is_refused_as_its_bundle_is(tmp_path, capsys):
+    # the bound reads the pencil's SVD alone, with no bundle, and refuses
+    # the center in the words resolvent_bundle uses, in either format
+    path = write_matrix(tmp_path, "tiny.json", [[[0, 1e-160, 0, 0]]])
+    want = ("error: ||Q|| = 1/1.000e-319 overflows at point "
+            "(3e-160, 0.0, 0.0, 0.0)\n")
+    for fmt in ("json", "csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["cassini", "--input", path, "--q0", "3e-160",
+                       "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == want
+
+
 def test_series_that_overflows_reports_its_finite_rows(tmp_path, capsys):
     # the residual floor sits above the absolute --tol, and the rows run on
     # until the series overflows after N = 31: the report stops before
@@ -248,6 +267,75 @@ def test_cassini_spectral_center_exits_one(tmp_path, capsys):
     rc = main(["cassini", "--input", mat_i(tmp_path), "--q0", "0,1,0,0"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry, q0", [
+    # the spectrum and the center near |Im| = 1e154, where (ps + qs)**2
+    # overflows although u does not: u_dist and the ball test take hypot
+    ([1.0, -1e-8, -1e154, 1e8], "1e-154,1e-154,1e8,1e154"),
+    ([1e-8, 1e154, 1e-154, -1e-154], "1e-8,0,0,1e154"),
+    # the bound far below |Im q0|: the s bounds of the box round to about
+    # |Im q0|, and the lower one must not pass the upper
+    ([-1.0, -1e8, 1e8, -1e-154], "-1,1e8,1,1e8")])
+def test_cassini_at_the_edge_of_the_normal_squares(tmp_path, capsys, entry,
+                                                   q0):
+    path = write_matrix(tmp_path, "m.json", [[entry]])
+    for trials in ("0", "100"):
+        rc, rep = run_json(capsys, ["cassini", "--input", path, "--q0=" + q0,
+                                    "--trials", trials])
+        assert rc == 0
+        assert rep["bound_holds"] is True
+        assert rep["samples_inside"] == rep["samples_total"] == int(trials)
+
+
+# cassini on 1 x 1 to 3 x 3 inputs whose components, and those of a given
+# center, come from values at the unit scale, at 1e+-8 and at 1e+-154,
+# where the squares of the coordinates reach the edge of the normal doubles
+CASSINI_VALUES = st.sampled_from([0.0, 1.0, -1.0, 1e8, -1e8, 1e-8, -1e-8,
+                                  1e154, -1e154, 1e-154, -1e-154])
+CASSINI_INPUTS = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.lists(CASSINI_VALUES, min_size=4, max_size=4),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+CASSINI_CENTERS = st.one_of(
+    st.none(), st.lists(CASSINI_VALUES, min_size=4, max_size=4))
+
+
+def run_captured(argv):
+    """main(argv) with stdout and stderr captured: (rc, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=CASSINI_INPUTS, q0=CASSINI_CENTERS,
+       trials=st.sampled_from([None, 0, 1, 10]),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_cassini_keeps_the_report_contract(tmp_path_factory, entries, q0,
+                                           trials, fmt):
+    # exit 0, 1 or 2 and no traceback, strict JSON on success, the same
+    # bytes from the same argv, and --output writes the stdout bytes
+    work = tmp_path_factory.mktemp("cassini")
+    path = write_matrix(work, "m.json", entries)
+    argv = ["cassini", "--input", path, "--format", fmt]
+    if q0 is not None:
+        argv.append("--q0=" + ",".join(map(repr, q0)))
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    rc, out, err = run_captured(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (rc == 0) == (err == "")
+    if rc == 0 and fmt == "json":
+        strict_json(out)
+    assert run_captured(argv) == (rc, out, err)
+    target = work / "out.txt"
+    assert run_captured(argv + ["--output", str(target)]) == (rc, "", err)
+    if out:
+        assert target.read_bytes() == out.encode("utf-8")
+    else:
+        assert not target.exists()
 
 
 def test_negative_trials_are_a_usage_error_before_any_work(tmp_path, capsys):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from quatspec.errors import QuatspecError
 from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
-                               SpherePoint, cassini_points, cassini_u,
+                               SpherePoint, boundary_rotations, cassini_points,
+                               cassini_points_rotated, cassini_u,
                                cassini_u_axial, point_at_cassini_distance,
                                qinv, qmul, qpow, random_unit_imag,
                                sphere_of, spherical_power,
@@ -20,6 +21,7 @@ from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
                                spherical_powers, triangle)
 
 TOL = 1e-12
+EPS = sys.float_info.epsilon
 
 
 def rand_quat(rng, box=2.0):
@@ -362,6 +364,27 @@ def test_cassini_points_lie_on_the_level_set(b):
     assert level_error(1.0, 1e-80, x[0], s[0]) <= 4.0
 
 
+@pytest.mark.parametrize("count", [2, 5, 181])
+def test_boundary_rotations_are_one_read_only_table(count):
+    boundary_rotations.cache_clear()
+    cold = boundary_rotations(count)
+    cold_bytes = cold.tobytes()
+    warm = boundary_rotations(count)
+    assert warm.tobytes() == cold_bytes
+    angles = [2.0 * math.pi * m / (count - 1) for m in range(count)]
+    want = [complex(math.cos(t), math.sin(t)) for t in angles]
+    # bit for bit, signed zeros included
+    assert cold_bytes == np.array(want, dtype=complex).tobytes()
+    assert not warm.flags.writeable
+    with pytest.raises(ValueError):
+        warm[0] = 0.0
+    # the table gives the points cassini_points gives at its angles
+    for b, radius in ((0.0, 1.0), (1.0, 0.5), (1.0, 3.0)):
+        for got, ref in zip(cassini_points_rotated(b, radius, warm),
+                            cassini_points(b, radius, angles)):
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_cassini_points_far_below_the_center_scale_are_finite():
     # radius/b below the smallest double: the point is the center itself,
     # where the bisection's bracket overflowed to inf
@@ -382,6 +405,42 @@ def test_cassini_geometry_scales_past_the_quartic_range(scale):
         ball = CassiniBall(center, want * scale * factor)
         assert bool(ball.contains_axial(p.r, p.s)) is inside
         assert ball.contains(Quaternion(p.r, 0.0, 0.0, p.s)) is inside
+
+
+def quartic_root(p, q):
+    """u(p, q) = (m1*m2)**(1/4) in exact rational arithmetic, rounded."""
+    dr, dm, dp = (Fraction(p.r) - Fraction(q.r), Fraction(p.s) - Fraction(q.s),
+                  Fraction(p.s) + Fraction(q.s))
+    u4 = (dr * dr + dm * dm) * (dr * dr + dp * dp)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float((Decimal(u4.numerator) / Decimal(u4.denominator))
+                     .sqrt().sqrt())
+
+
+def test_cassini_geometry_where_a_factor_overflows():
+    # |Im| near 1e154: (ps + qs)**2 overflows, while u and radius**2 do not
+    b = 1e154
+    q = SpherePoint(0.0, b)
+    for p, u in ((SpherePoint(1.0, b), math.sqrt(2e154)),
+                 (SpherePoint(0.0, b), 0.0),
+                 (SpherePoint(3.0, 2.0 * b), None),
+                 (SpherePoint(-1e150, 0.5 * b), None)):
+        got = cassini_u_axial(p, q)
+        assert math.isfinite(got)
+        assert abs(got - quartic_root(p, q)) <= 4 * EPS * got
+        if u is not None:
+            assert got == u
+    center = Quaternion(0.0, b)
+    r, s = np.array([1.0, 1.0, 0.0, 2.0]), np.array([b, 1.0, 0.0, b])
+    # u = sqrt(2e154), 1e154, 1e154 and sqrt(4e154) = 2e77
+    assert CassiniBall(center, 1.5e77).contains_axial(r, s).tolist() == [
+        True, False, False, False]
+    for radius, inside in ((1.5e77, True), (1.4e77, False)):
+        ball = CassiniBall(center, radius)
+        assert ball.contains_axial(1.0, b) == inside
+        assert type(ball.contains_axial(1.0, b)) is np.bool_
+        assert ball.contains(Quaternion(1.0, 0.0, b)) is inside
 
 
 # Multiples of 2**-30 up to 2**10 in modulus: every square and sum of

@@ -644,21 +644,23 @@ def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
 
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
-    # ||A|| (stored, read twice) and the bundle at q0, whose pencil SVD
-    # gives the bound and whose inverse gives Q; then one stacked inverse
+    # ||A|| (stored, read twice) and the pencil at q0, whose SVD gives the
+    # bound with no bundle and no inverse; then one stacked inverse
     # certifies every sample, however many there are (1000 samples of a
     # 2x2 input fit one block), and no sample needs an SVD
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MAT2))
-    svds, invs = [], []
+    svds, invs, bundles = [], [], []
     for trials in (100, 1000):
         rc, rep, work = count_work(monkeypatch, capsys, [
             "cassini", "--input", str(path), "--trials", str(trials)])
         assert rc == 0 and rep["samples_inside"] == trials
         svds.append(work["svd"])
         invs.append(work["inv"])
+        bundles.append(work["bundle"])
     assert svds == [2, 2]
-    assert invs == [2, 2]
+    assert invs == [1, 1]
+    assert bundles == [0, 0]
 
 
 def test_spectrum_svd_count_gate(monkeypatch, capsys, tmp_path):

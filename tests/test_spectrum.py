@@ -11,12 +11,14 @@ from quatspec.quatcore import (QI, CassiniBall, Quaternion, SpherePoint,
                                cassini_u, cassini_u_axial,
                                point_at_cassini_distance, random_unit_imag,
                                sphere_of)
-from quatspec.spectrum import (SpectrumResult, blowup_probe,
-                               boundary_polyline, cassini_box, cassini_dist,
-                               cor1_check, in_resolvent, resolvent_mask,
-                               s_spectrum, sample_cassini_ball)
+from quatspec.spectrum import (SpectrumResult, boundary_polyline,
+                               cassini_box, cassini_dist, cor1_check,
+                               in_resolvent, resolvent_mask, s_spectrum,
+                               sample_cassini_ball)
 from quatspec.sresolvent import (delta_op, pencil_chis, pencil_svals,
                                  resolvent_bundle)
+
+from oracles import blowup_probe
 
 
 def mat_i():
@@ -233,17 +235,18 @@ def test_sample_cassini_ball():
     rng = np.random.default_rng(64)
     q0 = Quaternion(1.0, 0.0, 1.5, 0.0)
     pts = sample_cassini_ball(q0, 1.25, 200, rng)
-    assert len(pts) == 200
+    assert type(pts) is np.ndarray
+    assert pts.dtype == float and pts.shape == (200, 4)
     ball = CassiniBall(q0, 1.25)
-    for p in pts:
-        assert type(p) is Quaternion
+    for p in map(Quaternion._make, pts.tolist()):
         assert ball.contains(p)
         assert cassini_u(p, q0) < 1.25
-    assert sample_cassini_ball(q0, 1.25, 0, rng) == []
+    empty = sample_cassini_ball(q0, 1.25, 0, rng)
+    assert empty.dtype == float and empty.shape == (0, 4)
     # deterministic under the same generator state
     pts2 = sample_cassini_ball(q0, 1.25, 200, np.random.default_rng(64))
     pts1 = sample_cassini_ball(q0, 1.25, 200, np.random.default_rng(64))
-    assert pts1 == pts2
+    assert pts1.tobytes() == pts2.tobytes()
 
 
 # (|Im q0|, radius) at unit scale: a real center, radius below |Im q0|,
@@ -276,6 +279,18 @@ def test_cassini_box_is_the_exact_bounding_box():
         assert x.max() >= (1.0 - 1e-6) * h
         assert pts[:, 1].min() <= s_lo + 1e-6 * s_hi
         assert s.max() >= (1.0 - 1e-6) * s_hi
+
+
+def test_cassini_box_far_below_the_center_scale():
+    # radius/|Im q0| near 1e-85: both s bounds round to about |Im q0|,
+    # the lower one is held at the upper, and the sampler still draws
+    q0 = Quaternion(-1.0, 1e8, 1.0, 1e8)
+    b, radius = q0.im_norm(), 1.4000714267493641e-77
+    h, s_lo, s_hi = cassini_box(b, radius)
+    assert s_lo == s_hi == b
+    pts = sample_cassini_ball(q0, radius, 10, np.random.default_rng(66))
+    ball = CassiniBall(q0, radius)
+    assert all(ball.contains(Quaternion(*p)) for p in pts.tolist())
 
 
 def loose_box_sample(q0, radius, count, rng):
@@ -319,6 +334,7 @@ def test_sampler_matches_loose_box_rejection():
                                   np.random.default_rng(300 + seed))
         r, s = loose_box_sample(q0, radius, 2000,
                                 np.random.default_rng(400 + seed))
+        pts = list(map(Quaternion._make, pts.tolist()))
         assert ks_pvalue([p.w for p in pts], r) > 0.01
         assert ks_pvalue([p.im_norm() for p in pts], s) > 0.01
 
@@ -348,9 +364,9 @@ def test_sampler_draw_count_gate():
     for seed, (q0, radius) in enumerate(box_centers()):
         rng = CountingGenerator(500 + seed)
         pts = sample_cassini_ball(q0, radius, count, rng)
-        assert len(pts) == count
+        assert pts.shape == (count, 4)
         ball = CassiniBall(q0, radius)
-        assert all(ball.contains(p) for p in pts)
+        assert all(ball.contains(Quaternion(*p)) for p in pts.tolist())
         assert rng.candidates <= 3 * count
 
 

@@ -11,11 +11,13 @@ from quatspec.hmat import (QMatrix, chi, op_norm, qmat_inverse, random_qmatrix,
                            smallest_singular)
 from quatspec.quatcore import QI, QJ, Quaternion, qinv, triangle
 from quatspec.series import certified_real_point
-from quatspec.spectrum import blowup_probe, in_resolvent, s_spectrum
+from quatspec.spectrum import in_resolvent, s_spectrum
 from quatspec.sresolvent import (delta_op, pencil_svals,
                                  random_resolvent_point, resolvent_bundle,
                                  resolvent_bundles, residual_AS_identity, residual_mixed_eq,
                                  residual_q_eq, residual_resolvent_eq)
+
+from oracles import blowup_probe
 
 EPS = np.finfo(float).eps
 
@@ -186,6 +188,32 @@ def test_bundle_takes_one_svd_and_one_inverse(monkeypatch):
     assert calls == {"svd": 1, "inv": 1}
     assert b.norm_Q > 0.0 and b.radius > 0.0
     assert calls == {"svd": 1, "inv": 1}
+
+
+def test_localization_radius_is_the_bundle_radius():
+    rng = np.random.default_rng(97)
+    for n in (1, 3, 8):
+        A = random_qmatrix(n, rng)
+        q = random_resolvent_point(A, rng)
+        radius = sresolvent.localization_radius(A, q)
+        assert radius == resolvent_bundle(A, q).radius
+
+
+@pytest.mark.parametrize("entry, q", [
+    (1.0, Quaternion(0.0, 1.0)),          # on the spectrum
+    (1e-160, Quaternion(3e-160)),         # 1/sigma_min overflows
+    (1.0, Quaternion(1e200)),             # |q|**2 overflows
+    (1e160, Quaternion(1.0))])            # the pencil overflows
+def test_localization_radius_refuses_as_the_bundle_does(entry, q):
+    A = QMatrix.from_entries([[[0, entry, 0, 0]]])
+    with pytest.raises(QuatspecError) as want:
+        resolvent_bundle(A, q)
+    with pytest.raises(QuatspecError) as got:
+        sresolvent.localization_radius(A, q)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert (getattr(got.value, "smallest_singular", None)
+            == getattr(want.value, "smallest_singular", None))
 
 
 def test_blowup_probe_reads_the_bundle_norm():
