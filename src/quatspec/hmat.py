@@ -24,6 +24,8 @@ has entries q * A_ik.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError, SingularOperator
@@ -34,9 +36,15 @@ from .quatcore import Quaternion
 # nonsingular).
 SINGULAR_REL_TOL = 1e-10
 
-# A matrix whose Frobenius condition number, from one LU inverse, stays
-# below this passes nonsingular without an SVD (see certified_nonsingular).
-CERTIFIED_KAPPA = 1e-4 / SINGULAR_REL_TOL
+# A chi image whose determinant bound on sigma_min/sigma_max, from one LU
+# factorization, exceeds this passes nonsingular without an SVD (see
+# certified_nonsingular).
+CERTIFIED_RATIO = 1e4 * SINGULAR_REL_TOL
+
+# certified_nonsingular decides only rows with P = ||M||_F**2/2 at least
+# this: squares of entries under 2**-511 leave the normal doubles in
+# _fro2, and below it the ones lost could be most of P.
+CERTIFIED_P_MIN = 2.0 ** -960
 
 
 def _scalar_pair(q: Quaternion):
@@ -192,8 +200,10 @@ def from_chi(M: np.ndarray) -> QMatrix:
 def pair_from_chi(M: np.ndarray):
     """from_chi as a complex pair, stacked along any leading axes."""
     n = M.shape[-1] // 2
-    return (0.5 * (M[..., :n, :n] + np.conj(M[..., n:, n:])),
-            0.5 * (np.conj(M[..., n:, :n]) - M[..., :n, n:]))
+    # Halving each block before the sum is exact for normal numbers and
+    # keeps a sum of two large blocks from overflowing.
+    return (0.5 * M[..., :n, :n] + 0.5 * np.conj(M[..., n:, n:]),
+            0.5 * np.conj(M[..., n:, :n]) - 0.5 * M[..., :n, n:])
 
 
 def op_norm(A: QMatrix) -> float:
@@ -273,28 +283,54 @@ def _fro2(M) -> np.ndarray:
 
 
 def certified_nonsingular(M) -> np.ndarray:
-    """Per matrix of a (k, m, m) complex stack: whether one stacked LU
-    inverse proves that nonsingular holds for its singular values.
+    """Per matrix of a (k, 2n, 2n) stack of chi images: whether one
+    stacked LU determinant proves that nonsingular holds for its
+    singular values.
 
-    With X = inv(M), kappa_F = ||M||_F * ||X||_F bounds
-    sigma_max/sigma_min from above.  LU inversion is backward stable
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sections
-    9 and 14): below CERTIFIED_KAPPA, X is accurate to about
-    kappa_F * eps, so sigma_min/sigma_max is at least about 1e-6, four
-    orders of magnitude above SINGULAR_REL_TOL, which the rounding of
-    neither X nor an SVD can cover.  False means undecided, never
-    singular: a kappa_F that is not finite (inv overflows, or a norm
-    does) is not certified, and a LinAlgError from inv (an exactly
-    singular factor anywhere in the stack) certifies no row.  The
+    A chi image has singular values s_1 >= ... >= s_n, each twice, so
+    |det M| = prod s_j**2 and P = ||M||_F**2/2 = sum s_j**2 >= s_1**2.
+    AM-GM over s_1**2, ..., s_(n-1)**2 gives
+
+        log(s_n/s_1) >= log|det M|/2 + (n-1)*log(n-1)/2 - n*log(P)/2
+
+    (for n = 1 the ratio is exactly 1), and a row is certified when this
+    bound B exceeds log(CERTIFIED_RATIO) = log(1e-6).  slogdet sums the
+    logs of the LU pivots, so it returns log|det(M + E)| with E the
+    backward error of LU with partial pivoting (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 9); with the
+    worst-case growth 2**(2n-1), ||E|| < 5e-7 * s_1 for n <= 8.  By Weyl,
+    the singular values t_1 >= ... >= t_2n of M + E lie within ||E|| of
+    the paired s_j, and AM-GM over its 2n - 2 largest gives
+    t_(2n-1) >= exp(B) * sqrt(P), to first order in E, so
+    s_n >= t_(2n-1) - ||E|| > 5e-7 * s_1.  A certified row thus has
+    s_n/s_1 over three orders of magnitude above SINGULAR_REL_TOL, more
+    than the rounding of an SVD can cover.
+
+    False means undecided, never singular: an exactly singular row has
+    logdet = -inf, and a row whose P is not finite or below
+    CERTIFIED_P_MIN (where squares of small entries underflow and P would
+    be too small) is not certified.  Each row is decided on its own, and
+    zero pivots and logs of zero are computed without warnings.  The
     undecided rows take nonsingular on their SVD.
     """
-    try:
-        X = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return np.zeros(len(M), dtype=bool)
+    return log_ratio_bound(M) > math.log(CERTIFIED_RATIO)
+
+
+def log_ratio_bound(M) -> np.ndarray:
+    """Per matrix of a (k, 2n, 2n) stack of chi images: the lower bound
+    on log(s_n/s_1) that certified_nonsingular compares, from one stacked
+    slogdet; -inf where a pivot is zero, NaN where P is not finite or
+    below CERTIFIED_P_MIN.  Zero pivots and logs of zero raise no
+    warning.
+    """
+    n = M.shape[-1] // 2
+    pairing = 0.5 * (n - 1) * math.log(n - 1) if n > 1 else 0.0
     with np.errstate(all="ignore"):
-        kappa2 = _fro2(M) * _fro2(X)
-    return kappa2 < CERTIFIED_KAPPA * CERTIFIED_KAPPA
+        logdet = np.linalg.slogdet(M)[1]
+        P = 0.5 * _fro2(M)
+        bound = 0.5 * logdet + pairing - 0.5 * n * np.log(P)
+    bound[~((P >= CERTIFIED_P_MIN) & (P < np.inf))] = np.nan
+    return bound
 
 
 def qmat_inverse(A: QMatrix) -> QMatrix:

@@ -79,7 +79,7 @@ def resolvent_mask(A: QMatrix, points) -> np.ndarray:
 
     The verdict is hmat.nonsingular(pencil_svals(A, points)) row for row,
     taken on the blocks of pencil_chis with their overflow refusal.  Each
-    block first takes one stacked inverse, and the rows that
+    block first takes one stacked LU determinant, and the rows that
     hmat.certified_nonsingular proves nonsingular need no SVD; only the
     undecided rows take one stacked SVD and hmat.nonsingular.
     """
@@ -94,7 +94,7 @@ def resolvent_mask(A: QMatrix, points) -> np.ndarray:
 
 def in_resolvent(A: QMatrix, q: Quaternion) -> bool:
     """Whether the pencil at q is invertible at the package threshold, as
-    resolvent_mask decides it: a certified inverse, else an SVD."""
+    resolvent_mask decides it: a determinant certificate, else an SVD."""
     return bool(resolvent_mask(A, [q])[0])
 
 

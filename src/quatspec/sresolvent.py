@@ -20,7 +20,7 @@ block, resolvent_bundles adds one stacked inverse and the S-resolvents,
 and delta_op and resolvent_bundle are the one-point cases, so every
 reader of a pencil's singular values at q sees them bit for bit (the
 membership mask of spectrum.resolvent_mask needs them only for the
-pencils its inverse certificate leaves undecided); a bundle reads
+pencils its determinant certificate leaves undecided); a bundle reads
 ||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
 them.  localization_radius reads the same radius off the pencil's SVD
 alone and refuses a point with the bundle's error.  Everything else that

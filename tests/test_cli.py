@@ -206,6 +206,22 @@ def test_subnormal_pencil_is_refused_at_its_point(tmp_path, capsys, entry):
         assert captured.err.count("\n") == 1
 
 
+def test_resolvent_where_chi_blocks_sum_past_the_float_range(tmp_path,
+                                                             capsys):
+    # on [1e-154 k] at 0, ||Q|| = 1e308 is finite but the two blocks of
+    # chi(Q) that from_chi averages sum to inf; halving each first keeps
+    # every norm finite
+    path = write_matrix(tmp_path, "k.json", [[[0, 0, 0, 1e-154]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, rep = run_json(capsys, ["resolvent", "--input", path,
+                                    "--q=0,0,0,0"])
+    assert rc == 0
+    assert rep["norm_Q"] == 1e308
+    assert rep["norm_S_left"] == rep["norm_S_right"] == 1e154
+    assert rep["localization_radius"] == 1e-154
+
+
 def test_cassini_center_is_refused_as_its_bundle_is(tmp_path, capsys):
     # the bound reads the pencil's SVD alone, with no bundle, and refuses
     # the center in the words resolvent_bundle uses, in either format
@@ -308,21 +324,11 @@ def run_captured(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
-@given(entries=CASSINI_INPUTS, q0=CASSINI_CENTERS,
-       trials=st.sampled_from([None, 0, 1, 10]),
-       fmt=st.sampled_from(["json", "csv"]))
-def test_cassini_keeps_the_report_contract(tmp_path_factory, entries, q0,
-                                           trials, fmt):
-    # exit 0, 1 or 2 and no traceback, strict JSON on success, the same
-    # bytes from the same argv, and --output writes the stdout bytes
-    work = tmp_path_factory.mktemp("cassini")
-    path = write_matrix(work, "m.json", entries)
-    argv = ["cassini", "--input", path, "--format", fmt]
-    if q0 is not None:
-        argv.append("--q0=" + ",".join(map(repr, q0)))
-    if trials is not None:
-        argv += ["--trials", str(trials)]
+def check_report_contract(work, argv, fmt):
+    """argv in format fmt exits 0, 1 or 2 with no traceback, prints strict
+    JSON on success, gives the same bytes when repeated, and --output
+    writes the stdout bytes."""
+    argv = argv + ["--format", fmt]
     rc, out, err = run_captured(argv)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
@@ -336,6 +342,30 @@ def test_cassini_keeps_the_report_contract(tmp_path_factory, entries, q0,
         assert target.read_bytes() == out.encode("utf-8")
     else:
         assert not target.exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=CASSINI_INPUTS, q0=CASSINI_CENTERS,
+       trials=st.sampled_from([None, 0, 1, 10]),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_cassini_keeps_the_report_contract(tmp_path_factory, entries, q0,
+                                           trials, fmt):
+    work = tmp_path_factory.mktemp("cassini")
+    path = write_matrix(work, "m.json", entries)
+    argv = ["cassini", "--input", path]
+    if q0 is not None:
+        argv.append("--q0=" + ",".join(map(repr, q0)))
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    check_report_contract(work, argv, fmt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=CASSINI_INPUTS, fmt=st.sampled_from(["json", "csv"]))
+def test_spectrum_keeps_the_report_contract(tmp_path_factory, entries, fmt):
+    work = tmp_path_factory.mktemp("spectrum")
+    path = write_matrix(work, "m.json", entries)
+    check_report_contract(work, ["spectrum", "--input", path], fmt)
 
 
 def test_negative_trials_are_a_usage_error_before_any_work(tmp_path, capsys):

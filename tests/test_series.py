@@ -529,12 +529,12 @@ MAT2 = {"n": 2, "entries": [[[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
 
 
 def count_calls(monkeypatch):
-    """Count SVDs, inverses and resolvent bundles from here on.
+    """Count SVDs, inverses, determinants and resolvent bundles from here on.
 
     Every bundle is built through sresolvent.ResolventBundle, so counting
     that name counts bundles whichever module asks for one.
     """
-    calls = {"svd": 0, "inv": 0, "bundle": 0}
+    calls = {"svd": 0, "inv": 0, "det": 0, "bundle": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -544,13 +544,15 @@ def count_calls(monkeypatch):
 
     for key, owner, name in (("svd", np.linalg, "svd"),
                              ("inv", np.linalg, "inv"),
+                             ("det", np.linalg, "slogdet"),
                              ("bundle", sresolvent, "ResolventBundle")):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name), key))
     return calls
 
 
 def count_work(monkeypatch, capsys, argv):
-    """Run one command; count its SVDs, inverses and resolvent bundles."""
+    """Run one command; count its SVDs, inverses, determinants and
+    resolvent bundles."""
     calls = count_calls(monkeypatch)
     rc = main(argv)
     report = json.loads(capsys.readouterr().out)
@@ -610,8 +612,9 @@ def test_verify_svd_count_gate(monkeypatch, capsys):
     # per trial: one stacked pencil SVD tests the sampled points and gives
     # the series radius, one stacked SVD takes the seven bundles, then the
     # series screens, and one stacked SVD takes every norm the row table
-    # and the exact remainder read
+    # and the exact remainder read; no pencil is certified
     assert work["svd"] <= 354
+    assert work["det"] == 0
 
 
 def test_verify_bundle_count_gate(monkeypatch, capsys):
@@ -640,26 +643,28 @@ def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
               for _ in range(k)]
     work = count_calls(monkeypatch)
     resolvent_bundles(A, points)
-    assert work == {"svd": 1, "inv": 1, "bundle": k}
+    assert work == {"svd": 1, "inv": 1, "det": 0, "bundle": k}
 
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
     # ||A|| (stored, read twice) and the pencil at q0, whose SVD gives the
-    # bound with no bundle and no inverse; then one stacked inverse
+    # bound with no bundle and no inverse; then one stacked determinant
     # certifies every sample, however many there are (1000 samples of a
     # 2x2 input fit one block), and no sample needs an SVD
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MAT2))
-    svds, invs, bundles = [], [], []
+    svds, invs, dets, bundles = [], [], [], []
     for trials in (100, 1000):
         rc, rep, work = count_work(monkeypatch, capsys, [
             "cassini", "--input", str(path), "--trials", str(trials)])
         assert rc == 0 and rep["samples_inside"] == trials
         svds.append(work["svd"])
         invs.append(work["inv"])
+        dets.append(work["det"])
         bundles.append(work["bundle"])
     assert svds == [2, 2]
-    assert invs == [1, 1]
+    assert invs == [0, 0]
+    assert dets == [1, 1]
     assert bundles == [0, 0]
 
 
@@ -671,7 +676,7 @@ def test_spectrum_svd_count_gate(monkeypatch, capsys, tmp_path):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "spectrum", "--input", str(path)])
     assert rc == 0 and rep["oracle_validation"]["agrees"]
-    assert work == {"svd": 2, "inv": 0, "bundle": 0}
+    assert work == {"svd": 2, "inv": 0, "det": 0, "bundle": 0}
 
 
 def test_resolvent_work_gate(monkeypatch, capsys, tmp_path):
@@ -683,7 +688,7 @@ def test_resolvent_work_gate(monkeypatch, capsys, tmp_path):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "resolvent", "--input", str(path), "--q", "0.5,1,0,0"])
     assert rc == 0
-    assert work == {"svd": 2, "inv": 1, "bundle": 1}
+    assert work == {"svd": 2, "inv": 1, "det": 0, "bundle": 1}
 
 
 def test_slice_resolvent_map_takes_one_svd_per_point(monkeypatch):
@@ -694,7 +699,7 @@ def test_slice_resolvent_map_takes_one_svd_per_point(monkeypatch):
     f = s_resolvent_map(A)
     work = count_calls(monkeypatch)
     cauchy_coeffs(f, Quaternion(0.0, 1.0), z0, 0.1, 16, 1)
-    assert work == {"svd": 16, "inv": 16, "bundle": 16}
+    assert work == {"svd": 16, "inv": 16, "det": 0, "bundle": 16}
     work.update(svd=0, inv=0, bundle=0)
     stem_decompose(f, z0 + 0.1j, Quaternion(0.0, 0.0, 1.0))
-    assert work == {"svd": 2, "inv": 2, "bundle": 2}
+    assert work == {"svd": 2, "inv": 2, "det": 0, "bundle": 2}

@@ -138,8 +138,8 @@ def on_sphere(sp, rel, rng):
 def test_resolvent_mask_is_the_svd_verdict():
     # resolvent_mask's certificate never changes hmat.nonsingular's verdict;
     # the drawn cases reach certified rows, SVD rows of either verdict and
-    # an exactly singular pencil, whose zero pivot makes inv raise
-    seen = {"certified": 0, "svd_true": 0, "svd_false": 0, "inv_raises": 0}
+    # an exactly singular pencil, whose zero pivot gives logdet = -inf
+    seen = {"certified": 0, "svd_true": 0, "svd_false": 0, "zero_det": 0}
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["random", "jordan", "real_diagonal"]),
@@ -162,10 +162,11 @@ def test_resolvent_mask_is_the_svd_verdict():
         if kind == "real_diagonal":
             # the pencil (A - d)**2 has an exact zero on its diagonal
             d = float(A.a1[0, 0].real)
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.inv(chi(delta_op(A, Quaternion(d))))
+            M = chi(delta_op(A, Quaternion(d)))[None]
+            assert np.linalg.slogdet(M)[1][0] == -np.inf
+            assert not hmat.certified_nonsingular(M)[0]
             points.insert(int(rng.integers(len(points) + 1)), Quaternion(d))
-            seen["inv_raises"] += 1
+            seen["zero_det"] += 1
         with pytest.MonkeyPatch.context() as mp:
             if block:
                 mp.setattr(sresolvent, "PENCIL_BLOCK_BYTES",
@@ -181,6 +182,19 @@ def test_resolvent_mask_is_the_svd_verdict():
 
     check()
     assert all(seen.values()), seen
+
+
+def test_mixed_scale_pencil_is_not_certified():
+    # the pencil of diag(1e-85 i, 1e-145 i) at 0 is diag(-1e-170, -1e-290),
+    # sigma ratio 1e-120: the squares of its entries underflow, so
+    # ||M||_F**2 reads 0, and only the certificate's range guard keeps the
+    # determinant bound from certifying it
+    A = QMatrix(np.diag([1e-85j, 1e-145j]), np.zeros((2, 2)))
+    q = Quaternion(0.0)
+    assert not in_resolvent(A, q)
+    (_, M), = pencil_chis(A, [q])
+    assert not hmat.certified_nonsingular(M)[0]
+    assert not hmat.nonsingular(pencil_svals(A, [q]))[0]
 
 
 def test_cassini_dist():
