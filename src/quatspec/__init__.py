@@ -4,25 +4,22 @@ Quaternions and Cassini geometry (quatcore), quaternionic matrices over
 their complex adjoint representation (hmat), pseudo-resolvents and left/
 right S-resolvents with their two-point identities (sresolvent), the
 S-spectrum with localization bounds (spectrum), spherical series
-expansions with certified tails (series), slice/stem function tools
-(sliceanalysis), a seeded identity suite (verify), and a CLI (cli).
+expansions with certified tails (series), the spherical derivative and
+contour Taylor coefficients of slice functions (sliceanalysis), a seeded
+identity suite (verify), and a CLI (cli).
 """
 
 from .errors import (DegenerateConfiguration, InputError, NotInResolventSet,
-                     OutsideConvergenceDomain, QuatspecError, SingularOperator)
-from .hmat import (QMatrix, chi, from_chi, op_norm, op_norms, qmat_inverse,
+                     OutsideConvergenceDomain, QuatspecError)
+from .hmat import (QMatrix, chi, from_chi, op_norm, op_norms,
                    qmatrix_from_json_dict, qmatrix_to_json_dict,
-                   random_qmatrix, smallest_singular)
+                   random_qmatrix)
 from .quatcore import (QI, QJ, QK, CassiniBall, Quaternion, SpherePoint,
                        cassini_u, point_at_cassini_distance, qinv, qmul, qpow,
-                       sphere_of, spherical_power, spherical_power_sderiv,
-                       triangle)
+                       sphere_of, triangle)
 from .series import (SeriesState, certified_real_point, converge_series_Q,
-                     converge_series_S, eval_series_Q, eval_series_S,
-                     remainder_exact, series_init, tail_bound_Q, tail_bound_S)
-from .sliceanalysis import (StemPair, cauchy_coeffs, cr_residual,
-                            s_resolvent_map, sderiv_operator, slice_point,
-                            stem_decompose, stem_reconstruct, taylor_eval)
+                     converge_series_S, remainder_exact, series_init)
+from .sliceanalysis import cauchy_coeffs, sderiv_operator, slice_point
 from .spectrum import (SpectrumResult, boundary_polyline, cassini_dist,
                        cor1_check, in_resolvent, s_spectrum,
                        sample_cassini_ball)
@@ -37,20 +34,15 @@ __all__ = [
     "CassiniBall", "DegenerateConfiguration", "InputError",
     "NotInResolventSet", "OutsideConvergenceDomain", "QI", "QJ", "QK",
     "QMatrix", "Quaternion", "QuatspecError", "ResolventBundle",
-    "SeriesState", "SingularOperator", "SpectrumResult",
-    "SpherePoint", "StemPair", "SuiteRow",
+    "SeriesState", "SpectrumResult", "SpherePoint", "SuiteRow",
     "boundary_polyline", "cassini_dist", "cassini_u", "cauchy_coeffs",
     "certified_real_point", "chi", "converge_series_Q", "converge_series_S",
-    "cor1_check", "cr_residual", "delta_op", "eval_series_Q",
-    "eval_series_S", "from_chi", "in_resolvent", "op_norm",
-    "op_norms", "point_at_cassini_distance", "qinv", "qmat_inverse",
+    "cor1_check", "delta_op", "from_chi", "in_resolvent", "op_norm",
+    "op_norms", "point_at_cassini_distance", "qinv",
     "qmatrix_from_json_dict", "qmatrix_to_json_dict", "qmul", "qpow",
     "random_qmatrix", "remainder_exact", "resolvent_bundle",
     "resolvent_bundles", "residual_AS_identity", "residual_mixed_eq", "residual_q_eq",
-    "residual_resolvent_eq", "run_identity_suite", "s_resolvent_map",
+    "residual_resolvent_eq", "run_identity_suite",
     "s_spectrum", "sample_cassini_ball", "sderiv_operator",
-    "series_init", "slice_point", "smallest_singular",
-    "sphere_of", "spherical_power", "spherical_power_sderiv",
-    "stem_decompose", "stem_reconstruct", "tail_bound_Q", "tail_bound_S",
-    "taylor_eval", "triangle",
+    "series_init", "slice_point", "sphere_of", "triangle",
 ]

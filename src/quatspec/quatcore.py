@@ -8,16 +8,16 @@ module provides the degree-two axial polynomial
 
 which vanishes exactly when p lies on the sphere Re(q) + |Im(q)|*S of q,
 the Cassini pseudo-metric u(p, q) = |triangle(q, p)|**(1/2) built from it,
-and the spherical power basis used by the resolvent series expansion with
-its spherical derivatives, both element by element and as streams.  The
-derivatives come from t**k = A_k + D_k*Im(q), t = triangle(q0, q), and the
-real recurrence D_{k+1} = A_k*D_1 + D_k*A_1, with no division by Im(q).
+and the spherical power basis used by the resolvent series expansion,
+element by element and as a stream, with the stream of its spherical
+derivatives.  The derivatives come from t**k = A_k + D_k*Im(q),
+t = triangle(q0, q), and the real recurrence D_{k+1} = A_k*D_1 + D_k*A_1,
+with no division by Im(q).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -77,11 +77,15 @@ class Quaternion(NamedTuple):
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __abs__(self):
-        return math.sqrt(self.abs2())
+        # A sum of squares that overflows takes hypot, which forms no
+        # square; every other value keeps sqrt of the sum, bit for bit.
+        n2 = self.abs2()
+        return math.hypot(*self) if n2 == math.inf else math.sqrt(n2)
 
     def im_norm(self):
         # Fixed slot order keeps the value bit-stable under sign flips.
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        n2 = self.x * self.x + self.y * self.y + self.z * self.z
+        return math.hypot(*self[1:]) if n2 == math.inf else math.sqrt(n2)
 
 
 ONE = Quaternion(1.0)
@@ -256,7 +260,8 @@ def spherical_powers(q0: Quaternion, q: Quaternion):
 
 
 def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
-    """The endless stream spherical_power_sderiv(q0, n, q), n = 0, 1, 2, ...
+    """The spherical derivatives of spherical_power(q0, n, .) at q, as the
+    endless stream n = 0, 1, 2, ...
 
     In the slice of q the powers of t = triangle(q0, q) are
     t**k = A_k + D_k*Im(q) with real A_k, D_k, so sderiv t**k = D_k and
@@ -273,18 +278,6 @@ def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
         yield Quaternion(dk)
         yield Quaternion(tk.w) + dq * dk
         tk, dk = qmul(tk, t), tk.w * d1 + dk * t.w
-
-
-def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
-    """Spherical derivative of spherical_power(q0, n, .) at q.
-
-    Off the real axis this is the symmetric difference quotient
-    (f(q) - f(conj(q))) * (q - conj(q))**(-1), on it the derivative of the
-    real restriction; both are element n of spherical_power_sderivs.
-    """
-    if n < 0:
-        raise QuatspecError("spherical_power index must be >= 0")
-    return next(itertools.islice(spherical_power_sderivs(q0, q), n, None))
 
 
 def cassini_points(b: float, radius: float, angle):

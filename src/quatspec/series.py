@@ -9,7 +9,9 @@ admits the expansion
 absolutely convergent on the Cassini ball of radius R = ||Q(q0)||**(-1/2)
 around q0, and the pseudo-resolvent is its negated spherical derivative:
 
-    Q(q) = sum_{n>=0} (-1)**(n+1) * B_{n+1} * spherical_power_sderiv(q0, n, q).
+    Q(q) = sum_{n>=0} (-1)**(n+1) * B_{n+1} * d_n,
+
+with d_n element n of quatcore.spherical_power_sderivs(q0, q).
 
 Truncations come with a posteriori geometric tail bounds driven by
 rho = ||Q(q0)|| * u * u = (u/R)**2 < 1 with u = cassini_u(q, q0), a product
@@ -22,10 +24,10 @@ truncation error itself has the exact closed form
 whose norm never exceeds ||S_left(q)|| * rho**(N+1).
 
 One block engine produces every term, for every reader of the series
-(converge_series_S/Q, residual_report, eval_series_S/Q, remainder_exact
-and term_norms).  B_1, B_2, ... are two stacked complex arrays on the
-SeriesState, extended two at a time with the QMatrix product formula on
-raw arrays.  A block of indices takes its basis quaternions from the
+(converge_series_S/Q, residual_report, remainder_exact, and the
+diagnostics eval_series_S and term_norms).  B_1, B_2, ... are two stacked
+complex arrays on the SeriesState, extended two at a time with the QMatrix
+product formula on raw arrays.  A block of indices takes its basis quaternions from the
 streams of quatcore (one quaternion product per index), its terms from
 one broadcast scale_right over per-index scalars, and its partial sums
 from a cumulative sum of the signed terms carried on from the previous
@@ -37,7 +39,7 @@ differ from Python's ** in the last bit.  Two stopping rules read the
 series:
 
 - the library rule (used by converge_series_S/Q): stop at the first N
-  with tail_bound(N) <= rtol * (1 + ||partial_N||), checked at every N in
+  whose tail bound is <= rtol * (1 + ||partial_N||), checked at every N in
   order.  It needs no direct resolvent at q; a Frobenius majorant of
   ||partial_N||, taken over the whole block, decides which N get an SVD,
   and those take one stacked SVD;
@@ -214,7 +216,15 @@ def require_inside(state: SeriesState, q: Quaternion) -> float:
 
 
 def _tails_S(state: SeriesState, q: Quaternion):
-    """tail_bound_S(state, q, .) as a function of N, constants hoisted."""
+    """Geometric majorant of the resolvent-series tail beyond index N.
+
+    Returns the bound as a function of N, its constants hoisted (inf
+    everywhere outside the convergence domain).  Even terms satisfy
+    ||B_{2k+1} * p_{2k}|| <= c1 * rho**k and odd terms
+    ||B_{2k+2} * p_{2k+1}|| <= c2 * rho**k with c1 = ||S_left(q0)||,
+    c2 = ||Q|| * |q - q0| and rho = ||Q|| * u(q, q0)**2; summing each
+    parity class from its first omitted index gives the bound.
+    """
     nq = state.bundle0.norm_Q
     u = cassini_u(q, state.q0)
     rho = nq * u * u
@@ -230,19 +240,17 @@ def _tails_S(state: SeriesState, q: Quaternion):
     return tail
 
 
-def tail_bound_S(state: SeriesState, q: Quaternion, N: int) -> float:
-    """Geometric majorant of the resolvent-series tail beyond index N.
-
-    Even terms satisfy ||B_{2k+1} * p_{2k}|| <= c1 * rho**k and odd terms
-    ||B_{2k+2} * p_{2k+1}|| <= c2 * rho**k with c1 = ||S_left(q0)||,
-    c2 = ||Q|| * |q - q0| and rho = ||Q|| * u(q, q0)**2; summing each
-    parity class from its first omitted index gives the bound.
-    """
-    return _tails_S(state, q)(N)
-
-
 def _tails_Q(state: SeriesState, q: Quaternion):
-    """tail_bound_Q(state, q, .) as a function of N, constants hoisted."""
+    """Majorant of the derivative-series tail beyond index N.
+
+    Returns the bound as a function of N, its constants hoisted (inf
+    everywhere outside the convergence domain).  The spherical derivatives
+    grow at most polynomially against the geometric decay:
+    |sderiv p_{2k}| <= 2k*c0*t**(k-1)  and
+    |sderiv p_{2k+1}| <= t**k + 2k*c0**2*t**(k-1)  with c0 = |q| + |q0|
+    and t = |triangle(q0, q)| (valid on and off the real axis), so the
+    tail is a combination of geometric and arithmetico-geometric sums.
+    """
     nq = state.bundle0.norm_Q
     u = cassini_u(q, state.q0)
     rho = nq * u * u
@@ -268,18 +276,6 @@ def _tails_Q(state: SeriesState, q: Quaternion):
     return tail
 
 
-def tail_bound_Q(state: SeriesState, q: Quaternion, N: int) -> float:
-    """Majorant of the derivative-series tail beyond index N.
-
-    The spherical derivatives grow at most polynomially against the
-    geometric decay:  |sderiv p_{2k}| <= 2k*c0*t**(k-1)  and
-    |sderiv p_{2k+1}| <= t**k + 2k*c0**2*t**(k-1)  with c0 = |q| + |q0|
-    and t = |triangle(q0, q)| (valid on and off the real axis), so the
-    tail is a combination of geometric and arithmetico-geometric sums.
-    """
-    return _tails_Q(state, q)(N)
-
-
 def _scan(tail, tails: list, lo: int, hi: int, bar: float) -> int:
     """Append tail(N) for N = lo..hi to tails, stopping at one <= bar.
 
@@ -301,15 +297,7 @@ def eval_series_S(state: SeriesState, q: Quaternion, N: int):
     if N < 0:
         raise InputError("truncation index must be >= 0")
     require_inside(state, q)
-    return _partial_through(state, q, False, N), tail_bound_S(state, q, N)
-
-
-def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
-    """Partial sum of the derivative series through index N, with tail bound."""
-    if N < 0:
-        raise InputError("truncation index must be >= 0")
-    require_inside(state, q)
-    return _partial_through(state, q, True, N), tail_bound_Q(state, q, N)
+    return _partial_through(state, q, False, N), _tails_S(state, q)(N)
 
 
 def remainder_operators(state: SeriesState, bq: ResolventBundle, N: int):
@@ -452,12 +440,12 @@ def converge_series_Q(state: SeriesState, q: Quaternion, rtol: float,
 
 def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
                     tol: float, nmax: int):
-    """Rows [N, ||term_N||, tail_bound_S(N), ||partial_N - direct||].
+    """Rows [N, ||term_N||, _tails_S(state, q)(N), ||partial_N - direct||].
 
     The report rule: rows run from N = 0 until the residual against the
     directly inverted resolvent `direct` drops to tol, or through nmax.
-    Returns (rows, converged).  The residual is at most about
-    tail_bound_S(N), so the first block ends where that reaches tol, and
+    Returns (rows, converged).  The residual is at most about that tail
+    bound, so the first block ends where that reaches tol, and
     each later block doubles the rows so far.
 
     A block takes two stacked SVDs, the residuals and the term norms.  Its

@@ -1,63 +1,32 @@
-"""Slice-function tools: stem decomposition, spherical derivatives of
-operator-valued maps, Cauchy–Riemann residuals, and contour Taylor
-coefficients on a slice.
+"""Slice-function tools: the spherical derivative of an operator-valued
+map and contour Taylor coefficients on a slice.
 
 An operator-valued map f, here any function from a Quaternion to a QMatrix,
 on an axially symmetric domain restricts, for each unit imaginary j, to a
-map f_j(r + s*i) = f(r + s*j) on a complex half-plane.  Its stem components
-
-    F1(z) = (f(r+sj) + f(r-sj)) / 2,
-    F2(z) = -(f(r+sj) - f(r-sj)) * j / 2
-
-are even/odd under conjugation of z and reconstruct every slice value as
-f(r + s*j') = F1 + F2*j'.  Slice regularity of f is certified numerically
-through the Cauchy–Riemann residual of f_j, and slice Taylor coefficients
-are recovered by trapezoidal contour quadrature, with complex scalars
-acting on operator samples by right multiplication with r + s*j.
+map f_j(r + s*i) = f(r + s*j) on a complex half-plane.  Its spherical
+derivative is the difference quotient of f across the sphere of a point,
+and its slice Taylor coefficients are recovered by trapezoidal contour
+quadrature, with complex scalars acting on operator samples by right
+multiplication with r + s*j.  verify reads the spherical derivative of the
+left S-resolvent.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from . import hmat
-from .errors import InputError, NotInResolventSet
+from .errors import InputError
 from .hmat import QMatrix
 from .quatcore import Quaternion, qinv
-from .sresolvent import resolvent_bundle
 
 # Unit imaginary directions are validated to this absolute tolerance.
 UNIT_IMAG_TOL = 1e-12
 
-# Below the imaginary radius REAL_AXIS_CUTOFF, relative to 1 + |q|, the
-# spherical derivative is a central difference of step FD_STEP * (1 + |q|)
-# along the real axis, with one level of Richardson extrapolation on top.
+# At or below the imaginary radius REAL_AXIS_CUTOFF, relative to 1 + |q|,
+# the difference quotient of sderiv_operator has lost its digits.
 REAL_AXIS_CUTOFF = 1e-7
-FD_STEP = 1e-5
-
-
-class StemPair(NamedTuple):
-    """Stem component values (F1, F2) at one slice point."""
-
-    F1: QMatrix
-    F2: QMatrix
-
-
-def s_resolvent_map(A: QMatrix) -> Callable[[Quaternion], QMatrix]:
-    """The left S-resolvent of A as a map on its resolvent set.
-
-    One bundle per evaluation: its pencil SVD is also the domain test.
-    """
-    def s_left(q: Quaternion) -> QMatrix:
-        try:
-            return resolvent_bundle(A, q).S_left
-        except NotInResolventSet as exc:
-            raise InputError(
-                f"evaluation point {tuple(q)} is outside the domain") from exc
-
-    return s_left
 
 
 def _check_unit_imag(j: Quaternion) -> None:
@@ -70,64 +39,21 @@ def slice_point(z: complex, j: Quaternion) -> Quaternion:
     return Quaternion(z.real, z.imag * j.x, z.imag * j.y, z.imag * j.z)
 
 
-def stem_decompose(f: Callable[[Quaternion], QMatrix], z: complex,
-                   j: Quaternion) -> StemPair:
-    """Stem component values of f at z on the slice of j."""
-    _check_unit_imag(j)
-    fp = f(slice_point(z, j))
-    fm = f(slice_point(z.conjugate(), j))
-    half = 0.5
-    return StemPair(F1=(fp + fm) * half,
-                    F2=((fm - fp) * half).scale_right(j))
-
-
-def stem_reconstruct(pair: StemPair, j: Quaternion) -> QMatrix:
-    """Slice value F1 + F2 * j reconstructed in the direction j."""
-    return pair.F1 + pair.F2.scale_right(j)
-
-
 def sderiv_operator(f: Callable[[Quaternion], QMatrix],
                     q: Quaternion) -> QMatrix:
-    """Spherical derivative of f at q.
+    """Spherical derivative (f(q) - f(conj(q))) * (q - conj(q))**(-1) of f.
 
-    Off the real axis this is (f(q) - f(conj(q))) * (q - conj(q))**(-1).
-    f is a black box, so nothing avoids that division: below
-    REAL_AXIS_CUTOFF the quotient has lost its digits, and the derivative
-    of the real-axis restriction at Re(q) is used instead, by
-    Richardson-extrapolated central differences.
+    f is a black box, so nothing avoids the division by Im(q): a point
+    with |Im(q)| <= REAL_AXIS_CUTOFF * (1 + |q|), where the quotient has
+    lost its digits, raises InputError.
     """
-    if q.im_norm() > REAL_AXIS_CUTOFF * (1.0 + abs(q)):
-        diff = f(q) - f(q.conj())
-        return diff.scale_right(qinv(q - q.conj()))
-    r = q.w
-    h = FD_STEP * (1.0 + abs(q))
-
-    def central(step):
-        up = f(Quaternion(r + step))
-        dn = f(Quaternion(r - step))
-        return (up - dn) * (0.5 / step)
-
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    return (d2 * 4.0 - d1) * (1.0 / 3.0)
-
-
-def cr_residual(f: Callable[[Quaternion], QMatrix], z: complex,
-                j: Quaternion, h: float) -> float:
-    """Norm of the Cauchy–Riemann defect of f_j at z, by central differences.
-
-    Approximates || d(f_j)/dr + (d(f_j)/ds) * j ||; the value is O(h**2)
-    exactly when f is right slice regular near the point.
-    """
-    _check_unit_imag(j)
-    if h <= 0.0:
-        raise InputError("finite-difference step must be positive")
-    r, s = z.real, z.imag
-    dr = (f(slice_point(complex(r + h, s), j))
-          - f(slice_point(complex(r - h, s), j))) * (0.5 / h)
-    ds = (f(slice_point(complex(r, s + h), j))
-          - f(slice_point(complex(r, s - h), j))) * (0.5 / h)
-    return hmat.op_norm(dr + ds.scale_right(j))
+    if not q.im_norm() > REAL_AXIS_CUTOFF * (1.0 + abs(q)):
+        raise InputError(
+            f"the spherical derivative at {tuple(q)} needs |Im q| above "
+            f"{REAL_AXIS_CUTOFF:g} * (1 + |q|): closer to the real axis the "
+            "difference quotient has lost its digits")
+    diff = f(q) - f(q.conj())
+    return diff.scale_right(qinv(q - q.conj()))
 
 
 def cauchy_coeffs(f: Callable[[Quaternion], QMatrix], j: Quaternion,
@@ -165,17 +91,3 @@ def cauchy_coeffs(f: Callable[[Quaternion], QMatrix], j: Quaternion,
             acc = acc + g.scale_right(slice_point(w, j))
         coeffs.append(acc)
     return coeffs
-
-
-def taylor_eval(coeffs, z0: complex, z: complex, j: Quaternion) -> QMatrix:
-    """Evaluate sum_n (z - z0)**n * a_n with the slice right action."""
-    _check_unit_imag(j)
-    if not coeffs:
-        raise InputError("need at least one coefficient")
-    n_side = coeffs[0].n
-    out = QMatrix.zeros(n_side)
-    w = complex(1.0, 0.0)
-    for a in coeffs:
-        out = out + a.scale_right(slice_point(w, j))
-        w = w * (z - z0)
-    return out

@@ -57,8 +57,8 @@ from .errors import DegenerateConfiguration, NotInResolventSet, QuatspecError
 from .hmat import QMatrix
 from .quatcore import Quaternion, qinv, triangle
 
-# Two points count as spectrally degenerate (same sphere) when |triangle|
-# falls below this times (1 + |p|**2 + |q|**2).
+# Two points count as spectrally degenerate (same sphere) in the mixed
+# identity when they are not off_sphere at this tolerance.
 DEGENERATE_REL_TOL = 1e-12
 
 # random_resolvent_point accepts a draw when its pencil's smallest
@@ -301,21 +301,27 @@ def residual_q_eq(bp: ResolventBundle, bq: ResolventBundle):
     return lhs - ddiff @ (bp.Q @ bq.Q), lhs - ddiff @ (bq.Q @ bp.Q)
 
 
+def off_sphere(q: Quaternion, p: Quaternion, tol: float) -> bool:
+    """Whether p is off the sphere of q: |triangle(q, p)| exceeds tol times
+    (1 + |p|**2 + |q|**2)."""
+    return abs(triangle(q, p)) > tol * (1.0 + p.abs2() + q.abs2())
+
+
 def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
     """Residual operator of the mixed right/left S-resolvent product identity.
 
-    Raises DegenerateConfiguration when p lies on the sphere of q, where
-    the scalar factor triangle(q, p) is not invertible.
+    Raises DegenerateConfiguration when p lies on the sphere of q at
+    DEGENERATE_REL_TOL, where the scalar factor triangle(q, p) is not
+    invertible.
     """
     p, q = bp.q, bq.q
-    tri = triangle(q, p)
-    if abs(tri) <= DEGENERATE_REL_TOL * (1.0 + p.abs2() + q.abs2()):
+    if not off_sphere(q, p, DEGENERATE_REL_TOL):
         raise DegenerateConfiguration(
             "p lies on the sphere of q: the mixed identity degenerates")
     diff = bq.S_right - bp.S_left
     lhs = bq.S_right @ bp.S_left
     bracket = diff.scale_right(p) - diff.scale_left(q.conj())
-    rhs = bracket.scale_right(qinv(tri))
+    rhs = bracket.scale_right(qinv(triangle(q, p)))
     return lhs - rhs
 
 

@@ -25,7 +25,7 @@ from .hmat import QMatrix, op_norm, op_norms
 from .quatcore import (Quaternion, point_at_cassini_distance,
                        random_unit_imag, triangle)
 from .spectrum import cor1_check
-from .sresolvent import (pencil_svals, random_resolvent_point,
+from .sresolvent import (off_sphere, pencil_svals, random_resolvent_point,
                          resolvent_bundles, residual_AS_identity,
                          residual_mixed_eq, residual_q_eq,
                          residual_resolvent_eq, sampling_box, well_conditioned)
@@ -37,8 +37,7 @@ SERIES_RTOL_FRACTION = 0.05
 # Truncation order for the exact-remainder row (partial sum to 2N+1).
 REMAINDER_ORDER = 3
 
-# p counts as off the sphere of q when |triangle(q, p)| exceeds this
-# times (1 + |p|**2 + |q|**2).
+# A trial's p must be off_sphere of its q at this tolerance.
 OFF_SPHERE_REL_TOL = 1e-9
 
 
@@ -51,18 +50,12 @@ class SuiteRow(NamedTuple):
     passed: bool
 
 
-def _off_sphere(q, p) -> bool:
-    """Whether p is off the sphere of q at OFF_SPHERE_REL_TOL."""
-    return abs(triangle(q, p)) > OFF_SPHERE_REL_TOL * (
-        1.0 + p.abs2() + q.abs2())
-
-
 def _sample_off_sphere_pair(A, rng):
     """Two resolvent points with p off the sphere of q (retry on collision)."""
     q = random_resolvent_point(A, rng)
     for _ in range(5):
         p = random_resolvent_point(A, rng)
-        if _off_sphere(q, p):
+        if off_sphere(q, p, OFF_SPHERE_REL_TOL):
             return p, q
     raise DegenerateConfiguration(
         "could not sample a pair off each other's spheres")
@@ -90,7 +83,8 @@ def _sample_points(A, rng):
         if qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG:
             break
     sv = pencil_svals(A, [q, p, qd, r0])
-    if not (well_conditioned(sv[:3]).all() and _off_sphere(q, p)
+    if not (well_conditioned(sv[:3]).all()
+            and off_sphere(q, p, OFF_SPHERE_REL_TOL)
             and qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG):
         rng.bit_generator.state = saved
         p, q = _sample_off_sphere_pair(A, rng)

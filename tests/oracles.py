@@ -4,13 +4,22 @@ Each is a direct computation of a quantity the tests check against; it is
 kept here, beside the tests, rather than in the package's public API.
 """
 
+import itertools
 import math
+from typing import Callable, NamedTuple
 
-from quatspec.errors import InputError
+from quatspec import hmat
+from quatspec.errors import InputError, NotInResolventSet, QuatspecError
 from quatspec.hmat import QMatrix
-from quatspec.quatcore import Quaternion
+from quatspec.quatcore import Quaternion, spherical_power_sderivs
+from quatspec.series import (SeriesState, _partial_through, _tails_Q,
+                             require_inside)
+from quatspec.sliceanalysis import _check_unit_imag, slice_point
 from quatspec.spectrum import in_resolvent
-from quatspec.sresolvent import pencil_svals
+from quatspec.sresolvent import pencil_svals, resolvent_bundle
+
+# real_axis_sderiv's central differences take the step FD_STEP * (1 + |q|).
+FD_STEP = 1e-5
 
 
 def blowup_probe(A: QMatrix, target: Quaternion, steps: int):
@@ -31,3 +40,105 @@ def blowup_probe(A: QMatrix, target: Quaternion, steps: int):
     smallest = pencil_svals(A, probes)[:, -1]
     return [(p, math.inf if sv == 0.0 else 1.0 / float(sv))
             for p, sv in zip(probes, smallest)]
+
+
+def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
+    """Element n of quatcore.spherical_power_sderivs(q0, q)."""
+    if n < 0:
+        raise QuatspecError("spherical_power index must be >= 0")
+    return next(itertools.islice(spherical_power_sderivs(q0, q), n, None))
+
+
+def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
+    """Partial sum of the derivative series through index N, with tail bound."""
+    if N < 0:
+        raise InputError("truncation index must be >= 0")
+    require_inside(state, q)
+    return _partial_through(state, q, True, N), _tails_Q(state, q)(N)
+
+
+def real_axis_sderiv(f: Callable[[Quaternion], QMatrix],
+                     q: Quaternion) -> QMatrix:
+    """The derivative of the real-axis restriction of f at Re(q).
+
+    Richardson-extrapolated central differences of steps h and h/2, with
+    h = FD_STEP * (1 + |q|): the spherical derivative on the real axis,
+    where sliceanalysis.sderiv_operator's difference quotient is refused.
+    """
+    r = q.w
+    h = FD_STEP * (1.0 + abs(q))
+
+    def central(step):
+        up = f(Quaternion(r + step))
+        dn = f(Quaternion(r - step))
+        return (up - dn) * (0.5 / step)
+
+    return (central(0.5 * h) * 4.0 - central(h)) * (1.0 / 3.0)
+
+
+class StemPair(NamedTuple):
+    """Stem component values (F1, F2) at one slice point."""
+
+    F1: QMatrix
+    F2: QMatrix
+
+
+def s_resolvent_map(A: QMatrix) -> Callable[[Quaternion], QMatrix]:
+    """The left S-resolvent of A as a map on its resolvent set.
+
+    One bundle per evaluation: its pencil SVD is also the domain test.
+    """
+    def s_left(q: Quaternion) -> QMatrix:
+        try:
+            return resolvent_bundle(A, q).S_left
+        except NotInResolventSet as exc:
+            raise InputError(
+                f"evaluation point {tuple(q)} is outside the domain") from exc
+
+    return s_left
+
+
+def stem_decompose(f: Callable[[Quaternion], QMatrix], z: complex,
+                   j: Quaternion) -> StemPair:
+    """Stem components F1 = (f(z) + f(conj z))/2, F2 = -(f(z) - f(conj z))*j/2
+    of f at z on the slice of j; f(r + s*j') = F1 + F2*j' for every j'."""
+    _check_unit_imag(j)
+    fp = f(slice_point(z, j))
+    fm = f(slice_point(z.conjugate(), j))
+    return StemPair(F1=(fp + fm) * 0.5, F2=((fm - fp) * 0.5).scale_right(j))
+
+
+def stem_reconstruct(pair: StemPair, j: Quaternion) -> QMatrix:
+    """Slice value F1 + F2 * j reconstructed in the direction j."""
+    return pair.F1 + pair.F2.scale_right(j)
+
+
+def cr_residual(f: Callable[[Quaternion], QMatrix], z: complex,
+                j: Quaternion, h: float) -> float:
+    """Norm of the Cauchy–Riemann defect of f_j at z, by central differences.
+
+    Approximates || d(f_j)/dr + (d(f_j)/ds) * j ||; the value is O(h**2)
+    exactly when f is right slice regular near the point.
+    """
+    _check_unit_imag(j)
+    if h <= 0.0:
+        raise InputError("finite-difference step must be positive")
+    r, s = z.real, z.imag
+    dr = (f(slice_point(complex(r + h, s), j))
+          - f(slice_point(complex(r - h, s), j))) * (0.5 / h)
+    ds = (f(slice_point(complex(r, s + h), j))
+          - f(slice_point(complex(r, s - h), j))) * (0.5 / h)
+    return hmat.op_norm(dr + ds.scale_right(j))
+
+
+def taylor_eval(coeffs, z0: complex, z: complex, j: Quaternion) -> QMatrix:
+    """Evaluate sum_n (z - z0)**n * a_n with the slice right action."""
+    _check_unit_imag(j)
+    if not coeffs:
+        raise InputError("need at least one coefficient")
+    out = QMatrix.zeros(coeffs[0].n)
+    w = complex(1.0, 0.0)
+    for a in coeffs:
+        out = out + a.scale_right(slice_point(w, j))
+        w = w * (z - z0)
+    return out

@@ -268,15 +268,22 @@ def test_series_that_overflows_reports_its_finite_rows(tmp_path, capsys):
 
 def test_series_tail_bound_where_the_triangle_overflows(tmp_path, capsys):
     # triangle(q0, q) forms q*q - 2*Re(q0)*q, which overflows, although its
-    # value is only -1e16; the tail ratio ||Q|| * u * u does not overflow,
-    # and the report is strict JSON
-    rc, rep = run_json(capsys, ["series", "--input", mat_i(tmp_path),
-                                "--q0=1e154", "--q=1e154,0,0,1e8",
-                                "--tol", "1e-3", "--nmax", "5"])
-    assert rc == 0
-    assert rep["converged"] is True and rep["N"] == 0
-    assert math.isfinite(rep["tail_bound"])
-    assert rep["rows"][0][2] == rep["tail_bound"]
+    # value is only -1e16; in the second case |q - q0| is about 1.4e154,
+    # but the squares of its components sum past the float range.  The
+    # tail ratio ||Q|| * u * u does not overflow, no warning escapes, and
+    # each report is strict JSON
+    far = write_matrix(tmp_path, "far.json", [[[1e-154, 0, 1e8, -1]]])
+    for argv in (["--input", mat_i(tmp_path), "--q0=1e154",
+                  "--q=1e154,0,0,1e8", "--tol", "1e-3", "--nmax", "5"],
+                 ["--input", far, "--q0=-1e-154,0,-1e154,-1e-8",
+                  "--q=1,1e154,1e8,0", "--tol", "1e-12"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, rep = run_json(capsys, ["series"] + argv)
+        assert rc == 0
+        assert rep["converged"] is True and rep["N"] == 0
+        assert math.isfinite(rep["tail_bound"])
+        assert rep["rows"][0][2] == rep["tail_bound"]
 
 
 def test_cassini_spectral_center_exits_one(tmp_path, capsys):
@@ -548,18 +555,22 @@ def test_negative_point_after_flag(tmp_path, capsys):
     assert strict_json(outs[0])["q"] == [-0.5, 1.0, 0.0, 0.0]
 
 
+def child_env():
+    """The environment in which a child process imports the package from
+    where this process found it."""
+    src = os.path.dirname(os.path.dirname(quatspec.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_script_entry(tmp_path):
     exe = shutil.which("quatspec")
     if exe is not None:
         cmd = [exe]
     else:
         cmd = [sys.executable, "-m", "quatspec.cli"]
-    # the child imports the package from where this process found it
-    src = os.path.dirname(os.path.dirname(quatspec.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(cmd + ["spectrum", "--input", mat_i(tmp_path)],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     rep = strict_json(out.stdout)
     assert rep["spheres"][0]["mult"] == 1
@@ -603,17 +614,20 @@ def test_flags_before_or_after_the_command(capsys):
 
 
 def readme_blocks():
-    """The README's matrix JSON block and its `quatspec` command lines."""
+    """The README's matrix JSON block, its `quatspec` command lines and its
+    python code."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    matrix, examples, fence = [], [], None
+    matrix, examples, python, fence = [], [], [], None
     for line in readme.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
             fence = None if fence is not None else line[3:]
         elif fence == "json":
             matrix.append(line)
+        elif fence == "python":
+            python.append(line)
         elif fence is not None and line.startswith("quatspec "):
             examples.append(line)
-    return "\n".join(matrix), examples
+    return "\n".join(matrix), examples, "\n".join(python)
 
 
 def readme_matrix_dir(tmp_path, monkeypatch):
@@ -631,6 +645,15 @@ def test_readme_examples_parse(tmp_path, monkeypatch, capsys):
     for line in examples:
         assert main(shlex.split(line)[1:]) == 0, line
         assert capsys.readouterr().err == ""
+
+
+def test_readme_quick_tour_runs():
+    # the library tour is the public surface the package keeps: it runs in
+    # a fresh interpreter, with every warning an error
+    out = subprocess.run([sys.executable, "-W", "error", "-c",
+                          readme_blocks()[2]], capture_output=True,
+                         text=True, env=child_env())
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 # One run of each command on the README's matrix.

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,11 +5,12 @@ from quatspec.errors import InputError
 from quatspec.hmat import QMatrix, op_norm, random_qmatrix
 from quatspec.quatcore import Quaternion, random_unit_imag
 from quatspec.series import certified_real_point, series_init
-from quatspec.sliceanalysis import (cauchy_coeffs, cr_residual,
-                                    s_resolvent_map, sderiv_operator,
-                                    slice_point, stem_decompose,
-                                    stem_reconstruct, taylor_eval)
+from quatspec.sliceanalysis import (REAL_AXIS_CUTOFF, cauchy_coeffs,
+                                    sderiv_operator, slice_point)
 from quatspec.sresolvent import random_resolvent_point, resolvent_bundle
+
+from oracles import (cr_residual, real_axis_sderiv, s_resolvent_map,
+                     stem_decompose, stem_reconstruct, taylor_eval)
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -94,15 +93,19 @@ def test_sderiv_real_axis_branch():
     f = s_resolvent_map(A)
     q = certified_real_point(A)
     b = resolvent_bundle(A, q)
-    got = sderiv_operator(f, q)
+    # the difference quotient is refused on the real axis
+    with pytest.raises(InputError, match="lost its digits"):
+        sderiv_operator(f, q)
     # finite differences with Richardson: a few digits below the exact
-    # branch but still tight
+    # quotient but still tight
+    got = real_axis_sderiv(f, q)
     assert op_norm(got + b.Q) <= 1e-8 * (1.0 + b.norm_Q)
 
 
 def test_sderiv_near_the_real_axis():
-    # the difference quotient loses digits as Im q -> 0; below
-    # REAL_AXIS_CUTOFF the real-axis branch takes over and stays accurate
+    # the difference quotient loses digits as Im q -> 0: at or below
+    # REAL_AXIS_CUTOFF it is refused, and the real-axis differences stay
+    # accurate there
     rng = np.random.default_rng(86)
     for _ in range(3):
         A = random_qmatrix(4, rng)
@@ -111,7 +114,12 @@ def test_sderiv_near_the_real_axis():
         for im in (1e-6, 1e-9, 1e-11):
             q = Quaternion(r, 0.0, im, 0.0)
             b = resolvent_bundle(A, q)
-            got = sderiv_operator(f, q)
+            if im > REAL_AXIS_CUTOFF * (1.0 + abs(q)):
+                got = sderiv_operator(f, q)
+            else:
+                with pytest.raises(InputError):
+                    sderiv_operator(f, q)
+                got = real_axis_sderiv(f, q)
             assert op_norm(got + b.Q) <= 1e-10 * (1.0 + b.norm_Q)
 
 
