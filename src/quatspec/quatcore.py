@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -77,15 +78,17 @@ class Quaternion(NamedTuple):
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __abs__(self):
-        # A sum of squares that overflows takes hypot, which forms no
-        # square; every other value keeps sqrt of the sum, bit for bit.
+        # A sum of squares that over- or underflowed takes hypot, which
+        # forms no square; a normal sum keeps sqrt of it, bit for bit.
         n2 = self.abs2()
-        return math.hypot(*self) if n2 == math.inf else math.sqrt(n2)
+        normal = sys.float_info.min <= n2 < math.inf
+        return math.sqrt(n2) if normal else math.hypot(*self)
 
     def im_norm(self):
         # Fixed slot order keeps the value bit-stable under sign flips.
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        return math.hypot(*self[1:]) if n2 == math.inf else math.sqrt(n2)
+        normal = sys.float_info.min <= n2 < math.inf
+        return math.sqrt(n2) if normal else math.hypot(*self[1:])
 
 
 ONE = Quaternion(1.0)

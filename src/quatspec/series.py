@@ -27,16 +27,17 @@ One block engine produces every term, for every reader of the series
 (converge_series_S/Q, residual_report, remainder_exact, and the
 diagnostics eval_series_S and term_norms).  B_1, B_2, ... are two stacked
 complex arrays on the SeriesState, extended two at a time with the QMatrix
-product formula on raw arrays.  A block of indices takes its basis quaternions from the
-streams of quatcore (one quaternion product per index), its terms from
-one broadcast scale_right over per-index scalars, and its partial sums
-from a cumulative sum of the signed terms carried on from the previous
-block, so a run through N costs O(N) and its partial sums equal those
-of the term-by-term definition bit for bit.  A block holds as many
-indices as a block of pencils (sresolvent.block_rows).  The tail bounds
-stay scalar loops over N with their constants hoisted: np.power can
-differ from Python's ** in the last bit.  Two stopping rules read the
-series:
+product formula on raw arrays.  A block of indices takes its basis
+quaternions from the streams of quatcore (one quaternion product per
+index), its terms from one broadcast scale_right over per-index scalars,
+and its partial sums from a cumulative sum of the signed terms carried on
+from the previous block, so a run through N costs O(N) and its partial
+sums equal those of the term-by-term definition bit for bit.  A block
+holds as many indices as a block of pencils (sresolvent.block_rows).
+One function, _tails, gives both series' tail bounds as scalar loops
+over N with their constants hoisted (np.power can differ from Python's
+** in the last bit), and the remainder's majorant reads the same rho.
+Two stopping rules read the series:
 
 - the library rule (used by converge_series_S/Q): stop at the first N
   whose tail bound is <= rtol * (1 + ||partial_N||), checked at every N in
@@ -64,7 +65,9 @@ from .errors import InputError, OutsideConvergenceDomain, QuatspecError
 from .hmat import QMatrix
 from .quatcore import (Quaternion, cassini_u, qpow, spherical_power_sderivs,
                        spherical_powers, triangle)
-from .sresolvent import ResolventBundle, block_rows, resolvent_bundle
+# certified_real_point is also read as series.certified_real_point.
+from .sresolvent import (ResolventBundle, block_rows, certified_real_point,
+                         resolvent_bundle)
 
 # Default cap for adaptive truncation; exceeding it flags non-convergence
 # instead of raising, so near-boundary evaluations degrade gracefully.
@@ -137,15 +140,6 @@ class SeriesState:
         self._count = k
 
 
-def certified_real_point(A: QMatrix) -> Quaternion:
-    """The real point 2*(1 + ||A||), always in the resolvent set.
-
-    At a real center r the pencil is (A - r*I)**2, and r exceeds ||A|| by
-    at least 2, so the pencil's smallest singular value is at least 4.
-    """
-    return Quaternion(2.0 * (1.0 + hmat.op_norm(A)))
-
-
 def series_init(A: QMatrix, q0: Quaternion) -> SeriesState:
     """Prepare an expansion around q0; B_n are computed as they are read."""
     return SeriesState(A, resolvent_bundle(A, q0))
@@ -215,36 +209,22 @@ def require_inside(state: SeriesState, q: Quaternion) -> float:
     return u
 
 
-def _tails_S(state: SeriesState, q: Quaternion):
-    """Geometric majorant of the resolvent-series tail beyond index N.
-
-    Returns the bound as a function of N, its constants hoisted (inf
-    everywhere outside the convergence domain).  Even terms satisfy
-    ||B_{2k+1} * p_{2k}|| <= c1 * rho**k and odd terms
-    ||B_{2k+2} * p_{2k+1}|| <= c2 * rho**k with c1 = ||S_left(q0)||,
-    c2 = ||Q|| * |q - q0| and rho = ||Q|| * u(q, q0)**2; summing each
-    parity class from its first omitted index gives the bound.
-    """
-    nq = state.bundle0.norm_Q
+def _rho(state: SeriesState, q: Quaternion) -> float:
+    """rho = ||Q(q0)|| * u(q, q0)**2, the tail bounds' ratio."""
     u = cassini_u(q, state.q0)
-    rho = nq * u * u
-    if rho >= 1.0:
-        return lambda N: math.inf
-    c1 = hmat.op_norm(state.bundle0.S_left)
-    c2 = nq * abs(q - state.q0)
-    d = 1.0 - rho
-
-    def tail(N):
-        # the first omitted even term has k = N // 2 + 1, odd k = (N + 1) // 2
-        return (c1 * rho ** (N // 2 + 1) + c2 * rho ** ((N + 1) // 2)) / d
-    return tail
+    return state.bundle0.norm_Q * u * u
 
 
-def _tails_Q(state: SeriesState, q: Quaternion):
-    """Majorant of the derivative-series tail beyond index N.
+def _tails(state: SeriesState, q: Quaternion, derivative: bool):
+    """Majorant of the tail beyond index N of a series at q.
 
     Returns the bound as a function of N, its constants hoisted (inf
-    everywhere outside the convergence domain).  The spherical derivatives
+    everywhere outside the convergence domain); c1 = ||S_left(q0)|| and
+    rho = _rho(state, q).  Resolvent series: even terms satisfy
+    ||B_{2k+1} * p_{2k}|| <= c1 * rho**k and odd terms
+    ||B_{2k+2} * p_{2k+1}|| <= c2 * rho**k with c2 = ||Q|| * |q - q0|;
+    summing each parity class from its first omitted index gives the
+    bound.  Derivative series (derivative=True): the spherical derivatives
     grow at most polynomially against the geometric decay:
     |sderiv p_{2k}| <= 2k*c0*t**(k-1)  and
     |sderiv p_{2k+1}| <= t**k + 2k*c0**2*t**(k-1)  with c0 = |q| + |q0|
@@ -252,13 +232,18 @@ def _tails_Q(state: SeriesState, q: Quaternion):
     tail is a combination of geometric and arithmetico-geometric sums.
     """
     nq = state.bundle0.norm_Q
-    u = cassini_u(q, state.q0)
-    rho = nq * u * u
+    rho = _rho(state, q)
     if rho >= 1.0:
         return lambda N: math.inf
-    c0 = abs(q) + abs(state.q0)
     c1 = hmat.op_norm(state.bundle0.S_left)
     d = 1.0 - rho
+    if not derivative:
+        c2 = nq * abs(q - state.q0)
+
+        def tail(N):  # first omitted k: N // 2 + 1 even, (N + 1) // 2 odd
+            return (c1 * rho ** (N // 2 + 1) + c2 * rho ** ((N + 1) // 2)) / d
+        return tail
+    c0 = abs(q) + abs(state.q0)
     d2 = d ** 2
     even = 2.0 * c1 * c0 * nq
     # c0 * nq before squaring: c0**2 overflows at |q| near 1e154 while
@@ -297,7 +282,7 @@ def eval_series_S(state: SeriesState, q: Quaternion, N: int):
     if N < 0:
         raise InputError("truncation index must be >= 0")
     require_inside(state, q)
-    return _partial_through(state, q, False, N), _tails_S(state, q)(N)
+    return _partial_through(state, q, False, N), _tails(state, q, False)(N)
 
 
 def remainder_operators(state: SeriesState, bq: ResolventBundle, N: int):
@@ -330,8 +315,7 @@ def check_remainder(state: SeriesState, q: Quaternion, N: int, ops):
         raise QuatspecError(
             f"closed-form truncation error {rem:.6g} disagrees with the "
             f"summed truncation error {direct_err:.6g}")
-    u = cassini_u(q, state.q0)
-    bound = norm_sq * (state.bundle0.norm_Q * u * u) ** (N + 1)
+    bound = norm_sq * _rho(state, q) ** (N + 1)
     if rem > bound + 1e-12 * scale:
         raise QuatspecError(
             f"truncation error {rem:.6g} exceeds its majorant {bound:.6g}")
@@ -406,7 +390,7 @@ def _converge(state, q, rtol, nmax, derivative):
     require_inside(state, q)
     if nmax < 0:
         return QMatrix.zeros(state.A.n), math.inf, nmax, False
-    tail = (_tails_Q if derivative else _tails_S)(state, q)
+    tail = _tails(state, q, derivative)
     tails = []
     first = rtol * (1.0 + hmat.op_norm(state.bundle0.S_left) + tail(0))
 
@@ -440,7 +424,7 @@ def converge_series_Q(state: SeriesState, q: Quaternion, rtol: float,
 
 def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
                     tol: float, nmax: int):
-    """Rows [N, ||term_N||, _tails_S(state, q)(N), ||partial_N - direct||].
+    """Rows [N, ||term_N||, _tails(state, q, False)(N), ||partial_N - direct||].
 
     The report rule: rows run from N = 0 until the residual against the
     directly inverted resolvent `direct` drops to tol, or through nmax.
@@ -463,7 +447,7 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
     rows = []
     if nmax < 0:
         return rows, False
-    tail = _tails_S(state, q)
+    tail = _tails(state, q, False)
     tails = []
 
     def ends(lo, hi):

@@ -24,7 +24,9 @@ pencils its determinant certificate leaves undecided); a bundle reads
 ||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
 them.  localization_radius reads the same radius off the pencil's SVD
 alone and refuses a point with the bundle's error.  Everything else that
-reads the resolvent at a point takes a bundle.
+reads the resolvent at a point takes a bundle.  Random resolvent points
+come from one sampler, random_resolvent_points, which tests each stack
+of draws in one pencil_svals call.
 The residual_* operations evaluate on bundles the exact identities these
 objects satisfy, as lhs - rhs:
 
@@ -61,11 +63,11 @@ from .quatcore import Quaternion, qinv, triangle
 # identity when they are not off_sphere at this tolerance.
 DEGENERATE_REL_TOL = 1e-12
 
-# random_resolvent_point accepts a draw when its pencil's smallest
+# random_resolvent_points accepts a draw when its pencil's smallest
 # singular value exceeds this fraction of its largest.
 WELL_CONDITIONED_RATIO = 1e-6
 
-# With require_nonreal it skips draws with |Im q| below this.
+# It draws a point flagged non-real again while |Im q| is below this.
 NONREAL_MIN_IMAG = 0.1
 
 # It gives up after this many draws.
@@ -330,10 +332,15 @@ def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> QMatrix:
     return A @ b.S_left - b.S_left.scale_right(b.q) + QMatrix.identity(A.n)
 
 
-def sampling_box(A: QMatrix) -> float:
-    """The half-width 2*(1 + ||A||) of random_resolvent_point's box, which
-    keeps a healthy fraction of draws outside the spectral spheres."""
-    return 2.0 * (1.0 + hmat.op_norm(A))
+def certified_real_point(A: QMatrix) -> Quaternion:
+    """The real point 2*(1 + ||A||), always in the resolvent set.
+
+    At a real center r the pencil is (A - r*I)**2, and r exceeds ||A|| by
+    at least 2, so the pencil's smallest singular value is at least 4.
+    It is also the half-width of random_resolvent_points' box, which keeps
+    a healthy fraction of draws outside the spectral spheres.
+    """
+    return Quaternion(2.0 * (1.0 + hmat.op_norm(A)))
 
 
 def well_conditioned(sv):
@@ -342,22 +349,32 @@ def well_conditioned(sv):
     return sv[..., -1] > WELL_CONDITIONED_RATIO * sv[..., 0]
 
 
+def random_resolvent_points(A: QMatrix, rng, nonreal, fixed=()):
+    """Rejection-sample points at which the pencil is well conditioned.
+
+    Draws one point per flag of `nonreal`, in order, uniform on the box
+    [-b, b]**4 with b = certified_real_point(A).w, and draws a flagged
+    point again until |Im q| >= NONREAL_MIN_IMAG.  One pencil_svals call
+    tests the drawn points, then the `fixed` ones; while any drawn point
+    fails well_conditioned, all are drawn again.  Returns (points, that
+    call's singular values); NotInResolventSet after SAMPLE_DRAWS draws.
+    """
+    box = certified_real_point(A).w
+    points = []
+    for _ in range(SAMPLE_DRAWS):
+        q = Quaternion(*rng.uniform(-box, box, size=4).tolist())
+        if nonreal[len(points)] and q.im_norm() < NONREAL_MIN_IMAG:
+            continue
+        points.append(q)
+        if len(points) == len(nonreal):
+            sv = pencil_svals(A, points + list(fixed))
+            if well_conditioned(sv[:len(points)]).all():
+                return points, sv
+            points = []
+    raise NotInResolventSet("failed to sample a well-conditioned resolvent point")
+
+
 def random_resolvent_point(A: QMatrix, rng,
                            require_nonreal: bool = False) -> Quaternion:
-    """Rejection-sample a quaternion at which the pencil is well conditioned.
-
-    Components are uniform on [-box, box] with box = sampling_box(A);
-    with require_nonreal, draws with |Im q| < NONREAL_MIN_IMAG are
-    skipped.  A draw is accepted when well_conditioned holds for its
-    pencil's singular values; after SAMPLE_DRAWS draws NotInResolventSet
-    is raised.
-    """
-    box = sampling_box(A)
-    for _ in range(SAMPLE_DRAWS):
-        c = rng.uniform(-box, box, size=4)
-        q = Quaternion(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
-        if require_nonreal and q.im_norm() < NONREAL_MIN_IMAG:
-            continue
-        if well_conditioned(pencil_svals(A, [q])[0]):
-            return q
-    raise NotInResolventSet("failed to sample a well-conditioned resolvent point")
+    """The one point of random_resolvent_points(A, rng, [require_nonreal])."""
+    return random_resolvent_points(A, rng, [require_nonreal])[0][0]

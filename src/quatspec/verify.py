@@ -3,13 +3,13 @@
 Each trial draws a fresh random matrix and well-conditioned evaluation
 points, evaluates both sides of every identity the package implements,
 and records the relative residual.  A trial runs in three stacked
-stages: one pencil SVD stack tests its random points and gives the
-series radius, one resolvent_bundles call builds all seven bundles, and
-one stacked SVD takes every norm its table of identities and the exact
-remainder's checks read.  The suite reports,
-per identity, the maximum residual over all trials together with the
-trial index attaining it, so a failure is reproducible from (seed, trial)
-alone.
+stages: one random_resolvent_points call draws its random points and
+tests them in one pencil SVD stack, which also gives the series radius,
+one resolvent_bundles call builds all seven bundles, and one stacked
+SVD takes every norm its table of identities and the exact remainder's
+checks read.  The suite reports, per identity, the maximum residual
+over all trials together with the trial index attaining it, so a
+failure is reproducible from (seed, trial) alone.
 """
 
 from __future__ import annotations
@@ -19,16 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import hmat, series, sliceanalysis, sresolvent
+from . import hmat, series, sliceanalysis
 from .errors import DegenerateConfiguration, InputError
 from .hmat import QMatrix, op_norm, op_norms
-from .quatcore import (Quaternion, point_at_cassini_distance,
-                       random_unit_imag, triangle)
+from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
 from .spectrum import cor1_check
-from .sresolvent import (off_sphere, pencil_svals, random_resolvent_point,
-                         resolvent_bundles, residual_AS_identity,
-                         residual_mixed_eq, residual_q_eq,
-                         residual_resolvent_eq, sampling_box, well_conditioned)
+from .sresolvent import (certified_real_point, off_sphere,
+                         random_resolvent_points, resolvent_bundles,
+                         residual_AS_identity, residual_mixed_eq,
+                         residual_q_eq, residual_resolvent_eq)
 
 # The convergent-series rows stop at this fraction of the requested
 # tolerance, leaving headroom between truncation error and the gate.
@@ -50,46 +49,22 @@ class SuiteRow(NamedTuple):
     passed: bool
 
 
-def _sample_off_sphere_pair(A, rng):
-    """Two resolvent points with p off the sphere of q (retry on collision)."""
-    q = random_resolvent_point(A, rng)
-    for _ in range(5):
-        p = random_resolvent_point(A, rng)
-        if off_sphere(q, p, OFF_SPHERE_REL_TOL):
-            return p, q
-    raise DegenerateConfiguration(
-        "could not sample a pair off each other's spheres")
-
-
 def _sample_points(A, rng):
     """A trial's points p, q, qd, its real series center r0 and radius R.
 
-    p, q and qd are what _sample_off_sphere_pair followed by
-    random_resolvent_point(A, rng, require_nonreal=True) return, and rng
-    is left where they leave it; R equals resolvent_bundle(A, r0).radius.
-    The draws of q, p and qd come in the samplers' order, and one
-    pencil_svals call tests them and gives R from r0's row.  When a draw
-    fails a test, the samplers would have drawn again: rng goes back to
-    its state before the draws, and they run from there.
+    One random_resolvent_points call draws q, p and the non-real qd with
+    r0 fixed, so R = resolvent_bundle(A, r0).radius comes from the same
+    SVD stack.  While p lands on the sphere of q the triple is drawn
+    again, at most 5 times in all.
     """
-    r0 = series.certified_real_point(A)
-    saved = rng.bit_generator.state
-    box = sampling_box(A)
-    # one (2, 4) draw takes the stream of two draws of size 4
-    q, p = (Quaternion(*c)
-            for c in rng.uniform(-box, box, size=(2, 4)).tolist())
-    for _ in range(sresolvent.SAMPLE_DRAWS):
-        qd = Quaternion(*rng.uniform(-box, box, size=4).tolist())
-        if qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG:
-            break
-    sv = pencil_svals(A, [q, p, qd, r0])
-    if not (well_conditioned(sv[:3]).all()
-            and off_sphere(q, p, OFF_SPHERE_REL_TOL)
-            and qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG):
-        rng.bit_generator.state = saved
-        p, q = _sample_off_sphere_pair(A, rng)
-        qd = random_resolvent_point(A, rng, require_nonreal=True)
-    return p, q, qd, r0, math.sqrt(float(sv[3, -1]))
+    r0 = certified_real_point(A)
+    for _ in range(5):
+        (q, p, qd), sv = random_resolvent_points(A, rng, (False, False, True),
+                                                 [r0])
+        if off_sphere(q, p, OFF_SPHERE_REL_TOL):
+            return p, q, qd, r0, math.sqrt(float(sv[3, -1]))
+    raise DegenerateConfiguration(
+        "could not sample a pair off each other's spheres")
 
 
 def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:

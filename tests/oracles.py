@@ -4,19 +4,21 @@ Each is a direct computation of a quantity the tests check against; it is
 kept here, beside the tests, rather than in the package's public API.
 """
 
-import itertools
 import math
 from typing import Callable, NamedTuple
 
-from quatspec import hmat
-from quatspec.errors import InputError, NotInResolventSet, QuatspecError
+from quatspec import hmat, sresolvent, verify
+from quatspec.errors import (DegenerateConfiguration, InputError,
+                             NotInResolventSet, QuatspecError)
 from quatspec.hmat import QMatrix
-from quatspec.quatcore import Quaternion, spherical_power_sderivs
-from quatspec.series import (SeriesState, _partial_through, _tails_Q,
+from quatspec.quatcore import Quaternion, qpow, triangle
+from quatspec.series import (SeriesState, _partial_through, _tails,
                              require_inside)
 from quatspec.sliceanalysis import _check_unit_imag, slice_point
 from quatspec.spectrum import in_resolvent
-from quatspec.sresolvent import pencil_svals, resolvent_bundle
+from quatspec.sresolvent import (certified_real_point, off_sphere,
+                                 pencil_svals, resolvent_bundle,
+                                 well_conditioned)
 
 # real_axis_sderiv's central differences take the step FD_STEP * (1 + |q|).
 FD_STEP = 1e-5
@@ -43,10 +45,60 @@ def blowup_probe(A: QMatrix, target: Quaternion, steps: int):
 
 
 def spherical_power_sderiv(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
-    """Element n of quatcore.spherical_power_sderivs(q0, q)."""
+    """The spherical derivative of spherical_power(q0, n, .) at q, pointwise.
+
+    In the slice of q, t**k = A_k + D_k*Im(q) with t = triangle(q0, q) and
+    A_k the real part of qpow(t, k); D_0 = 0, D_1 = 2*(Re(q) - Re(q0)) and
+    D_{k+1} = A_k*D_1 + D_k*A_1.  The derivative of t**k is D_k, that of
+    (q - q0)*t**k is A_k + (Re(q) - q0)*D_k.
+    """
     if n < 0:
         raise QuatspecError("spherical_power index must be >= 0")
-    return next(itertools.islice(spherical_power_sderivs(q0, q), n, None))
+    k, odd = divmod(n, 2)
+    t = triangle(q0, q)
+    d1 = 2.0 * (q.w - q0.w)
+    a1 = qpow(t, 1).w
+    dk = 0.0
+    for j in range(k):
+        dk = qpow(t, j).w * d1 + dk * a1
+    if not odd:
+        return Quaternion(dk)
+    return Quaternion(qpow(t, k).w) + (Quaternion(q.w) - q0) * dk
+
+
+def sequential_resolvent_point(A: QMatrix, rng,
+                               require_nonreal: bool = False) -> Quaternion:
+    """random_resolvent_point as one draw and one pencil SVD at a time.
+
+    Draws q uniform on the box of random_resolvent_points, skips it when
+    require_nonreal and |Im q| < NONREAL_MIN_IMAG, and returns the first
+    draw whose pencil is well_conditioned; NotInResolventSet after
+    SAMPLE_DRAWS draws.
+    """
+    box = certified_real_point(A).w
+    for _ in range(sresolvent.SAMPLE_DRAWS):
+        c = rng.uniform(-box, box, size=4)
+        q = Quaternion(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
+        if require_nonreal and q.im_norm() < sresolvent.NONREAL_MIN_IMAG:
+            continue
+        if well_conditioned(pencil_svals(A, [q])[0]):
+            return q
+    raise NotInResolventSet("failed to sample a well-conditioned resolvent point")
+
+
+def sequential_off_sphere_pair(A: QMatrix, rng):
+    """Resolvent points (p, q), p drawn again until off the sphere of q.
+
+    q and then p are sequential_resolvent_point draws; p is drawn at most
+    5 times, off_sphere at verify.OFF_SPHERE_REL_TOL.
+    """
+    q = sequential_resolvent_point(A, rng)
+    for _ in range(5):
+        p = sequential_resolvent_point(A, rng)
+        if off_sphere(q, p, verify.OFF_SPHERE_REL_TOL):
+            return p, q
+    raise DegenerateConfiguration(
+        "could not sample a pair off each other's spheres")
 
 
 def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
@@ -54,7 +106,7 @@ def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
     if N < 0:
         raise InputError("truncation index must be >= 0")
     require_inside(state, q)
-    return _partial_through(state, q, True, N), _tails_Q(state, q)(N)
+    return _partial_through(state, q, True, N), _tails(state, q, True)(N)
 
 
 def real_axis_sderiv(f: Callable[[Quaternion], QMatrix],

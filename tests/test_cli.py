@@ -286,6 +286,21 @@ def test_series_tail_bound_where_the_triangle_overflows(tmp_path, capsys):
         assert rep["rows"][0][2] == rep["tail_bound"]
 
 
+def test_series_tail_bound_where_the_squares_underflow(capsys):
+    # q is 1e-170 from the center: the squares of q - q0 underflow to 0,
+    # so |q - q0| takes hypot and the tail bound is no smaller than the
+    # residual on any row (row 0 used to read a tail bound of 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["series", "--q0", "1", "--q=1,0,1e-170,0", "--tol",
+                   "1e-300", "--nmax", "3", "--format", "csv"])
+    rows = [[float(x) for x in ln.split(",")]
+            for ln in csv_lines(capsys.readouterr().out)[1:]]
+    assert rc == 0 and rows
+    for _, _, tail, residual in rows:
+        assert tail >= residual
+
+
 def test_cassini_spectral_center_exits_one(tmp_path, capsys):
     rc = main(["cassini", "--input", mat_i(tmp_path), "--q0", "0,1,0,0"])
     assert rc == 1

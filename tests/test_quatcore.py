@@ -276,7 +276,7 @@ def exact_sderivs(q0, q, count):
 def test_sderivs_against_exact_rationals():
     # Im(q) runs from 0 through 1e-7, where a difference quotient has lost
     # about nine digits, to 1; the scale is the larger of the exact value
-    # and the majorant in series._tails_Q's docstring
+    # and the majorant in series._tails' docstring
     rng = np.random.default_rng(26)
     centers = [Quaternion(float(rng.uniform(-3, 3))) for _ in range(2)]
     centers += [rand_quat(rng, 3.0) for _ in range(2)]

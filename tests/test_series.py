@@ -12,11 +12,10 @@ from quatspec.hmat import (QMatrix, op_norm, qmatrix_to_json_dict,
 from quatspec.quatcore import (Quaternion, cassini_u,
                                point_at_cassini_distance, random_unit_imag,
                                spherical_power)
-from quatspec.series import (DEFAULT_NMAX, _tails_Q, _tails_S,
-                             certified_real_point, converge_series_Q,
-                             converge_series_S, eval_series_S,
-                             remainder_exact, residual_report, series_init,
-                             tail_rule, term_norms)
+from quatspec.series import (DEFAULT_NMAX, _tails, certified_real_point,
+                             converge_series_Q, converge_series_S,
+                             eval_series_S, remainder_exact, residual_report,
+                             series_init, tail_rule, term_norms)
 from quatspec.sliceanalysis import cauchy_coeffs
 from quatspec.sresolvent import resolvent_bundle, resolvent_bundles
 
@@ -156,8 +155,8 @@ def test_domain_gate():
     with pytest.raises(OutsideConvergenceDomain):
         converge_series_S(st, Quaternion(0.0), 1e-8)  # u = R exactly
     # tail bounds themselves report divergence as infinity
-    assert _tails_S(st, Quaternion(3.0))(4) == math.inf
-    assert _tails_Q(st, Quaternion(3.0))(4) == math.inf
+    assert _tails(st, Quaternion(3.0), False)(4) == math.inf
+    assert _tails(st, Quaternion(3.0), True)(4) == math.inf
     with pytest.raises(InputError):
         eval_series_S(st, Quaternion(0.5), -1)
 
@@ -251,7 +250,7 @@ def reference_partials(state, q, N, derivative=False):
 
 def reference_converge(state, q, rtol, nmax, derivative=False):
     """The tail rule on the reference partial sums, unscreened."""
-    tail = (_tails_Q if derivative else _tails_S)(state, q)
+    tail = _tails(state, q, derivative)
     for n, (_, partial) in enumerate(
             reference_partials(state, q, nmax, derivative)):
         t = tail(n)
@@ -273,7 +272,7 @@ def reference_rows(A, q0, q, tol, nmax):
         residual = op_norm(partial - direct)
         rows.append(",".join([str(n)] + [
             format(x, ".17g") for x in (op_norm(term),
-                                        _tails_S(state, q)(n), residual)]))
+                                        _tails(state, q, False)(n), residual)]))
         if residual <= tol:
             break
     return rows
@@ -367,7 +366,7 @@ def reference_report(state, q, direct, tol, nmax):
     rows = []
     for n, (term, partial) in enumerate(reference_partials(state, q, nmax)):
         residual = op_norm(partial - direct)
-        rows.append([n, op_norm(term), _tails_S(state, q)(n), residual])
+        rows.append([n, op_norm(term), _tails(state, q, False)(n), residual])
         if residual <= tol:
             return rows, True
     return rows, False
@@ -465,8 +464,8 @@ def test_engine_tails_equal_the_closed_forms():
         assert [row[2] for row in rows] == [
             reference_tail_S(st, q, N) for N in range(nmax + 1)]
         for N in range(nmax + 1):
-            assert _tails_S(st, q)(N) == reference_tail_S(st, q, N)
-            assert _tails_Q(st, q)(N) == reference_tail_Q(st, q, N)
+            assert _tails(st, q, False)(N) == reference_tail_S(st, q, N)
+            assert _tails(st, q, True)(N) == reference_tail_Q(st, q, N)
         for N in (0, 1, 17, nmax):
             assert converge_series_Q(st, q, 1e-30, N)[1] == \
                 reference_tail_Q(st, q, N)
@@ -479,7 +478,7 @@ def test_derivative_tail_where_c0_squared_overflows():
     st = series_init(A, Quaternion(1e154))
     for k in (1.0, -1.0, 3.0):
         q = Quaternion(1e154, 0.0, 0.0, 1e8 * k)
-        assert math.isfinite(_tails_Q(st, q)(0))
+        assert math.isfinite(_tails(st, q, True)(0))
         partial, tail, N, conv = converge_series_Q(st, q, 1e-3)
         assert (N, conv) == (0, True)
         assert 0.0 < tail <= 1e-300 and np.isfinite(partial.a1).all()

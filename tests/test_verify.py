@@ -3,8 +3,12 @@ import pytest
 
 from quatspec import series, sresolvent, verify
 from quatspec.hmat import random_qmatrix
-from quatspec.sresolvent import random_resolvent_point, resolvent_bundle
+from quatspec.sresolvent import (off_sphere, pencil_svals,
+                                 random_resolvent_point, resolvent_bundle,
+                                 well_conditioned)
 from quatspec.verify import _trial_residuals, run_identity_suite
+
+from oracles import sequential_off_sphere_pair, sequential_resolvent_point
 
 
 @pytest.mark.parametrize("n, trials, seed", [(1, 8, 3), (2, 12, 5),
@@ -23,58 +27,94 @@ def test_each_row_reruns_alone_from_its_worst_trial(n, trials, seed):
         assert alone[row.name] == row.max_residual
 
 
-
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Count the calls of the sequential pair sampler from here on."""
+def redraws(monkeypatch):
+    """Count the calls of pencil_svals from here on: one per stack of
+    drawn points random_resolvent_points tests."""
     calls = [0]
-    pair = verify._sample_off_sphere_pair
+    svals = sresolvent.pencil_svals
 
     def counted(*args):
         calls[0] += 1
-        return pair(*args)
-    monkeypatch.setattr(verify, "_sample_off_sphere_pair", counted)
+        return svals(*args)
+    monkeypatch.setattr(sresolvent, "pencil_svals", counted)
     return calls
 
 
-def sampler_fallbacks(seeds, calls) -> int:
-    """Check the one-stack sampler against the sequential samplers.
+def seeded(seed):
+    return np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
-    For n = 1..8 and each seed, it must return the p, q and qd of
-    _sample_off_sphere_pair followed by random_resolvent_point(...,
-    require_nonreal=True), leave the generator in their state, and give
-    the radius of the bundle at r0 bit for bit.  Returns how many of its
-    calls fell back to the sequential samplers.
+
+def sampler_redraws(seeds, calls, check) -> int:
+    """Run verify's sampler for n = 1..8 and each seed.
+
+    check(A, rng, points, reference_rng) asserts on each call's points
+    (p, q, qd, r0, R); reference_rng is a second generator at the
+    state rng had before the call.  Returns how many calls drew their
+    points more than once.
     """
-    fell_back = 0
+    redrawn = 0
     for n in range(1, 9):
         for seed in seeds:
-            rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0]))
-                    for _ in range(2)]
+            rngs = [seeded(seed) for _ in range(2)]
             A = random_qmatrix(n, rngs[0])
             random_qmatrix(n, rngs[1])
             before = calls[0]
-            p, q, qd, r0, R = verify._sample_points(A, rngs[0])
-            fell_back += calls[0] > before
-            ref_p, ref_q = verify._sample_off_sphere_pair(A, rngs[1])
-            ref_qd = random_resolvent_point(A, rngs[1], require_nonreal=True)
-            assert (p, q, qd) == (ref_p, ref_q, ref_qd)
+            points = verify._sample_points(A, rngs[0])
+            redrawn += calls[0] > before + 1
+            check(A, rngs[0], points, rngs[1])
+    return redrawn
+
+
+def test_stacked_sampler_matches_the_sequential_samplers(redraws):
+    # the first draws pass every test, so one stack decides: p, q and qd
+    # are those of the sequential samplers, the generator is left in
+    # their state, and R is the radius of the bundle at r0 bit for bit
+    def check(A, rng, points, ref):
+        p, q, qd, r0, R = points
+        ref_p, ref_q = sequential_off_sphere_pair(A, ref)
+        ref_qd = sequential_resolvent_point(A, ref, require_nonreal=True)
+        assert (p, q, qd) == (ref_p, ref_q, ref_qd)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert R == resolvent_bundle(A, r0).radius
+
+    assert sampler_redraws(range(200), redraws, check) == 0
+
+
+@pytest.mark.parametrize("require_nonreal", [False, True])
+@pytest.mark.parametrize("ratio", [sresolvent.WELL_CONDITIONED_RATIO, 0.5])
+def test_random_resolvent_point_matches_the_sequential_loop(
+        require_nonreal, ratio, monkeypatch):
+    # at the stricter ratio 0.5 about one call in ten draws again
+    monkeypatch.setattr(sresolvent, "WELL_CONDITIONED_RATIO", ratio)
+    for n in range(1, 9):
+        for seed in range(200):
+            rngs = [seeded(seed) for _ in range(2)]
+            A = random_qmatrix(n, rngs[0])
+            random_qmatrix(n, rngs[1])
+            q = random_resolvent_point(A, rngs[0], require_nonreal)
+            ref = sequential_resolvent_point(A, rngs[1], require_nonreal)
+            assert q == ref
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-            assert R == resolvent_bundle(A, r0).radius
-    return fell_back
-
-
-def test_stacked_sampler_matches_the_sequential_samplers(fallbacks):
-    # the first draws pass every test, so the stack alone decides
-    assert sampler_fallbacks(range(200), fallbacks) == 0
 
 
 @pytest.mark.parametrize("module, name, value", [
     (sresolvent, "WELL_CONDITIONED_RATIO", 0.5),
     (verify, "OFF_SPHERE_REL_TOL", 0.2)])
-def test_stacked_sampler_falls_back_to_the_sequential_samplers(
-        module, name, value, monkeypatch, fallbacks):
-    # a stricter test rejects some first draws: the generator goes back
-    # and the sequential samplers draw again, as they would have
+def test_stacked_sampler_redraws(module, name, value, monkeypatch, redraws):
+    # a stricter test rejects some first draws, and the sampler draws
+    # again until every point passes its tests; a second call from the
+    # same (seed, trial) returns the same points
     monkeypatch.setattr(module, name, value)
-    assert sampler_fallbacks(range(200), fallbacks) >= 100
+
+    def check(A, rng, points, ref):
+        p, q, qd, r0, R = points
+        assert well_conditioned(pencil_svals(A, [p, q, qd])).all()
+        assert off_sphere(q, p, verify.OFF_SPHERE_REL_TOL)
+        assert qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG
+        assert R == resolvent_bundle(A, r0).radius
+        again = verify._sample_points(A, ref)
+        assert again == points
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    assert sampler_redraws(range(200), redraws, check) >= 100
