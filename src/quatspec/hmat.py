@@ -24,6 +24,7 @@ has entries q * A_ik.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -171,6 +172,12 @@ class QMatrix:
     def adjoint(self) -> "QMatrix":
         """Conjugate transpose (quaternionic adjoint)."""
         return QMatrix(np.conj(self.a1).T, -self.a2.T)
+
+
+@functools.lru_cache(maxsize=16)
+def identity(n: int) -> QMatrix:
+    """The n x n identity, one shared QMatrix per n (it is read-only)."""
+    return QMatrix.identity(n)
 
 
 def chi(A: QMatrix) -> np.ndarray:

@@ -114,13 +114,27 @@ def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
 def qinv(q: Quaternion) -> Quaternion:
     """Multiplicative inverse conj(q) / |q|**2.
 
+    Where |q|**2 is not a normal double (it overflowed, or its squares
+    underflowed) and q is finite, q is first divided by 2**e, e the
+    binary exponent of its largest component, which is exact, and the
+    inverse multiplied by 2**-e; a normal |q|**2 gives conj(q) / |q|**2
+    as it stands.
+
     >>> qinv(Quaternion(2.0))
     Quaternion(w=0.5, x=-0.0, y=-0.0, z=-0.0)
     """
     n2 = q.abs2()
-    if n2 == 0.0:
+    if sys.float_info.min <= n2 < math.inf or not all(map(math.isfinite, q)):
+        return Quaternion(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
+    if not any(q):
         raise ZeroDivisionError("the zero quaternion has no inverse")
-    return Quaternion(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
+    e = math.frexp(max(map(abs, q)))[1]
+    s = Quaternion(*(math.ldexp(c, -e) for c in q))
+    n2 = s.abs2()
+    # 2**-e in two factors, each a normal double: an inverse past the
+    # float range is inf, as the division would give it
+    f1, f2 = 2.0 ** (-e // 2), 2.0 ** (-e - (-e // 2))
+    return Quaternion(*(c / n2 * f1 * f2 for c in s.conj()))
 
 
 def qpow(q: Quaternion, k: int) -> Quaternion:

@@ -23,27 +23,33 @@ truncation error itself has the exact closed form
 
 whose norm never exceeds ||S_left(q)|| * rho**(N+1).
 
-One block engine produces every term, for every reader of the series
-(converge_series_S/Q, residual_report, remainder_exact, and the
+One block arithmetic produces every term, for every reader of the series
+(converge_series_S/Q, residual_report, remainder_exact, verify, and the
 diagnostics eval_series_S and term_norms).  B_1, B_2, ... are two stacked
-complex arrays on the SeriesState, extended two at a time with the QMatrix
-product formula on raw arrays.  A block of indices takes its basis
+complex arrays, extended two at a time with the QMatrix product formula
+on raw arrays, for one SeriesState or (series_states) for many at once
+in one stacked product per step.  A block of indices takes its basis
 quaternions from the streams of quatcore (one quaternion product per
 index), its terms from one broadcast scale_right over per-index scalars,
 and its partial sums from a cumulative sum of the signed terms carried on
 from the previous block, so a run through N costs O(N) and its partial
-sums equal those of the term-by-term definition bit for bit.  A block
-holds as many indices as a block of pencils (sresolvent.block_rows).
+sums equal those of the term-by-term definition bit for bit.  The report
+rule runs one series a block at a time (_blocks), a block holding as many
+indices as a block of pencils (sresolvent.block_rows); the library rule
+runs a stack of series (_Stack), each at its own state and point with its
+own basis, tail bound and stop, all advanced together a round at a time,
+one block of each series per round, so a stack takes the SVDs of a
+round's screens, and its stacked arithmetic, once for all of its series.
 One function, _tails, gives both series' tail bounds as scalar loops
 over N with their constants hoisted (np.power can differ from Python's
 ** in the last bit), and the remainder's majorant reads the same rho.
 Two stopping rules read the series:
 
-- the library rule (used by converge_series_S/Q): stop at the first N
-  whose tail bound is <= rtol * (1 + ||partial_N||), checked at every N in
-  order.  It needs no direct resolvent at q; a Frobenius majorant of
-  ||partial_N||, taken over the whole block, decides which N get an SVD,
-  and those take one stacked SVD;
+- the library rule (_converge, behind converge_series_S/Q and verify):
+  stop at the first N whose tail bound is <= rtol * (1 + ||partial_N||),
+  checked at every N in order.  It needs no direct resolvent at q; a
+  Frobenius majorant of ||partial_N||, taken over the whole round,
+  decides which N get an SVD, and those take one stacked SVD;
 - the report rule (residual_report, behind `quatspec series`): stop at
   the first N with ||partial_N - S_left(q)|| <= tol against the directly
   inverted S_left(q).  Each block takes two stacked SVDs, the residuals
@@ -73,6 +79,11 @@ from .sresolvent import (ResolventBundle, block_rows, certified_real_point,
 # instead of raising, so near-boundary evaluations degrade gracefully.
 DEFAULT_NMAX = 200
 
+# A round of _converge holds at most this many times block_rows(n)
+# indices in all, so each of its stacked pairs (half a chi image a row)
+# takes at most twice PENCIL_BLOCK_BYTES.
+ROUND_BLOCKS = 4
+
 # Relative inflation of the Frobenius majorant in the screens of the tail
 # rule and of the residual report.  For a rank-one matrix the majorant
 # equals the operator norm, and the SVD may round above it; the margin is
@@ -80,12 +91,71 @@ DEFAULT_NMAX = 200
 SCREEN_MARGIN = 1e-12
 
 
+def _stacked(pairs):
+    """The complex pairs (a1, a2) of one size as one stacked pair; a single
+    pair as it is."""
+    if len(pairs) == 1:
+        return pairs[0]
+    return tuple(np.stack(part) for part in zip(*pairs))
+
+
+class _Coefficients:
+    """B_1, B_2, ... of one or more expansions, extended together.
+
+    Kept as two stacked (count, T, n, n) complex arrays, B_n of expansion
+    t at [n - 1, t] ((count, n, n) for a single expansion), and extended
+    two indices at a time for all T by one stacked product: B_1 =
+    S_left(q0), B_2 = Q, B_{k+2} = Q @ B_k.  Each matrix of a stacked
+    product equals its own product bit for bit.
+    """
+
+    def __init__(self, bundles):
+        self.bundles = bundles
+        self.count = 0
+        self.b1 = self.b2 = None
+
+    def rows(self, m: int):
+        """The stored arrays, holding at least B_1..B_m of every expansion."""
+        if m > self.count:
+            self._extend(m)
+        return self.b1, self.b2
+
+    def _extend(self, m: int) -> None:
+        k = self.count
+        if self.b1 is None:
+            self.Q = _stacked([(b.Q.a1, b.Q.a2) for b in self.bundles])
+            self.S = _stacked([(b.S_left.a1, b.S_left.a2)
+                               for b in self.bundles])
+            self.b1 = self.b2 = self.Q[0][None][:0]
+        if m > len(self.b1):
+            cap = max(m, 2 * len(self.b1))
+            grown = []
+            for old in (self.b1, self.b2):
+                new = np.empty((cap,) + old.shape[1:], dtype=complex)
+                new[:k] = old[:k]
+                grown.append(new)
+            self.b1, self.b2 = grown
+        b1, b2 = self.b1, self.b2
+        Q1, Q2 = self.Q
+        for i, (B1, B2) in ((0, self.S), (1, self.Q)):
+            if k == i < m:
+                b1[i], b2[i] = B1, B2
+                k += 1
+        while k < m:
+            j = min(k + 2, m)
+            b1[k:j], b2[k:j] = hmat.pair_matmul(Q1, Q2, b1[k - 2:j - 2],
+                                                b2[k - 2:j - 2])
+            k = j
+        self.count = k
+
+
 @dataclass
 class SeriesState:
     """Expansion center data: the center's resolvent bundle, R and B_n.
 
-    B_1, B_2, ... are kept as two stacked complex arrays, B_n at row n - 1,
-    extended two rows at a time by the recurrence.
+    B_1, B_2, ... are kept as two stacked complex arrays, extended two
+    rows at a time by the recurrence, on their own or (series_states)
+    together with those of other expansions.
     """
 
     A: QMatrix
@@ -96,8 +166,7 @@ class SeriesState:
     def __post_init__(self):
         self.q0 = self.bundle0.q
         self.R = self.bundle0.radius
-        self._b1 = self._b2 = np.empty((0, self.A.n, self.A.n), dtype=complex)
-        self._count = 0
+        self._store, self._row = _Coefficients([self.bundle0]), None
 
     def coeff(self, n: int) -> QMatrix:
         """B_n (1-indexed), extending the stored recurrence as needed."""
@@ -111,33 +180,10 @@ class SeriesState:
 
         The arrays are views of the stored rows: read them, never write.
         """
-        if hi > self._count:
-            self._extend(hi)
-        return self._b1[lo - 1:hi], self._b2[lo - 1:hi]
-
-    def _extend(self, m: int) -> None:
-        """Store B_1..B_m: B_1 = S_left(q0), B_2 = Q, B_{k+2} = Q @ B_k."""
-        k = self._count
-        if m > len(self._b1):
-            cap = max(m, 2 * len(self._b1))
-            grown = []
-            for old in (self._b1, self._b2):
-                new = np.empty((cap,) + old.shape[1:], dtype=complex)
-                new[:k] = old[:k]
-                grown.append(new)
-            self._b1, self._b2 = grown
-        b1, b2 = self._b1, self._b2
-        Q = self.bundle0.Q
-        for i, B in ((0, self.bundle0.S_left), (1, Q)):
-            if k == i < m:
-                b1[i], b2[i] = B.a1, B.a2
-                k += 1
-        while k < m:
-            j = min(k + 2, m)
-            b1[k:j], b2[k:j] = hmat.pair_matmul(Q.a1, Q.a2, b1[k - 2:j - 2],
-                                                b2[k - 2:j - 2])
-            k = j
-        self._count = k
+        b1, b2 = self._store.rows(hi)
+        if self._row is None:
+            return b1[lo - 1:hi], b2[lo - 1:hi]
+        return b1[lo - 1:hi, self._row], b2[lo - 1:hi, self._row]
 
 
 def series_init(A: QMatrix, q0: Quaternion) -> SeriesState:
@@ -145,31 +191,115 @@ def series_init(A: QMatrix, q0: Quaternion) -> SeriesState:
     return SeriesState(A, resolvent_bundle(A, q0))
 
 
+def series_states(As, bundles) -> list:
+    """The SeriesState of each matrix of As (all of one size) about its
+    bundle's point, their B_n extended together: reading any one's
+    extends all of them, one stacked product per two indices."""
+    states = [SeriesState(A, b) for A, b in zip(As, bundles)]
+    if len(states) > 1:
+        store = _Coefficients(bundles)
+        for t, state in enumerate(states):
+            state._store, state._row = store, t
+    return states
+
+
+class _Stack:
+    """Series at their own points, each carried on a block at a time.
+
+    `runs` holds (state, q, derivative) per series, all states of one
+    size.  Series s takes its basis quaternions from its own stream of
+    quatcore (one quaternion product per index) and carries its last
+    partial sum from one of its blocks to the next.
+    """
+
+    def __init__(self, runs):
+        self.states = [state for state, _, _ in runs]
+        self.bases = [(spherical_power_sderivs if derivative
+                       else spherical_powers)(state.q0, q)
+                      for state, q, derivative in runs]
+        # the resolvent series subtracts its odd-indexed terms, the
+        # derivative series its even ones
+        self.odd = [int(not derivative) for _, _, derivative in runs]
+        self.carry = [(0.0, 0.0)] * len(runs)
+
+    def block(self, which, los, sizes):
+        """The next block of the series `which`: series which[j] runs
+        over n = los[j] .. los[j] + sizes[j] - 1.
+
+        Returns (t1, t2, p1, p2), each (len(which), max(sizes), n, n):
+        row [j, i] holds index los[j] + i of series which[j], (t1, t2) its
+        unsigned term B_{n+1} * basis[n] and (p1, p2) its partial sum
+        through n.  The terms are one broadcast scale_right over
+        per-index scalars, and the partials a cumulative sum of the signed
+        terms on top of each series' carried partial.  Adding a negated
+        term is subtracting it in IEEE arithmetic, and np.add.accumulate
+        adds in index order, so every partial equals the term-by-term sum
+        bit for bit, whatever the blocks and the stack.  Rows past a
+        series' size hold zero terms.  Rows past a stopping index are
+        computed, so overflow in them is not warned about.
+        """
+        m, k = max(sizes), len(which)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [self.states[s].coeff_rows(lo + 1, lo + size)
+                    for s, lo, size in zip(which, los, sizes)]
+            pts = [np.fromiter(chain.from_iterable(islice(self.bases[s], size)),
+                               float, count=4 * size).reshape(size, 4)
+                   for s, size in zip(which, sizes)]
+            if k == 1:
+                (b1, b2), pts = (r[None] for r in rows[0]), pts[0]
+            else:
+                shape = (k, m) + rows[0][0].shape[1:]
+                b1, b2 = np.zeros(shape, dtype=complex), np.zeros(shape,
+                                                                 dtype=complex)
+                padded = np.zeros((k, m, 4))
+                for j, ((r1, r2), p, size) in enumerate(zip(rows, pts, sizes)):
+                    b1[j, :size], b2[j, :size], padded[j, :size] = r1, r2, p
+                pts = padded
+            c1, c2 = (c.reshape(k, m, 1, 1)
+                      for c in hmat.scalar_pairs(pts.reshape(-1, 4)))
+            terms = hmat.pair_scale_right(b1, b2, c1, c2)
+            partials = tuple(t.copy() for t in terms)
+            # series j negates every other row from (los[j] + odd) % 2 on
+            first = [(lo + self.odd[s]) % 2 for s, lo in zip(which, los)]
+            for start in (0, 1):
+                j = [i for i, f in enumerate(first) if f == start]
+                if len(j) == k:
+                    j = slice(None)
+                elif not j:
+                    continue
+                for p in partials:
+                    p[j, start::2] = -p[j, start::2]
+            for j, s in enumerate(which):
+                for p, c in zip(partials, self.carry[s]):
+                    p[j, 0] += c
+            for p in partials:
+                np.add.accumulate(p, axis=1, out=p)
+        for j, (s, size) in enumerate(zip(which, sizes)):
+            self.carry[s] = partials[0][j, size - 1], partials[1][j, size - 1]
+        return (*terms, *partials)
+
+
 def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
             ends=lambda lo, hi: hi):
-    """The series at q through index last, block by block.
+    """The series at q through index last, block by block: the one-series
+    path of the report rule, term_norms and _partial_through.
 
-    Yields (lo, t1, t2, p1, p2) for consecutive blocks n = lo..hi: (t1, t2)
-    stacks the unsigned terms B_{n+1} * basis[n], one broadcast scale_right
-    over per-index scalars, and (p1, p2) the partial sums through each n,
-    a cumulative sum of the signed terms on top of the previous block's
-    last partial.  The resolvent series (basis spherical_powers) subtracts
-    the odd-indexed terms, the derivative series (derivative=True, basis
-    spherical_power_sderivs) the even ones.  Adding a negated term is
-    subtracting it in IEEE arithmetic, and np.add.accumulate adds in index
-    order, so every partial equals the term-by-term sum bit for bit.
-
-    A block takes at most sresolvent.block_rows(n) indices, the rule the
-    pencils follow, which bounds the working memory whatever `last` is;
-    ends(lo, hi) may end it sooner.
-    Rows past a stopping index are computed, so overflow in them is not
-    warned about.  No domain gate.
+    Yields (lo, t1, t2, p1, p2) for consecutive blocks n = lo..hi, the
+    arithmetic of _Stack.block for one series on (m, n, n) arrays: (t1,
+    t2) stacks the unsigned terms and (p1, p2) the partial sums through
+    each n, so every partial equals the term-by-term sum bit for bit.
+    The resolvent series (basis spherical_powers) subtracts the
+    odd-indexed terms, the derivative series (derivative=True, basis
+    spherical_power_sderivs) the even ones.  A block takes at most
+    sresolvent.block_rows(n) indices, the rule the pencils follow, which
+    bounds the working memory whatever `last` is; ends(lo, hi) may end it
+    sooner.  Rows past a stopping index are computed, so overflow in them
+    is not warned about.  No domain gate.
     """
     basis = (spherical_power_sderivs if derivative else spherical_powers)(
         state.q0, q)
-    n = state.A.n
-    cap = block_rows(n)
-    carry = (np.zeros((n, n), dtype=complex),) * 2
+    cap = block_rows(state.A.n)
+    carry = (0.0, 0.0)
     lo = 0
     while lo <= last:
         hi = ends(lo, min(last, lo + cap - 1))
@@ -285,31 +415,14 @@ def eval_series_S(state: SeriesState, q: Quaternion, N: int):
     return _partial_through(state, q, False, N), _tails(state, q, False)(N)
 
 
-def remainder_operators(state: SeriesState, bq: ResolventBundle, N: int):
-    """The operators remainder_exact takes the norms of, in its order.
+def check_remainder(state: SeriesState, q: Quaternion, N: int, norms):
+    """remainder_exact's checks on the norms it takes.
 
-    Returns (closed form, summed error, S_left(q), partial sum to 2N+1) at
-    q = bq.q: the closed form is Q(q0)^(N+1) @ S_left(q) *
-    triangle(q0, q)**(N+1) with the directly inverted S_left(q) of the
-    bundle, the summed error is S_left(q) - partial sum.
+    norms are those of the closed form, the summed error, S_left(q) and
+    the partial sum to 2N+1 at q, in that order; returns (closed form,
+    summed) after both checks of remainder_exact.
     """
-    if N < 0:
-        raise InputError("truncation index must be >= 0")
-    q = bq.q
-    tri = triangle(state.q0, q)
-    rem_op = (state.coeff(2 * N + 2) @ bq.S_left).scale_right(qpow(tri, N + 1))
-    partial = _partial_through(state, q, False, 2 * N + 1)
-    return rem_op, bq.S_left - partial, bq.S_left, partial
-
-
-def check_remainder(state: SeriesState, q: Quaternion, N: int, ops):
-    """remainder_exact's checks on the norms of its remainder_operators.
-
-    Takes the norms of ops with hmat.op_norms, so norms already stored
-    cost nothing, and returns (closed form, summed) after both checks of
-    remainder_exact.
-    """
-    rem, direct_err, norm_sq, norm_partial = hmat.op_norms(ops)
+    rem, direct_err, norm_sq, norm_partial = norms
     scale = 1.0 + norm_sq + norm_partial + rem
     if abs(direct_err - rem) > 1e-10 * scale:
         raise QuatspecError(
@@ -330,12 +443,18 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     the directly inverted S_left(q) of the bundle, the summed one is
     ||S_left(q) - partial sum||.  The two are checked against each other,
     and the closed form against its majorant
-    ||S_left(q)|| * rho**(N+1); a failure of either
-    internal consistency check raises QuatspecError.  The four norms
-    (remainder_operators) take one stacked SVD; a caller with more norms
-    to take can stack them with its own and call check_remainder.
+    ||S_left(q)|| * rho**(N+1) (check_remainder); a failure of either
+    internal consistency check raises QuatspecError.  The four norms take
+    one stacked SVD.
     """
-    return check_remainder(state, bq.q, N, remainder_operators(state, bq, N))
+    if N < 0:
+        raise InputError("truncation index must be >= 0")
+    q = bq.q
+    tri = triangle(state.q0, q)
+    rem_op = (state.coeff(2 * N + 2) @ bq.S_left).scale_right(qpow(tri, N + 1))
+    partial = _partial_through(state, q, False, 2 * N + 1)
+    return check_remainder(state, q, N, hmat.op_norms(
+        [rem_op, bq.S_left - partial, bq.S_left, partial]))
 
 
 def _majorants(a1, a2) -> np.ndarray:
@@ -352,12 +471,12 @@ def _majorants(a1, a2) -> np.ndarray:
             axis=(1, 2)))
 
 
-def tail_rule(t: np.ndarray, rtol: float, p1, p2):
-    """The library stopping rule t <= rtol * (1 + ||partial||) on a block.
+def tail_rule(t: np.ndarray, rtol: float, p1, p2) -> np.ndarray:
+    """The library stopping rule t <= rtol * (1 + ||partial||), per row.
 
     Rows are stacked partial sums (p1, p2) with their tail bounds t;
-    returns the first row that passes, or None.  Each ||partial|| takes
-    an SVD, so rows are screened first by the majorant
+    returns whether each passes.  Each ||partial|| takes an SVD, so rows
+    are screened first by the majorant
     sqrt(||a1||_F**2 + ||a2||_F**2) >= ||partial||: chi(partial) has its
     singular values in equal pairs, so twice the largest one squared is
     at most its squared Frobenius norm 2 * (||a1||_F**2 + ||a2||_F**2).
@@ -366,60 +485,110 @@ def tail_rule(t: np.ndarray, rtol: float, p1, p2):
     take one stacked SVD, and the verdict is the unscreened one.
     """
     rows = np.flatnonzero(~(t > rtol * (1.0 + _majorants(p1, p2))))
-    for i, norm in zip(rows.tolist(),
-                       hmat.pair_op_norms(p1[rows], p2[rows])):
-        if t[i] <= rtol * (1.0 + norm):
-            return i
-    return None
+    norms = np.fromiter(hmat.pair_op_norms(p1[rows], p2[rows]), float,
+                        count=len(rows))
+    passed = np.zeros(len(t), dtype=bool)
+    passed[rows] = t[rows] <= rtol * (1.0 + norms)
+    return passed
 
 
-def _converge(state, q, rtol, nmax, derivative):
-    """Sum terms until the tail rule holds for the series' tail bound.
+def _converge(runs, rtol, nmax, through=-1):
+    """Sum each series of a stack until the tail rule holds for its tail
+    bound.
 
-    Returns (partial, tail, N, converged); hitting the cap nmax flags
-    non-convergence instead of raising, so near-boundary evaluations
-    degrade gracefully.  The rule is checked at every N in order, a block
-    of partial sums at a time.  ||partial_N|| is at most
-    ||B_1|| + tail(0), so the first block ends where the rule could first
-    pass; every later block ends where tail(N) <= rtol, where it must.
-    The run also stops, unconverged, before the first partial sum that is
-    not finite (a term that is not finite makes its partial sum so), and
-    returns the last finite one: partial_0 = B_1 is finite, or its norm
-    would have failed above.
+    `runs` holds (state, q, derivative) per series, all states of one
+    size.  Returns (results, kept): per series, results holds
+    (partial, tail, N, converged), the partial a complex pair, and kept
+    its partial sum through index `through` (None when through < 0).
+    Hitting the cap nmax flags non-convergence instead of raising, so
+    near-boundary evaluations degrade gracefully; a series still runs
+    through `through` whatever nmax is.  The rule is checked at every N
+    in order, a block of partial sums at a time, each series in its own
+    blocks, and a block ends where tail(N) <= rtol, where the rule must
+    pass.  A series also stops, unconverged, before its first partial sum
+    that is not finite (a term that is not finite makes its partial sum
+    so), and returns the last finite one: partial_0 is finite, or the
+    norm of B_1 would have failed first.  The series advance together:
+    each round takes one block of every series still running, at most
+    ROUND_BLOCKS * block_rows(n) indices in all, and the rows the screens
+    of a round leave take one stacked SVD, so a series' N, partial and
+    tail do not depend on the stack.
     """
-    require_inside(state, q)
+    for state, q, _ in runs:
+        require_inside(state, q)
+    n = runs[0][0].A.n
+    results = [None] * len(runs)
+    kept = [None] * len(runs)
     if nmax < 0:
-        return QMatrix.zeros(state.A.n), math.inf, nmax, False
-    tail = _tails(state, q, derivative)
-    tails = []
-    first = rtol * (1.0 + hmat.op_norm(state.bundle0.S_left) + tail(0))
-
-    def ends(lo, hi):
-        return _scan(tail, tails, lo, hi, rtol if lo else first)
-
-    for lo, _, _, p1, p2 in _blocks(state, q, derivative, nmax, ends):
-        k = hmat.finite_rows(p1, p2)
-        i = tail_rule(np.array(tails[lo:lo + k]), rtol, p1[:k], p2[:k])
-        if i is not None:
-            return QMatrix(p1[i], p2[i]), tails[lo + i], lo + i, True
-        if k:
-            last = lo + k - 1, p1[k - 1], p2[k - 1]
-        if k < len(p1):
-            break
-    N, a1, a2 = last
-    return QMatrix(a1, a2), tails[N], N, False
+        zero = np.zeros((n, n), dtype=complex)
+        results = [((zero, zero), math.inf, nmax, False)] * len(runs)
+    else:
+        hmat.op_norms([state.bundle0.S_left for state, _, _ in runs])
+        tail = [_tails(state, q, derivative) for state, q, derivative in runs]
+    tails = [[] for _ in runs]
+    last = [None] * len(runs)
+    los = [0] * len(runs)
+    stack = _Stack(runs)
+    cap = max(1, ROUND_BLOCKS * block_rows(n) // len(runs))
+    active = [s for s in range(len(runs)) if results[s] is None or through >= 0]
+    while active:
+        sizes = []
+        for s in active:
+            lo = los[s]
+            if results[s] is None:
+                hi = _scan(tail[s], tails[s], lo, min(nmax, lo + cap - 1), rtol)
+            else:
+                hi = min(through, lo + cap - 1)
+            sizes.append(hi + 1 - lo)
+        t1, t2, p1, p2 = stack.block(active, [los[s] for s in active], sizes)
+        # the rule reads each undecided series' rows up to its first one
+        # that is not finite
+        rows = np.logical_and.accumulate(
+            np.isfinite(p1).all(axis=(2, 3)) & np.isfinite(p2).all(axis=(2, 3))
+            & (np.arange(p1.shape[1]) < np.array(sizes)[:, None]), axis=1)
+        t = np.zeros(rows.shape)
+        for j, s in enumerate(active):
+            if results[s] is None:
+                t[j, :sizes[j]] = tails[s][los[s]:los[s] + sizes[j]]
+            else:
+                rows[j] = False
+        passed = np.zeros(rows.shape, dtype=bool)
+        passed[rows] = tail_rule(t[rows], rtol, p1[rows], p2[rows])
+        for j, s in enumerate(active):
+            lo = los[s]
+            los[s] += sizes[j]
+            # copies, so a finished series keeps no block of the stack
+            if lo <= through < los[s]:
+                kept[s] = p1[j, through - lo].copy(), p2[j, through - lo].copy()
+            if results[s] is not None:
+                continue
+            if passed[j].any():
+                i = int(np.argmax(passed[j]))
+                results[s] = ((p1[j, i].copy(), p2[j, i].copy()),
+                              tails[s][lo + i], lo + i, True)
+                continue
+            k = int(rows[j].sum())
+            if k:
+                last[s] = lo + k - 1, p1[j, k - 1].copy(), p2[j, k - 1].copy()
+            if k < sizes[j] or los[s] - 1 == nmax:
+                N, a1, a2 = last[s]
+                results[s] = (a1, a2), tails[s][N], N, False
+        active = [s for s in active if results[s] is None or los[s] <= through]
+    return results, kept
 
 
 def converge_series_S(state: SeriesState, q: Quaternion, rtol: float,
                       nmax: int = DEFAULT_NMAX):
     """Smallest-N resolvent-series evaluation at relative tolerance rtol."""
-    return _converge(state, q, rtol, nmax, False)
+    (a1, a2), *rest = _converge([(state, q, False)], rtol, nmax)[0][0]
+    return (QMatrix(a1, a2), *rest)
 
 
 def converge_series_Q(state: SeriesState, q: Quaternion, rtol: float,
                       nmax: int = DEFAULT_NMAX):
     """Smallest-N derivative-series evaluation at relative tolerance rtol."""
-    return _converge(state, q, rtol, nmax, True)
+    (a1, a2), *rest = _converge([(state, q, True)], rtol, nmax)[0][0]
+    return (QMatrix(a1, a2), *rest)
 
 
 def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,

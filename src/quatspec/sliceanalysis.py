@@ -39,21 +39,29 @@ def slice_point(z: complex, j: Quaternion) -> Quaternion:
     return Quaternion(z.real, z.imag * j.x, z.imag * j.y, z.imag * j.z)
 
 
-def sderiv_operator(f: Callable[[Quaternion], QMatrix],
-                    q: Quaternion) -> QMatrix:
-    """Spherical derivative (f(q) - f(conj(q))) * (q - conj(q))**(-1) of f.
+def sderiv_factor(q: Quaternion) -> Quaternion:
+    """The factor (q - conj(q))**(-1) of sderiv_operator's quotient at q.
 
-    f is a black box, so nothing avoids the division by Im(q): a point
-    with |Im(q)| <= REAL_AXIS_CUTOFF * (1 + |q|), where the quotient has
-    lost its digits, raises InputError.
+    A point with |Im(q)| <= REAL_AXIS_CUTOFF * (1 + |q|), where the
+    quotient has lost its digits, raises InputError.
     """
     if not q.im_norm() > REAL_AXIS_CUTOFF * (1.0 + abs(q)):
         raise InputError(
             f"the spherical derivative at {tuple(q)} needs |Im q| above "
             f"{REAL_AXIS_CUTOFF:g} * (1 + |q|): closer to the real axis the "
             "difference quotient has lost its digits")
-    diff = f(q) - f(q.conj())
-    return diff.scale_right(qinv(q - q.conj()))
+    return qinv(q - q.conj())
+
+
+def sderiv_operator(f: Callable[[Quaternion], QMatrix],
+                    q: Quaternion) -> QMatrix:
+    """Spherical derivative (f(q) - f(conj(q))) * (q - conj(q))**(-1) of f.
+
+    f is a black box, so nothing avoids the division by Im(q): a point
+    refused by sderiv_factor raises InputError.
+    """
+    factor = sderiv_factor(q)
+    return (f(q) - f(q.conj())).scale_right(factor)
 
 
 def cauchy_coeffs(f: Callable[[Quaternion], QMatrix], j: Quaternion,

@@ -14,19 +14,23 @@ associated operators is
     S_right = (conj(q)*I - A) @ Q          (right S-resolvent).
 
 Every pencil is built one way: _pencils takes A@A once and forms the
-pencils of a block of points on the complex pair, and pencil_chis yields
-each block's chi images.  pencil_svals takes one stacked SVD of each
-block, resolvent_bundles adds one stacked inverse and the S-resolvents,
-and delta_op and resolvent_bundle are the one-point cases, so every
-reader of a pencil's singular values at q sees them bit for bit (the
-membership mask of spectrum.resolvent_mask needs them only for the
-pencils its determinant certificate leaves undecided); a bundle reads
-||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
-them.  localization_radius reads the same radius off the pencil's SVD
-alone and refuses a point with the bundle's error.  Everything else that
-reads the resolvent at a point takes a bundle.  Random resolvent points
-come from one sampler, random_resolvent_points, which tests each stack
-of draws in one pencil_svals call.
+pencils of a block of points on the complex pair, for one matrix or for
+a stack of them with a row-to-matrix index, and pencil_chis yields each
+block's chi images.  pencil_svals takes one stacked SVD of each block,
+resolvent_arrays adds one stacked inverse and the S-resolvents (as
+stacked arrays; resolvent_bundles wraps its rows for one matrix), and
+delta_op and resolvent_bundle are the one-point cases, so every reader
+of a pencil's singular values at q sees them bit for bit (the membership
+mask of spectrum.resolvent_mask needs them only for the pencils its
+determinant certificate leaves undecided, and resolvent_arrays takes
+them from a caller that has them); a bundle reads ||Q|| = 1/sigma_min
+and the radius ||Q||**(-1/2) = sqrt(sigma_min) off them.
+localization_radius reads the same radius off the pencil's SVD alone
+and refuses a point with the bundle's error.  Everything else that reads
+the resolvent at a point takes a bundle.  Random resolvent points come
+from one sampler, random_resolvent_points, which draws for one or many
+matrices, each from its own generator, and tests each round of their
+draws in one pencil_svals call.
 The residual_* operations evaluate on bundles the exact identities these
 objects satisfy, as lhs - rhs:
 
@@ -48,9 +52,11 @@ residual; the norms (hmat.op_norms) and the tolerance belong to the caller.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,29 +118,40 @@ def _overflow(q) -> QuatspecError:
                          f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
 
 
-def _pencils(A: QMatrix, pts: np.ndarray):
-    """The pencils at the rows of pts, block_rows(A.n) points at a time.
+def _pencils(A, pts: np.ndarray, owner=None):
+    """The pencils at the rows of pts, block_rows(n) points at a time.
 
+    A is one QMatrix, or with owner a stacked pair (a1, a2) of (T, n, n)
+    component arrays, owner[i] the index of the matrix of point i.
     Yields (lo, D1, D2): the pencils of the points lo, lo + 1, ... as two
-    stacked component arrays.  Each pencil is (A@A - 2*Re(q)*A) +
-    |q|**2*I, with I the identity's components, entry by entry the
-    arithmetic of the QMatrix expression (whose real scalars numpy casts
-    to complex), and A@A is taken once.  Points are checked in order: a
+    stacked component arrays.  Each pencil is
+    (A@A - 2*Re(q)*A) + |q|**2*I, with I the identity's components, entry
+    by entry the arithmetic of the QMatrix expression (whose real scalars
+    numpy casts to complex), and A@A is taken once per matrix, all of them
+    in one stacked product; a stack gathers each block's rows of A and
+    A@A by owner, which changes no bit.  Points are checked in order: a
     block ends before the first point whose pencil is not finite, and
     resuming the generator then raises that point's overflow error.
     """
-    eye = QMatrix.identity(A.n)
+    a1, a2 = (A.a1, A.a2) if owner is None else A
+    n = a1.shape[-1]
+    eye = hmat.identity(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        AA1, AA2 = hmat.pair_matmul(A.a1, A.a2, A.a1, A.a2)
-    step = block_rows(A.n)
+        AA1, AA2 = hmat.pair_matmul(a1, a2, a1, a2)
+    step = block_rows(n)
     for lo in range(0, len(pts), step):
         w, x, y, z = pts[lo:lo + step].T
+        if owner is None:
+            b1, b2, c1, c2 = a1, a2, AA1, AA2
+        else:
+            rows = owner[lo:lo + step]
+            b1, b2, c1, c2 = a1[rows], a2[rows], AA1[rows], AA2[rows]
         with np.errstate(over="ignore", invalid="ignore"):
             abs2 = w * w + x * x + y * y + z * z
             tw = (2.0 * w).astype(complex)[:, None, None]
             s2 = abs2.astype(complex)[:, None, None]
-            D1 = AA1 - tw * A.a1 + s2 * eye.a1
-            D2 = AA2 - tw * A.a2 + s2 * eye.a2
+            D1 = c1 - tw * b1 + s2 * eye.a1
+            D2 = c2 - tw * b2 + s2 * eye.a2
         k = hmat.finite_rows(D1, D2)
         if k:
             yield lo, D1[:k], D2[:k]
@@ -148,28 +165,31 @@ def delta_op(A: QMatrix, q: Quaternion) -> QMatrix:
     return QMatrix(D1[0], D2[0])
 
 
-def pencil_chis(A: QMatrix, points):
+def pencil_chis(A, points, owner=None):
     """The chi images of the pencils at `points`, a block at a time.
 
-    `points` is a sequence of Quaternions (or of [w, x, y, z] rows).
-    Yields (lo, M): the stacked chi(delta_op(A, q)) of the points lo,
-    lo + 1, ...  Points are checked in order, and the first whose pencil
-    overflows raises QuatspecError once the blocks before it are taken.
+    `points` is a sequence of Quaternions (or of [w, x, y, z] rows), and
+    A one QMatrix or a stacked pair with owner as in _pencils.  Yields
+    (lo, M): the stacked chi(delta_op(A, q)) of the points lo, lo + 1, ...
+    Points are checked in order, and the first whose pencil overflows
+    raises QuatspecError once the blocks before it are taken.
     """
-    for lo, D1, D2 in _pencils(A, _rows(points)):
+    for lo, D1, D2 in _pencils(A, _rows(points), owner):
         yield lo, hmat.pair_chi(D1, D2)
 
 
-def pencil_svals(A: QMatrix, points) -> np.ndarray:
+def pencil_svals(A, points, owner=None) -> np.ndarray:
     """Singular values of chi(delta_op(A, q)) for each point q, shape (k, 2n).
 
     Each block of pencil_chis takes one stacked SVD, so every row equals
-    the SVD of that point's own chi(delta_op(A, q)) bit for bit.  Rows
+    the SVD of that point's own chi(delta_op(A, q)) bit for bit, whether
+    A is one QMatrix or a stacked pair with owner as in _pencils.  Rows
     are in descending order; an overflowing pencil raises as in
     pencil_chis.
     """
-    out = np.empty((len(points), 2 * A.n))
-    for lo, M in pencil_chis(A, points):
+    n = (A.a1 if owner is None else A[0]).shape[-1]
+    out = np.empty((len(points), 2 * n))
+    for lo, M in pencil_chis(A, points, owner):
         out[lo:lo + len(M)] = np.linalg.svd(M, compute_uv=False)
     return out
 
@@ -234,45 +254,105 @@ class ResolventBundle:
         return _radius(self.pencil_smallest_singular)
 
 
+class BundleStack(NamedTuple):
+    """The bundles of a sequence of points as stacked arrays, row i the
+    bundle of point i: pencil, Q, S_left and S_right are complex pairs
+    (a1, a2) of (k, n, n) arrays, smallest the pencils' smallest singular
+    values."""
+
+    pencil: tuple
+    Q: tuple
+    S_left: tuple
+    S_right: tuple
+    smallest: np.ndarray
+
+
+def _bundle_blocks(A, points, owner=None, sv=None):
+    """The BundleStack of each block of pencils, as (lo, stack).
+
+    A is one QMatrix, or a stacked pair with owner as in _pencils.  Each
+    block takes one stacked SVD of its chi images, which decides
+    membership and gives each pencil's smallest singular value (or reads
+    the points' rows of sv, their pencil_svals, when the caller has
+    them), and one stacked inverse of the same arrays, so Q equals
+    hmat.qmat_inverse(pencil) bit for bit; both S-resolvents repeat the
+    arithmetic of a single point entry by entry, so each row equals its
+    one-point bundle bit for bit.  Points are checked in order, and the
+    first that fails raises what its own call would: QuatspecError when
+    its |q|**2 or its pencil overflows, the refusal of _require_resolvent,
+    or QuatspecError when Q, S_left or S_right is not finite (the
+    S-resolvents are assembled without warnings).
+    """
+    pts = _rows(points)
+    a1, a2 = (A.a1, A.a2) if owner is None else A
+    eye = hmat.identity(a1.shape[-1])
+    for lo, D1, D2 in _pencils(A, pts, owner):
+        M = hmat.pair_chi(D1, D2)
+        hi = lo + len(M)
+        rows = (np.linalg.svd(M, compute_uv=False) if sv is None
+                else sv[lo:hi])
+        _require_resolvent(points, rows, lo)
+        Q1, Q2 = hmat.pair_from_chi(np.linalg.inv(M))
+        b1, b2 = (a1, a2) if owner is None else (a1[owner[lo:hi]],
+                                                 a2[owner[lo:hi]])
+        # conj(q) = conj(c1) - c2*j at each point, as scalars (k, 1, 1)
+        c1, c2 = hmat.scalar_pairs(pts[lo:hi])
+        c1 = np.conj(c1)[:, None, None]
+        c2 = np.negative(c2)[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # S_left = Q*conj(q) - A@Q and S_right = (conj(q)*I - A) @ Q
+            r1, r2 = hmat.pair_scale_right(Q1, Q2, c1, c2)
+            aq1, aq2 = hmat.pair_matmul(b1, b2, Q1, Q2)
+            L1, L2 = r1 - aq1, r2 - aq2
+            r1, r2 = hmat.pair_scale_left(c1, c2, eye.a1, eye.a2)
+            R1, R2 = hmat.pair_matmul(r1 - b1, r2 - b2, Q1, Q2)
+            # a finite sum has finite terms; an entry of Q that is not
+            # finite makes its row and column of both S-resolvents so
+            total = L1.sum() + L2.sum() + R1.sum() + R2.sum()
+        if not cmath.isfinite(total):
+            k = min(hmat.finite_rows(L1, L2), hmat.finite_rows(R1, R2))
+            if k < len(M):
+                w, x, y, z = pts[lo + k].tolist()
+                raise QuatspecError(
+                    f"the resolvent overflows: Q, S_left or S_right is not "
+                    f"finite at q = ({w:g}, {x:g}, {y:g}, {z:g})")
+        yield lo, BundleStack((D1, D2), (Q1, Q2), (L1, L2), (R1, R2),
+                              rows[:, -1])
+
+
+def resolvent_arrays(A, points, owner=None, sv=None) -> BundleStack:
+    """The bundles of one or more points as one BundleStack (see
+    _bundle_blocks).
+
+    A is one QMatrix, or a stacked pair with owner as in _pencils; points
+    of many matrices take one stacked SVD (none when sv holds their
+    pencil_svals rows) and one stacked inverse per block of pencils.
+    """
+    blocks = [stack for _, stack in _bundle_blocks(A, points, owner, sv)]
+    if len(blocks) == 1:
+        return blocks[0]
+    pairs = [tuple(map(np.concatenate, zip(*(b[f] for b in blocks))))
+             for f in range(4)]
+    return BundleStack(*pairs, np.concatenate([b.smallest for b in blocks]))
+
+
 def resolvent_bundles(A: QMatrix, points) -> list:
     """The resolvent_bundle of every point, a block of pencils at a time.
 
-    `points` is a sequence of Quaternions.  Each block of pencils from
-    _pencils takes one stacked SVD of its chi images, which decides
-    membership and gives each pencil's smallest singular value, and one
-    stacked inverse of the same arrays, so Q equals
-    hmat.qmat_inverse(pencil) bit for bit; both S-resolvents repeat the
-    arithmetic of a single point entry by entry, so each bundle equals its
-    one-point bundle bit for bit.  Points are checked in order, and the
-    first that fails raises what its own call would: QuatspecError when
-    its |q|**2 or its pencil overflows, else the refusal of
-    _require_resolvent.
+    `points` is a sequence of Quaternions; the bundles are the rows of
+    _bundle_blocks, so each equals its one-point bundle bit for bit, and
+    the first point that fails raises what its own call would.
     """
     points = list(points)
-    pts = _rows(points)
-    eye = QMatrix.identity(A.n)
     bundles = []
-    for lo, D1, D2 in _pencils(A, pts):
-        M = hmat.pair_chi(D1, D2)
-        sv = np.linalg.svd(M, compute_uv=False)
-        _require_resolvent(points, sv, lo)
-        Q1, Q2 = hmat.pair_from_chi(np.linalg.inv(M))
-        # conj(q) = conj(c1) - c2*j at each point, as scalars (k, 1, 1)
-        c1, c2 = hmat.scalar_pairs(pts[lo:lo + len(M)])
-        c1 = np.conj(c1)[:, None, None]
-        c2 = np.negative(c2)[:, None, None]
-        # S_left = Q*conj(q) - A@Q and S_right = (conj(q)*I - A) @ Q
-        r1, r2 = hmat.pair_scale_right(Q1, Q2, c1, c2)
-        aq1, aq2 = hmat.pair_matmul(A.a1, A.a2, Q1, Q2)
-        L1, L2 = r1 - aq1, r2 - aq2
-        r1, r2 = hmat.pair_scale_left(c1, c2, eye.a1, eye.a2)
-        R1, R2 = hmat.pair_matmul(r1 - A.a1, r2 - A.a2, Q1, Q2)
-        bundles += [ResolventBundle(q=q, pencil=QMatrix(D1[i], D2[i]),
-                                    Q=QMatrix(Q1[i], Q2[i]),
-                                    S_left=QMatrix(L1[i], L2[i]),
-                                    S_right=QMatrix(R1[i], R2[i]),
-                                    pencil_smallest_singular=float(sv[i, -1]))
-                    for i, q in enumerate(points[lo:lo + len(M)])]
+    for lo, b in _bundle_blocks(A, points):
+        bundles += [ResolventBundle(
+            q=q, pencil=QMatrix(b.pencil[0][i], b.pencil[1][i]),
+            Q=QMatrix(b.Q[0][i], b.Q[1][i]),
+            S_left=QMatrix(b.S_left[0][i], b.S_left[1][i]),
+            S_right=QMatrix(b.S_right[0][i], b.S_right[1][i]),
+            pencil_smallest_singular=float(b.smallest[i]))
+            for i, q in enumerate(points[lo:lo + len(b.smallest)])]
     return bundles
 
 
@@ -328,8 +408,22 @@ def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
 
 
 def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> QMatrix:
-    """Residual operator A @ S_left(p) - S_left(p)*p + I at p = b.q."""
-    return A @ b.S_left - b.S_left.scale_right(b.q) + QMatrix.identity(A.n)
+    """Residual operator A @ S_left(p) - S_left(p)*p + I at p = b.q.
+
+    Its terms can overflow where S_left is finite (A @ S_left past the
+    float range); such a residual raises QuatspecError naming p, and no
+    warning.
+    """
+    S, eye, (w, x, y, z) = b.S_left, hmat.identity(A.n), b.q
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2 = hmat.pair_matmul(A.a1, A.a2, S.a1, S.a2)
+        s1, s2 = hmat.pair_scale_right(S.a1, S.a2, complex(w, x),
+                                       complex(y, z))
+        out1, out2 = r1 - s1 + eye.a1, r2 - s2 + eye.a2
+    if not (np.isfinite(out1).all() and np.isfinite(out2).all()):
+        raise QuatspecError(f"the shift-pairing residual overflows at "
+                            f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
+    return QMatrix(out1, out2)
 
 
 def certified_real_point(A: QMatrix) -> Quaternion:
@@ -349,16 +443,12 @@ def well_conditioned(sv):
     return sv[..., -1] > WELL_CONDITIONED_RATIO * sv[..., 0]
 
 
-def random_resolvent_points(A: QMatrix, rng, nonreal, fixed=()):
-    """Rejection-sample points at which the pencil is well conditioned.
-
-    Draws one point per flag of `nonreal`, in order, uniform on the box
-    [-b, b]**4 with b = certified_real_point(A).w, and draws a flagged
-    point again until |Im q| >= NONREAL_MIN_IMAG.  One pencil_svals call
-    tests the drawn points, then the `fixed` ones; while any drawn point
-    fails well_conditioned, all are drawn again.  Returns (points, that
-    call's singular values); NotInResolventSet after SAMPLE_DRAWS draws.
-    """
+def _draws(A: QMatrix, rng, nonreal):
+    """The candidate points of random_resolvent_points for A, one list
+    per next(): one point per flag of `nonreal`, in order, uniform on the
+    box [-b, b]**4 with b = certified_real_point(A).w, a flagged point
+    drawn again until |Im q| >= NONREAL_MIN_IMAG.  Raises
+    NotInResolventSet once SAMPLE_DRAWS points have been drawn."""
     box = certified_real_point(A).w
     points = []
     for _ in range(SAMPLE_DRAWS):
@@ -367,14 +457,42 @@ def random_resolvent_points(A: QMatrix, rng, nonreal, fixed=()):
             continue
         points.append(q)
         if len(points) == len(nonreal):
-            sv = pencil_svals(A, points + list(fixed))
-            if well_conditioned(sv[:len(points)]).all():
-                return points, sv
+            yield points
             points = []
     raise NotInResolventSet("failed to sample a well-conditioned resolvent point")
 
 
+def random_resolvent_points(As, rngs, nonreal, fixed):
+    """Rejection-sample points at which the pencils are well conditioned.
+
+    Matrix As[t] draws its points from its own generator rngs[t], as
+    _draws does.  One pencil_svals call tests the drawn points of every
+    matrix still sampling, each matrix's followed by its points fixed[t];
+    a matrix whose drawn points all pass well_conditioned is done, and
+    every other one draws all of its points again.  Returns, per matrix,
+    (points, its rows of the call that accepted them), the same as a
+    call for that matrix alone; its generator is left where its last
+    accepted draw left it.
+    """
+    pair = (np.stack([A.a1 for A in As]), np.stack([A.a2 for A in As]))
+    draws = [_draws(A, rng, nonreal) for A, rng in zip(As, rngs)]
+    todo = {t: next(d) for t, d in enumerate(draws)}
+    out = [None] * len(As)
+    while todo:
+        batch = [(t, drawn + list(fixed[t])) for t, drawn in todo.items()]
+        owner = np.repeat([t for t, _ in batch], [len(pts) for _, pts in batch])
+        sv = pencil_svals(pair, [q for _, pts in batch for q in pts], owner)
+        lo = 0
+        for t, pts in batch:
+            rows, lo = sv[lo:lo + len(pts)], lo + len(pts)
+            if well_conditioned(rows[:len(nonreal)]).all():
+                out[t] = todo.pop(t), rows
+            else:
+                todo[t] = next(draws[t])
+    return out
+
+
 def random_resolvent_point(A: QMatrix, rng,
                            require_nonreal: bool = False) -> Quaternion:
-    """The one point of random_resolvent_points(A, rng, [require_nonreal])."""
-    return random_resolvent_points(A, rng, [require_nonreal])[0][0]
+    """The one point of random_resolvent_points for A alone."""
+    return random_resolvent_points([A], [rng], [require_nonreal], [()])[0][0][0]

@@ -2,14 +2,27 @@
 
 Each trial draws a fresh random matrix and well-conditioned evaluation
 points, evaluates both sides of every identity the package implements,
-and records the relative residual.  A trial runs in three stacked
-stages: one random_resolvent_points call draws its random points and
-tests them in one pencil SVD stack, which also gives the series radius,
-one resolvent_bundles call builds all seven bundles, and one stacked
-SVD takes every norm its table of identities and the exact remainder's
-checks read.  The suite reports, per identity, the maximum residual
-over all trials together with the trial index attaining it, so a
-failure is reproducible from (seed, trial) alone.
+and records the relative residual.  Trials run in chunks of
+chunk_trials(n), and each stage takes all trials of a chunk at once:
+one stacked SVD takes the matrices' norms; one random_resolvent_points
+call draws every trial's points, testing each round of draws in one
+pencil SVD stack that also gives each trial's series radius; one
+resolvent_arrays call builds the seven bundles of every trial, reading
+the sampler's singular values for all but the series points; one
+series stack runs every trial's resolvent and derivative series, and the
+resolvent series' partial sum through 2*REMAINDER_ORDER + 1 is the exact
+remainder's; the identity table is pair arithmetic on (T, n, n) stacks
+with per-trial scalars, and one stacked SVD takes every norm it and the
+exact remainder's checks read.  So the calls grow with the chunks, not
+the trials: `verify --n 4 --trials 50 --seed 42` (two chunks) takes 13
+SVDs and 2 inverses.  Stacking changes no bit: every trial's residuals
+equal those of the trial alone.  A chunk whose stacked run
+raises is run again one trial at a time, so the error raised is that of
+the first trial that fails, as in a loop over trials.
+
+The suite reports, per identity, the maximum residual over all trials
+together with the trial index attaining it, so a failure is reproducible
+from (seed, trial) alone.
 """
 
 from __future__ import annotations
@@ -19,15 +32,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import hmat, series, sliceanalysis
+from . import hmat, series
 from .errors import DegenerateConfiguration, InputError
-from .hmat import QMatrix, op_norm, op_norms
-from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
-from .spectrum import cor1_check
-from .sresolvent import (certified_real_point, off_sphere,
-                         random_resolvent_points, resolvent_bundles,
-                         residual_AS_identity, residual_mixed_eq,
-                         residual_q_eq, residual_resolvent_eq)
+from .hmat import QMatrix, op_norms
+from .quatcore import (point_at_cassini_distance, qinv, qpow,
+                       random_unit_imag, triangle)
+from .sliceanalysis import sderiv_factor
+from .spectrum import cassini_dist, s_spectrum
+from .sresolvent import (DEGENERATE_REL_TOL, ResolventBundle, block_rows,
+                         certified_real_point, off_sphere, pencil_svals,
+                         random_resolvent_points, resolvent_arrays)
 
 # The convergent-series rows stop at this fraction of the requested
 # tolerance, leaving headroom between truncation error and the gate.
@@ -39,6 +53,14 @@ REMAINDER_ORDER = 3
 # A trial's p must be off_sphere of its q at this tolerance.
 OFF_SPHERE_REL_TOL = 1e-9
 
+# A chunk holds at most block_rows(n) // TRIAL_ROWS trials, so the seven
+# bundles of each fit one block of pencils (and the 21 norms of each take
+# at most three blocks' bytes), and at most CHUNK_TRIALS, which bounds
+# what the chunk keeps per trial whatever n is: the tail bounds and B_n
+# of its series.
+TRIAL_ROWS = 7
+CHUNK_TRIALS = 32
+
 
 class SuiteRow(NamedTuple):
     """Max relative residual of one identity over all trials."""
@@ -49,95 +71,212 @@ class SuiteRow(NamedTuple):
     passed: bool
 
 
-def _sample_points(A, rng):
-    """A trial's points p, q, qd, its real series center r0 and radius R.
+def chunk_trials(n: int) -> int:
+    """How many trials of n x n matrices one chunk holds, at least one."""
+    return max(1, min(CHUNK_TRIALS, block_rows(n) // TRIAL_ROWS))
 
-    One random_resolvent_points call draws q, p and the non-real qd with
-    r0 fixed, so R = resolvent_bundle(A, r0).radius comes from the same
-    SVD stack.  While p lands on the sphere of q the triple is drawn
-    again, at most 5 times in all.
+
+def _sample_points(As, rngs):
+    """Per trial: its points p, q, qd, its real series center r0 and radius R.
+
+    One random_resolvent_points call draws every trial's q, p and
+    non-real qd with its r0 fixed, so R = resolvent_bundle(A, r0).radius
+    comes from the same SVD stack.  A trial whose p lands on the sphere of
+    its q draws the triple again, at most 5 times in all.  Returns the
+    list of (p, q, qd, r0, R) and the (T, 4, 2n) array of the pencil
+    singular values of each trial's q, p, qd and r0.
     """
-    r0 = certified_real_point(A)
+    r0 = [certified_real_point(A) for A in As]
+    out = [None] * len(As)
+    sv = np.empty((len(As), 4, 2 * As[0].n))
+    todo = list(range(len(As)))
     for _ in range(5):
-        (q, p, qd), sv = random_resolvent_points(A, rng, (False, False, True),
-                                                 [r0])
-        if off_sphere(q, p, OFF_SPHERE_REL_TOL):
-            return p, q, qd, r0, math.sqrt(float(sv[3, -1]))
+        drawn = random_resolvent_points(
+            [As[t] for t in todo], [rngs[t] for t in todo],
+            (False, False, True), [[r0[t]] for t in todo])
+        for t, ((q, p, qd), rows) in zip(todo, drawn):
+            if off_sphere(q, p, OFF_SPHERE_REL_TOL):
+                out[t] = p, q, qd, r0[t], math.sqrt(float(rows[3, -1]))
+                sv[t] = rows
+        todo = [t for t in todo if out[t] is None]
+        if not todo:
+            return out, sv
     raise DegenerateConfiguration(
         "could not sample a pair off each other's spheres")
 
 
-def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
-    """Relative residuals of every row on one random instance, in order.
+def _scalars(qs):
+    """The quaternions qs as (T, 1, 1) scalar pairs of the pair_* arithmetic."""
+    c1, c2 = hmat.scalar_pairs(np.array(qs, dtype=float).reshape(-1, 4))
+    return c1[:, None, None], c2[:, None, None]
 
-    A row of the table is (name, residual, mats, scale): the residual is an
-    operator, whose norm is the absolute residual, or that number itself,
-    and scale maps the norms of mats to the row's scale.  One op_norms
-    stack takes the table's norms and the four of the exact remainder,
-    whose checks then read them; its row comes last.
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _mul(a, b):
+    return hmat.pair_matmul(*a, *b)
+
+
+def _right(a, qs):
+    return hmat.pair_scale_right(*a, *_scalars(qs))
+
+
+def _chunk_residuals(As, rngs, tol: float, nmax: int) -> list:
+    """Relative residuals of every row on each trial (As[t], rngs[t]).
+
+    Returns one dict per trial, rows in table order.  Each row is a
+    residual (an operator, whose norm is the absolute residual, or that
+    number itself) over a scale formed from norms; all operators are
+    (T, n, n) stacked pairs, and one stacked SVD takes every norm the
+    table and the exact remainder's checks read.  The stages run in the
+    order a single trial ran them.
     """
-    p, q, qd, r0, R = _sample_points(A, rng)
-    q_in = point_at_cassini_distance(
-        q0=r0, dist=0.5 * R, direction=random_unit_imag(rng),
+    T = len(As)
+    op_norms(As)
+    points, sv = _sample_points(As, rngs)
+    p, q, qd, r0, R = zip(*points)
+    q_in = [point_at_cassini_distance(
+        q0=c, dist=0.5 * radius, direction=random_unit_imag(rng),
         angle=float(rng.uniform(0.0, 2.0 * np.pi)))
-    bp, bq, bqc, br, bd, bdc, b_in = resolvent_bundles(
-        A, [p, q, q.conj(), r0, qd, qd.conj(), q_in])
-    state = series.SeriesState(A, br)
-    tri = abs(triangle(q, p))
-    r_pq, r_qp = residual_q_eq(bp, bq)
-    ddiff = bq.pencil - bp.pencil
+        for c, radius, rng in zip(r0, R, rngs)]
+    A = (np.stack([M.a1 for M in As]), np.stack([M.a2 for M in As]))
+    # A point and its conjugate share their pencil (it depends on q only
+    # through Re q and |q|**2), so every pencil but those at q_in has its
+    # singular values from the sampler already, bit for bit.
+    own = np.arange(T)
+    b = resolvent_arrays(
+        A, [*p, *q, *(x.conj() for x in q), *r0, *qd,
+            *(x.conj() for x in qd), *q_in], np.tile(own, 7),
+        np.concatenate([sv[:, i] for i in (1, 0, 0, 3, 2, 2)]
+                       + [pencil_svals(A, q_in, own)]))
 
-    def q_scale(dd):
-        return 1.0 + bp.norm_Q + bq.norm_Q + dd * bp.norm_Q * bq.norm_Q
+    def role(k):  # the bundles of one point of every trial
+        rows = slice(k * T, (k + 1) * T)
+        return tuple((f[0][rows], f[1][rows]) for f in b[:4]) + (
+            (1.0 / b.smallest[rows]).tolist(),)
 
-    deriv = sliceanalysis.sderiv_operator(
-        {qd: bd.S_left, qd.conj(): bdc.S_left}.__getitem__, qd)
-    u_dist, bound = cor1_check(A, bp)
+    (Dp, Qp, Lp, _, nqp), (Dq, Qq, Lq, Rq, nqq), (_, Qqc, _, _, _) = map(
+        role, range(3))
+    (Dr, Qr, Lr, Rr, _), (_, Qd, Ld, _, nqd), (_, _, Ldc, _, _) = map(
+        role, range(3, 6))
+    _, Q_in, L_in, _, nq_in = role(6)
+    states = series.series_states(As, [ResolventBundle(
+        q=r0[t], pencil=QMatrix(Dr[0][t], Dr[1][t]),
+        Q=QMatrix(Qr[0][t], Qr[1][t]),
+        S_left=QMatrix(Lr[0][t], Lr[1][t]),
+        S_right=QMatrix(Rr[0][t], Rr[1][t]),
+        pencil_smallest_singular=float(b.smallest[3 * T + t]))
+        for t in range(T)])
+    tri_qp = [triangle(x, y) for x, y in zip(q, p)]
+    deriv = _right(_sub(Ld, Ldc), [sderiv_factor(x) for x in qd])
+    bound = np.sqrt(b.smallest[:T]).tolist()
+    u_dist = [cassini_dist(x, s_spectrum(M)) for x, M in zip(p, As)]
 
     rtol = SERIES_RTOL_FRACTION * tol
-    s_sum = series.converge_series_S(state, q_in, rtol, nmax)[0]
-    q_sum = series.converge_series_Q(state, q_in, rtol, nmax)[0]
-    rem_ops = series.remainder_operators(state, b_in, REMAINDER_ORDER)
-    table = (
-        ("left_resolvent_two_point", residual_resolvent_eq(bp, bq),
-         (bp.S_left, bq.S_left), lambda sp, sq: 1.0 + sp + sq + bq.norm_Q * (
-             abs(q - p) + sp * tri)),
-        ("pseudo_resolvent_pq", r_pq, (ddiff,), q_scale),
-        ("pseudo_resolvent_qp", r_qp, (ddiff,), q_scale),
-        ("mixed_two_point", residual_mixed_eq(bp, bq),
-         (bq.S_right, bp.S_left, bq.S_right - bp.S_left),
-         lambda sr, sp, diff: 1.0 + sr * sp + diff * (abs(p) + abs(q)) / tri),
-        ("shift_pairing", residual_AS_identity(A, bp), (bp.S_left, A),
-         lambda sp, a: 2.0 + sp * (a + abs(p))),
-        ("pseudo_commute", A @ bq.Q - bq.Q @ A, (A,),
-         lambda a: 1.0 + a * bq.norm_Q),
-        ("pencil_commute", bp.Q @ bq.Q - bq.Q @ bp.Q, (),
-         lambda: 1.0 + bp.norm_Q * bq.norm_Q),
-        # The pencil depends on q only through (Re q, |q|**2), so the
-        # bundle at the conjugate point reuses bit-identical inputs and Q
-        # matches exactly.
-        ("conjugate_pair_match", bq.Q - bqc.Q, (),
-         lambda: 1.0 + bq.norm_Q),
-        ("real_point_left_right", br.S_left - br.S_right, (br.S_left,),
-         lambda s: 1.0 + s),
-        ("derivative_of_resolvent", deriv + bd.Q, (),
-         lambda: 1.0 + bd.norm_Q),
-        ("spectrum_distance_bound", max(0.0, bound - u_dist), (),
-         lambda: 1.0 + bound),
-        ("resolvent_series_match", s_sum - b_in.S_left, (b_in.S_left,),
-         lambda s: 1.0 + s),
-        ("series_derivative_match", q_sum - b_in.Q, (),
-         lambda: 1.0 + b_in.norm_Q),
-    )
-    op_norms([M for _, res, mats, _ in table
-              for M in (res, *mats) if isinstance(M, QMatrix)] + list(rem_ops))
-    rem, direct_err = series.check_remainder(state, q_in, REMAINDER_ORDER,
-                                             rem_ops)
-    table += (("truncation_remainder", abs(direct_err - rem), (b_in.S_left,),
-               lambda s: 1.0 + s),)
-    return {name: (op_norm(res) if isinstance(res, QMatrix) else res)
-            / scale(*map(op_norm, mats))
-            for name, res, mats, scale in table}
+    through = 2 * REMAINDER_ORDER + 1
+    results, kept = series._converge(
+        [(st, x, False) for st, x in zip(states, q_in)]
+        + [(st, x, True) for st, x in zip(states, q_in)], rtol, nmax, through)
+    s_sum, q_sum = ([r[0] for r in part] for part in (results[:T], results[T:]))
+    partial = tuple(np.stack([k[c] for k in kept[:T]]) for c in (0, 1))
+
+    for x, y in zip(q, p):
+        if not off_sphere(x, y, DEGENERATE_REL_TOL):
+            raise DegenerateConfiguration(
+                "p lies on the sphere of q: the mixed identity degenerates")
+    pq, qp = _mul(Qp, Qq), _mul(Qq, Qp)
+    lhs = _sub(Qp, Qq)
+    ddiff = _sub(Dq, Dp)
+    mixed = _sub(Rq, Lp)
+    bracket = _sub(_right(mixed, p), hmat.pair_scale_left(
+        *_scalars([x.conj() for x in q]), *mixed))
+    eye = hmat.identity(As[0].n)
+    B = tuple(np.stack([st.coeff_rows(through + 1, through + 1)[c][0]
+                        for st in states]) for c in (0, 1))
+    ops = {
+        "two_point": _sub(_sub(Lp, Lq), _add(
+            _right(Qq, [x - y for x, y in zip(q, p)]),
+            _right(_mul(Qq, Lp), tri_qp))),
+        "Lp": Lp, "Lq": Lq,
+        "pq": _sub(lhs, _mul(ddiff, pq)),
+        "qp": _sub(lhs, _mul(ddiff, qp)),
+        "ddiff": ddiff,
+        "mixed": _sub(_mul(Rq, Lp), _right(bracket, [qinv(x) for x in tri_qp])),
+        "Rq": Rq, "Rq-Lp": mixed,
+        "shift": _add(_sub(_mul(A, Lp), _right(Lp, p)), (eye.a1, eye.a2)),
+        "commute": _sub(_mul(A, Qq), _mul(Qq, A)),
+        "pencils": _sub(pq, qp),
+        "conjugate": _sub(Qq, Qqc),
+        "real": _sub(Lr, Rr),
+        "deriv": _add(deriv, Qd),
+        "series": _sub(tuple(np.stack([s[c] for s in s_sum]) for c in (0, 1)),
+                       L_in),
+        "L_in": L_in,
+        "series_Q": _sub(tuple(np.stack([s[c] for s in q_sum]) for c in (0, 1)),
+                         Q_in),
+        "rem": _right(_mul(B, L_in), [qpow(triangle(st.q0, x),
+                                           REMAINDER_ORDER + 1)
+                                      for st, x in zip(states, q_in)]),
+        "rem_direct": _sub(L_in, partial),
+        "partial": partial,
+    }
+    flat = list(hmat.pair_op_norms(np.concatenate([a for a, _ in ops.values()]),
+                                   np.concatenate([a for _, a in ops.values()])))
+    norm = {key: flat[i * T:(i + 1) * T] for i, key in enumerate(ops)}
+    norm_A = op_norms(As)
+    norm_Lr = op_norms([st.bundle0.S_left for st in states])
+    rows = []
+    for t in range(T):
+        N = {key: values[t] for key, values in norm.items()}
+        rem, direct_err = series.check_remainder(
+            states[t], q_in[t], REMAINDER_ORDER,
+            [N["rem"], N["rem_direct"], N["L_in"], N["partial"]])
+        tri = abs(tri_qp[t])
+        sp, a = N["Lp"], norm_A[t]
+        q_scale = 1.0 + nqp[t] + nqq[t] + N["ddiff"] * nqp[t] * nqq[t]
+        rows.append({
+            "left_resolvent_two_point": N["two_point"] / (
+                1.0 + sp + N["Lq"] + nqq[t] * (abs(q[t] - p[t]) + sp * tri)),
+            "pseudo_resolvent_pq": N["pq"] / q_scale,
+            "pseudo_resolvent_qp": N["qp"] / q_scale,
+            "mixed_two_point": N["mixed"] / (
+                1.0 + N["Rq"] * sp
+                + N["Rq-Lp"] * (abs(p[t]) + abs(q[t])) / tri),
+            "shift_pairing": N["shift"] / (2.0 + sp * (a + abs(p[t]))),
+            "pseudo_commute": N["commute"] / (1.0 + a * nqq[t]),
+            "pencil_commute": N["pencils"] / (1.0 + nqp[t] * nqq[t]),
+            # The pencil depends on q only through (Re q, |q|**2), so the
+            # bundle at the conjugate point reuses bit-identical inputs and
+            # Q matches exactly.
+            "conjugate_pair_match": N["conjugate"] / (1.0 + nqq[t]),
+            "real_point_left_right": N["real"] / (1.0 + norm_Lr[t]),
+            "derivative_of_resolvent": N["deriv"] / (1.0 + nqd[t]),
+            "spectrum_distance_bound": max(0.0, bound[t] - u_dist[t]) / (
+                1.0 + bound[t]),
+            "resolvent_series_match": N["series"] / (1.0 + N["L_in"]),
+            "series_derivative_match": N["series_Q"] / (1.0 + nq_in[t]),
+            "truncation_remainder": abs(direct_err - rem) / (
+                1.0 + N["L_in"]),
+        })
+    return rows
+
+
+def _trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
+    """Relative residuals of every row on one random instance, in order:
+    the one-trial case of _chunk_residuals."""
+    return _chunk_residuals([A], [rng], tol, nmax)[0]
+
+
+def _instance(n: int, seed: int, t: int):
+    """Trial t's matrix and generator, the latter seeded with (seed, t)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+    return hmat.random_qmatrix(n, rng), rng
 
 
 def run_identity_suite(n: int = 4, trials: int = 50, tol: float = 1e-8,
@@ -146,8 +285,9 @@ def run_identity_suite(n: int = 4, trials: int = 50, tol: float = 1e-8,
     """Max relative residual of each identity over seeded random trials.
 
     Trial t uses the generator seeded with (seed, t), so any row's
-    (worst_trial, seed) pair reproduces its residual in isolation.
-    Returns SuiteRow entries in the order of the trial table.
+    (worst_trial, seed) pair reproduces its residual in isolation
+    (_trial_residuals).  Returns SuiteRow entries in the order of the
+    trial table.
     """
     if n < 1:
         raise InputError("matrix dimension must be >= 1")
@@ -156,11 +296,20 @@ def run_identity_suite(n: int = 4, trials: int = 50, tol: float = 1e-8,
     if tol <= 0.0:
         raise InputError("tolerance must be positive")
     worst = {}
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        A = hmat.random_qmatrix(n, rng)
-        for name, value in _trial_residuals(A, rng, tol, nmax).items():
-            if value > worst.setdefault(name, (-1.0, -1))[0]:
-                worst[name] = (value, t)
+    size = chunk_trials(n)
+    for lo in range(0, trials, size):
+        chunk = range(lo, min(trials, lo + size))
+        try:
+            As, rngs = zip(*(_instance(n, seed, t) for t in chunk))
+            results = _chunk_residuals(As, rngs, tol, nmax)
+        except Exception:
+            # the first trial that fails alone raises its own error
+            for t in chunk:
+                _trial_residuals(*_instance(n, seed, t), tol, nmax)
+            raise
+        for t, values in zip(chunk, results):
+            for name, value in values.items():
+                if value > worst.setdefault(name, (-1.0, -1))[0]:
+                    worst[name] = (value, t)
     return [SuiteRow(name, value, trial, value <= tol)
             for name, (value, trial) in worst.items()]

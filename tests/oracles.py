@@ -7,17 +7,24 @@ kept here, beside the tests, rather than in the package's public API.
 import math
 from typing import Callable, NamedTuple
 
-from quatspec import hmat, sresolvent, verify
+import numpy as np
+
+from quatspec import hmat, series, sresolvent, verify
 from quatspec.errors import (DegenerateConfiguration, InputError,
                              NotInResolventSet, QuatspecError)
-from quatspec.hmat import QMatrix
-from quatspec.quatcore import Quaternion, qpow, triangle
+from quatspec.hmat import QMatrix, op_norm, op_norms
+from quatspec.quatcore import (Quaternion, point_at_cassini_distance, qpow,
+                               random_unit_imag, triangle)
 from quatspec.series import (SeriesState, _partial_through, _tails,
                              require_inside)
-from quatspec.sliceanalysis import _check_unit_imag, slice_point
-from quatspec.spectrum import in_resolvent
+from quatspec.sliceanalysis import (_check_unit_imag, sderiv_operator,
+                                    slice_point)
+from quatspec.spectrum import cor1_check, in_resolvent
 from quatspec.sresolvent import (certified_real_point, off_sphere,
-                                 pencil_svals, resolvent_bundle,
+                                 pencil_svals, random_resolvent_points,
+                                 resolvent_bundle, resolvent_bundles,
+                                 residual_AS_identity, residual_mixed_eq,
+                                 residual_q_eq, residual_resolvent_eq,
                                  well_conditioned)
 
 # real_axis_sderiv's central differences take the step FD_STEP * (1 + |q|).
@@ -194,3 +201,107 @@ def taylor_eval(coeffs, z0: complex, z: complex, j: Quaternion) -> QMatrix:
         out = out + a.scale_right(slice_point(w, j))
         w = w * (z - z0)
     return out
+
+
+def sequential_suite(n: int, trials: int, tol: float, seed: int,
+                     nmax: int = series.DEFAULT_NMAX) -> list:
+    """verify.run_identity_suite as a loop over trials, one trial at a time.
+
+    Each trial runs sequential_trial_residuals; the first trial that
+    raises ends the loop with its error.  Returns (name, max_residual,
+    worst_trial, passed) rows in table order.
+    """
+    worst = {}
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        A = hmat.random_qmatrix(n, rng)
+        for name, value in sequential_trial_residuals(A, rng, tol,
+                                                      nmax).items():
+            if value > worst.setdefault(name, (-1.0, -1))[0]:
+                worst[name] = (value, t)
+    return [(name, value, trial, value <= tol)
+            for name, (value, trial) in worst.items()]
+
+
+def sequential_trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
+    """The relative residuals of one verify trial, computed on bundles.
+
+    The per-trial table verify ran before its trials were stacked: the
+    sampler and one resolvent_bundles call for the trial's seven points,
+    the residual_* operations of sresolvent, sderiv_operator, cor1_check,
+    one converge_series_S and one converge_series_Q pass and a separate
+    partial sum for the exact remainder; one op_norms stack takes the
+    table's norms and the four of the exact remainder.
+    """
+    r0 = certified_real_point(A)
+    for _ in range(5):
+        ((q, p, qd), sv), = random_resolvent_points(
+            [A], [rng], (False, False, True), [[r0]])
+        if off_sphere(q, p, verify.OFF_SPHERE_REL_TOL):
+            break
+    else:
+        raise DegenerateConfiguration(
+            "could not sample a pair off each other's spheres")
+    R = math.sqrt(float(sv[3, -1]))
+    q_in = point_at_cassini_distance(
+        q0=r0, dist=0.5 * R, direction=random_unit_imag(rng),
+        angle=float(rng.uniform(0.0, 2.0 * np.pi)))
+    bp, bq, bqc, br, bd, bdc, b_in = resolvent_bundles(
+        A, [p, q, q.conj(), r0, qd, qd.conj(), q_in])
+    state = SeriesState(A, br)
+    tri = abs(triangle(q, p))
+    r_pq, r_qp = residual_q_eq(bp, bq)
+    ddiff = bq.pencil - bp.pencil
+
+    def q_scale(dd):
+        return 1.0 + bp.norm_Q + bq.norm_Q + dd * bp.norm_Q * bq.norm_Q
+
+    deriv = sderiv_operator({qd: bd.S_left, qd.conj(): bdc.S_left}.__getitem__,
+                            qd)
+    u_dist, bound = cor1_check(A, bp)
+
+    rtol = verify.SERIES_RTOL_FRACTION * tol
+    s_sum = series.converge_series_S(state, q_in, rtol, nmax)[0]
+    q_sum = series.converge_series_Q(state, q_in, rtol, nmax)[0]
+    order = verify.REMAINDER_ORDER
+    partial = _partial_through(state, q_in, False, 2 * order + 1)
+    rem_ops = [(state.coeff(2 * order + 2) @ b_in.S_left).scale_right(
+                   qpow(triangle(state.q0, q_in), order + 1)),
+               b_in.S_left - partial, b_in.S_left, partial]
+    table = (
+        ("left_resolvent_two_point", residual_resolvent_eq(bp, bq),
+         (bp.S_left, bq.S_left), lambda sp, sq: 1.0 + sp + sq + bq.norm_Q * (
+             abs(q - p) + sp * tri)),
+        ("pseudo_resolvent_pq", r_pq, (ddiff,), q_scale),
+        ("pseudo_resolvent_qp", r_qp, (ddiff,), q_scale),
+        ("mixed_two_point", residual_mixed_eq(bp, bq),
+         (bq.S_right, bp.S_left, bq.S_right - bp.S_left),
+         lambda sr, sp, diff: 1.0 + sr * sp + diff * (abs(p) + abs(q)) / tri),
+        ("shift_pairing", residual_AS_identity(A, bp), (bp.S_left, A),
+         lambda sp, a: 2.0 + sp * (a + abs(p))),
+        ("pseudo_commute", A @ bq.Q - bq.Q @ A, (A,),
+         lambda a: 1.0 + a * bq.norm_Q),
+        ("pencil_commute", bp.Q @ bq.Q - bq.Q @ bp.Q, (),
+         lambda: 1.0 + bp.norm_Q * bq.norm_Q),
+        ("conjugate_pair_match", bq.Q - bqc.Q, (),
+         lambda: 1.0 + bq.norm_Q),
+        ("real_point_left_right", br.S_left - br.S_right, (br.S_left,),
+         lambda s: 1.0 + s),
+        ("derivative_of_resolvent", deriv + bd.Q, (),
+         lambda: 1.0 + bd.norm_Q),
+        ("spectrum_distance_bound", max(0.0, bound - u_dist), (),
+         lambda: 1.0 + bound),
+        ("resolvent_series_match", s_sum - b_in.S_left, (b_in.S_left,),
+         lambda s: 1.0 + s),
+        ("series_derivative_match", q_sum - b_in.Q, (),
+         lambda: 1.0 + b_in.norm_Q),
+    )
+    op_norms([M for _, res, mats, _ in table
+              for M in (res, *mats) if isinstance(M, QMatrix)] + rem_ops)
+    rem, direct_err = series.check_remainder(state, q_in, order,
+                                             op_norms(rem_ops))
+    table += (("truncation_remainder", abs(direct_err - rem), (b_in.S_left,),
+               lambda s: 1.0 + s),)
+    return {name: (op_norm(res) if isinstance(res, QMatrix) else res)
+            / scale(*map(op_norm, mats))
+            for name, res, mats, scale in table}

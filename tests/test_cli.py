@@ -222,6 +222,29 @@ def test_resolvent_where_chi_blocks_sum_past_the_float_range(tmp_path,
     assert rep["localization_radius"] == 1e-154
 
 
+@pytest.mark.parametrize("entries, q, what", [
+    ([[[1e-8, 1e154, 1e-154, 1e8]]], "1e-08,0,0,1e154",
+     "the resolvent overflows: Q, S_left or S_right is not finite"),
+    ([[[1, 1, 1e-8, 1e154]]], "1,0,0,-1e154",
+     "the shift-pairing residual overflows")])
+def test_resolvent_refuses_what_overflows_without_warnings(
+        tmp_path, capsys, entries, q, what):
+    # an S-resolvent, or the shift-pairing residual of finite ones, past
+    # the float range: exit 1 with the point named, and no numpy warning
+    path = write_matrix(tmp_path, "m.json", entries)
+    w, x, y, z = (float(c) for c in q.split(","))
+    for fmt in ("json", "csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["resolvent", "--input", path, "--q=" + q,
+                       "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {what} at q = "
+                                f"({w:g}, {x:g}, {y:g}, {z:g})\n")
+
+
 def test_cassini_center_is_refused_as_its_bundle_is(tmp_path, capsys):
     # the bound reads the pencil's SVD alone, with no bundle, and refuses
     # the center in the words resolvent_bundle uses, in either format
@@ -388,6 +411,19 @@ def test_spectrum_keeps_the_report_contract(tmp_path_factory, entries, fmt):
     work = tmp_path_factory.mktemp("spectrum")
     path = write_matrix(work, "m.json", entries)
     check_report_contract(work, ["spectrum", "--input", path], fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), trials=st.integers(1, 4),
+       tol=st.sampled_from([1e-300, 1e300, 0.0, -1.0, math.nan, math.inf]),
+       seed=st.integers(0, 2 ** 70), nmax=st.sampled_from([-1, 0, 3, 200]),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_verify_keeps_the_report_contract(tmp_path_factory, n, trials, tol,
+                                          seed, nmax, fmt):
+    check_report_contract(
+        tmp_path_factory.mktemp("verify"),
+        ["verify", "--n", str(n), "--trials", str(trials), f"--tol={tol!r}",
+         f"--seed={seed}", f"--nmax={nmax}"], fmt)
 
 
 def test_negative_trials_are_a_usage_error_before_any_work(tmp_path, capsys):

@@ -72,6 +72,40 @@ def test_qinv():
         qinv(Quaternion(0.0))
 
 
+def exact_inverse(q):
+    """conj(q) / |q|**2 in exact rational arithmetic."""
+    c = [Fraction(v) for v in q]
+    n2 = sum(v * v for v in c)
+    return [c[0] / n2] + [-v / n2 for v in c[1:]]
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(1e-170, 1e-170), Quaternion(1e160, 1e160),
+    Quaternion(0.0, 3e-200, -1e-180, 2e-175), Quaternion(-1e200, 0.0, 3e199),
+    Quaternion(1.5e-160, 0.0, 0.0, -2.5e-160)])
+def test_qinv_outside_the_squares_range(q):
+    # |q|**2 underflows or overflows, yet q has a normal inverse: the
+    # scaled quotient is within a few units in the last place of it
+    assert not sys.float_info.min <= q.abs2() < math.inf
+    got = qinv(q)
+    want = exact_inverse(q)
+    scale = max(abs(v) for v in want)
+    for g, w in zip(got, want):
+        assert abs(Fraction(g) - w) <= 4 * EPS * scale
+
+
+def test_qinv_inside_the_squares_range_is_unchanged():
+    # where |q|**2 is a normal double the quotient is conj(q) / |q|**2 bit
+    # for bit, also near either end of the range
+    rng = np.random.default_rng(14)
+    for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+        for _ in range(50):
+            q = rand_quat(rng, box=scale)
+            n2 = q.abs2()
+            assert qinv(q) == Quaternion(q.w / n2, -q.x / n2, -q.y / n2,
+                                         -q.z / n2)
+
+
 def test_triangle_example():
     # center 2j, argument 1+i
     got = triangle(Quaternion(0, 0, 2, 0), Quaternion(1, 1, 0, 0))

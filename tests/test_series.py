@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from quatspec import series, sresolvent
+from quatspec import series, sresolvent, verify
 from quatspec.cli import main
 from quatspec.errors import InputError, OutsideConvergenceDomain
 from quatspec.hmat import (QMatrix, op_norm, qmatrix_to_json_dict,
@@ -519,8 +519,8 @@ def test_tail_rule_screen_never_skips_a_passing_test():
             # a row of P just failing the rule, then one just passing it
             t2 = np.array([np.nextafter(t, np.inf) * 1.001, t])
             p1, p2 = np.stack([P.a1, P.a1]), np.stack([P.a2, P.a2])
-            assert tail_rule(t2, rtol, p1, p2) == 1
-            assert tail_rule(t2[:1], rtol, p1[:1], p2[:1]) is None
+            assert tail_rule(t2, rtol, p1, p2).tolist() == [False, True]
+            assert tail_rule(t2[:1], rtol, p1[:1], p2[:1]).tolist() == [False]
 
 
 # --- work gates: these ceilings may be lowered, never raised ---------------
@@ -532,8 +532,9 @@ MAT2 = {"n": 2, "entries": [[[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
 def count_calls(monkeypatch):
     """Count SVDs, inverses, determinants and resolvent bundles from here on.
 
-    Every bundle is built through sresolvent.ResolventBundle, so counting
-    that name counts bundles whichever module asks for one.
+    Every bundle, a ResolventBundle or a row of resolvent_arrays, is a row
+    of a block of sresolvent._bundle_blocks, so counting those rows counts
+    bundles whichever module asks for them.
     """
     calls = {"svd": 0, "inv": 0, "det": 0, "bundle": 0}
 
@@ -545,9 +546,15 @@ def count_calls(monkeypatch):
 
     for key, owner, name in (("svd", np.linalg, "svd"),
                              ("inv", np.linalg, "inv"),
-                             ("det", np.linalg, "slogdet"),
-                             ("bundle", sresolvent, "ResolventBundle")):
+                             ("det", np.linalg, "slogdet")):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name), key))
+    blocks = sresolvent._bundle_blocks
+
+    def counted_blocks(*args, **kwargs):
+        for lo, stack in blocks(*args, **kwargs):
+            calls["bundle"] += len(stack.smallest)
+            yield lo, stack
+    monkeypatch.setattr(sresolvent, "_bundle_blocks", counted_blocks)
     return calls
 
 
@@ -610,11 +617,13 @@ def test_verify_svd_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    # per trial: one stacked pencil SVD tests the sampled points and gives
-    # the series radius, one stacked SVD takes the seven bundles, then the
-    # series screens, and one stacked SVD takes every norm the row table
-    # and the exact remainder read; no pencil is certified
-    assert work["svd"] <= 354
+    # two chunks of at most 32 trials; per chunk: one stacked SVD of the
+    # matrices' norms, one per round of the sampler (which also gives the
+    # bundles their pencils' singular values), one for the series points'
+    # pencils, one for the series centers' ||S_left||, one per round of
+    # the series screens, and one for every norm the row table and the
+    # exact remainders read; no pencil is certified
+    assert work["svd"] <= 13
     assert work["det"] == 0
 
 
@@ -622,7 +631,7 @@ def test_verify_bundle_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    # seven bundles per trial, in one call: p, q, conj(q), the real
+    # seven bundles per trial, one call per chunk: p, q, conj(q), the real
     # center, the derivative point and its conjugate, and the series point
     assert work["bundle"] <= 350
 
@@ -631,9 +640,25 @@ def test_verify_inverse_count_gate(monkeypatch, capsys):
     rc, rep, work = count_work(monkeypatch, capsys, [
         "verify", "--n", "4", "--trials", "50", "--seed", "42"])
     assert rc == 0 and rep["all_passed"]
-    # one stacked inverse per trial: the series point is placed from the
-    # sampling stack's radius, so all seven bundles take one call
-    assert work["inv"] <= 50
+    # one stacked inverse per chunk: the series points are placed from the
+    # sampling stack's radii, so all bundles of a chunk take one call
+    assert work["inv"] <= 2
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_verify_work_grows_by_chunks_not_by_trials(n, monkeypatch, capsys):
+    # one trial, one full chunk and three chunks and a bit: the calls grow
+    # with the number of chunks, never by a call per trial
+    size = verify.chunk_trials(n)
+    assert size > 1
+    for trials in (1, size, 3 * size + 1):
+        chunks = -(-trials // size)
+        rc, rep, work = count_work(monkeypatch, capsys, [
+            "verify", "--n", str(n), "--trials", str(trials)])
+        assert rc == 0 and rep["all_passed"]
+        assert work["inv"] == chunks
+        assert work["bundle"] == 7 * trials
+        assert work["svd"] <= 8 * chunks
 
 
 @pytest.mark.parametrize("k", [1, 6, 40])

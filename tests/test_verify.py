@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from quatspec import series, sresolvent, verify
+from quatspec import hmat, series, sresolvent, verify
+from quatspec.errors import QuatspecError
 from quatspec.hmat import random_qmatrix
 from quatspec.sresolvent import (off_sphere, pencil_svals,
                                  random_resolvent_point, resolvent_bundle,
                                  well_conditioned)
 from quatspec.verify import _trial_residuals, run_identity_suite
 
-from oracles import sequential_off_sphere_pair, sequential_resolvent_point
+from oracles import (sequential_off_sphere_pair, sequential_resolvent_point,
+                     sequential_suite)
 
 
 @pytest.mark.parametrize("n, trials, seed", [(1, 8, 3), (2, 12, 5),
@@ -45,6 +47,12 @@ def seeded(seed):
     return np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
 
+def sample(A, rng):
+    """verify's points (p, q, qd, r0, R) for the one trial (A, rng)."""
+    (points,), _ = verify._sample_points([A], [rng])
+    return points
+
+
 def sampler_redraws(seeds, calls, check) -> int:
     """Run verify's sampler for n = 1..8 and each seed.
 
@@ -60,7 +68,7 @@ def sampler_redraws(seeds, calls, check) -> int:
             A = random_qmatrix(n, rngs[0])
             random_qmatrix(n, rngs[1])
             before = calls[0]
-            points = verify._sample_points(A, rngs[0])
+            points = sample(A, rngs[0])
             redrawn += calls[0] > before + 1
             check(A, rngs[0], points, rngs[1])
     return redrawn
@@ -113,8 +121,81 @@ def test_stacked_sampler_redraws(module, name, value, monkeypatch, redraws):
         assert off_sphere(q, p, verify.OFF_SPHERE_REL_TOL)
         assert qd.im_norm() >= sresolvent.NONREAL_MIN_IMAG
         assert R == resolvent_bundle(A, r0).radius
-        again = verify._sample_points(A, ref)
+        again = sample(A, ref)
         assert again == points
         assert rng.bit_generator.state == ref.bit_generator.state
 
     assert sampler_redraws(range(200), redraws, check) >= 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("trials", [1, 2, 7])
+def test_stacked_suite_equals_the_loop_over_trials(n, trials, monkeypatch):
+    # every row, its worst trial and its verdict bit for bit, in chunks of
+    # the default size and, crossing chunk boundaries, of three trials
+    want = sequential_suite(n, trials, 1e-8, 11 + n)
+    assert [tuple(row) for row in run_identity_suite(
+        n, trials, 1e-8, 11 + n)] == want
+    monkeypatch.setattr(verify, "CHUNK_TRIALS", 3)
+    assert [tuple(row) for row in run_identity_suite(
+        n, trials, 1e-8, 11 + n)] == want
+
+
+def test_stacked_suite_equals_the_loop_where_trials_draw_again(monkeypatch):
+    # stricter tests make some trials of a chunk draw again, in rounds they
+    # share with the trials still drawing, and others land p on the
+    # sphere of q and draw their triple again
+    monkeypatch.setattr(sresolvent, "WELL_CONDITIONED_RATIO", 0.5)
+    monkeypatch.setattr(verify, "OFF_SPHERE_REL_TOL", 0.2)
+    for n in (1, 2, 4, 8):
+        assert [tuple(row) for row in run_identity_suite(
+            n, 12, 1e-8, 6)] == sequential_suite(n, 12, 1e-8, 6)
+
+
+def test_stacked_suite_equals_the_loop_where_series_stop_early():
+    # at an unreachable tolerance the series run to nmax, and at a loose
+    # one they stop at N = 0, before the remainder's partial sum 7
+    for tol, nmax in ((1e-300, 3), (1e-300, 0), (1e300, 200)):
+        assert [tuple(row) for row in run_identity_suite(
+            3, 5, tol, 2, nmax)] == sequential_suite(3, 5, tol, 2, nmax)
+
+
+def fail_in(monkeypatch, sampling, remainder):
+    """Make the trials in `sampling` fail while sampling (their matrices
+    are scaled so far that the pencils overflow), and the trials in
+    `remainder` in check_remainder."""
+    draw, check = hmat.random_qmatrix, series.check_remainder
+    late = set()
+
+    def random_qmatrix(n, rng):
+        A = draw(n, rng)
+        trial = int(rng.bit_generator.seed_seq.entropy[1])
+        if trial in sampling:
+            return A * 1e200
+        if trial in remainder:
+            late.add(A.a1.tobytes())
+        return A
+
+    def check_remainder(state, q, N, norms):
+        if state.A.a1.tobytes() in late:
+            raise QuatspecError(f"the remainder check failed at q = {q}")
+        return check(state, q, N, norms)
+
+    monkeypatch.setattr(hmat, "random_qmatrix", random_qmatrix)
+    monkeypatch.setattr(series, "check_remainder", check_remainder)
+
+
+@pytest.mark.parametrize("sampling, remainder, first", [
+    ({1}, {0}, "remainder"), ({0}, {1}, "overflows"),
+    ({1, 2}, {3}, "overflows"), (set(), {2, 3}, "remainder")])
+def test_stacked_suite_raises_the_first_failing_trials_error(
+        sampling, remainder, first, monkeypatch):
+    # trial 0 failing late and trial 1 early raises trial 0's error, with
+    # its message, as the loop over trials does
+    fail_in(monkeypatch, sampling, remainder)
+    with pytest.raises(QuatspecError) as stacked:
+        run_identity_suite(2, 4, 1e-8, 5)
+    with pytest.raises(QuatspecError) as loop:
+        sequential_suite(2, 4, 1e-8, 5)
+    assert str(stacked.value) == str(loop.value)
+    assert first in str(stacked.value)
