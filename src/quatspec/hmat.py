@@ -85,6 +85,23 @@ def pair_scale_left(c1, c2, a1, a2):
     return c1 * a1 - c2 * np.conj(a2), c1 * a2 + c2 * np.conj(a1)
 
 
+def pair_add(a1, a2, b1, b2):
+    """The sum (a1 + a2*j) + (b1 + b2*j) as a complex pair."""
+    return a1 + b1, a2 + b2
+
+
+def pair_sub(a1, a2, b1, b2):
+    """The difference (a1 + a2*j) - (b1 + b2*j) as a complex pair."""
+    return a1 - b1, a2 - b2
+
+
+def stack_scalars(qs):
+    """The quaternions qs as (k, 1, 1) scalar pairs: scalar i acts on
+    matrix i of a (k, n, n) stack."""
+    c1, c2 = scalar_pairs(np.array(qs, dtype=float).reshape(-1, 4))
+    return c1[:, None, None], c2[:, None, None]
+
+
 class QMatrix:
     """Square quaternionic matrix as the complex pair a1 + a2*j.
 

@@ -33,13 +33,17 @@ quaternions from the streams of quatcore (one quaternion product per
 index), its terms from one broadcast scale_right over per-index scalars,
 and its partial sums from a cumulative sum of the signed terms carried on
 from the previous block, so a run through N costs O(N) and its partial
-sums equal those of the term-by-term definition bit for bit.  The report
-rule runs one series a block at a time (_blocks), a block holding as many
-indices as a block of pencils (sresolvent.block_rows); the library rule
-runs a stack of series (_Stack), each at its own state and point with its
-own basis, tail bound and stop, all advanced together a round at a time,
-one block of each series per round, so a stack takes the SVDs of a
-round's screens, and its stacked arithmetic, once for all of its series.
+sums equal those of the term-by-term definition bit for bit; one
+function, _block_sums, does that arithmetic for a stack of blocks.  The
+report rule runs one series a block at a time (_blocks), a block holding
+as many indices as a block of pencils (sresolvent.block_rows); the
+library rule runs a stack of series (_Stack), each at its own state and
+point with its own basis, tail bound and stop, all advanced together a
+round at a time, one block of each series per round, so a stack takes
+the SVDs of a round's screens, and its stacked arithmetic, once for all
+of its series.  The exact remainder's operators (remainder_rows) are
+likewise formed for a stack of expansions at once, remainder_exact being
+the one-expansion case.
 One function, _tails, gives both series' tail bounds as scalar loops
 over N with their constants hoisted (np.power can differ from Python's
 ** in the last bit), and the remainder's majorant reads the same rho.
@@ -60,6 +64,7 @@ Two stopping rules read the series:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -80,8 +85,10 @@ from .sresolvent import (ResolventBundle, block_rows, certified_real_point,
 DEFAULT_NMAX = 200
 
 # A round of _converge holds at most this many times block_rows(n)
-# indices in all, so each of its stacked pairs (half a chi image a row)
-# takes at most twice PENCIL_BLOCK_BYTES.
+# indices in all, and each series at most block_rows(n) of them, so each
+# of its stacked pairs (half a chi image a row) takes at most twice
+# PENCIL_BLOCK_BYTES.  One block in all would give verify's 2n series at
+# n = 8 a few indices a round, and more rounds.
 ROUND_BLOCKS = 4
 
 # Relative inflation of the Frobenius majorant in the screens of the tail
@@ -106,7 +113,9 @@ class _Coefficients:
     t at [n - 1, t] ((count, n, n) for a single expansion), and extended
     two indices at a time for all T by one stacked product: B_1 =
     S_left(q0), B_2 = Q, B_{k+2} = Q @ B_k.  Each matrix of a stacked
-    product equals its own product bit for bit.
+    product equals its own product bit for bit.  A B_n past the float
+    range is stored as it comes, without a warning: the series readers
+    check their terms and partial sums for finiteness.
     """
 
     def __init__(self, bundles):
@@ -141,11 +150,12 @@ class _Coefficients:
             if k == i < m:
                 b1[i], b2[i] = B1, B2
                 k += 1
-        while k < m:
-            j = min(k + 2, m)
-            b1[k:j], b2[k:j] = hmat.pair_matmul(Q1, Q2, b1[k - 2:j - 2],
-                                                b2[k - 2:j - 2])
-            k = j
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < m:
+                j = min(k + 2, m)
+                b1[k:j], b2[k:j] = hmat.pair_matmul(Q1, Q2, b1[k - 2:j - 2],
+                                                    b2[k - 2:j - 2])
+                k = j
         self.count = k
 
 
@@ -220,63 +230,78 @@ class _Stack:
         # the resolvent series subtracts its odd-indexed terms, the
         # derivative series its even ones
         self.odd = [int(not derivative) for _, _, derivative in runs]
-        self.carry = [(0.0, 0.0)] * len(runs)
+        n = runs[0][0].A.n
+        self.carry = tuple(np.zeros((len(runs), n, n), dtype=complex)
+                           for _ in (0, 1))
 
     def block(self, which, los, sizes):
         """The next block of the series `which`: series which[j] runs
         over n = los[j] .. los[j] + sizes[j] - 1.
 
-        Returns (t1, t2, p1, p2), each (len(which), max(sizes), n, n):
-        row [j, i] holds index los[j] + i of series which[j], (t1, t2) its
-        unsigned term B_{n+1} * basis[n] and (p1, p2) its partial sum
-        through n.  The terms are one broadcast scale_right over
-        per-index scalars, and the partials a cumulative sum of the signed
-        terms on top of each series' carried partial.  Adding a negated
-        term is subtracting it in IEEE arithmetic, and np.add.accumulate
-        adds in index order, so every partial equals the term-by-term sum
-        bit for bit, whatever the blocks and the stack.  Rows past a
-        series' size hold zero terms.  Rows past a stopping index are
-        computed, so overflow in them is not warned about.
+        Returns the _block_sums of the block, each (len(which),
+        max(sizes), n, n): row [j, i] holds index los[j] + i of series
+        which[j].  Rows past a series' size hold zero terms.
         """
         m, k = max(sizes), len(which)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = [self.states[s].coeff_rows(lo + 1, lo + size)
-                    for s, lo, size in zip(which, los, sizes)]
-            pts = [np.fromiter(chain.from_iterable(islice(self.bases[s], size)),
-                               float, count=4 * size).reshape(size, 4)
-                   for s, size in zip(which, sizes)]
-            if k == 1:
-                (b1, b2), pts = (r[None] for r in rows[0]), pts[0]
-            else:
-                shape = (k, m) + rows[0][0].shape[1:]
-                b1, b2 = np.zeros(shape, dtype=complex), np.zeros(shape,
-                                                                 dtype=complex)
-                padded = np.zeros((k, m, 4))
-                for j, ((r1, r2), p, size) in enumerate(zip(rows, pts, sizes)):
-                    b1[j, :size], b2[j, :size], padded[j, :size] = r1, r2, p
-                pts = padded
-            c1, c2 = (c.reshape(k, m, 1, 1)
-                      for c in hmat.scalar_pairs(pts.reshape(-1, 4)))
-            terms = hmat.pair_scale_right(b1, b2, c1, c2)
-            partials = tuple(t.copy() for t in terms)
-            # series j negates every other row from (los[j] + odd) % 2 on
-            first = [(lo + self.odd[s]) % 2 for s, lo in zip(which, los)]
-            for start in (0, 1):
-                j = [i for i, f in enumerate(first) if f == start]
-                if len(j) == k:
-                    j = slice(None)
-                elif not j:
-                    continue
-                for p in partials:
-                    p[j, start::2] = -p[j, start::2]
-            for j, s in enumerate(which):
-                for p, c in zip(partials, self.carry[s]):
-                    p[j, 0] += c
-            for p in partials:
-                np.add.accumulate(p, axis=1, out=p)
-        for j, (s, size) in enumerate(zip(which, sizes)):
-            self.carry[s] = partials[0][j, size - 1], partials[1][j, size - 1]
-        return (*terms, *partials)
+        rows = [self.states[s].coeff_rows(lo + 1, lo + size)
+                for s, lo, size in zip(which, los, sizes)]
+        pts = [np.fromiter(chain.from_iterable(islice(self.bases[s], size)),
+                           float, count=4 * size).reshape(size, 4)
+               for s, size in zip(which, sizes)]
+        if k == 1:
+            (b1, b2), pts = (r[None] for r in rows[0]), pts[0][None]
+        else:
+            shape = (k, m) + rows[0][0].shape[1:]
+            b1, b2 = np.zeros(shape, dtype=complex), np.zeros(shape,
+                                                             dtype=complex)
+            padded = np.zeros((k, m, 4))
+            for j, ((r1, r2), p, size) in enumerate(zip(rows, pts, sizes)):
+                b1[j, :size], b2[j, :size], padded[j, :size] = r1, r2, p
+            pts = padded
+        out = _block_sums(b1, b2, pts,
+                          [(lo + self.odd[s]) % 2 for s, lo in zip(which, los)],
+                          tuple(c[which] for c in self.carry))
+        last = np.array(sizes) - 1
+        for c, p in zip(self.carry, out[2:]):
+            c[which] = p[np.arange(k), last]
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _parity(m: int) -> np.ndarray:
+    """The (2, m, 1, 1) masks of the rows i < m with i % 2 == 0 and == 1."""
+    return (np.arange(m) % 2 == np.array([[0], [1]]))[:, :, None, None]
+
+
+def _block_sums(b1, b2, pts, first, carry):
+    """The terms and partial sums of one block of each series of a stack.
+
+    Row [j, i] of the (k, m, n, n) pair (b1, b2) holds the coefficient
+    B_{n+1}, and of the (k, m, 4) array pts the basis quaternion, of
+    index i of series j's block.  Series j negates its rows first[j],
+    first[j] + 2, ... and starts from its carried partial sum, row j of
+    the pair carry of (k, n, n) arrays (or scalars for every series).
+    Returns (t1, t2, p1, p2), each (k, m, n, n): (t1, t2) the unsigned
+    terms B_{n+1} * basis[n], one broadcast scale_right over per-index
+    scalars, and (p1, p2) the partial sums through each index, a
+    cumulative sum of the signed terms.  Adding a negated term is
+    subtracting it in IEEE arithmetic, and np.add.accumulate adds in index
+    order, so every partial equals the term-by-term sum bit for bit,
+    whatever the blocks and the stack.  Rows past a stopping index are
+    computed, so overflow in them is not warned about.
+    """
+    k, m = pts.shape[:2]
+    c1, c2 = (c.reshape(k, m, 1, 1)
+              for c in hmat.scalar_pairs(pts.reshape(-1, 4)))
+    neg = _parity(m)[first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = hmat.pair_scale_right(b1, b2, c1, c2)
+        partials = tuple(t.copy() for t in terms)
+        for p, c in zip(partials, carry):
+            np.negative(p, out=p, where=neg)
+            p[:, 0] += c
+            np.add.accumulate(p, axis=1, out=p)
+    return (*terms, *partials)
 
 
 def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
@@ -285,16 +310,14 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
     path of the report rule, term_norms and _partial_through.
 
     Yields (lo, t1, t2, p1, p2) for consecutive blocks n = lo..hi, the
-    arithmetic of _Stack.block for one series on (m, n, n) arrays: (t1,
+    _block_sums of a stack of this one series, as (m, n, n) arrays: (t1,
     t2) stacks the unsigned terms and (p1, p2) the partial sums through
-    each n, so every partial equals the term-by-term sum bit for bit.
-    The resolvent series (basis spherical_powers) subtracts the
-    odd-indexed terms, the derivative series (derivative=True, basis
+    each n.  The resolvent series (basis spherical_powers) subtracts the odd-indexed
+    terms, the derivative series (derivative=True, basis
     spherical_power_sderivs) the even ones.  A block takes at most
     sresolvent.block_rows(n) indices, the rule the pencils follow, which
     bounds the working memory whatever `last` is; ends(lo, hi) may end it
-    sooner.  Rows past a stopping index are computed, so overflow in them
-    is not warned about.  No domain gate.
+    sooner.  No domain gate.
     """
     basis = (spherical_power_sderivs if derivative else spherical_powers)(
         state.q0, q)
@@ -305,19 +328,12 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
         hi = ends(lo, min(last, lo + cap - 1))
         m = hi + 1 - lo
         pts = np.fromiter(chain.from_iterable(islice(basis, m)), float,
-                          count=4 * m).reshape(m, 4)
-        c1, c2 = (c[:, None, None] for c in hmat.scalar_pairs(pts))
-        neg = slice((lo + (not derivative)) % 2, None, 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = hmat.pair_scale_right(*state.coeff_rows(lo + 1, hi + 1),
-                                          c1, c2)
-            partials = tuple(t.copy() for t in terms)
-            for p, c in zip(partials, carry):
-                np.negative(p[neg], out=p[neg])
-                p[0] += c
-                np.add.accumulate(p, axis=0, out=p)
-        carry = (partials[0][-1], partials[1][-1])
-        yield (lo, *terms, *partials)
+                          count=4 * m).reshape(1, m, 4)
+        b1, b2 = state.coeff_rows(lo + 1, hi + 1)
+        t1, t2, p1, p2 = _block_sums(b1[None], b2[None], pts,
+                                     [(lo + (not derivative)) % 2], carry)
+        carry = (p1[:, -1], p2[:, -1])
+        yield lo, t1[0], t2[0], p1[0], p2[0]
         lo = hi + 1
 
 
@@ -418,9 +434,10 @@ def eval_series_S(state: SeriesState, q: Quaternion, N: int):
 def check_remainder(state: SeriesState, q: Quaternion, N: int, norms):
     """remainder_exact's checks on the norms it takes.
 
-    norms are those of the closed form, the summed error, S_left(q) and
-    the partial sum to 2N+1 at q, in that order; returns (closed form,
-    summed) after both checks of remainder_exact.
+    norms are those of the closed form and the summed error of
+    remainder_rows, of S_left(q) and of the partial sum to 2N+1 at q, in
+    that order; returns (closed form, summed) after both checks of
+    remainder_exact.
     """
     rem, direct_err, norm_sq, norm_partial = norms
     scale = 1.0 + norm_sq + norm_partial + rem
@@ -435,26 +452,43 @@ def check_remainder(state: SeriesState, q: Quaternion, N: int, norms):
     return rem, direct_err
 
 
+def remainder_rows(states, S, qs, N: int, partial):
+    """The truncation errors after the partial sum to 2N+1, per row.
+
+    Row t is the expansion states[t] at the point q = qs[t]; S stacks the
+    directly inverted S_left(q) and partial the partial sums to 2N+1 at
+    these points, as complex pairs.  Returns the stacked pairs of the
+    closed form Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1), that is
+    B_{2N+2} @ S_left(q) * triangle(q0, q)**(N+1), and of the summed error
+    S_left(q) - partial.
+    """
+    k = 2 * N + 2
+    B = tuple(np.stack([state.coeff_rows(k, k)[c][0] for state in states])
+              for c in (0, 1))
+    closed = hmat.pair_scale_right(
+        *hmat.pair_matmul(*B, *S), *hmat.stack_scalars(
+            [qpow(triangle(state.q0, q), N + 1) for state, q in zip(states, qs)]))
+    return closed, hmat.pair_sub(*S, *partial)
+
+
 def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     """Norms of the truncation error after the partial sum to 2N+1.
 
-    Returns (closed form, summed): the closed form is
-    ||Q(q0)^(N+1) @ S_left(q) * triangle(q0, q)**(N+1)|| at q = bq.q with
-    the directly inverted S_left(q) of the bundle, the summed one is
-    ||S_left(q) - partial sum||.  The two are checked against each other,
-    and the closed form against its majorant
+    Returns (closed form, summed) of remainder_rows at q = bq.q, with the
+    directly inverted S_left(q) of the bundle.  The two are checked
+    against each other, and the closed form against its majorant
     ||S_left(q)|| * rho**(N+1) (check_remainder); a failure of either
     internal consistency check raises QuatspecError.  The four norms take
     one stacked SVD.
     """
     if N < 0:
         raise InputError("truncation index must be >= 0")
-    q = bq.q
-    tri = triangle(state.q0, q)
-    rem_op = (state.coeff(2 * N + 2) @ bq.S_left).scale_right(qpow(tri, N + 1))
-    partial = _partial_through(state, q, False, 2 * N + 1)
-    return check_remainder(state, q, N, hmat.op_norms(
-        [rem_op, bq.S_left - partial, bq.S_left, partial]))
+    q, S = bq.q, (bq.S_left.a1[None], bq.S_left.a2[None])
+    p = _partial_through(state, q, False, 2 * N + 1)
+    partial = (p.a1[None], p.a2[None])
+    ops = (*remainder_rows([state], S, [q], N, partial), S, partial)
+    return check_remainder(state, q, N, list(hmat.pair_op_norms(
+        *(np.concatenate(part) for part in zip(*ops)))))
 
 
 def _majorants(a1, a2) -> np.ndarray:
@@ -510,9 +544,9 @@ def _converge(runs, rtol, nmax, through=-1):
     so), and returns the last finite one: partial_0 is finite, or the
     norm of B_1 would have failed first.  The series advance together:
     each round takes one block of every series still running, at most
-    ROUND_BLOCKS * block_rows(n) indices in all, and the rows the screens
-    of a round leave take one stacked SVD, so a series' N, partial and
-    tail do not depend on the stack.
+    block_rows(n) indices each and ROUND_BLOCKS * block_rows(n) in all,
+    and the rows the screens of a round leave take one stacked SVD, so a
+    series' N, partial and tail do not depend on the stack.
     """
     for state, q, _ in runs:
         require_inside(state, q)
@@ -529,7 +563,7 @@ def _converge(runs, rtol, nmax, through=-1):
     last = [None] * len(runs)
     los = [0] * len(runs)
     stack = _Stack(runs)
-    cap = max(1, ROUND_BLOCKS * block_rows(n) // len(runs))
+    cap = max(1, min(ROUND_BLOCKS, len(runs)) * block_rows(n) // len(runs))
     active = [s for s in range(len(runs)) if results[s] is None or through >= 0]
     while active:
         sizes = []

@@ -8,7 +8,7 @@ derivative is the difference quotient of f across the sphere of a point,
 and its slice Taylor coefficients are recovered by trapezoidal contour
 quadrature, with complex scalars acting on operator samples by right
 multiplication with r + s*j.  verify reads the spherical derivative of the
-left S-resolvent.
+left S-resolvent, for every trial of a chunk in one sderiv_rows call.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import cmath
 import math
 from typing import Callable
 
+from . import hmat
 from .errors import InputError
 from .hmat import QMatrix
 from .quatcore import Quaternion, qinv
@@ -53,15 +54,29 @@ def sderiv_factor(q: Quaternion) -> Quaternion:
     return qinv(q - q.conj())
 
 
+def sderiv_rows(fq, fqc, factors):
+    """Spherical derivatives (f(q) - f(conj(q))) * factor, per row.
+
+    fq and fqc are stacked pairs of the values of f at points q and at
+    their conjugates, and factors[i] the sderiv_factor of point i.
+    """
+    return hmat.pair_scale_right(*hmat.pair_sub(*fq, *fqc),
+                                 *hmat.stack_scalars(factors))
+
+
 def sderiv_operator(f: Callable[[Quaternion], QMatrix],
                     q: Quaternion) -> QMatrix:
-    """Spherical derivative (f(q) - f(conj(q))) * (q - conj(q))**(-1) of f.
+    """Spherical derivative (f(q) - f(conj(q))) * (q - conj(q))**(-1) of f:
+    the one-row sderiv_rows.
 
     f is a black box, so nothing avoids the division by Im(q): a point
-    refused by sderiv_factor raises InputError.
+    refused by sderiv_factor raises InputError before f is called.
     """
     factor = sderiv_factor(q)
-    return (f(q) - f(q.conj())).scale_right(factor)
+    a, b = f(q), f(q.conj())
+    d1, d2 = sderiv_rows((a.a1[None], a.a2[None]), (b.a1[None], b.a2[None]),
+                         [factor])
+    return QMatrix(d1[0], d2[0])
 
 
 def cauchy_coeffs(f: Callable[[Quaternion], QMatrix], j: Quaternion,

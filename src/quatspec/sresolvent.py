@@ -31,8 +31,10 @@ the resolvent at a point takes a bundle.  Random resolvent points come
 from one sampler, random_resolvent_points, which draws for one or many
 matrices, each from its own generator, and tests each round of their
 draws in one pencil_svals call.
-The residual_* operations evaluate on bundles the exact identities these
-objects satisfy, as lhs - rhs:
+The *_rows operations evaluate the exact identities these objects
+satisfy, as lhs - rhs, on the rows of BundleStacks with per-row points
+(verify takes every trial of a chunk in one call), and the residual_*
+operations are their one-bundle cases:
 
   * two-point identity of left S-resolvents:
         S_left(p) - S_left(q)
@@ -46,8 +48,9 @@ objects satisfy, as lhs - rhs:
                 - conj(q)*(S_right(q) - S_left(p)) ] * triangle(q, p)^(-1);
   * the shift pairing A @ S_left(p) = S_left(p)*p - I.
 
-Each residual is returned as an operator whose norm is the absolute
-residual; the norms (hmat.op_norms) and the tolerance belong to the caller.
+Each residual is returned as an operator (a stacked pair for *_rows)
+whose norm is the absolute residual; the norms (hmat.op_norms,
+hmat.pair_op_norms) and the tolerance belong to the caller.
 """
 
 from __future__ import annotations
@@ -266,6 +269,32 @@ class BundleStack(NamedTuple):
     S_right: tuple
     smallest: np.ndarray
 
+    def rows(self, lo: int, hi: int) -> "BundleStack":
+        """The bundles of rows lo..hi - 1, as views."""
+        return BundleStack(*((a1[lo:hi], a2[lo:hi]) for a1, a2 in self[:4]),
+                           self.smallest[lo:hi])
+
+    def bundle(self, i: int, q: Quaternion) -> ResolventBundle:
+        """Row i as the ResolventBundle of its point q."""
+        return ResolventBundle(
+            q=q, pencil=QMatrix(self.pencil[0][i], self.pencil[1][i]),
+            Q=QMatrix(self.Q[0][i], self.Q[1][i]),
+            S_left=QMatrix(self.S_left[0][i], self.S_left[1][i]),
+            S_right=QMatrix(self.S_right[0][i], self.S_right[1][i]),
+            pencil_smallest_singular=float(self.smallest[i]))
+
+
+def _stack_of(b: ResolventBundle) -> BundleStack:
+    """The one-row BundleStack of a bundle, as views."""
+    return BundleStack(*((M.a1[None], M.a2[None])
+                         for M in (b.pencil, b.Q, b.S_left, b.S_right)),
+                       np.array([b.pencil_smallest_singular]))
+
+
+def _matrix(pair) -> QMatrix:
+    """The one matrix of a one-row stacked pair."""
+    return QMatrix(pair[0][0], pair[1][0])
+
 
 def _bundle_blocks(A, points, owner=None, sv=None):
     """The BundleStack of each block of pencils, as (lo, stack).
@@ -346,13 +375,8 @@ def resolvent_bundles(A: QMatrix, points) -> list:
     points = list(points)
     bundles = []
     for lo, b in _bundle_blocks(A, points):
-        bundles += [ResolventBundle(
-            q=q, pencil=QMatrix(b.pencil[0][i], b.pencil[1][i]),
-            Q=QMatrix(b.Q[0][i], b.Q[1][i]),
-            S_left=QMatrix(b.S_left[0][i], b.S_left[1][i]),
-            S_right=QMatrix(b.S_right[0][i], b.S_right[1][i]),
-            pencil_smallest_singular=float(b.smallest[i]))
-            for i, q in enumerate(points[lo:lo + len(b.smallest)])]
+        bundles += [b.bundle(i, q)
+                    for i, q in enumerate(points[lo:lo + len(b.smallest)])]
     return bundles
 
 
@@ -364,66 +388,110 @@ def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:
     return resolvent_bundles(A, [q])[0]
 
 
-def residual_resolvent_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
-    """Residual operator of the two-point identity of left S-resolvents."""
-    p, q = bp.q, bq.q
-    lhs = bp.S_left - bq.S_left
-    rhs = bq.Q.scale_right(q - p) + (bq.Q @ bp.S_left).scale_right(triangle(q, p))
-    return lhs - rhs
-
-
-def residual_q_eq(bp: ResolventBundle, bq: ResolventBundle):
-    """Residual operators of the pseudo-resolvent two-point identity.
-
-    Returns the pair for the factor orderings Q(p)@Q(q) and Q(q)@Q(p);
-    both vanish in exact arithmetic because the factors commute.
-    """
-    lhs = bp.Q - bq.Q
-    ddiff = bq.pencil - bp.pencil
-    return lhs - ddiff @ (bp.Q @ bq.Q), lhs - ddiff @ (bq.Q @ bp.Q)
-
-
 def off_sphere(q: Quaternion, p: Quaternion, tol: float) -> bool:
     """Whether p is off the sphere of q: |triangle(q, p)| exceeds tol times
     (1 + |p|**2 + |q|**2)."""
     return abs(triangle(q, p)) > tol * (1.0 + p.abs2() + q.abs2())
 
 
-def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
-    """Residual operator of the mixed right/left S-resolvent product identity.
+def resolvent_eq_rows(bp: BundleStack, bq: BundleStack, p, q):
+    """Residual operators of the two-point identity of left S-resolvents,
+    row i that of row i of bp, the bundles at the points p, and of bq, the
+    bundles at q."""
+    lhs = hmat.pair_sub(*bp.S_left, *bq.S_left)
+    rhs = hmat.pair_add(
+        *hmat.pair_scale_right(*bq.Q, *hmat.stack_scalars(
+            [y - x for x, y in zip(p, q)])),
+        *hmat.pair_scale_right(*hmat.pair_matmul(*bq.Q, *bp.S_left),
+                               *hmat.stack_scalars([triangle(y, x)
+                                                    for x, y in zip(p, q)])))
+    return hmat.pair_sub(*lhs, *rhs)
 
-    Raises DegenerateConfiguration when p lies on the sphere of q at
-    DEGENERATE_REL_TOL, where the scalar factor triangle(q, p) is not
-    invertible.
+
+def q_eq_rows(bp: BundleStack, bq: BundleStack):
+    """Residual operators of the pseudo-resolvent two-point identity, per
+    row of the bundles bp at p and bq at q.
+
+    Returns the stacks for the factor orderings Q(p)@Q(q) and Q(q)@Q(p);
+    both vanish in exact arithmetic because the factors commute.
     """
-    p, q = bp.q, bq.q
-    if not off_sphere(q, p, DEGENERATE_REL_TOL):
-        raise DegenerateConfiguration(
-            "p lies on the sphere of q: the mixed identity degenerates")
-    diff = bq.S_right - bp.S_left
-    lhs = bq.S_right @ bp.S_left
-    bracket = diff.scale_right(p) - diff.scale_left(q.conj())
-    rhs = bracket.scale_right(qinv(triangle(q, p)))
-    return lhs - rhs
+    lhs = hmat.pair_sub(*bp.Q, *bq.Q)
+    ddiff = hmat.pair_sub(*bq.pencil, *bp.pencil)
+    return tuple(hmat.pair_sub(*lhs, *hmat.pair_matmul(*ddiff, *hmat.pair_matmul(
+        *first, *second))) for first, second in ((bp.Q, bq.Q), (bq.Q, bp.Q)))
+
+
+def mixed_eq_rows(bp: BundleStack, bq: BundleStack, p, q):
+    """Residual operators of the mixed right/left S-resolvent product
+    identity, per row of the bundles bp at p and bq at q.
+
+    Raises DegenerateConfiguration for the first row whose p lies on the
+    sphere of its q at DEGENERATE_REL_TOL, where the scalar factor
+    triangle(q, p) is not invertible.
+    """
+    for x, y in zip(p, q):
+        if not off_sphere(y, x, DEGENERATE_REL_TOL):
+            raise DegenerateConfiguration(
+                "p lies on the sphere of q: the mixed identity degenerates")
+    diff = hmat.pair_sub(*bq.S_right, *bp.S_left)
+    lhs = hmat.pair_matmul(*bq.S_right, *bp.S_left)
+    bracket = hmat.pair_sub(
+        *hmat.pair_scale_right(*diff, *hmat.stack_scalars(p)),
+        *hmat.pair_scale_left(*hmat.stack_scalars([y.conj() for y in q]),
+                              *diff))
+    rhs = hmat.pair_scale_right(*bracket, *hmat.stack_scalars(
+        [qinv(triangle(y, x)) for x, y in zip(p, q)]))
+    return hmat.pair_sub(*lhs, *rhs)
+
+
+def AS_identity_rows(A, b: BundleStack, p):
+    """Residual operators A @ S_left(p) - S_left(p)*p + I, per row of the
+    bundles b at the points p.
+
+    A is a stacked pair of each row's matrix, or the component arrays of
+    one matrix for every row.  The terms can overflow where S_left is
+    finite (A @ S_left past the float range); the first row whose residual
+    is not finite raises QuatspecError naming its p, and no warning.
+    """
+    S = b.S_left
+    eye = hmat.identity(S[0].shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2 = hmat.pair_matmul(*A, *S)
+        s1, s2 = hmat.pair_scale_right(*S, *hmat.stack_scalars(p))
+        out1, out2 = r1 - s1 + eye.a1, r2 - s2 + eye.a2
+    k = hmat.finite_rows(out1, out2)
+    if k < len(out1):
+        w, x, y, z = p[k]
+        raise QuatspecError(f"the shift-pairing residual overflows at "
+                            f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
+    return out1, out2
+
+
+def residual_resolvent_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
+    """Residual operator of the two-point identity of left S-resolvents:
+    the one-row resolvent_eq_rows."""
+    return _matrix(resolvent_eq_rows(_stack_of(bp), _stack_of(bq), [bp.q],
+                                     [bq.q]))
+
+
+def residual_q_eq(bp: ResolventBundle, bq: ResolventBundle):
+    """Residual operators of the pseudo-resolvent two-point identity, for
+    the orderings Q(p)@Q(q) and Q(q)@Q(p): the one-row q_eq_rows."""
+    return tuple(map(_matrix, q_eq_rows(_stack_of(bp), _stack_of(bq))))
+
+
+def residual_mixed_eq(bp: ResolventBundle, bq: ResolventBundle) -> QMatrix:
+    """Residual operator of the mixed right/left S-resolvent product
+    identity: the one-row mixed_eq_rows, which refuses p on the sphere of
+    q."""
+    return _matrix(mixed_eq_rows(_stack_of(bp), _stack_of(bq), [bp.q],
+                                 [bq.q]))
 
 
 def residual_AS_identity(A: QMatrix, b: ResolventBundle) -> QMatrix:
-    """Residual operator A @ S_left(p) - S_left(p)*p + I at p = b.q.
-
-    Its terms can overflow where S_left is finite (A @ S_left past the
-    float range); such a residual raises QuatspecError naming p, and no
-    warning.
-    """
-    S, eye, (w, x, y, z) = b.S_left, hmat.identity(A.n), b.q
-    with np.errstate(over="ignore", invalid="ignore"):
-        r1, r2 = hmat.pair_matmul(A.a1, A.a2, S.a1, S.a2)
-        s1, s2 = hmat.pair_scale_right(S.a1, S.a2, complex(w, x),
-                                       complex(y, z))
-        out1, out2 = r1 - s1 + eye.a1, r2 - s2 + eye.a2
-    if not (np.isfinite(out1).all() and np.isfinite(out2).all()):
-        raise QuatspecError(f"the shift-pairing residual overflows at "
-                            f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
-    return QMatrix(out1, out2)
+    """Residual operator A @ S_left(p) - S_left(p)*p + I at p = b.q: the
+    one-row AS_identity_rows, which refuses its overflow."""
+    return _matrix(AS_identity_rows((A.a1, A.a2), _stack_of(b), [b.q]))
 
 
 def certified_real_point(A: QMatrix) -> Quaternion:

@@ -11,14 +11,17 @@ resolvent_arrays call builds the seven bundles of every trial, reading
 the sampler's singular values for all but the series points; one
 series stack runs every trial's resolvent and derivative series, and the
 resolvent series' partial sum through 2*REMAINDER_ORDER + 1 is the exact
-remainder's; the identity table is pair arithmetic on (T, n, n) stacks
-with per-trial scalars, and one stacked SVD takes every norm it and the
-exact remainder's checks read.  So the calls grow with the chunks, not
-the trials: `verify --n 4 --trials 50 --seed 42` (two chunks) takes 13
-SVDs and 2 inverses.  Stacking changes no bit: every trial's residuals
-equal those of the trial alone.  A chunk whose stacked run
-raises is run again one trial at a time, so the error raised is that of
-the first trial that fails, as in a loop over trials.
+remainder's; the identity table takes each identity from the stacked
+operation that its one-bundle library form wraps
+(sresolvent.resolvent_eq_rows, q_eq_rows, mixed_eq_rows and
+AS_identity_rows, series.remainder_rows, sliceanalysis.sderiv_rows), on
+(T, n, n) stacks with per-trial points, and one stacked SVD takes every
+norm it and the exact remainder's checks read.  So the calls grow with
+the chunks, not the trials: `verify --n 4 --trials 50 --seed 42` (two
+chunks) takes 13 SVDs and 2 inverses.  Stacking changes no bit: every
+trial's residuals equal those of the trial alone.  A chunk whose stacked
+run raises is run again one trial at a time, so the error raised is that
+of the first trial that fails, as in a loop over trials.
 
 The suite reports, per identity, the maximum residual over all trials
 together with the trial index attaining it, so a failure is reproducible
@@ -34,14 +37,14 @@ import numpy as np
 
 from . import hmat, series
 from .errors import DegenerateConfiguration, InputError
-from .hmat import QMatrix, op_norms
-from .quatcore import (point_at_cassini_distance, qinv, qpow,
-                       random_unit_imag, triangle)
-from .sliceanalysis import sderiv_factor
-from .spectrum import cassini_dist, s_spectrum
-from .sresolvent import (DEGENERATE_REL_TOL, ResolventBundle, block_rows,
-                         certified_real_point, off_sphere, pencil_svals,
-                         random_resolvent_points, resolvent_arrays)
+from .hmat import op_norms, pair_add, pair_matmul, pair_op_norms, pair_sub
+from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
+from .sliceanalysis import sderiv_factor, sderiv_rows
+from .spectrum import cor1_check
+from .sresolvent import (AS_identity_rows, block_rows, certified_real_point,
+                         mixed_eq_rows, off_sphere, pencil_svals, q_eq_rows,
+                         random_resolvent_points, resolvent_arrays,
+                         resolvent_eq_rows)
 
 # The convergent-series rows stop at this fraction of the requested
 # tolerance, leaving headroom between truncation error and the gate.
@@ -105,35 +108,14 @@ def _sample_points(As, rngs):
         "could not sample a pair off each other's spheres")
 
 
-def _scalars(qs):
-    """The quaternions qs as (T, 1, 1) scalar pairs of the pair_* arithmetic."""
-    c1, c2 = hmat.scalar_pairs(np.array(qs, dtype=float).reshape(-1, 4))
-    return c1[:, None, None], c2[:, None, None]
-
-
-def _add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _mul(a, b):
-    return hmat.pair_matmul(*a, *b)
-
-
-def _right(a, qs):
-    return hmat.pair_scale_right(*a, *_scalars(qs))
-
-
 def _chunk_residuals(As, rngs, tol: float, nmax: int) -> list:
     """Relative residuals of every row on each trial (As[t], rngs[t]).
 
     Returns one dict per trial, rows in table order.  Each row is a
     residual (an operator, whose norm is the absolute residual, or that
     number itself) over a scale formed from norms; all operators are
-    (T, n, n) stacked pairs, and one stacked SVD takes every norm the
+    (T, n, n) stacked pairs from the *_rows operations of sresolvent,
+    series and sliceanalysis, and one stacked SVD takes every norm the
     table and the exact remainder's checks read.  The stages run in the
     order a single trial ran them.
     """
@@ -155,79 +137,50 @@ def _chunk_residuals(As, rngs, tol: float, nmax: int) -> list:
             *(x.conj() for x in qd), *q_in], np.tile(own, 7),
         np.concatenate([sv[:, i] for i in (1, 0, 0, 3, 2, 2)]
                        + [pencil_svals(A, q_in, own)]))
-
-    def role(k):  # the bundles of one point of every trial
-        rows = slice(k * T, (k + 1) * T)
-        return tuple((f[0][rows], f[1][rows]) for f in b[:4]) + (
-            (1.0 / b.smallest[rows]).tolist(),)
-
-    (Dp, Qp, Lp, _, nqp), (Dq, Qq, Lq, Rq, nqq), (_, Qqc, _, _, _) = map(
-        role, range(3))
-    (Dr, Qr, Lr, Rr, _), (_, Qd, Ld, _, nqd), (_, _, Ldc, _, _) = map(
-        role, range(3, 6))
-    _, Q_in, L_in, _, nq_in = role(6)
-    states = series.series_states(As, [ResolventBundle(
-        q=r0[t], pencil=QMatrix(Dr[0][t], Dr[1][t]),
-        Q=QMatrix(Qr[0][t], Qr[1][t]),
-        S_left=QMatrix(Lr[0][t], Lr[1][t]),
-        S_right=QMatrix(Rr[0][t], Rr[1][t]),
-        pencil_smallest_singular=float(b.smallest[3 * T + t]))
-        for t in range(T)])
-    tri_qp = [triangle(x, y) for x, y in zip(q, p)]
-    deriv = _right(_sub(Ld, Ldc), [sderiv_factor(x) for x in qd])
-    bound = np.sqrt(b.smallest[:T]).tolist()
-    u_dist = [cassini_dist(x, s_spectrum(M)) for x, M in zip(p, As)]
+    bp, bq, bqc, br, bd, bdc, b_in = (b.rows(k * T, (k + 1) * T)
+                                      for k in range(7))
+    nqp, nqq, nqd, nq_in = ((1.0 / x.smallest).tolist()
+                            for x in (bp, bq, bd, b_in))
+    states = series.series_states(As, [br.bundle(t, r0[t]) for t in range(T)])
+    tri_qp = [abs(triangle(x, y)) for x, y in zip(q, p)]
+    r_pq, r_qp = q_eq_rows(bp, bq)
+    deriv = sderiv_rows(bd.S_left, bdc.S_left, [sderiv_factor(x) for x in qd])
+    u_dist, bound = zip(*(cor1_check(M, bp.bundle(t, x))
+                          for t, (M, x) in enumerate(zip(As, p))))
 
     rtol = SERIES_RTOL_FRACTION * tol
     through = 2 * REMAINDER_ORDER + 1
     results, kept = series._converge(
         [(st, x, False) for st, x in zip(states, q_in)]
         + [(st, x, True) for st, x in zip(states, q_in)], rtol, nmax, through)
-    s_sum, q_sum = ([r[0] for r in part] for part in (results[:T], results[T:]))
-    partial = tuple(np.stack([k[c] for k in kept[:T]]) for c in (0, 1))
-
-    for x, y in zip(q, p):
-        if not off_sphere(x, y, DEGENERATE_REL_TOL):
-            raise DegenerateConfiguration(
-                "p lies on the sphere of q: the mixed identity degenerates")
-    pq, qp = _mul(Qp, Qq), _mul(Qq, Qp)
-    lhs = _sub(Qp, Qq)
-    ddiff = _sub(Dq, Dp)
-    mixed = _sub(Rq, Lp)
-    bracket = _sub(_right(mixed, p), hmat.pair_scale_left(
-        *_scalars([x.conj() for x in q]), *mixed))
-    eye = hmat.identity(As[0].n)
-    B = tuple(np.stack([st.coeff_rows(through + 1, through + 1)[c][0]
-                        for st in states]) for c in (0, 1))
+    s_sum, q_sum, partial = (tuple(np.stack(part) for part in zip(*pairs))
+                             for pairs in ([r[0] for r in results[:T]],
+                                           [r[0] for r in results[T:]],
+                                           kept[:T]))
+    rem, rem_direct = series.remainder_rows(states, b_in.S_left, q_in,
+                                            REMAINDER_ORDER, partial)
+    Lp, Lq, Rq, Qq = bp.S_left, bq.S_left, bq.S_right, bq.Q
     ops = {
-        "two_point": _sub(_sub(Lp, Lq), _add(
-            _right(Qq, [x - y for x, y in zip(q, p)]),
-            _right(_mul(Qq, Lp), tri_qp))),
+        "two_point": resolvent_eq_rows(bp, bq, p, q),
         "Lp": Lp, "Lq": Lq,
-        "pq": _sub(lhs, _mul(ddiff, pq)),
-        "qp": _sub(lhs, _mul(ddiff, qp)),
-        "ddiff": ddiff,
-        "mixed": _sub(_mul(Rq, Lp), _right(bracket, [qinv(x) for x in tri_qp])),
-        "Rq": Rq, "Rq-Lp": mixed,
-        "shift": _add(_sub(_mul(A, Lp), _right(Lp, p)), (eye.a1, eye.a2)),
-        "commute": _sub(_mul(A, Qq), _mul(Qq, A)),
-        "pencils": _sub(pq, qp),
-        "conjugate": _sub(Qq, Qqc),
-        "real": _sub(Lr, Rr),
-        "deriv": _add(deriv, Qd),
-        "series": _sub(tuple(np.stack([s[c] for s in s_sum]) for c in (0, 1)),
-                       L_in),
-        "L_in": L_in,
-        "series_Q": _sub(tuple(np.stack([s[c] for s in q_sum]) for c in (0, 1)),
-                         Q_in),
-        "rem": _right(_mul(B, L_in), [qpow(triangle(st.q0, x),
-                                           REMAINDER_ORDER + 1)
-                                      for st, x in zip(states, q_in)]),
-        "rem_direct": _sub(L_in, partial),
+        "pq": r_pq, "qp": r_qp,
+        "ddiff": pair_sub(*bq.pencil, *bp.pencil),
+        "mixed": mixed_eq_rows(bp, bq, p, q),
+        "Rq": Rq, "Rq-Lp": pair_sub(*Rq, *Lp),
+        "shift": AS_identity_rows(A, bp, p),
+        "commute": pair_sub(*pair_matmul(*A, *Qq), *pair_matmul(*Qq, *A)),
+        "pencils": pair_sub(*pair_matmul(*bp.Q, *Qq), *pair_matmul(*Qq, *bp.Q)),
+        "conjugate": pair_sub(*Qq, *bqc.Q),
+        "real": pair_sub(*br.S_left, *br.S_right),
+        "deriv": pair_add(*deriv, *bd.Q),
+        "series": pair_sub(*s_sum, *b_in.S_left),
+        "L_in": b_in.S_left,
+        "series_Q": pair_sub(*q_sum, *b_in.Q),
+        "rem": rem, "rem_direct": rem_direct,
         "partial": partial,
     }
-    flat = list(hmat.pair_op_norms(np.concatenate([a for a, _ in ops.values()]),
-                                   np.concatenate([a for _, a in ops.values()])))
+    flat = list(pair_op_norms(np.concatenate([a for a, _ in ops.values()]),
+                              np.concatenate([a for _, a in ops.values()])))
     norm = {key: flat[i * T:(i + 1) * T] for i, key in enumerate(ops)}
     norm_A = op_norms(As)
     norm_Lr = op_norms([st.bundle0.S_left for st in states])
@@ -237,7 +190,7 @@ def _chunk_residuals(As, rngs, tol: float, nmax: int) -> list:
         rem, direct_err = series.check_remainder(
             states[t], q_in[t], REMAINDER_ORDER,
             [N["rem"], N["rem_direct"], N["L_in"], N["partial"]])
-        tri = abs(tri_qp[t])
+        tri = tri_qp[t]
         sp, a = N["Lp"], norm_A[t]
         q_scale = 1.0 + nqp[t] + nqq[t] + N["ddiff"] * nqp[t] * nqq[t]
         rows.append({

@@ -430,3 +430,68 @@ def test_bundles_refuse_a_point_whose_norm_Q_overflows(scale):
     b = resolvent_bundle(QMatrix.from_entries([[[0, 1e-150, 0, 0]]]),
                          Quaternion(3e-150))
     assert math.isfinite(b.norm_Q) and b.radius > 0.0
+
+
+# --- stacked residuals -------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_residual_rows_equal_their_one_bundle_residuals(n):
+    # row t of a stack of several matrices' bundles gives matrix t its
+    # one-bundle residuals bit for bit, and these repeat the QMatrix
+    # expressions of the identities
+    rng = np.random.default_rng(71 + n)
+    As = [random_qmatrix(n, rng) for _ in range(3)]
+    p = [random_resolvent_point(A, rng) for A in As]
+    q = [random_resolvent_point(A, rng, require_nonreal=True) for A in As]
+    pair = (np.stack([A.a1 for A in As]), np.stack([A.a2 for A in As]))
+    b = sresolvent.resolvent_arrays(pair, p + q, np.tile(np.arange(3), 2))
+    bp, bq = b.rows(0, 3), b.rows(3, 6)
+    eq = sresolvent.resolvent_eq_rows(bp, bq, p, q)
+    r_pq, r_qp = sresolvent.q_eq_rows(bp, bq)
+    mixed = sresolvent.mixed_eq_rows(bp, bq, p, q)
+    shift = sresolvent.AS_identity_rows(pair, bp, p)
+    eye = QMatrix.identity(n)
+    for t, (A, x, y) in enumerate(zip(As, p, q)):
+        P, R = resolvent_bundle(A, x), resolvent_bundle(A, y)
+        one_pq, one_qp = residual_q_eq(P, R)
+        for got, one in ((eq, residual_resolvent_eq(P, R)), (r_pq, one_pq),
+                         (r_qp, one_qp), (mixed, residual_mixed_eq(P, R)),
+                         (shift, residual_AS_identity(A, P))):
+            assert same_matrix(QMatrix(got[0][t], got[1][t]), one)
+        assert same_matrix(residual_resolvent_eq(P, R), (
+            P.S_left - R.S_left) - (R.Q.scale_right(y - x) + (
+                R.Q @ P.S_left).scale_right(triangle(y, x))))
+        lhs, ddiff = P.Q - R.Q, R.pencil - P.pencil
+        assert same_matrix(one_pq, lhs - ddiff @ (P.Q @ R.Q))
+        assert same_matrix(one_qp, lhs - ddiff @ (R.Q @ P.Q))
+        diff = R.S_right - P.S_left
+        assert same_matrix(residual_mixed_eq(P, R), R.S_right @ P.S_left - (
+            diff.scale_right(x) - diff.scale_left(y.conj())).scale_right(
+                qinv(triangle(y, x))))
+        assert same_matrix(residual_AS_identity(A, P),
+                           A @ P.S_left - P.S_left.scale_right(x) + eye)
+
+
+def test_residual_rows_refuse_their_first_failing_row():
+    A = random_qmatrix(2, np.random.default_rng(73))
+    x, y = Quaternion(3.0, 1.0), Quaternion(2.0, 0.5, 0.5)
+    # row 0 is off the sphere, row 1 (p = conj(q)) is on it
+    with pytest.raises(DegenerateConfiguration, match="degenerates"):
+        sresolvent.mixed_eq_rows(sresolvent.resolvent_arrays(A, [x, x]),
+                                 sresolvent.resolvent_arrays(A, [y, x.conj()]),
+                                 [x, x], [y, x.conj()])
+    # rows 1 and 2 overflow: the shift pairing names row 1, as its
+    # one-bundle case does
+    big = QMatrix.from_entries([[[1, 1, 1e-8, 1e154]]])
+    small = QMatrix.from_entries([[[1, 1, 0, 0]]])
+    far = Quaternion(1.0, 0.0, 0.0, -1e154)
+    pts = [Quaternion(5.0), far, Quaternion(1.0, 0.0, 1e100, -1e154)]
+    pair = (np.stack([small.a1, big.a1, big.a1]),
+            np.stack([small.a2, big.a2, big.a2]))
+    rows = sresolvent.resolvent_arrays(pair, pts, np.arange(3))
+    with pytest.raises(QuatspecError) as got:
+        sresolvent.AS_identity_rows(pair, rows, pts)
+    with pytest.raises(QuatspecError) as one:
+        residual_AS_identity(big, resolvent_bundle(big, far))
+    assert str(got.value) == str(one.value) == (
+        "the shift-pairing residual overflows at q = (1, 0, 0, -1e+154)")
