@@ -337,7 +337,7 @@ def _bundle_blocks(A, points, owner=None, sv=None):
             R1, R2 = hmat.pair_matmul(r1 - b1, r2 - b2, Q1, Q2)
             # a finite sum has finite terms; an entry of Q that is not
             # finite makes its row and column of both S-resolvents so
-            total = L1.sum() + L2.sum() + R1.sum() + R2.sum()
+            total = (L1 + L2 + R1 + R2).sum()
         if not cmath.isfinite(total):
             k = min(hmat.finite_rows(L1, L2), hmat.finite_rows(R1, R2))
             if k < len(M):
