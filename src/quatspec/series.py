@@ -258,9 +258,9 @@ class _Stack:
             for j, ((r1, r2), p, size) in enumerate(zip(rows, pts, sizes)):
                 b1[j, :size], b2[j, :size], padded[j, :size] = r1, r2, p
             pts = padded
-        out = _block_sums(b1, b2, pts,
-                          [(lo + self.odd[s]) % 2 for s, lo in zip(which, los)],
-                          tuple(c[which] for c in self.carry))
+        # series which[j] negates every other row from (los[j] + odd) % 2
+        neg = _parity(m)[[(lo + self.odd[s]) % 2 for s, lo in zip(which, los)]]
+        out = _block_sums(b1, b2, pts, neg, tuple(c[which] for c in self.carry))
         last = np.array(sizes) - 1
         for c, p in zip(self.carry, out[2:]):
             c[which] = p[np.arange(k), last]
@@ -273,15 +273,16 @@ def _parity(m: int) -> np.ndarray:
     return (np.arange(m) % 2 == np.array([[0], [1]]))[:, :, None, None]
 
 
-def _block_sums(b1, b2, pts, first, carry):
-    """The terms and partial sums of one block of each series of a stack.
+def _block_sums(b1, b2, pts, neg, carry):
+    """The terms and partial sums of one block of one series or a stack.
 
-    Row [j, i] of the (k, m, n, n) pair (b1, b2) holds the coefficient
-    B_{n+1}, and of the (k, m, 4) array pts the basis quaternion, of
-    index i of series j's block.  Series j negates its rows first[j],
-    first[j] + 2, ... and starts from its carried partial sum, row j of
-    the pair carry of (k, n, n) arrays (or scalars for every series).
-    Returns (t1, t2, p1, p2), each (k, m, n, n): (t1, t2) the unsigned
+    Row i of the (m, n, n) pair (b1, b2) holds the coefficient B_{n+1},
+    and of the (m, 4) array pts the basis quaternion, of index i of the
+    block; the series negates the rows i where the (m, 1, 1) mask neg (a
+    row of _parity(m)) is set, and starts from its carried partial sum,
+    the pair carry.  A stack of k series puts a leading axis of length k
+    on every array, neg and carry included, row j holding series j.
+    Returns (t1, t2, p1, p2), shaped like (b1, b2): (t1, t2) the unsigned
     terms B_{n+1} * basis[n], one broadcast scale_right over per-index
     scalars, and (p1, p2) the partial sums through each index, a
     cumulative sum of the signed terms.  Adding a negated term is
@@ -290,17 +291,15 @@ def _block_sums(b1, b2, pts, first, carry):
     whatever the blocks and the stack.  Rows past a stopping index are
     computed, so overflow in them is not warned about.
     """
-    k, m = pts.shape[:2]
-    c1, c2 = (c.reshape(k, m, 1, 1)
+    c1, c2 = (c.reshape(pts.shape[:-1] + (1, 1))
               for c in hmat.scalar_pairs(pts.reshape(-1, 4)))
-    neg = _parity(m)[first]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = hmat.pair_scale_right(b1, b2, c1, c2)
         partials = tuple(t.copy() for t in terms)
         for p, c in zip(partials, carry):
             np.negative(p, out=p, where=neg)
-            p[:, 0] += c
-            np.add.accumulate(p, axis=1, out=p)
+            p[..., 0, :, :] += c
+            np.add.accumulate(p, axis=-3, out=p)
     return (*terms, *partials)
 
 
@@ -310,9 +309,8 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
     path of the report rule, term_norms and _partial_through.
 
     Yields (lo, t1, t2, p1, p2) for consecutive blocks n = lo..hi, the
-    _block_sums of a stack of this one series, as (m, n, n) arrays: (t1,
-    t2) stacks the unsigned terms and (p1, p2) the partial sums through
-    each n.  The resolvent series (basis spherical_powers) subtracts the odd-indexed
+    _block_sums of the one series on (m, n, n) arrays: (t1, t2) stacks
+    the unsigned terms and (p1, p2) the partial sums through each n.  The resolvent series (basis spherical_powers) subtracts the odd-indexed
     terms, the derivative series (derivative=True, basis
     spherical_power_sderivs) the even ones.  A block takes at most
     sresolvent.block_rows(n) indices, the rule the pencils follow, which
@@ -328,12 +326,12 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
         hi = ends(lo, min(last, lo + cap - 1))
         m = hi + 1 - lo
         pts = np.fromiter(chain.from_iterable(islice(basis, m)), float,
-                          count=4 * m).reshape(1, m, 4)
-        b1, b2 = state.coeff_rows(lo + 1, hi + 1)
-        t1, t2, p1, p2 = _block_sums(b1[None], b2[None], pts,
-                                     [(lo + (not derivative)) % 2], carry)
-        carry = (p1[:, -1], p2[:, -1])
-        yield lo, t1[0], t2[0], p1[0], p2[0]
+                          count=4 * m).reshape(m, 4)
+        t1, t2, p1, p2 = _block_sums(*state.coeff_rows(lo + 1, hi + 1), pts,
+                                     _parity(m)[(lo + (not derivative)) % 2],
+                                     carry)
+        carry = (p1[-1], p2[-1])
+        yield lo, t1, t2, p1, p2
         lo = hi + 1
 
 
