@@ -13,8 +13,12 @@ spectra are computed through chi, which makes them equal to the native
 quaternionic quantities because vec is a bijective isometry.
 
 A QMatrix is immutable (its arrays are read-only), and op_norm stores the
-operator norm on the matrix after one SVD (op_norms: one stacked SVD for
-a list), so every later ||A|| is that same float.
+operator norm on the matrix after one call of the norm kernel
+top_singular (op_norms: one stacked call for a list), so every later ||A||
+is that same float.  The kernel takes sigma_max from the largest
+eigenvalue of the Gram matrix of each chi image, scaled by its own power
+of two; np.linalg.svd runs only where every singular value is needed,
+on the pencils (their sigma_min and the singularity test nonsingular).
 
 Matrices act on column vectors from the left, so they are right-linear:
 A(x*q) = (A x)*q.  The product of an operator with a quaternion scalar is
@@ -59,15 +63,14 @@ def _scalar_pair(q: Quaternion):
 # stacks through them.
 
 def scalar_pairs(pts: np.ndarray):
-    """The pairs (w + x*i, y + z*i) of the rows of a (k, 4) float array.
+    """The pairs (w + x*i, y + z*i) of the rows of a (..., 4) float array,
+    each of shape (...).
 
-    The parts are assigned, not summed, so signed zeros survive as they do
-    in complex(w, x).
+    The pairs are the rows' own bits read as complex numbers, not sums,
+    so signed zeros survive as they do in complex(w, x).
     """
-    c1 = np.empty(len(pts), dtype=complex)
-    c2 = np.empty(len(pts), dtype=complex)
-    c1.real, c1.imag, c2.real, c2.imag = pts.T
-    return c1, c2
+    pair = np.ascontiguousarray(pts, dtype=float).view(complex)
+    return pair[..., 0], pair[..., 1]
 
 
 def pair_matmul(a1, a2, b1, b2):
@@ -233,17 +236,17 @@ def pair_from_chi(M: np.ndarray):
 def op_norm(A: QMatrix) -> float:
     """Operator norm sup{||A x|| : ||x|| <= 1} = largest singular value of chi(A).
 
-    The first call takes one SVD and stores the value on A; later calls
-    return that float.  A matrix that is not finite raises LinAlgError
-    before LAPACK sees it: on an inf, LAPACK would print to file
-    descriptor 1, past sys.stdout, and return nan.
+    The first call takes the norm kernel (top_singular) and stores the
+    value on A; later calls return that float.  A matrix that is not
+    finite raises LinAlgError before LAPACK sees it: on an inf, LAPACK
+    would print to file descriptor 1, past sys.stdout, and return nan.
     """
     if A._norm is None:
-        M = chi(A)
-        if not np.isfinite(M).all():
+        norms = top_singular(A.a1[None], A.a2[None])
+        if not len(norms):
             raise np.linalg.LinAlgError(
                 "a matrix that is not finite has no operator norm")
-        A._norm = float(np.linalg.svd(M, compute_uv=False)[0])
+        A._norm = float(norms[0])
     return A._norm
 
 
@@ -270,17 +273,72 @@ def finite_rows(a1, a2) -> int:
     return len(finite) if finite.all() else int(np.argmin(finite))
 
 
+# top_singular scales a chi image whose largest real or imaginary part,
+# its top, lies outside [2**-UNSCALED_EXPONENT, 2**UNSCALED_EXPONENT) by a
+# power of two, and leaves the others as they are: their Gram entries lie
+# between 2**-404 and 2**409 for n <= 8, inside the range where LAPACK's
+# eigvalsh works without scaling of its own, and the parts more than
+# 2**874 below the top that underflow in them move no norm by a rounding.
+UNSCALED_EXPONENT = 200
+
+
+def top_singular(a1, a2) -> np.ndarray:
+    """The largest singular value of chi of each matrix of a (k, n, n)
+    stacked pair, up to its first matrix that is not finite.
+
+    The norm kernel: sigma_max = sqrt(lambda_max(M^H M)), with M the chi
+    image, from one stacked eigvalsh.  The product M^H M rounds each entry
+    by at most gamma_2n * (|M|^H |M|) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.5), at most about
+    4n**2 * eps * sigma_max**2 in norm and far less in practice, so
+    lambda_max keeps its relative accuracy; the small singular values do
+    not survive the squaring, which is why the pencils' sigma_min (and
+    every test that needs all singular values) keeps its SVD.
+
+    Each M is scaled by its own power of two 2**-e before M^H M is formed,
+    and the root scaled back by 2**e, both exact (ldexp): e = 0 while its
+    top (largest real or imaginary part) lies in the unscaled range of
+    UNSCALED_EXPONENT, and otherwise 2**(e-1) <= top < 2**e, so that M^H
+    M neither overflows nor loses its top to underflow from subnormal
+    entries to 1.8e308.  The scale is decided per matrix, so a matrix gets
+    the same bits in any stack, and a stack whose matrices all lie in the
+    unscaled range takes no ldexp.  The same max reduction over each
+    matrix's parts tests finiteness: a NaN or inf makes it fail, and the
+    norms stop before that matrix, whose rows no LAPACK call sees.  Norms
+    past the float range come back as inf without a warning, as the SVD
+    gave them.
+    """
+    M = pair_chi(a1, a2)
+    v = M.view(float)
+    k, rows, cols = v.shape
+    top = np.abs(v).reshape(k, rows * cols).max(axis=1)
+    # NaN fails both comparisons, inf the second
+    if (2.0 ** -UNSCALED_EXPONENT <= top.min(initial=np.inf)
+            and top.max(initial=0.0) < 2.0 ** UNSCALED_EXPONENT):
+        return np.sqrt(np.linalg.eigvalsh(M.mT.conj() @ M)[:, -1])
+    fits = top < np.inf
+    if not fits.all():
+        f = int(np.argmin(fits))
+        M, v, top = M[:f], v[:f], top[:f]
+    e = np.frexp(top)[1]
+    e[(2.0 ** -UNSCALED_EXPONENT <= top)
+      & (top < 2.0 ** UNSCALED_EXPONENT)] = 0
+    np.ldexp(v, -e[:, None, None], out=v)
+    root = np.sqrt(np.linalg.eigvalsh(M.mT.conj() @ M)[:, -1])
+    with np.errstate(over="ignore"):
+        return np.ldexp(root, e)
+
+
 def pair_op_norms(a1, a2):
     """op_norm of each matrix of a (k, n, n) stacked pair, in order.
 
     An iterator of floats.  The matrices before the first non-finite one
-    take one stacked SVD; that one raises LinAlgError, as in op_norm, when
-    it is reached.
+    take one top_singular call; that one raises LinAlgError, as in
+    op_norm, when it is reached.
     """
-    f = finite_rows(a1, a2)
-    yield from np.linalg.svd(pair_chi(a1[:f], a2[:f]),
-                             compute_uv=False)[:, 0].tolist()
-    if f < len(a1):
+    norms = top_singular(a1, a2)
+    yield from norms.tolist()
+    if len(norms) < len(a1):
         raise np.linalg.LinAlgError(
             "a matrix that is not finite has no operator norm")
 

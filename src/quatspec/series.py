@@ -1,8 +1,7 @@
 """Spherical series expansion of the left S-resolvent around a center q0.
 
-With B_1 = S_left(q0), B_2 = Q(q0) and the recurrence B_{n+2} = Q(q0) @ B_n
-(so B_{2k} = Q^k and B_{2k+1} = Q^k @ S_left(q0)), the left S-resolvent
-admits the expansion
+With B_1 = S_left(q0), B_2 = Q(q0), B_{2k} = Q^k and B_{2k+1} =
+Q^k @ S_left(q0), the left S-resolvent admits the expansion
 
     S_left(q) = sum_{n>=0} (-1)**n * B_{n+1} * spherical_power(q0, n, q),
 
@@ -26,11 +25,13 @@ whose norm never exceeds ||S_left(q)|| * rho**(N+1).
 One block arithmetic produces every term, for every reader of the series
 (converge_series_S/Q, residual_report, remainder_exact, verify, and the
 diagnostics eval_series_S and term_norms).  B_1, B_2, ... are two stacked
-complex arrays, extended two at a time with the QMatrix product formula
-on raw arrays, for one SeriesState or (series_states) for many at once
-in one stacked product per step.  A block of indices takes its basis
-quaternions from the streams of quatcore (one quaternion product per
-index), its terms from one broadcast scale_right over per-index scalars,
+complex arrays, extended by doubling, B_n = B_h @ B_{n-h} with h the
+largest power of two below n, so the indices h+1..2h are one stacked
+QMatrix product on raw arrays and B_1..B_m take about log2(m) products,
+for one SeriesState or (series_states) for many at once; B_n has the
+same bits however the store was extended.  A block of indices takes its
+basis quaternions from the streams of quatcore (one quaternion product
+per index), its terms from one broadcast scale_right over per-index scalars,
 and its partial sums from a cumulative sum of the signed terms carried on
 from the previous block, so a run through N costs O(N) and its partial
 sums equal those of the term-by-term definition bit for bit; one
@@ -40,8 +41,9 @@ as many indices as a block of pencils (sresolvent.block_rows); the
 library rule runs a stack of series (_Stack), each at its own state and
 point with its own basis, tail bound and stop, all advanced together a
 round at a time, one block of each series per round, so a stack takes
-the SVDs of a round's screens, and its stacked arithmetic, once for all
-of its series.  The exact remainder's operators (remainder_rows) are
+the norms of a round's screens, and its stacked arithmetic, once for all
+of its series.  Every norm is one stacked call of the norm kernel
+(hmat.top_singular, an eigvalsh of scaled Gram matrices).  The exact remainder's operators (remainder_rows) are
 likewise formed for a stack of expansions at once, remainder_exact being
 the one-expansion case.
 One function, _tails, gives both series' tail bounds as scalar loops
@@ -53,13 +55,14 @@ Two stopping rules read the series:
   stop at the first N whose tail bound is <= rtol * (1 + ||partial_N||),
   checked at every N in order.  It needs no direct resolvent at q; a
   Frobenius majorant of ||partial_N||, taken over the whole round,
-  decides which N get an SVD, and those take one stacked SVD;
+  decides which N get a norm, and those take one kernel call;
 - the report rule (residual_report, behind `quatspec series`): stop at
   the first N with ||partial_N - S_left(q)|| <= tol against the directly
-  inverted S_left(q).  Each block takes two stacked SVDs, the residuals
+  inverted S_left(q).  Each block takes two kernel calls, the residuals
   and the term norms: the Frobenius majorant of each residual ends the
-  residual SVD at the first row it proves <= tol, and the first residual
-  <= tol ends the term SVD, so only printed rows take a term norm.
+  residual norms at the first row it proves <= tol, and the first
+  residual <= tol ends the term norms, so only printed rows take a term
+  norm.
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ ROUND_BLOCKS = 4
 
 # Relative inflation of the Frobenius majorant in the screens of the tail
 # rule and of the residual report.  For a rank-one matrix the majorant
-# equals the operator norm, and the SVD may round above it; the margin is
-# far above that rounding for chi images up to 16 x 16.
+# equals the operator norm, and the norm kernel may round above it; the
+# margin is far above that rounding for chi images up to 16 x 16.
 SCREEN_MARGIN = 1e-12
 
 
@@ -111,11 +114,15 @@ class _Coefficients:
 
     Kept as two stacked (count, T, n, n) complex arrays, B_n of expansion
     t at [n - 1, t] ((count, n, n) for a single expansion), and extended
-    two indices at a time for all T by one stacked product: B_1 =
-    S_left(q0), B_2 = Q, B_{k+2} = Q @ B_k.  Each matrix of a stacked
-    product equals its own product bit for bit.  A B_n past the float
-    range is stored as it comes, without a warning: the series readers
-    check their terms and partial sums for finiteness.
+    for all T at once by doubling: B_1 = S_left(q0), B_2 = Q and, for
+    n > 2, B_n = B_h @ B_{n-h} with h the largest power of two below n
+    (B_h = Q^(h/2)), so the indices h+1..2h are one stacked product of
+    B_h with B_1..B_h, and B_1..B_m take about log2(m) products.  B_n is
+    a function of n alone: each matrix of a stacked product equals its
+    own product bit for bit, so extending one index at a time, to m in
+    one call, or for a stack of expansions gives the same bits.  A B_n
+    past the float range is stored as it comes, without a warning: the
+    series readers check their terms and partial sums for finiteness.
     """
 
     def __init__(self, bundles):
@@ -132,10 +139,10 @@ class _Coefficients:
     def _extend(self, m: int) -> None:
         k = self.count
         if self.b1 is None:
-            self.Q = _stacked([(b.Q.a1, b.Q.a2) for b in self.bundles])
-            self.S = _stacked([(b.S_left.a1, b.S_left.a2)
-                               for b in self.bundles])
-            self.b1 = self.b2 = self.Q[0][None][:0]
+            Q = _stacked([(b.Q.a1, b.Q.a2) for b in self.bundles])
+            S = _stacked([(b.S_left.a1, b.S_left.a2) for b in self.bundles])
+            self.b1, self.b2 = (np.stack(pair) for pair in zip(S, Q))
+            k = 2
         if m > len(self.b1):
             cap = max(m, 2 * len(self.b1))
             grown = []
@@ -145,16 +152,13 @@ class _Coefficients:
                 grown.append(new)
             self.b1, self.b2 = grown
         b1, b2 = self.b1, self.b2
-        Q1, Q2 = self.Q
-        for i, (B1, B2) in ((0, self.S), (1, self.Q)):
-            if k == i < m:
-                b1[i], b2[i] = B1, B2
-                k += 1
         with np.errstate(over="ignore", invalid="ignore"):
             while k < m:
-                j = min(k + 2, m)
-                b1[k:j], b2[k:j] = hmat.pair_matmul(Q1, Q2, b1[k - 2:j - 2],
-                                                    b2[k - 2:j - 2])
+                # row k holds B_(k+1); h is the largest power of two <= k
+                h = 1 << (k.bit_length() - 1)
+                j = min(2 * h, m)
+                b1[k:j], b2[k:j] = hmat.pair_matmul(
+                    b1[h - 1], b2[h - 1], b1[k - h:j - h], b2[k - h:j - h])
                 k = j
         self.count = k
 
@@ -163,9 +167,9 @@ class _Coefficients:
 class SeriesState:
     """Expansion center data: the center's resolvent bundle, R and B_n.
 
-    B_1, B_2, ... are kept as two stacked complex arrays, extended two
-    rows at a time by the recurrence, on their own or (series_states)
-    together with those of other expansions.
+    B_1, B_2, ... are kept as two stacked complex arrays, extended by
+    doubling (_Coefficients), on their own or (series_states) together
+    with those of other expansions.
     """
 
     A: QMatrix
@@ -204,7 +208,7 @@ def series_init(A: QMatrix, q0: Quaternion) -> SeriesState:
 def series_states(As, bundles) -> list:
     """The SeriesState of each matrix of As (all of one size) about its
     bundle's point, their B_n extended together: reading any one's
-    extends all of them, one stacked product per two indices."""
+    extends all of them, one stacked product per power of two."""
     states = [SeriesState(A, b) for A, b in zip(As, bundles)]
     if len(states) > 1:
         store = _Coefficients(bundles)
@@ -248,29 +252,32 @@ class _Stack:
         pts = [np.fromiter(chain.from_iterable(islice(self.bases[s], size)),
                            float, count=4 * size).reshape(size, 4)
                for s, size in zip(which, sizes)]
+        # the block runs on (m, k, ...) arrays, index axis first
         if k == 1:
-            (b1, b2), pts = (r[None] for r in rows[0]), pts[0][None]
+            (b1, b2), pts = (r[:, None] for r in rows[0]), pts[0][:, None]
         else:
-            shape = (k, m) + rows[0][0].shape[1:]
+            shape = (m, k) + rows[0][0].shape[1:]
             b1, b2 = np.zeros(shape, dtype=complex), np.zeros(shape,
                                                              dtype=complex)
-            padded = np.zeros((k, m, 4))
+            padded = np.zeros((m, k, 4))
             for j, ((r1, r2), p, size) in enumerate(zip(rows, pts, sizes)):
-                b1[j, :size], b2[j, :size], padded[j, :size] = r1, r2, p
+                b1[:size, j], b2[:size, j], padded[:size, j] = r1, r2, p
             pts = padded
         # series which[j] negates every other row from (los[j] + odd) % 2
-        neg = _parity(m)[[(lo + self.odd[s]) % 2 for s, lo in zip(which, los)]]
+        neg = _parity(m)[:, [(lo + self.odd[s]) % 2
+                             for s, lo in zip(which, los)]]
         out = _block_sums(b1, b2, pts, neg, tuple(c[which] for c in self.carry))
         last = np.array(sizes) - 1
         for c, p in zip(self.carry, out[2:]):
-            c[which] = p[np.arange(k), last]
-        return out
+            c[which] = p[last, np.arange(k)]
+        return tuple(a.swapaxes(0, 1) for a in out)
 
 
 @functools.lru_cache(maxsize=64)
 def _parity(m: int) -> np.ndarray:
-    """The (2, m, 1, 1) masks of the rows i < m with i % 2 == 0 and == 1."""
-    return (np.arange(m) % 2 == np.array([[0], [1]]))[:, :, None, None]
+    """The (m, 2, 1, 1) masks of the rows i < m with i % 2 == 0 (column 0)
+    and i % 2 == 1 (column 1)."""
+    return (np.arange(m)[:, None] % 2 == np.arange(2))[:, :, None, None]
 
 
 def _block_sums(b1, b2, pts, neg, carry):
@@ -279,27 +286,27 @@ def _block_sums(b1, b2, pts, neg, carry):
     Row i of the (m, n, n) pair (b1, b2) holds the coefficient B_{n+1},
     and of the (m, 4) array pts the basis quaternion, of index i of the
     block; the series negates the rows i where the (m, 1, 1) mask neg (a
-    row of _parity(m)) is set, and starts from its carried partial sum,
-    the pair carry.  A stack of k series puts a leading axis of length k
-    on every array, neg and carry included, row j holding series j.
-    Returns (t1, t2, p1, p2), shaped like (b1, b2): (t1, t2) the unsigned
-    terms B_{n+1} * basis[n], one broadcast scale_right over per-index
-    scalars, and (p1, p2) the partial sums through each index, a
-    cumulative sum of the signed terms.  Adding a negated term is
-    subtracting it in IEEE arithmetic, and np.add.accumulate adds in index
-    order, so every partial equals the term-by-term sum bit for bit,
-    whatever the blocks and the stack.  Rows past a stopping index are
-    computed, so overflow in them is not warned about.
+    column of _parity(m)) is set, and starts from its carried partial
+    sum, the pair carry.  A stack of k series puts an axis of length k
+    after the index axis of every array, (m, k, n, n), neg (m, k, 1, 1)
+    and carry (k, n, n) included, column j holding series j.  Returns (t1,
+    t2, p1, p2), shaped like (b1, b2): (t1, t2) the unsigned terms
+    B_{n+1} * basis[n], one broadcast scale_right over per-index scalars,
+    and (p1, p2) the partial sums through each index, a cumulative sum of
+    the signed terms.  Adding a negated term is subtracting it in IEEE
+    arithmetic, and np.add.accumulate adds in index order, so every
+    partial equals the term-by-term sum bit for bit, whatever the blocks
+    and the stack.  Rows past a stopping index are computed, so overflow
+    in them is not warned about.
     """
-    c1, c2 = (c.reshape(pts.shape[:-1] + (1, 1))
-              for c in hmat.scalar_pairs(pts.reshape(-1, 4)))
+    c1, c2 = (c[..., None, None] for c in hmat.scalar_pairs(pts))
     with np.errstate(over="ignore", invalid="ignore"):
         terms = hmat.pair_scale_right(b1, b2, c1, c2)
         partials = tuple(t.copy() for t in terms)
         for p, c in zip(partials, carry):
             np.negative(p, out=p, where=neg)
-            p[..., 0, :, :] += c
-            np.add.accumulate(p, axis=-3, out=p)
+            p[0] += c
+            np.add.accumulate(p, axis=0, out=p)
     return (*terms, *partials)
 
 
@@ -310,7 +317,8 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
 
     Yields (lo, t1, t2, p1, p2) for consecutive blocks n = lo..hi, the
     _block_sums of the one series on (m, n, n) arrays: (t1, t2) stacks
-    the unsigned terms and (p1, p2) the partial sums through each n.  The resolvent series (basis spherical_powers) subtracts the odd-indexed
+    the unsigned terms and (p1, p2) the partial sums through each n.  The
+    resolvent series (basis spherical_powers) subtracts the odd-indexed
     terms, the derivative series (derivative=True, basis
     spherical_power_sderivs) the even ones.  A block takes at most
     sresolvent.block_rows(n) indices, the rule the pencils follow, which
@@ -327,9 +335,9 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
         m = hi + 1 - lo
         pts = np.fromiter(chain.from_iterable(islice(basis, m)), float,
                           count=4 * m).reshape(m, 4)
+        neg = _parity(m)[:, (lo + (not derivative)) % 2]
         t1, t2, p1, p2 = _block_sums(*state.coeff_rows(lo + 1, hi + 1), pts,
-                                     _parity(m)[(lo + (not derivative)) % 2],
-                                     carry)
+                                     neg, carry)
         carry = (p1[-1], p2[-1])
         yield lo, t1, t2, p1, p2
         lo = hi + 1
@@ -477,7 +485,7 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     against each other, and the closed form against its majorant
     ||S_left(q)|| * rho**(N+1) (check_remainder); a failure of either
     internal consistency check raises QuatspecError.  The four norms take
-    one stacked SVD.
+    one kernel call.
     """
     if N < 0:
         raise InputError("truncation index must be >= 0")
@@ -507,14 +515,14 @@ def tail_rule(t: np.ndarray, rtol: float, p1, p2) -> np.ndarray:
     """The library stopping rule t <= rtol * (1 + ||partial||), per row.
 
     Rows are stacked partial sums (p1, p2) with their tail bounds t;
-    returns whether each passes.  Each ||partial|| takes an SVD, so rows
+    returns whether each passes.  Each ||partial|| takes a norm, so rows
     are screened first by the majorant
     sqrt(||a1||_F**2 + ||a2||_F**2) >= ||partial||: chi(partial) has its
     singular values in equal pairs, so twice the largest one squared is
     at most its squared Frobenius norm 2 * (||a1||_F**2 + ||a2||_F**2).
     The majorant is inflated by SCREEN_MARGIN so that rounding in either
     norm never skips a row that the exact norm would pass; the rows left
-    take one stacked SVD, and the verdict is the unscreened one.
+    take one kernel call, and the verdict is the unscreened one.
     """
     rows = np.flatnonzero(~(t > rtol * (1.0 + _majorants(p1, p2))))
     norms = np.fromiter(hmat.pair_op_norms(p1[rows], p2[rows]), float,
@@ -543,7 +551,7 @@ def _converge(runs, rtol, nmax, through=-1):
     norm of B_1 would have failed first.  The series advance together:
     each round takes one block of every series still running, at most
     block_rows(n) indices each and ROUND_BLOCKS * block_rows(n) in all,
-    and the rows the screens of a round leave take one stacked SVD, so a
+    and the rows the screens of a round leave take one kernel call, so a
     series' N, partial and tail do not depend on the stack.
     """
     for state, q, _ in runs:
@@ -633,17 +641,17 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
     bound, so the first block ends where that reaches tol, and
     each later block doubles the rows so far.
 
-    A block takes two stacked SVDs, the residuals and the term norms.  Its
-    residuals are screened by their Frobenius majorants (see tail_rule):
-    the first row whose majorant is <= tol has a residual <= tol, so the
-    residual SVD runs through that row, and the term SVD through the
-    first residual <= tol among them.  Where squares of tiny entries
-    underflow, a majorant can pass a row that the SVD does not; the
-    block then takes the residuals of its remaining rows before it
-    decides.  Every number is the row's own stacked SVD, whatever the
-    screen decides.  No domain gate.  The rows also end, unconverged,
+    A block takes two kernel calls, the residuals and the term norms.
+    Its residuals are screened by their Frobenius majorants (see
+    tail_rule): the first row whose majorant is <= tol has a residual <=
+    tol, so the residual norms run through that row, and the term norms
+    through the first residual <= tol among them.  Where squares of tiny
+    entries underflow, a majorant can pass a row that the norm does not;
+    the block then takes the residuals of its remaining rows before it
+    decides.  Every number is the row's own norm, the same bits in any
+    stack, whatever the screen decides.  No domain gate.  The rows also end, unconverged,
     before the first residual that is not finite, which a term or partial
-    sum that is not finite makes so: no SVD is taken of such a matrix.
+    sum that is not finite makes so: no norm is taken of such a matrix.
     """
     rows = []
     if nmax < 0:

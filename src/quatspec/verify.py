@@ -4,7 +4,7 @@ Each trial draws a fresh random matrix and well-conditioned evaluation
 points, evaluates both sides of every identity the package implements,
 and records the relative residual.  Trials run in chunks of
 chunk_trials(n), and each stage takes all trials of a chunk at once:
-one stacked SVD takes the matrices' norms; one random_resolvent_points
+one norm kernel call takes the matrices' norms; one random_resolvent_points
 call draws every trial's points, testing each round of draws in one
 pencil SVD stack that also gives each trial's series radius; one
 resolvent_arrays call builds the seven bundles of every trial, reading
@@ -15,10 +15,11 @@ remainder's; the identity table takes each identity from the stacked
 operation that its one-bundle library form wraps
 (sresolvent.resolvent_eq_rows, q_eq_rows, mixed_eq_rows and
 AS_identity_rows, series.remainder_rows, sliceanalysis.sderiv_rows), on
-(T, n, n) stacks with per-trial points, and one stacked SVD takes every
-norm it and the exact remainder's checks read.  So the calls grow with
-the chunks, not the trials: `verify --n 4 --trials 50 --seed 42` (two
-chunks) takes 13 SVDs and 2 inverses.  Stacking changes no bit: every
+(T, n, n) stacks with per-trial points, and one norm kernel call
+(hmat.top_singular) takes every norm it and the exact remainder's checks
+read.  So the calls grow with the chunks, not the trials: `verify --n 4
+--trials 50 --seed 42` (two chunks) takes 4 pencil SVDs, 9 kernel calls
+and 2 inverses.  Stacking changes no bit: every
 trial's residuals equal those of the trial alone.  A chunk whose stacked
 run raises is run again one trial at a time, so the error raised is that
 of the first trial that fails, as in a loop over trials.
@@ -115,8 +116,8 @@ def _chunk_residuals(As, rngs, tol: float, nmax: int) -> list:
     residual (an operator, whose norm is the absolute residual, or that
     number itself) over a scale formed from norms; all operators are
     (T, n, n) stacked pairs from the *_rows operations of sresolvent,
-    series and sliceanalysis, and one stacked SVD takes every norm the
-    table and the exact remainder's checks read.  The stages run in the
+    series and sliceanalysis, and one norm kernel call takes every norm
+    the table and the exact remainder's checks read.  The stages run in the
     order a single trial ran them.
     """
     T = len(As)

@@ -108,6 +108,28 @@ def sequential_off_sphere_pair(A: QMatrix, rng):
         "could not sample a pair off each other's spheres")
 
 
+def svd_op_norms(a1, a2) -> np.ndarray:
+    """The operator norm of each matrix of a (k, n, n) stacked pair as the
+    largest singular value of its chi image from a full SVD, the way
+    every norm was taken before hmat.top_singular; inf where it is past
+    the float range.  The matrices must be finite."""
+    with np.errstate(over="ignore"):
+        return np.linalg.svd(hmat.pair_chi(a1, a2), compute_uv=False)[:, 0]
+
+
+def sequential_coefficients(state: SeriesState, m: int):
+    """B_1..B_m of an expansion as two (m, n, n) arrays, by the two-index
+    recurrence B_1 = S_left(q0), B_2 = Q(q0), B_(k+2) = Q(q0) @ B_k, one
+    product per index: the way series extended its coefficients before
+    it doubled them."""
+    b = state.bundle0
+    out = [(b.S_left.a1, b.S_left.a2), (b.Q.a1, b.Q.a2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(out) < m:
+            out.append(hmat.pair_matmul(b.Q.a1, b.Q.a2, *out[-2]))
+    return tuple(np.stack(part) for part in zip(*out[:m]))
+
+
 def eval_series_Q(state: SeriesState, q: Quaternion, N: int):
     """Partial sum of the derivative series through index N, with tail bound."""
     if N < 0:

@@ -413,6 +413,24 @@ def test_spectrum_keeps_the_report_contract(tmp_path_factory, entries, fmt):
     check_report_contract(work, ["spectrum", "--input", path], fmt)
 
 
+@settings(max_examples=200, deadline=None)
+@given(entries=CASSINI_INPUTS, q0=CASSINI_CENTERS,
+       q=st.lists(CASSINI_VALUES, min_size=4, max_size=4),
+       tol=st.sampled_from([1e-300, 1e-12, 1.0, 1e300, 0.0, -1.0, math.nan,
+                            math.inf]),
+       nmax=st.sampled_from([-1, 0, 3, 200]),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_series_keeps_the_report_contract(tmp_path_factory, entries, q0, q,
+                                          tol, nmax, fmt):
+    work = tmp_path_factory.mktemp("series")
+    path = write_matrix(work, "m.json", entries)
+    argv = ["series", "--input", path, "--q=" + ",".join(map(repr, q)),
+            f"--tol={tol!r}", f"--nmax={nmax}"]
+    if q0 is not None:
+        argv.append("--q0=" + ",".join(map(repr, q0)))
+    check_report_contract(work, argv, fmt)
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 8), trials=st.integers(1, 4),
        tol=st.sampled_from([1e-300, 1e300, 0.0, -1.0, math.nan, math.inf]),
