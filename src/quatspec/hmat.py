@@ -312,19 +312,20 @@ def top_singular(a1, a2) -> np.ndarray:
     v = M.view(float)
     k, rows, cols = v.shape
     top = np.abs(v).reshape(k, rows * cols).max(axis=1)
+    lo, hi = 2.0 ** -UNSCALED_EXPONENT, 2.0 ** UNSCALED_EXPONENT
     # NaN fails both comparisons, inf the second
-    if (2.0 ** -UNSCALED_EXPONENT <= top.min(initial=np.inf)
-            and top.max(initial=0.0) < 2.0 ** UNSCALED_EXPONENT):
-        return np.sqrt(np.linalg.eigvalsh(M.mT.conj() @ M)[:, -1])
-    fits = top < np.inf
-    if not fits.all():
-        f = int(np.argmin(fits))
-        M, v, top = M[:f], v[:f], top[:f]
-    e = np.frexp(top)[1]
-    e[(2.0 ** -UNSCALED_EXPONENT <= top)
-      & (top < 2.0 ** UNSCALED_EXPONENT)] = 0
-    np.ldexp(v, -e[:, None, None], out=v)
+    scaled = not (lo <= top.min(initial=np.inf) and top.max(initial=0.0) < hi)
+    if scaled:
+        fits = top < np.inf
+        if not fits.all():
+            f = int(np.argmin(fits))
+            M, v, top = M[:f], v[:f], top[:f]
+        e = np.frexp(top)[1]
+        e[(lo <= top) & (top < hi)] = 0
+        np.ldexp(v, -e[:, None, None], out=v)
     root = np.sqrt(np.linalg.eigvalsh(M.mT.conj() @ M)[:, -1])
+    if not scaled:
+        return root
     with np.errstate(over="ignore"):
         return np.ldexp(root, e)
 

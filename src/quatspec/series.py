@@ -31,11 +31,12 @@ QMatrix product on raw arrays and B_1..B_m take about log2(m) products,
 for one SeriesState or (series_states) for many at once; B_n has the
 same bits however the store was extended.  A block of indices takes its
 basis quaternions from the streams of quatcore (one quaternion product
-per index), its terms from one broadcast scale_right over per-index scalars,
-and its partial sums from a cumulative sum of the signed terms carried on
-from the previous block, so a run through N costs O(N) and its partial
-sums equal those of the term-by-term definition bit for bit; one
-function, _block_sums, does that arithmetic for a stack of blocks.  The
+per index), its terms from one broadcast scale_right over per-index
+scalars, and its partial sums from a cumulative sum of the signed terms
+carried on from the previous block, so a run through N costs O(N) and
+its partial sums equal those of the term-by-term definition bit for
+bit; one function, _block_sums, does that arithmetic for a stack of
+blocks.  The
 report rule runs one series a block at a time (_blocks), a block holding
 as many indices as a block of pencils (sresolvent.block_rows); the
 library rule runs a stack of series (_Stack), each at its own state and
@@ -43,9 +44,9 @@ point with its own basis, tail bound and stop, all advanced together a
 round at a time, one block of each series per round, so a stack takes
 the norms of a round's screens, and its stacked arithmetic, once for all
 of its series.  Every norm is one stacked call of the norm kernel
-(hmat.top_singular, an eigvalsh of scaled Gram matrices).  The exact remainder's operators (remainder_rows) are
-likewise formed for a stack of expansions at once, remainder_exact being
-the one-expansion case.
+(hmat.top_singular, an eigvalsh of scaled Gram matrices).  The exact
+remainder's operators (remainder_rows) are likewise formed for a stack
+of expansions at once, remainder_exact being the one-expansion case.
 One function, _tails, gives both series' tail bounds as scalar loops
 over N with their constants hoisted (np.power can differ from Python's
 ** in the last bit), and the remainder's majorant reads the same rho.
@@ -649,9 +650,10 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
     entries underflow, a majorant can pass a row that the norm does not;
     the block then takes the residuals of its remaining rows before it
     decides.  Every number is the row's own norm, the same bits in any
-    stack, whatever the screen decides.  No domain gate.  The rows also end, unconverged,
-    before the first residual that is not finite, which a term or partial
-    sum that is not finite makes so: no norm is taken of such a matrix.
+    stack, whatever the screen decides.  No domain gate.  The rows also
+    end, unconverged, before the first residual that is not finite, which
+    a term or partial sum that is not finite makes so: no norm is taken
+    of such a matrix.
     """
     rows = []
     if nmax < 0:
