@@ -189,10 +189,13 @@ def cassini_hypots(pr, ps, qr, qs):
 
     hypot forms no square, so neither overflows while the distances
     |z - z0| and |z - conj(z0)| of the planar points are finite, and
-    u = sqrt(h1)*sqrt(h2) is finite with them.
+    u = sqrt(h1)*sqrt(h2) is finite with them.  A distance past the float
+    range gives inf without a warning: u = inf, the point is outside
+    every ball.
     """
-    dr = pr - qr
-    return np.hypot(dr, ps - qs), np.hypot(dr, ps + qs)
+    with np.errstate(over="ignore"):
+        dr = pr - qr
+        return np.hypot(dr, ps - qs), np.hypot(dr, ps + qs)
 
 
 def cassini_u_axial(p: SpherePoint, q: SpherePoint) -> float:

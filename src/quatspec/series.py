@@ -29,21 +29,21 @@ complex arrays, extended by doubling, B_n = B_h @ B_{n-h} with h the
 largest power of two below n, so the indices h+1..2h are one stacked
 QMatrix product on raw arrays and B_1..B_m take about log2(m) products,
 for one SeriesState or (series_states) for many at once; B_n has the
-same bits however the store was extended.  A block of indices takes its
-basis quaternions from the streams of quatcore (one quaternion product
-per index), its terms from one broadcast scale_right over per-index
-scalars, and its partial sums from a cumulative sum of the signed terms
-carried on from the previous block, so a run through N costs O(N) and
-its partial sums equal those of the term-by-term definition bit for
-bit; one function, _block_sums, does that arithmetic for a stack of
-blocks.  The
-report rule runs one series a block at a time (_blocks), a block holding
-as many indices as a block of pencils (sresolvent.block_rows); the
-library rule runs a stack of series (_Stack), each at its own state and
-point with its own basis, tail bound and stop, all advanced together a
-round at a time, one block of each series per round, so a stack takes
-the norms of a round's screens, and its stacked arithmetic, once for all
-of its series.  Every norm is one stacked call of the norm kernel
+same bits however the store was extended.  One stepper, _Series,
+advances every series: it holds the series' basis stream of quatcore
+(one quaternion product per index), its sign parity, its carried
+partial sum and its cursor.  A block takes its terms from one broadcast
+scale_right over per-index scalars and its partial sums from a
+cumulative sum of the signed terms carried on from the previous block,
+so a run through N costs O(N) and its partial sums equal those of the
+term-by-term definition bit for bit (_block_sums, for one block or a
+stack).  The report rule runs one _Series a block at a time (_blocks),
+a block holding as many indices as a block of pencils
+(sresolvent.block_rows); the library rule runs a stack (_stack_block),
+each series with its own tail bound and stop, all advanced together a
+round at a time, one block of each per round, so a stack takes the
+norms of a round's screens, and its arithmetic, once for all of them.
+Every norm is one stacked call of the norm kernel
 (hmat.top_singular, an eigvalsh of scaled Gram matrices).  The exact
 remainder's operators (remainder_rows) are likewise formed for a stack
 of expansions at once, remainder_exact being the one-expansion case.
@@ -218,60 +218,69 @@ def series_states(As, bundles) -> list:
     return states
 
 
-class _Stack:
-    """Series at their own points, each carried on a block at a time.
+class _Series:
+    """One series at its own point, carried on a block at a time.
 
-    `runs` holds (state, q, derivative) per series, all states of one
-    size.  Series s takes its basis quaternions from its own stream of
-    quatcore (one quaternion product per index) and carries its last
-    partial sum from one of its blocks to the next.
+    The series of `state` at q (derivative=True: the derivative series)
+    takes its basis quaternions from its own stream of quatcore (one
+    quaternion product per index), negates every other term, and carries
+    its last partial sum from one of its blocks to the next; lo is the
+    first index not yet taken.
     """
 
-    def __init__(self, runs):
-        self.states = [state for state, _, _ in runs]
-        self.bases = [(spherical_power_sderivs if derivative
-                       else spherical_powers)(state.q0, q)
-                      for state, q, derivative in runs]
+    def __init__(self, state: SeriesState, q: Quaternion, derivative: bool):
+        self.state = state
+        self.basis = (spherical_power_sderivs if derivative
+                      else spherical_powers)(state.q0, q)
         # the resolvent series subtracts its odd-indexed terms, the
         # derivative series its even ones
-        self.odd = [int(not derivative) for _, _, derivative in runs]
-        n = runs[0][0].A.n
-        self.carry = tuple(np.zeros((len(runs), n, n), dtype=complex)
-                           for _ in (0, 1))
+        self.odd = int(not derivative)
+        self.lo = 0
+        self.carry = (np.zeros((state.A.n, state.A.n), dtype=complex),) * 2
 
-    def block(self, which, los, sizes):
-        """The next block of the series `which`: series which[j] runs
-        over n = los[j] .. los[j] + sizes[j] - 1.
+    def take(self, m: int):
+        """The inputs of _block_sums for the next m indices, lo..lo+m-1:
+        their coefficient rows (b1, b2), their (m, 4) basis quaternions and
+        the column of _parity(m) that their signs read.  Advances lo."""
+        lo = self.lo
+        self.lo += m
+        pts = np.fromiter(chain.from_iterable(islice(self.basis, m)), float,
+                          count=4 * m).reshape(m, 4)
+        return (*self.state.coeff_rows(lo + 1, lo + m), pts,
+                (lo + self.odd) % 2)
 
-        Returns the _block_sums of the block, each (len(which),
-        max(sizes), n, n): row [j, i] holds index los[j] + i of series
-        which[j].  Rows past a series' size hold zero terms.
-        """
-        m, k = max(sizes), len(which)
-        rows = [self.states[s].coeff_rows(lo + 1, lo + size)
-                for s, lo, size in zip(which, los, sizes)]
-        pts = [np.fromiter(chain.from_iterable(islice(self.bases[s], size)),
-                           float, count=4 * size).reshape(size, 4)
-               for s, size in zip(which, sizes)]
-        # the block runs on (m, k, ...) arrays, index axis first
-        if k == 1:
-            (b1, b2), pts = (r[:, None] for r in rows[0]), pts[0][:, None]
-        else:
-            shape = (m, k) + rows[0][0].shape[1:]
-            b1, b2 = np.zeros(shape, dtype=complex), np.zeros(shape,
-                                                             dtype=complex)
-            padded = np.zeros((m, k, 4))
-            for j, ((r1, r2), p, size) in enumerate(zip(rows, pts, sizes)):
-                b1[:size, j], b2[:size, j], padded[:size, j] = r1, r2, p
-            pts = padded
-        # series which[j] negates every other row from (los[j] + odd) % 2
-        neg = _parity(m)[:, [(lo + self.odd[s]) % 2
-                             for s, lo in zip(which, los)]]
-        out = _block_sums(b1, b2, pts, neg, tuple(c[which] for c in self.carry))
-        last = np.array(sizes) - 1
-        for c, p in zip(self.carry, out[2:]):
-            c[which] = p[last, np.arange(k)]
-        return tuple(a.swapaxes(0, 1) for a in out)
+    def block(self, m: int):
+        """The _block_sums of the next m indices, on (m, n, n) arrays."""
+        b1, b2, pts, col = self.take(m)
+        out = _block_sums(b1, b2, pts, _parity(m)[:, col], self.carry)
+        self.carry = out[2][-1], out[3][-1]
+        return out
+
+
+def _stack_block(runs, sizes):
+    """The next block of each _Series of runs, sizes[j] indices of runs[j],
+    as the _block_sums of one call, each (len(runs), max(sizes), n, n):
+    row [j, i] holds index i of the block of runs[j], a zero term past its
+    size.  One series takes its own block; a stack pads its series' inputs
+    into (m, k, ...) arrays, index axis first, and hands each its carry.
+    """
+    if len(runs) == 1:
+        return tuple(a[None] for a in runs[0].block(sizes[0]))
+    m, k = max(sizes), len(runs)
+    n = runs[0].state.A.n
+    b1, b2 = (np.zeros((m, k, n, n), dtype=complex) for _ in (0, 1))
+    pts = np.zeros((m, k, 4))
+    carry = tuple(np.array(c) for c in zip(*(run.carry for run in runs)))
+    cols = []
+    for j, (run, size) in enumerate(zip(runs, sizes)):
+        b1[:size, j], b2[:size, j], pts[:size, j], col = run.take(size)
+        cols.append(col)
+    out = _block_sums(b1, b2, pts, _parity(m)[:, cols], carry)
+    # copies, so a series that stops keeps no block of the stack
+    last = tuple(p[np.array(sizes) - 1, np.arange(k)] for p in out[2:])
+    for j, run in enumerate(runs):
+        run.carry = last[0][j], last[1][j]
+    return tuple(a.swapaxes(0, 1) for a in out)
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,31 +326,18 @@ def _blocks(state: SeriesState, q: Quaternion, derivative: bool, last: int,
     path of the report rule, term_norms and _partial_through.
 
     Yields (lo, t1, t2, p1, p2) for consecutive blocks n = lo..hi, the
-    _block_sums of the one series on (m, n, n) arrays: (t1, t2) stacks
-    the unsigned terms and (p1, p2) the partial sums through each n.  The
-    resolvent series (basis spherical_powers) subtracts the odd-indexed
-    terms, the derivative series (derivative=True, basis
-    spherical_power_sderivs) the even ones.  A block takes at most
+    _Series.block of the one series: (t1, t2) stacks the unsigned terms
+    and (p1, p2) the partial sums through each n.  A block takes at most
     sresolvent.block_rows(n) indices, the rule the pencils follow, which
     bounds the working memory whatever `last` is; ends(lo, hi) may end it
     sooner.  No domain gate.
     """
-    basis = (spherical_power_sderivs if derivative else spherical_powers)(
-        state.q0, q)
+    run = _Series(state, q, derivative)
     cap = block_rows(state.A.n)
-    carry = (0.0, 0.0)
-    lo = 0
-    while lo <= last:
+    while run.lo <= last:
+        lo = run.lo
         hi = ends(lo, min(last, lo + cap - 1))
-        m = hi + 1 - lo
-        pts = np.fromiter(chain.from_iterable(islice(basis, m)), float,
-                          count=4 * m).reshape(m, 4)
-        neg = _parity(m)[:, (lo + (not derivative)) % 2]
-        t1, t2, p1, p2 = _block_sums(*state.coeff_rows(lo + 1, hi + 1), pts,
-                                     neg, carry)
-        carry = (p1[-1], p2[-1])
-        yield lo, t1, t2, p1, p2
-        lo = hi + 1
+        yield (lo, *run.block(hi + 1 - lo))
 
 
 def _partial_through(state: SeriesState, q: Quaternion, derivative: bool,
@@ -568,20 +564,19 @@ def _converge(runs, rtol, nmax, through=-1):
         tail = [_tails(state, q, derivative) for state, q, derivative in runs]
     tails = [[] for _ in runs]
     last = [None] * len(runs)
-    los = [0] * len(runs)
-    stack = _Stack(runs)
     cap = max(1, min(ROUND_BLOCKS, len(runs)) * block_rows(n) // len(runs))
+    runs = [_Series(*run) for run in runs]
     active = [s for s in range(len(runs)) if results[s] is None or through >= 0]
     while active:
         sizes = []
         for s in active:
-            lo = los[s]
+            lo = runs[s].lo
             if results[s] is None:
                 hi = _scan(tail[s], tails[s], lo, min(nmax, lo + cap - 1), rtol)
             else:
                 hi = min(through, lo + cap - 1)
             sizes.append(hi + 1 - lo)
-        t1, t2, p1, p2 = stack.block(active, [los[s] for s in active], sizes)
+        t1, t2, p1, p2 = _stack_block([runs[s] for s in active], sizes)
         # the rule reads each undecided series' rows up to its first one
         # that is not finite
         rows = np.logical_and.accumulate(
@@ -590,16 +585,17 @@ def _converge(runs, rtol, nmax, through=-1):
         t = np.zeros(rows.shape)
         for j, s in enumerate(active):
             if results[s] is None:
-                t[j, :sizes[j]] = tails[s][los[s]:los[s] + sizes[j]]
+                end = runs[s].lo
+                t[j, :sizes[j]] = tails[s][end - sizes[j]:end]
             else:
                 rows[j] = False
         passed = np.zeros(rows.shape, dtype=bool)
         passed[rows] = tail_rule(t[rows], rtol, p1[rows], p2[rows])
         for j, s in enumerate(active):
-            lo = los[s]
-            los[s] += sizes[j]
+            end = runs[s].lo
+            lo = end - sizes[j]
             # copies, so a finished series keeps no block of the stack
-            if lo <= through < los[s]:
+            if lo <= through < end:
                 kept[s] = p1[j, through - lo].copy(), p2[j, through - lo].copy()
             if results[s] is not None:
                 continue
@@ -611,10 +607,10 @@ def _converge(runs, rtol, nmax, through=-1):
             k = int(rows[j].sum())
             if k:
                 last[s] = lo + k - 1, p1[j, k - 1].copy(), p2[j, k - 1].copy()
-            if k < sizes[j] or los[s] - 1 == nmax:
+            if k < sizes[j] or end - 1 == nmax:
                 N, a1, a2 = last[s]
                 results[s] = (a1, a2), tails[s][N], N, False
-        active = [s for s in active if results[s] is None or los[s] <= through]
+        active = [s for s in active if results[s] is None or runs[s].lo <= through]
     return results, kept
 
 

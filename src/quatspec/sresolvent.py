@@ -369,15 +369,14 @@ def resolvent_bundles(A: QMatrix, points) -> list:
     """The resolvent_bundle of every point, a block of pencils at a time.
 
     `points` is a sequence of Quaternions; the bundles are the rows of
-    _bundle_blocks, so each equals its one-point bundle bit for bit, and
+    resolvent_arrays, so each equals its one-point bundle bit for bit, and
     the first point that fails raises what its own call would.
     """
     points = list(points)
-    bundles = []
-    for lo, b in _bundle_blocks(A, points):
-        bundles += [b.bundle(i, q)
-                    for i, q in enumerate(points[lo:lo + len(b.smallest)])]
-    return bundles
+    if not points:
+        return []
+    b = resolvent_arrays(A, points)
+    return [b.bundle(i, q) for i, q in enumerate(points)]
 
 
 def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:

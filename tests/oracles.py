@@ -117,6 +117,33 @@ def svd_op_norms(a1, a2) -> np.ndarray:
         return np.linalg.svd(hmat.pair_chi(a1, a2), compute_uv=False)[:, 0]
 
 
+def count_linalg(monkeypatch) -> dict:
+    """The shapes of the arrays handed to np.linalg.svd, eigvalsh (the norm
+    kernel's), inv and slogdet from here on, one list per function.
+
+    The length of a list counts its function's calls, and linalg_rows of
+    it the matrices they took.
+    """
+    shapes = {"svd": [], "eigvalsh": [], "inv": [], "slogdet": []}
+
+    def counted(fn, seen):
+        def wrapper(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name, seen in shapes.items():
+        monkeypatch.setattr(np.linalg, name,
+                            counted(getattr(np.linalg, name), seen))
+    return shapes
+
+
+def linalg_rows(shapes) -> int:
+    """How many matrices a list of count_linalg shapes holds: a stack of k
+    matrices counts k, a single matrix 1."""
+    return sum(math.prod(shape[:-2]) for shape in shapes)
+
+
 def sequential_coefficients(state: SeriesState, m: int):
     """B_1..B_m of an expansion as two (m, n, n) arrays, by the two-index
     recurrence B_1 = S_left(q0), B_2 = Q(q0), B_(k+2) = Q(q0) @ B_k, one

@@ -309,6 +309,21 @@ def test_series_tail_bound_where_the_triangle_overflows(tmp_path, capsys):
         assert rep["rows"][0][2] == rep["tail_bound"]
 
 
+def test_series_point_past_the_float_range_is_outside(tmp_path, capsys):
+    # the distances of q from the sphere of q0 overflow: u = inf, which is
+    # outside the ball, and exit 1 with no numpy warning (hypot used to
+    # warn of its overflow)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["series", "--input", mat_i(tmp_path), "--q0", "3",
+                   "--q=1.7e308,0,1.7e308,0"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "is not inside the convergence radius" in captured.err
+
+
 def test_series_tail_bound_where_the_squares_underflow(capsys):
     # q is 1e-170 from the center: the squares of q - q0 underflow to 0,
     # so |q - q0| takes hypot and the tail bound is no smaller than the
@@ -429,6 +444,21 @@ def test_series_keeps_the_report_contract(tmp_path_factory, entries, q0, q,
     if q0 is not None:
         argv.append("--q0=" + ",".join(map(repr, q0)))
     check_report_contract(work, argv, fmt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=CASSINI_INPUTS,
+       q=st.lists(st.one_of(CASSINI_VALUES, st.sampled_from([1.7e308,
+                                                               -1.7e308])),
+                  min_size=4, max_size=4),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_resolvent_keeps_the_report_contract(tmp_path_factory, entries, q,
+                                             fmt):
+    work = tmp_path_factory.mktemp("resolvent")
+    path = write_matrix(work, "m.json", entries)
+    check_report_contract(
+        work, ["resolvent", "--input", path, "--q=" + ",".join(map(repr, q))],
+        fmt)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,7 +14,7 @@ from quatspec.hmat import (QMatrix, certified_nonsingular, chi, from_chi,
                            top_singular)
 from quatspec.quatcore import Quaternion, qmul
 
-from oracles import svd_op_norms
+from oracles import count_linalg, svd_op_norms
 
 TOL = 1e-12
 
@@ -174,29 +174,13 @@ def test_qmatrix_is_immutable():
             arr[0, 0] = 1.0
 
 
-def count_linalg(monkeypatch) -> dict:
-    """The shapes of the arrays np.linalg.svd and np.linalg.eigvalsh (the
-    norm kernel's) are called on from now on, one list per function."""
-    shapes = {"svd": [], "eigvalsh": []}
-
-    def counted(fn, seen):
-        def wrapper(a, *args, **kwargs):
-            seen.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    for name, seen in shapes.items():
-        monkeypatch.setattr(np.linalg, name,
-                            counted(getattr(np.linalg, name), seen))
-    return shapes
-
-
 def test_op_norm_is_stored_on_the_matrix(monkeypatch):
     A = random_qmatrix(3, np.random.default_rng(32))
     shapes = count_linalg(monkeypatch)
     first = op_norm(A)
     assert op_norm(A) == first
-    assert shapes == {"svd": [], "eigvalsh": [(1, 6, 6)]}
+    assert shapes == {"svd": [], "eigvalsh": [(1, 6, 6)], "inv": [],
+                      "slogdet": []}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -209,7 +193,8 @@ def test_op_norms_equal_op_norm_bit_for_bit(n, monkeypatch):
     want = [op_norm(QMatrix(A.a1, A.a2)) for A in mats]
     shapes = count_linalg(monkeypatch)
     assert op_norms(mats) == want
-    assert shapes == {"svd": [], "eigvalsh": [(len(mats), 2 * n, 2 * n)]}
+    assert shapes == {"svd": [], "eigvalsh": [(len(mats), 2 * n, 2 * n)],
+                      "inv": [], "slogdet": []}
     # stored on the matrices: reading them again takes no kernel call
     assert [op_norm(A) for A in mats] == want
     assert op_norms(mats) == want
@@ -223,7 +208,8 @@ def test_op_norms_keep_a_stored_norm(monkeypatch):
     shapes = count_linalg(monkeypatch)
     # A is stored and B appears twice: one kernel call on one matrix
     assert op_norms([B, A, B]) == [want, stored, want]
-    assert shapes == {"svd": [], "eigvalsh": [(1, 6, 6)]}
+    assert shapes == {"svd": [], "eigvalsh": [(1, 6, 6)], "inv": [],
+                      "slogdet": []}
     assert op_norm(A) == stored and op_norm(B) == want
     assert len(shapes["eigvalsh"]) == 1
 
@@ -241,7 +227,7 @@ def test_op_norms_raise_where_op_norm_raises(monkeypatch):
     want = op_norm(QMatrix(A.a1, A.a2))
     shapes = count_linalg(monkeypatch)
     assert op_norm(A) == want
-    assert shapes == {"svd": [], "eigvalsh": []}
+    assert shapes == {"svd": [], "eigvalsh": [], "inv": [], "slogdet": []}
 
 
 # The norm kernel (hmat.top_singular) agrees with a full SVD's largest

@@ -19,7 +19,8 @@ from quatspec.series import (DEFAULT_NMAX, _tails, certified_real_point,
 from quatspec.sliceanalysis import cauchy_coeffs
 from quatspec.sresolvent import resolvent_bundle, resolvent_bundles
 
-from oracles import (eval_series_Q, s_resolvent_map, sequential_coefficients,
+from oracles import (count_linalg, eval_series_Q, linalg_rows,
+                     s_resolvent_map, sequential_coefficients,
                      spherical_power_sderiv, stem_decompose)
 
 
@@ -390,22 +391,37 @@ def rows_per_block(monkeypatch, n, rows):
     """Cap every block at `rows` indices for n x n inputs.
 
     Patches the byte budget where the one block rule reads it, and returns
-    a list that collects (lo, size) for every series block run from here
-    on, so a test can see that its runs span more than one block.
+    a list that collects (lo, size) for every block that one series
+    (series._Series.block) runs from here on: the report rule's, and the
+    library rule's for a single series, so a test can see that its runs
+    span more than one block.
     """
     monkeypatch.setattr(sresolvent, "PENCIL_BLOCK_BYTES",
                         rows * 16 * (2 * n) ** 2)
     assert sresolvent.block_rows(n) == rows
     ran = []
-    blocks = series._blocks
+    block = series._Series.block
 
-    def recorded(*args, **kwargs):
-        for block in blocks(*args, **kwargs):
-            ran.append((block[0], len(block[1])))
-            yield block
+    def recorded(self, m):
+        ran.append((self.lo, m))
+        return block(self, m)
 
-    monkeypatch.setattr(series, "_blocks", recorded)
+    monkeypatch.setattr(series._Series, "block", recorded)
     return ran
+
+
+def check_blocks(ran, rows, spans, last=None):
+    """The blocks recorded in ran (see rows_per_block) since it was last
+    cleared: each holds at most `rows` indices (no check when rows is
+    None), some block starts past index 0 exactly when `spans`, and with
+    `last` given they run through index last and no further.  Clears ran.
+    """
+    if rows is not None:
+        assert max(size for _, size in ran) <= rows
+        assert (max(lo for lo, _ in ran) > 0) == spans
+    if last is not None:
+        assert max(lo + size for lo, size in ran) == last + 1
+    ran.clear()
 
 
 def reference_report(state, q, direct, tol, nmax):
@@ -428,18 +444,19 @@ def test_engine_bit_identical_across_blocks(rows, monkeypatch):
     st = series_init(A, certified_real_point(A))
     q = sample_inside(st, rng, fraction=0.7)
     direct = resolvent_bundle(A, q).S_left
+    # both rules run their blocks at most `rows` indices long, and past
+    # the first one
     for derivative, converge in ((False, converge_series_S),
                                  (True, converge_series_Q)):
         got = converge(st, q, 1e-13, 200)
         want = reference_converge(st, q, 1e-13, 200, derivative)
         assert got[2:] == (want[2], True) and got[2] > 7
         assert same_bits(got[0], want[0]) and got[1] == want[1]
+        check_blocks(ran, rows, True)
     got = residual_report(st, q, direct, 1e-13, 200)
     assert got == reference_report(st, q, direct, 1e-13, 200)
     assert got[1] and len(got[0]) > 8
-    if rows:
-        assert max(size for _, size in ran) <= rows
-        assert max(lo for lo, _ in ran) > 0
+    check_blocks(ran, rows, True)
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 5, 6, 10])
@@ -452,22 +469,24 @@ def test_engine_stops_at_nmax_anywhere_in_a_block(nmax, monkeypatch):
     st = series_init(A, certified_real_point(A))
     q = sample_inside(st, rng, fraction=0.8)
     direct = resolvent_bundle(A, q).S_left
+    # every run of either rule past index 2 spans more than one block, and
+    # runs through nmax and no further
     for derivative, converge in ((False, converge_series_S),
                                  (True, converge_series_Q)):
         got = converge(st, q, 1e-30, nmax)
         want = reference_converge(st, q, 1e-30, nmax, derivative)
         assert got[2:] == (nmax, False) == want[2:]
         assert same_bits(got[0], want[0]) and got[1] == want[1]
+        check_blocks(ran, 3, nmax > 2, nmax)
     got = residual_report(st, q, direct, -1.0, nmax)
     assert got == reference_report(st, q, direct, -1.0, nmax)
     assert len(got[0]) == nmax + 1 and not got[1]
+    check_blocks(ran, 3, nmax > 2, nmax)
     assert term_norms(st, q, nmax) == [op_norm(t) for t, _ in
                                        reference_partials(st, q, nmax)]
     assert same_bits(eval_series_Q(st, q, nmax)[0],
                      reference_partials(st, q, nmax, True)[-1][1])
-    # every run past index 2 spans more than one block
-    assert max(size for _, size in ran) <= 3
-    assert (max(lo for lo, _ in ran) > 0) == (nmax > 2)
+    check_blocks(ran, 3, nmax > 2, nmax)
 
 
 def reference_tail_S(state, q, N):
@@ -577,46 +596,43 @@ MAT2 = {"n": 2, "entries": [[[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
 
 
 def count_calls(monkeypatch):
-    """Count SVDs, norm kernel calls (np.linalg.eigvalsh, see
+    """Record SVDs, norm kernel calls (np.linalg.eigvalsh, see
     hmat.top_singular), inverses, determinants and resolvent bundles from
-    here on.
+    here on; calls() of the record counts them.
 
-    Every SVD left is a stack of pencils (their sigma_min and singularity
-    test); every operator norm is a kernel call.  Every bundle, a
-    ResolventBundle or a row of resolvent_arrays, is a row of a block of
-    sresolvent._bundle_blocks, so counting those rows counts bundles
-    whichever module asks for them.
+    The record is count_linalg's, with the bundles of each block under
+    "bundle".  Every SVD left is a stack of pencils (their sigma_min and
+    singularity test); every operator norm is a kernel call.  Every
+    bundle, a ResolventBundle or a row of resolvent_arrays, is a row of a
+    block of sresolvent._bundle_blocks, so counting those rows counts
+    bundles whichever module asks for them.
     """
-    calls = {"svd": 0, "eigvalsh": 0, "inv": 0, "det": 0, "bundle": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for key, owner, name in (("svd", np.linalg, "svd"),
-                             ("eigvalsh", np.linalg, "eigvalsh"),
-                             ("inv", np.linalg, "inv"),
-                             ("det", np.linalg, "slogdet")):
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name), key))
+    record = count_linalg(monkeypatch)
+    record["bundle"] = []
     blocks = sresolvent._bundle_blocks
 
     def counted_blocks(*args, **kwargs):
         for lo, stack in blocks(*args, **kwargs):
-            calls["bundle"] += len(stack.smallest)
+            record["bundle"].append(len(stack.smallest))
             yield lo, stack
     monkeypatch.setattr(sresolvent, "_bundle_blocks", counted_blocks)
-    return calls
+    return record
+
+
+def calls(record) -> dict:
+    """The counts of a count_calls record."""
+    return {"svd": len(record["svd"]), "eigvalsh": len(record["eigvalsh"]),
+            "inv": len(record["inv"]), "det": len(record["slogdet"]),
+            "bundle": sum(record["bundle"])}
 
 
 def count_work(monkeypatch, capsys, argv):
     """Run one command; count its SVDs, norm kernel calls, inverses,
     determinants and resolvent bundles."""
-    calls = count_calls(monkeypatch)
+    record = count_calls(monkeypatch)
     rc = main(argv)
     report = json.loads(capsys.readouterr().out)
-    return rc, report, calls
+    return rc, report, calls(record)
 
 
 def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
@@ -636,26 +652,6 @@ def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
     assert rc == 0 and rep["N"] == 299
     assert [lo for lo, _ in ran] == [0, 64, 128, 192, 256]
     assert (work["svd"], work["eigvalsh"]) == (2, 1 + 2 * 5)
-
-
-def count_svd_rows(monkeypatch):
-    """Count the matrices handed to np.linalg.svd and to np.linalg.eigvalsh
-    (the norm kernel) from here on, one count per function.
-
-    A stack of k matrices counts k, a single matrix 1.
-    """
-    rows = {"svd": 0, "eigvalsh": 0}
-
-    def counted(fn, key):
-        def wrapper(a, *args, **kwargs):
-            rows[key] += int(np.prod(np.shape(a)[:-2]))
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    for key in rows:
-        monkeypatch.setattr(np.linalg, key,
-                            counted(getattr(np.linalg, key), key))
-    return rows
 
 
 def count_coefficient_products(monkeypatch):
@@ -688,10 +684,11 @@ def test_series_report_svd_row_gate(n, most, monkeypatch, capsys):
     # run a few rows past the first passing one, to the first row whose
     # Frobenius majorant passes.  `most` is the former pin on SVD rows,
     # when every norm took an SVD.
-    rows = count_svd_rows(monkeypatch)
+    shapes = count_linalg(monkeypatch)
     rc = main(["series", "--n", str(n), "--q0", "1", "--q", "1.9",
                "--tol", "1e-14", "--nmax", "400"])
     assert rc == 0 and json.loads(capsys.readouterr().out)["N"] == 299
+    rows = {key: linalg_rows(shapes[key]) for key in ("svd", "eigvalsh")}
     assert rows == {"svd": 2, "eigvalsh": {1: 601, 8: 609}[n]}
     assert rows["svd"] + rows["eigvalsh"] <= most
 
@@ -768,9 +765,10 @@ def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
     A = random_qmatrix(4, rng)
     points = [certified_real_point(A) + Quaternion(*rng.uniform(0, 1, 4))
               for _ in range(k)]
-    work = count_calls(monkeypatch)
+    record = count_calls(monkeypatch)
     resolvent_bundles(A, points)
-    assert work == {"svd": 1, "eigvalsh": 0, "inv": 1, "det": 0, "bundle": k}
+    assert calls(record) == {"svd": 1, "eigvalsh": 0, "inv": 1, "det": 0,
+                             "bundle": k}
 
 
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
@@ -829,10 +827,12 @@ def test_slice_resolvent_map_takes_one_svd_per_point(monkeypatch):
     A = random_qmatrix(3, np.random.default_rng(88))
     z0 = complex(certified_real_point(A).w, 0.0)
     f = s_resolvent_map(A)
-    work = count_calls(monkeypatch)
+    record = count_calls(monkeypatch)
     cauchy_coeffs(f, Quaternion(0.0, 1.0), z0, 0.1, 16, 1)
-    assert work == {"svd": 16, "eigvalsh": 0, "inv": 16, "det": 0,
-                    "bundle": 16}
-    work.update(svd=0, inv=0, bundle=0)
+    assert calls(record) == {"svd": 16, "eigvalsh": 0, "inv": 16, "det": 0,
+                             "bundle": 16}
+    for seen in record.values():
+        seen.clear()
     stem_decompose(f, z0 + 0.1j, Quaternion(0.0, 0.0, 1.0))
-    assert work == {"svd": 2, "eigvalsh": 0, "inv": 2, "det": 0, "bundle": 2}
+    assert calls(record) == {"svd": 2, "eigvalsh": 0, "inv": 2, "det": 0,
+                             "bundle": 2}

@@ -17,7 +17,7 @@ from quatspec.sresolvent import (delta_op, pencil_svals,
                                  resolvent_bundles, residual_AS_identity, residual_mixed_eq,
                                  residual_q_eq, residual_resolvent_eq)
 
-from oracles import blowup_probe
+from oracles import blowup_probe, count_linalg
 
 EPS = np.finfo(float).eps
 
@@ -178,16 +178,11 @@ def test_bundle_takes_one_svd_and_one_inverse(monkeypatch):
     # reading ||Q|| or the localization radius takes no further SVD
     A = random_qmatrix(3, np.random.default_rng(59))
     q = random_resolvent_point(A, np.random.default_rng(60))
-    calls = {"svd": 0, "inv": 0}
-    for name in calls:
-        def counted(*args, fn=getattr(np.linalg, name), key=name, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    shapes = count_linalg(monkeypatch)
     b = resolvent_bundle(A, q)
-    assert calls == {"svd": 1, "inv": 1}
+    assert (len(shapes["svd"]), len(shapes["inv"])) == (1, 1)
     assert b.norm_Q > 0.0 and b.radius > 0.0
-    assert calls == {"svd": 1, "inv": 1}
+    assert (len(shapes["svd"]), len(shapes["inv"])) == (1, 1)
 
 
 def test_localization_radius_is_the_bundle_radius():
@@ -266,18 +261,6 @@ DIAG3 = QMatrix.diag([
                -0.9272079589484712)])
 
 
-def count_svds(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), k=st.integers(4, 12),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -289,9 +272,9 @@ def test_pencil_svals_match_per_point_svds(n, k, seed):
     # three pencils per stacked SVD, so every batch spans several blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sresolvent, "PENCIL_BLOCK_BYTES", 3 * chi(A).nbytes)
-        calls = count_svds(mp)
+        shapes = count_linalg(mp)
         got = pencil_svals(A, points)
-    assert len(calls) == -(-k // 3) > 1
+    assert len(shapes["svd"]) == -(-k // 3) > 1
     assert got.shape == (k, 2 * n)
     assert np.array_equal(got, want)
 
@@ -301,9 +284,9 @@ def test_pencil_svals_default_blocks_and_edges(monkeypatch):
     A = random_qmatrix(8, rng)
     points = random_points(rng, 150)  # 64 + 64 + 22 points at n = 8
     want = per_point_svals(A, points)
-    calls = count_svds(monkeypatch)
+    shapes = count_linalg(monkeypatch)
     got = pencil_svals(A, points)
-    assert len(calls) == 3
+    assert len(shapes["svd"]) == 3
     assert np.array_equal(got, want)
     for B in (DIAG3, QMatrix(DIAG3.a1.real, np.zeros((3, 3)))):
         q = certified_real_point(B)
@@ -362,10 +345,17 @@ def test_stacked_bundles_equal_one_point_bundles(n, real):
                random_resolvent_point(A, rng, require_nonreal=True)]
     stacked = resolvent_bundles(A, points)
     assert [b.q for b in stacked] == points
-    for q, b in zip(points, stacked):
+    # three pencils per block: the rows of three blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sresolvent, "PENCIL_BLOCK_BYTES", 3 * chi(A).nbytes)
+        split = resolvent_bundles(A, points)
+    assert resolvent_bundles(A, []) == []
+    for q, b, s in zip(points, stacked, split):
         one = resolvent_bundle(A, q)
         for name in ("pencil", "Q", "S_left", "S_right"):
             assert same_matrix(getattr(b, name), getattr(one, name)), name
+            assert same_matrix(getattr(s, name), getattr(one, name)), name
+        assert s.pencil_smallest_singular == one.pencil_smallest_singular
         assert b.pencil_smallest_singular == one.pencil_smallest_singular
         assert b.norm_Q == one.norm_Q
         # the QMatrix expressions the stacked arithmetic repeats
