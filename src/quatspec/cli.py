@@ -343,7 +343,8 @@ def cmd_cassini(cfg: argparse.Namespace) -> Report:
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, STREAM_CASSINI]))
     samples = sample_cassini_ball(q0, BALL_FRACTION * bound, trials, rng)
-    inside = int(np.count_nonzero(resolvent_mask(A, samples)))
+    # the center the samples were drawn around lets one SVD decide most
+    inside = int(np.count_nonzero(resolvent_mask(A, samples, q0)))
     bound_holds = u_dist >= bound - 1e-10 * (1.0 + bound)
     ok = bound_holds and inside == trials
     doc = {

@@ -18,7 +18,8 @@ top_singular (op_norms: one stacked call for a list), so every later ||A||
 is that same float.  The kernel takes sigma_max from the largest
 eigenvalue of the Gram matrix of each chi image, scaled by its own power
 of two; np.linalg.svd runs only where every singular value is needed,
-on the pencils (their sigma_min and the singularity test nonsingular).
+on the pencils (their sigma_min and the singularity test nonsingular)
+and on chi(A) - z0*I, whose sigma_min spectrum.center_certified reads.
 
 Matrices act on column vectors from the left, so they are right-linear:
 A(x*q) = (A x)*q.  The product of an operator with a quaternion scalar is
@@ -393,7 +394,9 @@ def certified_nonsingular(M) -> np.ndarray:
     CERTIFIED_P_MIN (where squares of small entries underflow and P would
     be too small) is not certified.  Each row is decided on its own, and
     zero pivots and logs of zero are computed without warnings.  The
-    undecided rows take nonsingular on their SVD.
+    undecided rows take nonsingular on their SVD.  In
+    spectrum.resolvent_mask this is the second tier, for the rows that
+    spectrum.center_certified leaves undecided.
     """
     return log_ratio_bound(M) > math.log(CERTIFIED_RATIO)
 

@@ -24,7 +24,7 @@ from .hmat import QMatrix
 from .quatcore import (CassiniBall, Quaternion, SpherePoint,
                        boundary_rotations, cassini_points_rotated,
                        cassini_u_axial, sphere_of)
-from .sresolvent import ResolventBundle, pencil_chis
+from .sresolvent import ResolventBundle, pencil_chis, point_rows
 
 # Two eigenvalue-derived spheres merge when both coordinates agree to this
 # times (1 + ||A||); eigenvalue clustering noise sits far below it.
@@ -32,6 +32,12 @@ CLUSTER_REL_TOL = 1e-8
 
 # sample_cassini_ball draws at most this many rejection candidates at a time.
 SAMPLE_BLOCK = 4096
+
+# center_certified widens its bound on every sample by this fraction of
+# the scale ||A|| + |z0| + |q|, and decides a sample only where
+# ||A|| + |q| lies in this range (its square in [CERTIFIED_P_MIN, 2**1000]).
+CENTER_SLACK = 2.0 ** -30
+CENTER_U_RANGE = (math.sqrt(hmat.CERTIFIED_P_MIN), 2.0 ** 500)
 
 
 @dataclass(frozen=True)
@@ -74,21 +80,86 @@ def s_spectrum(A: QMatrix) -> SpectrumResult:
     return SpectrumResult(spheres=tuple(spheres))
 
 
-def resolvent_mask(A: QMatrix, points) -> np.ndarray:
+def center_certified(A: QMatrix, q0: Quaternion,
+                     pts: np.ndarray) -> np.ndarray:
+    """Per row q of a (k, 4) float array of points: whether one SVD of
+    chi(A) - z0*I proves that hmat.nonsingular holds for the pencil at q.
+
+    With X = chi(A), z0 = Re(q0) + i*|Im(q0)| and zeta = Re(q) + i*|Im(q)|,
+    the pencil's chi image is (X - zeta)(X - conj(zeta)).  conj(X) =
+    J X J^-1 with J = [[0, -I], [I, 0]], so X - conj(zeta) has the
+    singular values of X - zeta, and by Weyl's perturbation bound for
+    singular values each of those is within |zeta - z0| of the one of
+    X - z0*I (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002).  With gamma = sigma_min(X - z0*I), the pencil's singular
+    values therefore satisfy
+
+        sigma_min >= (gamma - |zeta - z0|)**2,
+        sigma_max <= (||A|| + |q|)**2,
+
+    and a row is certified when g = gamma - |zeta - z0| - slack exceeds
+    sqrt(CERTIFIED_RATIO) * u, with u = (||A|| + |q|) * (1 + CENTER_SLACK)
+    and slack = CENTER_SLACK * (||A|| + |z0| + |q|), so that its ratio
+    sigma_min/sigma_max exceeds CERTIFIED_RATIO.  The slack covers each
+    rounding of the bound, every one a small multiple of 2n*eps of that
+    scale at n <= 8, far below CENTER_SLACK (about 4e6*eps): the SVD that
+    gives gamma (backward stable), forming X - z0*I (the diagonal rounds
+    once), the kernel's ||A|| (top_singular), and |Im q|, |q| and
+    |zeta - z0| (hypot, after one rounded difference each).  The
+    computed pencil and its SVD differ from the exact ones by a like
+    multiple of eps*u**2, which CERTIFIED_RATIO = 1e4 * SINGULAR_REL_TOL
+    leaves room for, as in hmat.certified_nonsingular.
+
+    False means undecided, never singular.  A row is decided only where
+    u lies in CENTER_U_RANGE, so u**2 is a normal double with room to
+    spare: each entry of its pencil, and each partial sum that forms one,
+    is at most 4*u**2, so no certified pencil overflows and its
+    underflows shift it by far less than CERTIFIED_RATIO * u**2.  A
+    point that is not finite is not certified.
+    """
+    X = hmat.chi(A)
+    a, b = q0.w, q0.im_norm()
+    z0 = complex(a, b)
+    X.reshape(-1)[::len(X) + 1] -= z0
+    gamma = float(np.linalg.svd(X, compute_uv=False)[-1])
+    norm = hmat.op_norm(A)
+    w, x, y, z = pts.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.hypot(np.hypot(x, y), z)
+        mod = np.hypot(w, s)
+        dist = np.hypot(w - a, s - b)
+        u = (norm + mod) * (1.0 + CENTER_SLACK)
+        g = gamma - dist - CENTER_SLACK * (norm + abs(z0) + mod)
+    lo, hi = CENTER_U_RANGE
+    return (g > math.sqrt(hmat.CERTIFIED_RATIO) * u) & (lo <= u) & (u <= hi)
+
+
+def resolvent_mask(A: QMatrix, points, center: Quaternion | None = None
+                   ) -> np.ndarray:
     """Per point: whether the pencil is invertible at the package threshold.
 
     The verdict is hmat.nonsingular(pencil_svals(A, points)) row for row,
-    taken on the blocks of pencil_chis with their overflow refusal.  Each
-    block first takes one stacked LU determinant, and the rows that
-    hmat.certified_nonsingular proves nonsingular need no SVD; only the
-    undecided rows take one stacked SVD and hmat.nonsingular.
+    decided by the cheapest of three tiers that can.  Given the center
+    the points were drawn around, center_certified first decides rows
+    from one SVD of chi(A) - z0*I for all of them.  The rows it leaves
+    run, in point order, on the blocks of pencil_chis with their overflow
+    refusal: each block takes one stacked LU determinant, and the rows
+    that hmat.certified_nonsingular proves nonsingular need no SVD; only
+    the rows still undecided take one stacked SVD and hmat.nonsingular.
+    A certified row's pencil cannot overflow, so the first point whose
+    pencil does is refused as without a center.
     """
-    out = np.empty(len(points), dtype=bool)
-    for lo, M in pencil_chis(A, points):
+    pts = point_rows(points)
+    rest = np.arange(len(pts))
+    out = np.zeros(len(pts), dtype=bool)
+    if center is not None:
+        out = center_certified(A, center, pts)
+        rest = np.flatnonzero(~out)
+    for lo, M in pencil_chis(A, pts[rest]):
         ok = hmat.certified_nonsingular(M)
         if not ok.all():
             ok[~ok] = hmat.nonsingular(np.linalg.svd(M[~ok], compute_uv=False))
-        out[lo:lo + len(M)] = ok
+        out[rest[lo:lo + len(M)]] = ok
     return out
 
 

@@ -22,9 +22,10 @@ stacked arrays; resolvent_bundles wraps its rows for one matrix), and
 delta_op and resolvent_bundle are the one-point cases, so every reader
 of a pencil's singular values at q sees them bit for bit (the membership
 mask of spectrum.resolvent_mask needs them only for the pencils its
-determinant certificate leaves undecided, and resolvent_arrays takes
-them from a caller that has them); a bundle reads ||Q|| = 1/sigma_min
-and the radius ||Q||**(-1/2) = sqrt(sigma_min) off them.
+center and determinant certificates leave undecided, and
+resolvent_arrays takes them from a caller that has them); a bundle
+reads ||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min)
+off them.
 localization_radius reads the same radius off the pencil's SVD alone
 and refuses a point with the bundle's error.  Everything else that reads
 the resolvent at a point takes a bundle.  Random resolvent points come
@@ -97,7 +98,7 @@ def block_rows(n: int) -> int:
     return max(1, PENCIL_BLOCK_BYTES // (16 * (2 * n) ** 2))
 
 
-def _rows(points) -> np.ndarray:
+def point_rows(points) -> np.ndarray:
     """The (k, 4) float array of a sequence of Quaternions or [w, x, y, z].
 
     A (k, 4) float array, such as spectrum.sample_cassini_ball returns,
@@ -134,8 +135,11 @@ def _pencils(A, pts: np.ndarray, owner=None):
     in one stacked product; a stack gathers each block's rows of A and
     A@A by owner, which changes no bit.  Points are checked in order: a
     block ends before the first point whose pencil is not finite, and
-    resuming the generator then raises that point's overflow error.
+    resuming the generator then raises that point's overflow error.  No
+    points yield nothing, and take no A@A.
     """
+    if not len(pts):
+        return
     a1, a2 = (A.a1, A.a2) if owner is None else A
     n = a1.shape[-1]
     eye = hmat.identity(n)
@@ -177,7 +181,7 @@ def pencil_chis(A, points, owner=None):
     Points are checked in order, and the first whose pencil overflows
     raises QuatspecError once the blocks before it are taken.
     """
-    for lo, D1, D2 in _pencils(A, _rows(points), owner):
+    for lo, D1, D2 in _pencils(A, point_rows(points), owner):
         yield lo, hmat.pair_chi(D1, D2)
 
 
@@ -312,7 +316,7 @@ def _bundle_blocks(A, points, owner=None, sv=None):
     or QuatspecError when Q, S_left or S_right is not finite (the
     S-resolvents are assembled without warnings).
     """
-    pts = _rows(points)
+    pts = point_rows(points)
     a1, a2 = (A.a1, A.a2) if owner is None else A
     eye = hmat.identity(a1.shape[-1])
     for lo, D1, D2 in _pencils(A, pts, owner):
@@ -355,9 +359,14 @@ def resolvent_arrays(A, points, owner=None, sv=None) -> BundleStack:
 
     A is one QMatrix, or a stacked pair with owner as in _pencils; points
     of many matrices take one stacked SVD (none when sv holds their
-    pencil_svals rows) and one stacked inverse per block of pencils.
+    pencil_svals rows) and one stacked inverse per block of pencils.  No
+    points give a stack of (0, n, n) pairs and a (0,) smallest.
     """
     blocks = [stack for _, stack in _bundle_blocks(A, points, owner, sv)]
+    if not blocks:
+        n = (A.a1 if owner is None else A[0]).shape[-1]
+        empty = np.empty((0, n, n), dtype=complex)
+        return BundleStack(*[(empty, empty)] * 4, np.empty(0))
     if len(blocks) == 1:
         return blocks[0]
     pairs = [tuple(map(np.concatenate, zip(*(b[f] for b in blocks))))

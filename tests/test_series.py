@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from quatspec import series, sresolvent, verify
+from quatspec import hmat, series, sresolvent, verify
 from quatspec.cli import main
 from quatspec.errors import InputError, OutsideConvergenceDomain
 from quatspec.hmat import (QMatrix, op_norm, qmatrix_to_json_dict,
@@ -589,6 +589,28 @@ def test_tail_rule_screen_never_skips_a_passing_test():
             assert tail_rule(t2[:1], rtol, p1[:1], p2[:1]).tolist() == [False]
 
 
+def test_majorants_bound_the_operator_norms():
+    # the Frobenius majorant counts all four parts of a1 + a2*j: on random
+    # stacks, and on rank-one matrices x @ y^H (where it meets the norm up
+    # to its margin), whose a1 and a2 both have nonzero imaginary parts
+    rng = np.random.default_rng(82)
+    for n in (1, 2, 3, 8):
+        def parts(k):
+            return (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)),
+                    rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+        a1, a2 = parts(40)
+        x1, x2 = parts(40)
+        y1, y2 = parts(40)
+        x1[:, :, 1:] = x2[:, :, 1:] = y1[:, :, 1:] = y2[:, :, 1:] = 0.0
+        r1, r2 = hmat.pair_matmul(x1, x2, *hmat.pair_from_chi(
+            hmat.pair_chi(y1, y2).conj().mT))
+        for b1, b2 in ((a1, a2), (r1, r2), (0.1 * a1, 1j * a2.imag)):
+            assert (b1.imag != 0).any(axis=(1, 2)).all()
+            assert (b2.imag != 0).any(axis=(1, 2)).all()
+            norms = np.fromiter(hmat.pair_op_norms(b1, b2), float)
+            assert (series._majorants(b1, b2) >= norms).all()
+
+
 # --- work gates: these ceilings may be lowered, never raised ---------------
 
 MAT2 = {"n": 2, "entries": [[[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]],
@@ -652,6 +674,30 @@ def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
     assert rc == 0 and rep["N"] == 299
     assert [lo for lo, _ in ran] == [0, 64, 128, 192, 256]
     assert (work["svd"], work["eigvalsh"]) == (2, 1 + 2 * 5)
+
+
+def test_report_kernel_row_gate_across_doubling_blocks(monkeypatch):
+    # `direct` is 1e-4 off the series' limit, so no residual reaches tol:
+    # the first block ends where the tail bound does (N = 4), each later
+    # one doubles the rows so far until the 16-row cap binds, and every
+    # block takes two kernel calls of its full length, the residuals
+    # (no Frobenius majorant passes) and the term norms
+    rng = np.random.default_rng(83)
+    A = random_qmatrix(2, rng)
+    st = series_init(A, certified_real_point(A))
+    q = point_at_cassini_distance(st.q0, 0.1 * st.R, random_unit_imag(rng),
+                                  1.0)
+    direct = resolvent_bundle(A, q).S_left + QMatrix.identity(2) * 1e-4
+    op_norm(st.bundle0.S_left)
+    ran = rows_per_block(monkeypatch, 2, 16)
+    shapes = count_linalg(monkeypatch)
+    got = residual_report(st, q, direct, 1e-5, 60)
+    assert ran == [(0, 5), (5, 6), (11, 12), (23, 16), (39, 16), (55, 6)]
+    assert [linalg_rows([shape]) for shape in shapes["eigvalsh"]] == [
+        5, 5, 6, 6, 12, 12, 16, 16, 16, 16, 6, 6]
+    assert shapes["svd"] == []
+    assert got == reference_report(st, q, direct, 1e-5, 60)
+    assert not got[1] and len(got[0]) == 61
 
 
 def count_coefficient_products(monkeypatch):
@@ -774,9 +820,10 @@ def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
 def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
     # ||A|| (one kernel call, stored, read twice) and the pencil at q0,
     # whose SVD gives the bound with no bundle and no inverse; then one
-    # stacked determinant certifies every sample, however many there are
-    # (1000 samples of a 2x2 input fit one block), and no sample needs an
-    # SVD.  Was 2 SVDs.
+    # SVD of chi(A) - z0*I certifies every sample, however many there are
+    # (spectrum.center_certified), and no sample needs a determinant or an
+    # SVD of its own.  Was 1 SVD and 1 determinant (the determinant
+    # certificate), and 2 SVDs before it.
     path = tmp_path / "m.json"
     path.write_text(json.dumps(MAT2))
     svds, kernels, invs, dets, bundles = [], [], [], [], []
@@ -789,10 +836,10 @@ def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
         invs.append(work["inv"])
         dets.append(work["det"])
         bundles.append(work["bundle"])
-    assert svds == [1, 1]
+    assert svds == [2, 2]
     assert kernels == [1, 1]
     assert invs == [0, 0]
-    assert dets == [1, 1]
+    assert dets == [0, 0]
     assert bundles == [0, 0]
 
 

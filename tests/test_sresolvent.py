@@ -485,3 +485,20 @@ def test_residual_rows_refuse_their_first_failing_row():
         residual_AS_identity(big, resolvent_bundle(big, far))
     assert str(got.value) == str(one.value) == (
         "the shift-pairing residual overflows at q = (1, 0, 0, -1e+154)")
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_resolvent_arrays_of_no_points(n, monkeypatch):
+    # no points give an empty stack, for one matrix or a stacked pair, and
+    # take no SVD and no inverse
+    A = random_qmatrix(n, np.random.default_rng(74 + n))
+    pair = (A.a1[None], A.a2[None])
+    shapes = count_linalg(monkeypatch)
+    for b in (sresolvent.resolvent_arrays(A, []),
+              sresolvent.resolvent_arrays(pair, [], np.arange(0))):
+        for a1, a2 in b[:4]:
+            assert a1.shape == a2.shape == (0, n, n)
+            assert a1.dtype == a2.dtype == complex
+        assert b.smallest.shape == (0,)
+        assert len(b.rows(0, 0).smallest) == 0
+    assert shapes["svd"] == shapes["inv"] == []
