@@ -32,8 +32,8 @@ from .hmat import QMatrix
 from .quatcore import Quaternion, point_at_cassini_distance, random_unit_imag
 from .spectrum import (boundary_polyline, cassini_dist, resolvent_mask,
                        s_spectrum, sample_cassini_ball)
-from .sresolvent import (localization_radius, pencil_svals, resolvent_bundle,
-                         residual_AS_identity)
+from .sresolvent import (localization_radius, pencil_svals, resolvent_arrays,
+                         resolvent_bundle, residual_AS_identity)
 
 # Per-command stream indices fed to SeedSequence([seed, stream]) so that
 # different commands never share a random stream for the same seed.
@@ -285,26 +285,53 @@ def cmd_resolvent(cfg: argparse.Namespace) -> Report:
         [])
 
 
+def _series_pair(A: QMatrix, q0: Quaternion, q: Quaternion):
+    """The SeriesState at q0, u(q, q0) and the directly inverted S_left(q).
+
+    One stacked pass takes both bundles, resolvent_arrays(A, [q0, q]): one
+    2-row SVD and one 2-row inverse.  Each row equals its one-point
+    bundle bit for bit, so the state and S_left(q) are those of
+    series_init and resolvent_bundle.  When the pass raises, or would
+    warn (numpy's floating-point warnings are raised inside it), the
+    one-point order runs instead: series_init, require_inside,
+    resolvent_bundle.  Every refusal, and its message, is then the one
+    that order gives, and a point outside the domain takes no bundle of
+    its own, so prints no warning of one.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            stack = resolvent_arrays(A, [q0, q])
+    except Exception:
+        state = series.series_init(A, q0)
+        u = series.require_inside(state, q)
+        return state, u, resolvent_bundle(A, q).S_left
+    state = series.SeriesState(A, stack.bundle(0, q0))
+    return state, series.require_inside(state, q), stack.bundle(1, q).S_left
+
+
 def cmd_series(cfg: argparse.Namespace) -> Report:
     """Per-order series truncation report against the direct resolvent.
 
     Without --input the operator is the zero matrix of size --n (default
     1), which makes the scalar geometric case runnable from flags alone.
-    q defaults to a seeded sample at half the convergence radius.
+    q defaults to a seeded sample at half the convergence radius, which
+    needs R first; a given q takes its bundle in one pass with the
+    center's (_series_pair).
     """
     A = _load_matrix_or_zero(cfg)
     q0 = cfg.q0 if cfg.q0 is not None else series.certified_real_point(A)
-    state = series.series_init(A, q0)
-    if cfg.q is not None:
-        q = cfg.q
+    q = cfg.q
+    if q is not None:
+        state, u, direct = _series_pair(A, q0, q)
     else:
+        state = series.series_init(A, q0)
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, STREAM_SERIES]))
         q = point_at_cassini_distance(
             q0, SAMPLE_FRACTION * state.R, random_unit_imag(rng),
             float(rng.uniform(0.0, 2.0 * np.pi)))
-    u = series.require_inside(state, q)
-    direct = resolvent_bundle(A, q).S_left
+        u = series.require_inside(state, q)
+        direct = resolvent_bundle(A, q).S_left
     rows, converged = series.residual_report(state, q, direct, cfg.tol,
                                              cfg.nmax)
     last = rows[-1]

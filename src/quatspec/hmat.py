@@ -47,6 +47,10 @@ SINGULAR_REL_TOL = 1e-10
 # certified_nonsingular).
 CERTIFIED_RATIO = 1e4 * SINGULAR_REL_TOL
 
+# The largest n (chi images of 2n x 2n) for which that bound is proved:
+# its LU backward error rests on the worst-case growth 2**(2n-1).
+CERTIFIED_MAX_N = 8
+
 # certified_nonsingular decides only rows with P = ||M||_F**2/2 at least
 # this: squares of entries under 2**-511 leave the normal doubles in
 # _fro2, and below it the ones lost could be most of P.
@@ -387,7 +391,9 @@ def certified_nonsingular(M) -> np.ndarray:
     t_(2n-1) >= exp(B) * sqrt(P), to first order in E, so
     s_n >= t_(2n-1) - ||E|| > 5e-7 * s_1.  A certified row thus has
     s_n/s_1 over three orders of magnitude above SINGULAR_REL_TOL, more
-    than the rounding of an SVD can cover.
+    than the rounding of an SVD can cover.  The proof holds for
+    n <= CERTIFIED_MAX_N only (at n = 12 the growth bound is 256 times
+    larger), and spectrum.resolvent_mask calls this for no larger n.
 
     False means undecided, never singular: an exactly singular row has
     logdet = -inf, and a row whose P is not finite or below

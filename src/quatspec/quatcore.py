@@ -10,8 +10,10 @@ which vanishes exactly when p lies on the sphere Re(q) + |Im(q)|*S of q,
 the Cassini pseudo-metric u(p, q) = |triangle(q, p)|**(1/2) built from it,
 and the spherical power basis used by the resolvent series expansion,
 element by element and as a stream, with the stream of its spherical
-derivatives.  The derivatives come from t**k = A_k + D_k*Im(q),
-t = triangle(q0, q), and the real recurrence D_{k+1} = A_k*D_1 + D_k*A_1,
+derivatives.  Each stream is one recurrence on plain floats, which the
+series engine reads straight into its arrays, and a Quaternion view of
+it.  The derivatives come from t**k = A_k + D_k*Im(q), t =
+triangle(q0, q), and the real recurrence D_{k+1} = A_k*D_1 + D_k*A_1,
 with no division by Im(q).
 """
 
@@ -263,41 +265,86 @@ def spherical_power(q0: Quaternion, n: int, q: Quaternion) -> Quaternion:
     return tk
 
 
-def spherical_powers(q0: Quaternion, q: Quaternion):
-    """The endless stream spherical_power(q0, n, q) for n = 0, 1, 2, ...
+def spherical_power_floats(q0: Quaternion, q: Quaternion):
+    """The endless stream spherical_power(q0, n, q) for n = 0, 1, 2, ... as
+    plain floats, four per element: w, x, y, z of element 0, then of
+    element 1, and so on.
 
-    One qmul per element.  The powers of triangle(q0, q) are built left to
-    right from ONE exactly as qpow builds them, so every element equals
-    spherical_power(q0, n, q) bit for bit.
+    One quaternion product per element, written out on floats with the
+    expressions of qmul in its order.  The powers of triangle(q0, q) are
+    built left to right from ONE exactly as qpow builds them, so every
+    element equals spherical_power(q0, n, q) bit for bit.
     """
-    t = triangle(q0, q)
-    dq = q - q0
-    tk = ONE
+    tw, tx, ty, tz = triangle(q0, q)
+    dw, dx, dy, dz = q - q0
+    w, x, y, z = ONE
     while True:
-        yield tk
-        yield qmul(dq, tk)
-        tk = qmul(tk, t)
+        yield w
+        yield x
+        yield y
+        yield z
+        # qmul(q - q0, t**k)
+        yield dw * w - dx * x - dy * y - dz * z
+        yield dw * x + dx * w + dy * z - dz * y
+        yield dw * y - dx * z + dy * w + dz * x
+        yield dw * z + dx * y - dy * x + dz * w
+        # t**(k+1) = qmul(t**k, t)
+        w, x, y, z = (w * tw - x * tx - y * ty - z * tz,
+                      w * tx + x * tw + y * tz - z * ty,
+                      w * ty - x * tz + y * tw + z * tx,
+                      w * tz + x * ty - y * tx + z * tw)
 
 
-def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
+def spherical_power_sderiv_floats(q0: Quaternion, q: Quaternion):
     """The spherical derivatives of spherical_power(q0, n, .) at q, as the
-    endless stream n = 0, 1, 2, ...
+    endless stream n = 0, 1, 2, ... of plain floats, four per element.
 
     In the slice of q the powers of t = triangle(q0, q) are
     t**k = A_k + D_k*Im(q) with real A_k, D_k, so sderiv t**k = D_k and
     sderiv (q - q0)*t**k = A_k + (Re(q) - q0)*D_k.  A_k is the real part of
     the power qmul builds; D_0 = 0, D_1 = 2*(Re(q) - Re(q0)) and
     D_{k+1} = A_k*D_1 + D_k*A_1.  Nothing divides by Im(q), so one stream
-    serves the real axis and the rest of the space alike.
+    serves the real axis and the rest of the space alike.  Each element
+    takes the expressions of Quaternion arithmetic in its order, so it
+    equals Quaternion(D_k) and Quaternion(A_k) + dq*D_k, dq =
+    Quaternion(Re(q)) - q0, bit for bit, signed zeros included.
     """
-    t = triangle(q0, q)
+    tw, tx, ty, tz = triangle(q0, q)
     d1 = 2.0 * (q.w - q0.w)
-    dq = Quaternion(q.w) - q0
-    tk, dk = ONE, 0.0
+    dw, dx, dy, dz = Quaternion(q.w) - q0
+    w, x, y, z = ONE
+    dk = 0.0
     while True:
-        yield Quaternion(dk)
-        yield Quaternion(tk.w) + dq * dk
-        tk, dk = qmul(tk, t), tk.w * d1 + dk * t.w
+        yield dk
+        yield 0.0
+        yield 0.0
+        yield 0.0
+        yield w + dw * dk
+        yield 0.0 + dx * dk
+        yield 0.0 + dy * dk
+        yield 0.0 + dz * dk
+        w, x, y, z, dk = (w * tw - x * tx - y * ty - z * tz,
+                          w * tx + x * tw + y * tz - z * ty,
+                          w * ty - x * tz + y * tw + z * tx,
+                          w * tz + x * ty - y * tx + z * tw,
+                          w * d1 + dk * tw)
+
+
+def _quaternions(floats):
+    """The Quaternions of a stream of floats, four at a time."""
+    return map(Quaternion, floats, floats, floats, floats)
+
+
+def spherical_powers(q0: Quaternion, q: Quaternion):
+    """spherical_power_floats(q0, q) as Quaternions: the endless stream
+    spherical_power(q0, n, q) for n = 0, 1, 2, ..."""
+    return _quaternions(spherical_power_floats(q0, q))
+
+
+def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
+    """spherical_power_sderiv_floats(q0, q) as Quaternions: the spherical
+    derivatives of spherical_power(q0, n, .) at q for n = 0, 1, 2, ..."""
+    return _quaternions(spherical_power_sderiv_floats(q0, q))
 
 
 def cassini_points(b: float, radius: float, angle):

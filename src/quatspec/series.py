@@ -31,14 +31,15 @@ QMatrix product on raw arrays and B_1..B_m take about log2(m) products,
 for one SeriesState or (series_states) for many at once; B_n has the
 same bits however the store was extended.  One stepper, _Series,
 advances every series: it holds the series' basis stream of quatcore
-(one quaternion product per index), its sign parity, its carried
-partial sum and its cursor.  A block takes its terms from one broadcast
-scale_right over per-index scalars and its partial sums from a
-cumulative sum of the signed terms carried on from the previous block,
-so a run through N costs O(N) and its partial sums equal those of the
-term-by-term definition bit for bit (_block_sums, for one block or a
-stack).  The report rule runs one _Series a block at a time (_blocks),
-a block holding as many indices as a block of pencils
+(one quaternion product per index, in plain floats that a block reads
+straight into its array), its sign parity, its carried partial sum and
+its cursor.  A block takes its terms from one broadcast scale_right
+over per-index scalars and its partial sums from a cumulative sum of
+the signed terms carried on from the previous block, so a run through N
+costs O(N) and its partial sums equal those of the term-by-term
+definition bit for bit (_block_sums, for one block or a stack).  The
+report rule runs one _Series a block at a time (_blocks), a block
+holding as many indices as a block of pencils
 (sresolvent.block_rows); the library rule runs a stack (_stack_block),
 each series with its own tail bound and stop, all advanced together a
 round at a time, one block of each per round, so a stack takes the
@@ -71,15 +72,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from . import hmat
 from .errors import InputError, OutsideConvergenceDomain, QuatspecError
 from .hmat import QMatrix
-from .quatcore import (Quaternion, cassini_u, qpow, spherical_power_sderivs,
-                       spherical_powers, triangle)
+from .quatcore import (Quaternion, cassini_u, qpow, spherical_power_floats,
+                       spherical_power_sderiv_floats, triangle)
 # certified_real_point is also read as series.certified_real_point.
 from .sresolvent import (ResolventBundle, block_rows, certified_real_point,
                          resolvent_bundle)
@@ -222,16 +223,16 @@ class _Series:
     """One series at its own point, carried on a block at a time.
 
     The series of `state` at q (derivative=True: the derivative series)
-    takes its basis quaternions from its own stream of quatcore (one
-    quaternion product per index), negates every other term, and carries
-    its last partial sum from one of its blocks to the next; lo is the
-    first index not yet taken.
+    takes its basis quaternions from its own float stream of quatcore (one
+    quaternion product and four floats per index), negates every other
+    term, and carries its last partial sum from one of its blocks to the
+    next; lo is the first index not yet taken.
     """
 
     def __init__(self, state: SeriesState, q: Quaternion, derivative: bool):
         self.state = state
-        self.basis = (spherical_power_sderivs if derivative
-                      else spherical_powers)(state.q0, q)
+        self.basis = (spherical_power_sderiv_floats if derivative
+                      else spherical_power_floats)(state.q0, q)
         # the resolvent series subtracts its odd-indexed terms, the
         # derivative series its even ones
         self.odd = int(not derivative)
@@ -244,7 +245,7 @@ class _Series:
         the column of _parity(m) that their signs read.  Advances lo."""
         lo = self.lo
         self.lo += m
-        pts = np.fromiter(chain.from_iterable(islice(self.basis, m)), float,
+        pts = np.fromiter(islice(self.basis, 4 * m), float,
                           count=4 * m).reshape(m, 4)
         return (*self.state.coeff_rows(lo + 1, lo + m), pts,
                 (lo + self.odd) % 2)

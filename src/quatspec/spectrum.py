@@ -146,6 +146,9 @@ def resolvent_mask(A: QMatrix, points, center: Quaternion | None = None
     refusal: each block takes one stacked LU determinant, and the rows
     that hmat.certified_nonsingular proves nonsingular need no SVD; only
     the rows still undecided take one stacked SVD and hmat.nonsingular.
+    That certificate is proved for n <= hmat.CERTIFIED_MAX_N only, so a
+    larger A takes no determinant: its undecided rows go straight to
+    the SVD.
     A certified row's pencil cannot overflow, so the first point whose
     pencil does is refused as without a center.
     """
@@ -155,8 +158,10 @@ def resolvent_mask(A: QMatrix, points, center: Quaternion | None = None
     if center is not None:
         out = center_certified(A, center, pts)
         rest = np.flatnonzero(~out)
+    proved = A.n <= hmat.CERTIFIED_MAX_N
     for lo, M in pencil_chis(A, pts[rest]):
-        ok = hmat.certified_nonsingular(M)
+        ok = (hmat.certified_nonsingular(M) if proved
+              else np.zeros(len(M), dtype=bool))
         if not ok.all():
             ok[~ok] = hmat.nonsingular(np.linalg.svd(M[~ok], compute_uv=False))
         out[rest[lo:lo + len(M)]] = ok
@@ -165,7 +170,8 @@ def resolvent_mask(A: QMatrix, points, center: Quaternion | None = None
 
 def in_resolvent(A: QMatrix, q: Quaternion) -> bool:
     """Whether the pencil at q is invertible at the package threshold, as
-    resolvent_mask decides it: a determinant certificate, else an SVD."""
+    resolvent_mask decides it: a determinant certificate (n <=
+    hmat.CERTIFIED_MAX_N), else an SVD."""
     return bool(resolvent_mask(A, [q])[0])
 
 

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quatspec
-from quatspec import cli
+from quatspec import cli, series
 from quatspec.cli import COMMANDS, PARSER, Report, main, parse_quaternion
+from quatspec.errors import QuatspecError
 from quatspec.hmat import qmatrix_from_json_dict, smallest_singular
 from quatspec.quatcore import (Quaternion, SpherePoint, cassini_u_axial,
                                sphere_of)
 from quatspec.series import certified_real_point
-from quatspec.sresolvent import delta_op
+from quatspec.sresolvent import delta_op, resolvent_arrays, resolvent_bundle
 
 
 def write_matrix(tmp_path, name, entries):
@@ -322,6 +323,59 @@ def test_series_point_past_the_float_range_is_outside(tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "is not inside the convergence radius" in captured.err
+
+
+def one_point_order(A, q0, q):
+    """cmd_series' center bundle, domain gate and direct bundle taken one
+    point at a time, in that order: the oracle of its stacked pass."""
+    state = series.series_init(A, q0)
+    u = series.require_inside(state, q)
+    return state, u, resolvent_bundle(A, q).S_left
+
+
+# diag(1, 10): at q0 = 0 the radius is R = 1, and the sphere of 10 lies
+# outside the ball
+DIAG_1_10 = [[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [10, 0, 0, 0]]]
+
+
+@pytest.mark.parametrize("q0, q, stacked, message", [
+    # q0 in the S-spectrum: both orders refuse the center
+    ("1", "0.5", "numerically in the S-spectrum",
+     "numerically in the S-spectrum"),
+    # q outside R with a singular pencil: the stacked pass refuses q's
+    # pencil, the command q's distance
+    ("0", "10", "numerically in the S-spectrum",
+     "is not inside the convergence radius"),
+    # |q|**2 overflows: the stacked pass refuses it, the command again
+    # refuses q's distance
+    ("0", "1e200,0,1e200,0", "|q|**2", "is not inside the convergence radius"),
+    # q inside R: the stacked pass runs and the report is written
+    ("0", "0.5,0.25,0,0", None, None),
+])
+def test_series_error_order_is_the_one_point_order(tmp_path, monkeypatch,
+                                                   q0, q, stacked, message):
+    argv = ["series", "--input", write_matrix(tmp_path, "m.json", DIAG_1_10),
+            "--q0", q0, "--q", q]
+    A = qmatrix_from_json_dict({"n": 2, "entries": DIAG_1_10})
+    points = [parse_quaternion(q0), parse_quaternion(q)]
+    if stacked:
+        with pytest.raises(QuatspecError) as refused:
+            resolvent_arrays(A, points)
+        assert stacked in str(refused.value)
+    else:
+        resolvent_arrays(A, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_captured(argv)
+        monkeypatch.setattr(cli, "_series_pair", one_point_order)
+        want = run_captured(argv)
+    assert got == want
+    rc, out, err = got
+    if message:
+        assert rc == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
+    else:
+        assert rc == 0 and err == "" and strict_json(out)["converged"]
 
 
 def test_series_tail_bound_where_the_squares_underflow(capsys):

@@ -3,7 +3,7 @@ import struct
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -17,8 +17,12 @@ from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
                                cassini_u_axial, point_at_cassini_distance,
                                qinv, qmul, qpow, random_unit_imag,
                                sphere_of, spherical_power,
+                               spherical_power_floats,
+                               spherical_power_sderiv_floats,
                                spherical_power_sderivs, spherical_powers,
                                triangle)
+from quatspec.hmat import QMatrix
+from quatspec.series import _Series, series_init
 
 from oracles import spherical_power_sderiv
 
@@ -222,6 +226,74 @@ def test_basis_streams_are_bit_identical_to_the_pointwise_basis():
         got = list(islice(spherical_power_sderivs(q0, q), 40))
         assert [bits(v) for v in got] == [
             bits(spherical_power_sderiv(q0, n, q)) for n in range(40)]
+
+
+def int64_bits(values):
+    """The bits of a flat stream of floats, or of quaternions, as int64."""
+    return np.array(list(values), dtype=float).reshape(-1).view(
+        np.int64).tolist()
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+MODERATE = st.floats(-3.0, 3.0)
+# moderate, near 1e+-150 (where |q|**2 over- or underflows) and subnormal
+COMPONENTS = st.one_of(
+    SIGNED_ZEROS, MODERATE,
+    st.floats(1e149, 1e151), st.floats(-1e151, -1e149),
+    st.floats(1e-151, 1e-149), st.floats(-1e-149, -1e-151),
+    st.floats(-sys.float_info.min, sys.float_info.min))
+# real, non-real, and non-real with every component moderate, where the
+# order of a sum of products shows in its rounding
+BASIS_POINTS = st.one_of(
+    st.builds(Quaternion, COMPONENTS, SIGNED_ZEROS, SIGNED_ZEROS,
+              SIGNED_ZEROS),
+    st.builds(Quaternion, COMPONENTS, COMPONENTS, COMPONENTS, COMPONENTS),
+    st.builds(Quaternion, MODERATE, MODERATE, MODERATE, MODERATE))
+
+
+def test_float_streams_are_the_pointwise_basis():
+    # the float streams, their Quaternion views and a _Series block (taken
+    # in two parts, which may split a pair of elements) hold the bits of
+    # the pointwise basis: spherical_power, whose powers are qpow's, and
+    # the pointwise spherical derivative, the elements the Quaternion
+    # streams put into the block before the float streams did
+    seen = {"real": 0, "nonreal": 0, "not_finite": 0, "blocks": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(q0=BASIS_POINTS, q=BASIS_POINTS, m=st.integers(1, 16),
+           cut=st.integers(1, 16))
+    def check(q0, q, m, cut):
+        parts = [min(cut, m), m - min(cut, m)]
+        powers = [spherical_power(q0, n, q) for n in range(m)]
+        assert int64_bits(powers[::2]) == int64_bits(
+            qpow(triangle(q0, q), k) for k in range((m + 1) // 2))
+        sderivs = [spherical_power_sderiv(q0, n, q) for n in range(m)]
+        for floats, view, want in (
+                (spherical_power_floats, spherical_powers, powers),
+                (spherical_power_sderiv_floats, spherical_power_sderivs,
+                 sderivs)):
+            assert int64_bits(islice(floats(q0, q), 4 * m)) == int64_bits(want)
+            got = list(islice(view(q0, q), m))
+            assert all(type(v) is Quaternion for v in got)
+            assert int64_bits(got) == int64_bits(want)
+        try:
+            state = series_init(QMatrix.zeros(1), q0)
+        except QuatspecError:   # |q0|**2 is zero, subnormal or not finite
+            pass
+        else:
+            for derivative, want in ((False, powers), (True, sderivs)):
+                run = _Series(state, q, derivative)
+                pts = np.concatenate([run.take(k)[2] for k in parts if k])
+                assert pts.shape == (m, 4)
+                assert pts.view(np.int64).reshape(-1).tolist() == int64_bits(
+                    want)
+            seen["blocks"] += 1
+        seen["real" if q.im_norm() == 0.0 else "nonreal"] += 1
+        seen["not_finite"] += not all(map(math.isfinite,
+                                          chain.from_iterable(powers)))
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_sderiv_quadratic_example():

@@ -660,20 +660,28 @@ def count_work(monkeypatch, capsys, argv):
 def test_series_report_takes_two_svds_per_block(monkeypatch, capsys):
     argv = ["series", "--q0", "1", "--q", "1.9", "--tol", "1e-14",
             "--nmax", "400"]
-    rc, rep, work = count_work(monkeypatch, capsys, argv)
+    record = count_calls(monkeypatch)
+    rc = main(argv)
+    rep = json.loads(capsys.readouterr().out)
     assert rc == 0 and rep["N"] == 299
-    # the pencils of the center bundle, whose ||Q(q0)|| is 1/sigma_min,
-    # and of the direct bundle (2 SVDs); ||S_left(q0)|| (one kernel call),
-    # then two stacked kernel calls per block: all 300 rows fit in the
-    # first (4096 rows at n = 1).  Was at most 3 + 2 * 1 SVDs.
-    assert (work["svd"], work["eigvalsh"]) == (2, 1 + 2 * 1)
+    # one stacked pass takes the center bundle, whose ||Q(q0)|| is
+    # 1/sigma_min, and the direct bundle: one SVD and one inverse of the
+    # two 2 x 2 chi images (was one call of one row each); ||S_left(q0)||
+    # (one kernel call), then two stacked kernel calls per block: all 300
+    # rows fit in the first (4096 rows at n = 1).  Was at most 3 + 2 * 1
+    # SVDs.
+    assert record["svd"] == record["inv"] == [(2, 2, 2)]
+    assert linalg_rows(record["svd"]) == linalg_rows(record["inv"]) == 2
+    assert calls(record) == {"svd": 1, "eigvalsh": 1 + 2 * 1, "inv": 1,
+                             "det": 0, "bundle": 2}
     # at 64 rows per block the 300 rows take five blocks (was at most
     # 3 + 2 * 5 SVDs)
     ran = rows_per_block(monkeypatch, 1, 64)
     rc, rep, work = count_work(monkeypatch, capsys, argv)
     assert rc == 0 and rep["N"] == 299
     assert [lo for lo, _ in ran] == [0, 64, 128, 192, 256]
-    assert (work["svd"], work["eigvalsh"]) == (2, 1 + 2 * 5)
+    assert work == {"svd": 1, "eigvalsh": 1 + 2 * 5, "inv": 1, "det": 0,
+                    "bundle": 2}
 
 
 def test_report_kernel_row_gate_across_doubling_blocks(monkeypatch):

@@ -19,7 +19,7 @@ from quatspec.spectrum import (SpectrumResult, boundary_polyline,
 from quatspec.sresolvent import (delta_op, localization_radius, pencil_chis,
                                  pencil_svals, resolvent_bundle)
 
-from oracles import blowup_probe
+from oracles import blowup_probe, count_linalg
 from perfbench import gen
 
 
@@ -322,6 +322,40 @@ def test_mixed_scale_pencil_is_not_certified():
     (_, M), = pencil_chis(A, [q])
     assert not hmat.certified_nonsingular(M)[0]
     assert not hmat.nonsingular(pencil_svals(A, [q]))[0]
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_no_determinant_past_its_proved_size(monkeypatch, n):
+    # the determinant certificate is proved for n <= hmat.CERTIFIED_MAX_N
+    # only: at n = 9 and 12 the rows the center leaves, and every row
+    # without a center, go straight to the SVD, with and without a
+    # center and one point at a time (in_resolvent) alike
+    assert n > hmat.CERTIFIED_MAX_N
+    rng = np.random.default_rng(n)
+    A, spheres = mask_case("random", n, rng)
+    q0, bound = mask_center(A, spheres, "nonreal", rng)
+    points = [point_at_cassini_distance(q0, bound * f, random_unit_imag(rng),
+                                        float(rng.uniform(0.0, 2 * math.pi)))
+              for f in (0.1, 0.5, 0.9, 1.5, 3.0)]
+    points += [on_sphere(sp, rel, rng) for sp in spheres[:3]
+               for rel in (0.0, 1e-12, 1e-3)]
+    # the determinant would decide rows here, were it asked
+    (_, M), = pencil_chis(A, points)
+    assert hmat.certified_nonsingular(M).any()
+    shapes = count_linalg(monkeypatch)
+    plain = resolvent_mask(A, points)
+    centered = resolvent_mask(A, points, q0)
+    single = [in_resolvent(A, q) for q in points]
+    # one SVD without a center, two with it (of chi(A) - z0*I and of the
+    # rows it leaves) and one per in_resolvent call
+    assert shapes["slogdet"] == []
+    assert len(shapes["svd"]) == 1 + 2 + len(points)
+    monkeypatch.undo()
+    want = hmat.nonsingular(pencil_svals(A, points))
+    assert want.any() and not want.all()
+    assert np.array_equal(plain, want)
+    assert np.array_equal(centered, want)
+    assert single == want.tolist()
 
 
 def test_cassini_dist():
