@@ -24,7 +24,7 @@ from .spectrum import (SpectrumResult, boundary_polyline, cassini_dist,
                        cor1_check, in_resolvent, s_spectrum,
                        sample_cassini_ball)
 from .sresolvent import (ResolventBundle, delta_op, resolvent_bundle,
-                         resolvent_bundles, residual_AS_identity, residual_mixed_eq,
+                         residual_AS_identity, residual_mixed_eq,
                          residual_q_eq, residual_resolvent_eq)
 from .verify import SuiteRow, run_identity_suite
 
@@ -41,7 +41,7 @@ __all__ = [
     "op_norms", "point_at_cassini_distance", "qinv",
     "qmatrix_from_json_dict", "qmatrix_to_json_dict", "qmul", "qpow",
     "random_qmatrix", "remainder_exact", "resolvent_bundle",
-    "resolvent_bundles", "residual_AS_identity", "residual_mixed_eq", "residual_q_eq",
+    "residual_AS_identity", "residual_mixed_eq", "residual_q_eq",
     "residual_resolvent_eq", "run_identity_suite",
     "s_spectrum", "sample_cassini_ball", "sderiv_operator",
     "series_init", "slice_point", "sphere_of", "triangle",

@@ -305,7 +305,7 @@ def _series_pair(A: QMatrix, q0: Quaternion, q: Quaternion):
         state = series.series_init(A, q0)
         u = series.require_inside(state, q)
         return state, u, resolvent_bundle(A, q).S_left
-    state = series.SeriesState(A, stack.bundle(0, q0))
+    state = series.series_states([A], [stack.bundle(0, q0)])[0]
     return state, series.require_inside(state, q), stack.bundle(1, q).S_left
 
 

@@ -30,7 +30,6 @@ has entries q * A_ik.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -41,20 +40,6 @@ from .quatcore import Quaternion
 # its largest is treated as singular throughout the package (see
 # nonsingular).
 SINGULAR_REL_TOL = 1e-10
-
-# A chi image whose determinant bound on sigma_min/sigma_max, from one LU
-# factorization, exceeds this passes nonsingular without an SVD (see
-# certified_nonsingular).
-CERTIFIED_RATIO = 1e4 * SINGULAR_REL_TOL
-
-# The largest n (chi images of 2n x 2n) for which that bound is proved:
-# its LU backward error rests on the worst-case growth 2**(2n-1).
-CERTIFIED_MAX_N = 8
-
-# certified_nonsingular decides only rows with P = ||M||_F**2/2 at least
-# this: squares of entries under 2**-511 leave the normal doubles in
-# _fro2, and below it the ones lost could be most of P.
-CERTIFIED_P_MIN = 2.0 ** -960
 
 
 def _scalar_pair(q: Quaternion):
@@ -361,67 +346,6 @@ def nonsingular(sv):
     a stack of them gives one verdict per matrix.  NaN values fail.
     """
     return sv[..., -1] > SINGULAR_REL_TOL * sv[..., 0]
-
-
-def _fro2(M) -> np.ndarray:
-    """The squared Frobenius norm of each matrix of a complex stack."""
-    v = np.ascontiguousarray(M).view(float)
-    return np.einsum("kij,kij->k", v, v)
-
-
-def certified_nonsingular(M) -> np.ndarray:
-    """Per matrix of a (k, 2n, 2n) stack of chi images: whether one
-    stacked LU determinant proves that nonsingular holds for its
-    singular values.
-
-    A chi image has singular values s_1 >= ... >= s_n, each twice, so
-    |det M| = prod s_j**2 and P = ||M||_F**2/2 = sum s_j**2 >= s_1**2.
-    AM-GM over s_1**2, ..., s_(n-1)**2 gives
-
-        log(s_n/s_1) >= log|det M|/2 + (n-1)*log(n-1)/2 - n*log(P)/2
-
-    (for n = 1 the ratio is exactly 1), and a row is certified when this
-    bound B exceeds log(CERTIFIED_RATIO) = log(1e-6).  slogdet sums the
-    logs of the LU pivots, so it returns log|det(M + E)| with E the
-    backward error of LU with partial pivoting (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, section 9); with the
-    worst-case growth 2**(2n-1), ||E|| < 5e-7 * s_1 for n <= 8.  By Weyl,
-    the singular values t_1 >= ... >= t_2n of M + E lie within ||E|| of
-    the paired s_j, and AM-GM over its 2n - 2 largest gives
-    t_(2n-1) >= exp(B) * sqrt(P), to first order in E, so
-    s_n >= t_(2n-1) - ||E|| > 5e-7 * s_1.  A certified row thus has
-    s_n/s_1 over three orders of magnitude above SINGULAR_REL_TOL, more
-    than the rounding of an SVD can cover.  The proof holds for
-    n <= CERTIFIED_MAX_N only (at n = 12 the growth bound is 256 times
-    larger), and spectrum.resolvent_mask calls this for no larger n.
-
-    False means undecided, never singular: an exactly singular row has
-    logdet = -inf, and a row whose P is not finite or below
-    CERTIFIED_P_MIN (where squares of small entries underflow and P would
-    be too small) is not certified.  Each row is decided on its own, and
-    zero pivots and logs of zero are computed without warnings.  The
-    undecided rows take nonsingular on their SVD.  In
-    spectrum.resolvent_mask this is the second tier, for the rows that
-    spectrum.center_certified leaves undecided.
-    """
-    return log_ratio_bound(M) > math.log(CERTIFIED_RATIO)
-
-
-def log_ratio_bound(M) -> np.ndarray:
-    """Per matrix of a (k, 2n, 2n) stack of chi images: the lower bound
-    on log(s_n/s_1) that certified_nonsingular compares, from one stacked
-    slogdet; -inf where a pivot is zero, NaN where P is not finite or
-    below CERTIFIED_P_MIN.  Zero pivots and logs of zero raise no
-    warning.
-    """
-    n = M.shape[-1] // 2
-    pairing = 0.5 * (n - 1) * math.log(n - 1) if n > 1 else 0.0
-    with np.errstate(all="ignore"):
-        logdet = np.linalg.slogdet(M)[1]
-        P = 0.5 * _fro2(M)
-        bound = 0.5 * logdet + pairing - 0.5 * n * np.log(P)
-    bound[~((P >= CERTIFIED_P_MIN) & (P < np.inf))] = np.nan
-    return bound
 
 
 def qmat_inverse(A: QMatrix) -> QMatrix:

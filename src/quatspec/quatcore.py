@@ -11,10 +11,9 @@ the Cassini pseudo-metric u(p, q) = |triangle(q, p)|**(1/2) built from it,
 and the spherical power basis used by the resolvent series expansion,
 element by element and as a stream, with the stream of its spherical
 derivatives.  Each stream is one recurrence on plain floats, which the
-series engine reads straight into its arrays, and a Quaternion view of
-it.  The derivatives come from t**k = A_k + D_k*Im(q), t =
-triangle(q0, q), and the real recurrence D_{k+1} = A_k*D_1 + D_k*A_1,
-with no division by Im(q).
+series engine reads straight into its arrays.  The derivatives come
+from t**k = A_k + D_k*Im(q), t = triangle(q0, q), and the real
+recurrence D_{k+1} = A_k*D_1 + D_k*A_1, with no division by Im(q).
 """
 
 from __future__ import annotations
@@ -328,23 +327,6 @@ def spherical_power_sderiv_floats(q0: Quaternion, q: Quaternion):
                           w * ty - x * tz + y * tw + z * tx,
                           w * tz + x * ty - y * tx + z * tw,
                           w * d1 + dk * tw)
-
-
-def _quaternions(floats):
-    """The Quaternions of a stream of floats, four at a time."""
-    return map(Quaternion, floats, floats, floats, floats)
-
-
-def spherical_powers(q0: Quaternion, q: Quaternion):
-    """spherical_power_floats(q0, q) as Quaternions: the endless stream
-    spherical_power(q0, n, q) for n = 0, 1, 2, ..."""
-    return _quaternions(spherical_power_floats(q0, q))
-
-
-def spherical_power_sderivs(q0: Quaternion, q: Quaternion):
-    """spherical_power_sderiv_floats(q0, q) as Quaternions: the spherical
-    derivatives of spherical_power(q0, n, .) at q for n = 0, 1, 2, ..."""
-    return _quaternions(spherical_power_sderiv_floats(q0, q))
 
 
 def cassini_points(b: float, radius: float, angle):

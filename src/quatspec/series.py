@@ -10,7 +10,8 @@ around q0, and the pseudo-resolvent is its negated spherical derivative:
 
     Q(q) = sum_{n>=0} (-1)**(n+1) * B_{n+1} * d_n,
 
-with d_n element n of quatcore.spherical_power_sderivs(q0, q).
+with d_n the spherical derivative of spherical_power(q0, n, .) at q
+(quatcore.spherical_power_sderiv_floats).
 
 Truncations come with a posteriori geometric tail bounds driven by
 rho = ||Q(q0)|| * u * u = (u/R)**2 < 1 with u = cassini_u(q, q0), a product
@@ -28,7 +29,7 @@ diagnostics eval_series_S and term_norms).  B_1, B_2, ... are two stacked
 complex arrays, extended by doubling, B_n = B_h @ B_{n-h} with h the
 largest power of two below n, so the indices h+1..2h are one stacked
 QMatrix product on raw arrays and B_1..B_m take about log2(m) products,
-for one SeriesState or (series_states) for many at once; B_n has the
+for one expansion or many at once (series_states); B_n has the
 same bits however the store was extended.  One stepper, _Series,
 advances every series: it holds the series' basis stream of quatcore
 (one quaternion product per index, in plain floats that a block reads
@@ -103,34 +104,28 @@ ROUND_BLOCKS = 4
 SCREEN_MARGIN = 1e-12
 
 
-def _stacked(pairs):
-    """The complex pairs (a1, a2) of one size as one stacked pair; a single
-    pair as it is."""
-    if len(pairs) == 1:
-        return pairs[0]
-    return tuple(np.stack(part) for part in zip(*pairs))
-
-
 class _Coefficients:
-    """B_1, B_2, ... of one or more expansions, extended together.
+    """B_1, B_2, ... of T expansions, extended together.
 
     Kept as two stacked (count, T, n, n) complex arrays, B_n of expansion
-    t at [n - 1, t] ((count, n, n) for a single expansion), and extended
-    for all T at once by doubling: B_1 = S_left(q0), B_2 = Q and, for
-    n > 2, B_n = B_h @ B_{n-h} with h the largest power of two below n
-    (B_h = Q^(h/2)), so the indices h+1..2h are one stacked product of
-    B_h with B_1..B_h, and B_1..B_m take about log2(m) products.  B_n is
-    a function of n alone: each matrix of a stacked product equals its
-    own product bit for bit, so extending one index at a time, to m in
-    one call, or for a stack of expansions gives the same bits.  A B_n
-    past the float range is stored as it comes, without a warning: the
-    series readers check their terms and partial sums for finiteness.
+    t at [n - 1, t], a lone expansion being T = 1.  B_1 = S_left(q0) and
+    B_2 = Q are stored when the store is made; for n > 2, B_n = B_h @
+    B_{n-h} with h the largest power of two below n (B_h = Q^(h/2)), so
+    the indices h+1..2h are one stacked product of B_h with B_1..B_h for
+    all T at once, and B_1..B_m take about log2(m) products.  B_n is a
+    function of n alone: each matrix of a stacked product equals its own
+    product bit for bit, so extending one index at a time, to m in one
+    call, or for a stack of expansions gives the same bits.  A B_n past
+    the float range is stored as it comes, without a warning: the series
+    readers check their terms and partial sums for finiteness.
     """
 
     def __init__(self, bundles):
-        self.bundles = bundles
-        self.count = 0
-        self.b1 = self.b2 = None
+        self.b1 = np.array([[b.S_left.a1 for b in bundles],
+                            [b.Q.a1 for b in bundles]])
+        self.b2 = np.array([[b.S_left.a2 for b in bundles],
+                            [b.Q.a2 for b in bundles]])
+        self.count = 2
 
     def rows(self, m: int):
         """The stored arrays, holding at least B_1..B_m of every expansion."""
@@ -140,11 +135,6 @@ class _Coefficients:
 
     def _extend(self, m: int) -> None:
         k = self.count
-        if self.b1 is None:
-            Q = _stacked([(b.Q.a1, b.Q.a2) for b in self.bundles])
-            S = _stacked([(b.S_left.a1, b.S_left.a2) for b in self.bundles])
-            self.b1, self.b2 = (np.stack(pair) for pair in zip(S, Q))
-            k = 2
         if m > len(self.b1):
             cap = max(m, 2 * len(self.b1))
             grown = []
@@ -169,20 +159,21 @@ class _Coefficients:
 class SeriesState:
     """Expansion center data: the center's resolvent bundle, R and B_n.
 
-    B_1, B_2, ... are kept as two stacked complex arrays, extended by
-    doubling (_Coefficients), on their own or (series_states) together
-    with those of other expansions.
+    B_1, B_2, ... are expansion `row` of a coefficient store
+    (_Coefficients), which series_states makes for one expansion or
+    shares among many.
     """
 
     A: QMatrix
     bundle0: ResolventBundle
+    store: _Coefficients = field(repr=False, compare=False)
+    row: int = 0
     q0: Quaternion = field(init=False)
     R: float = field(init=False)
 
     def __post_init__(self):
         self.q0 = self.bundle0.q
         self.R = self.bundle0.radius
-        self._store, self._row = _Coefficients([self.bundle0]), None
 
     def coeff(self, n: int) -> QMatrix:
         """B_n (1-indexed), extending the stored recurrence as needed."""
@@ -196,27 +187,22 @@ class SeriesState:
 
         The arrays are views of the stored rows: read them, never write.
         """
-        b1, b2 = self._store.rows(hi)
-        if self._row is None:
-            return b1[lo - 1:hi], b2[lo - 1:hi]
-        return b1[lo - 1:hi, self._row], b2[lo - 1:hi, self._row]
+        b1, b2 = self.store.rows(hi)
+        return b1[lo - 1:hi, self.row], b2[lo - 1:hi, self.row]
 
 
 def series_init(A: QMatrix, q0: Quaternion) -> SeriesState:
     """Prepare an expansion around q0; B_n are computed as they are read."""
-    return SeriesState(A, resolvent_bundle(A, q0))
+    return series_states([A], [resolvent_bundle(A, q0)])[0]
 
 
 def series_states(As, bundles) -> list:
     """The SeriesState of each matrix of As (all of one size) about its
-    bundle's point, their B_n extended together: reading any one's
-    extends all of them, one stacked product per power of two."""
-    states = [SeriesState(A, b) for A, b in zip(As, bundles)]
-    if len(states) > 1:
-        store = _Coefficients(bundles)
-        for t, state in enumerate(states):
-            state._store, state._row = store, t
-    return states
+    bundle's point, their B_n in one store: reading any one's extends all
+    of them, one stacked product per power of two."""
+    store = _Coefficients(bundles)
+    return [SeriesState(A, b, store, t)
+            for t, (A, b) in enumerate(zip(As, bundles))]
 
 
 class _Series:

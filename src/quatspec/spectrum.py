@@ -24,7 +24,7 @@ from .hmat import QMatrix
 from .quatcore import (CassiniBall, Quaternion, SpherePoint,
                        boundary_rotations, cassini_points_rotated,
                        cassini_u_axial, sphere_of)
-from .sresolvent import ResolventBundle, pencil_chis, point_rows
+from .sresolvent import ResolventBundle, pencil_svals, point_rows
 
 # Two eigenvalue-derived spheres merge when both coordinates agree to this
 # times (1 + ||A||); eigenvalue clustering noise sits far below it.
@@ -33,11 +33,14 @@ CLUSTER_REL_TOL = 1e-8
 # sample_cassini_ball draws at most this many rejection candidates at a time.
 SAMPLE_BLOCK = 4096
 
-# center_certified widens its bound on every sample by this fraction of
-# the scale ||A|| + |z0| + |q|, and decides a sample only where
-# ||A|| + |q| lies in this range (its square in [CERTIFIED_P_MIN, 2**1000]).
+# center_certified decides a sample where its bound on the pencil's
+# sigma_min/sigma_max exceeds CERTIFIED_RATIO, four orders of magnitude
+# above hmat.SINGULAR_REL_TOL.  It widens that bound by CENTER_SLACK of
+# the scale ||A|| + |z0| + |q|, and decides only where ||A|| + |q| lies
+# in CENTER_U_RANGE (its square in [2**-960, 2**1000]).
+CERTIFIED_RATIO = 1e4 * hmat.SINGULAR_REL_TOL
 CENTER_SLACK = 2.0 ** -30
-CENTER_U_RANGE = (math.sqrt(hmat.CERTIFIED_P_MIN), 2.0 ** 500)
+CENTER_U_RANGE = (2.0 ** -480, 2.0 ** 500)
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,7 @@ def center_certified(A: QMatrix, q0: Quaternion,
     once), the kernel's ||A|| (top_singular), and |Im q|, |q| and
     |zeta - z0| (hypot, after one rounded difference each).  The
     computed pencil and its SVD differ from the exact ones by a like
-    multiple of eps*u**2, which CERTIFIED_RATIO = 1e4 * SINGULAR_REL_TOL
-    leaves room for, as in hmat.certified_nonsingular.
+    multiple of eps*u**2, which CERTIFIED_RATIO leaves room for.
 
     False means undecided, never singular.  A row is decided only where
     u lies in CENTER_U_RANGE, so u**2 is a normal double with room to
@@ -131,7 +133,7 @@ def center_certified(A: QMatrix, q0: Quaternion,
         u = (norm + mod) * (1.0 + CENTER_SLACK)
         g = gamma - dist - CENTER_SLACK * (norm + abs(z0) + mod)
     lo, hi = CENTER_U_RANGE
-    return (g > math.sqrt(hmat.CERTIFIED_RATIO) * u) & (lo <= u) & (u <= hi)
+    return (g > math.sqrt(CERTIFIED_RATIO) * u) & (lo <= u) & (u <= hi)
 
 
 def resolvent_mask(A: QMatrix, points, center: Quaternion | None = None
@@ -139,39 +141,25 @@ def resolvent_mask(A: QMatrix, points, center: Quaternion | None = None
     """Per point: whether the pencil is invertible at the package threshold.
 
     The verdict is hmat.nonsingular(pencil_svals(A, points)) row for row,
-    decided by the cheapest of three tiers that can.  Given the center
-    the points were drawn around, center_certified first decides rows
-    from one SVD of chi(A) - z0*I for all of them.  The rows it leaves
-    run, in point order, on the blocks of pencil_chis with their overflow
-    refusal: each block takes one stacked LU determinant, and the rows
-    that hmat.certified_nonsingular proves nonsingular need no SVD; only
-    the rows still undecided take one stacked SVD and hmat.nonsingular.
-    That certificate is proved for n <= hmat.CERTIFIED_MAX_N only, so a
-    larger A takes no determinant: its undecided rows go straight to
-    the SVD.
-    A certified row's pencil cannot overflow, so the first point whose
-    pencil does is refused as without a center.
+    decided in two tiers.  Given the center the points were drawn around,
+    center_certified first decides rows from one SVD of chi(A) - z0*I for
+    all of them.  The rows it leaves, every row without a center, take
+    pencil_svals, one stacked SVD per block of pencils, in point order and
+    with its overflow refusal.  A certified row's pencil cannot overflow,
+    so the first point whose pencil does is refused as without a center.
     """
     pts = point_rows(points)
-    rest = np.arange(len(pts))
     out = np.zeros(len(pts), dtype=bool)
     if center is not None:
         out = center_certified(A, center, pts)
-        rest = np.flatnonzero(~out)
-    proved = A.n <= hmat.CERTIFIED_MAX_N
-    for lo, M in pencil_chis(A, pts[rest]):
-        ok = (hmat.certified_nonsingular(M) if proved
-              else np.zeros(len(M), dtype=bool))
-        if not ok.all():
-            ok[~ok] = hmat.nonsingular(np.linalg.svd(M[~ok], compute_uv=False))
-        out[rest[lo:lo + len(M)]] = ok
+    rest = np.flatnonzero(~out)
+    out[rest] = hmat.nonsingular(pencil_svals(A, pts[rest]))
     return out
 
 
 def in_resolvent(A: QMatrix, q: Quaternion) -> bool:
     """Whether the pencil at q is invertible at the package threshold, as
-    resolvent_mask decides it: a determinant certificate (n <=
-    hmat.CERTIFIED_MAX_N), else an SVD."""
+    resolvent_mask decides it without a center: one SVD."""
     return bool(resolvent_mask(A, [q])[0])
 
 

@@ -18,14 +18,13 @@ pencils of a block of points on the complex pair, for one matrix or for
 a stack of them with a row-to-matrix index, and pencil_chis yields each
 block's chi images.  pencil_svals takes one stacked SVD of each block,
 resolvent_arrays adds one stacked inverse and the S-resolvents (as
-stacked arrays; resolvent_bundles wraps its rows for one matrix), and
-delta_op and resolvent_bundle are the one-point cases, so every reader
-of a pencil's singular values at q sees them bit for bit (the membership
-mask of spectrum.resolvent_mask needs them only for the pencils its
-center and determinant certificates leave undecided, and
-resolvent_arrays takes them from a caller that has them); a bundle
-reads ||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min)
-off them.
+stacked arrays, whose rows BundleStack.bundle wraps), and delta_op and
+resolvent_bundle are the one-point cases, so every reader of a pencil's
+singular values at q sees them bit for bit (the membership mask of
+spectrum.resolvent_mask needs them only for the pencils its center
+certificate leaves undecided, and resolvent_arrays takes them from a
+caller that has them); a bundle reads ||Q|| = 1/sigma_min and the
+radius ||Q||**(-1/2) = sqrt(sigma_min) off them.
 localization_radius reads the same radius off the pencil's SVD alone
 and refuses a point with the bundle's error.  Everything else that reads
 the resolvent at a point takes a bundle.  Random resolvent points come
@@ -85,7 +84,7 @@ SAMPLE_DRAWS = 10000
 
 # A stacked SVD takes at most this many bytes of chi images (64 pencils at
 # n = 8, 1024 at n = 2), which bounds the working memory of pencil_svals,
-# resolvent_bundles and the series engine; block_rows turns it into rows.
+# resolvent_arrays and the series engine; block_rows turns it into rows.
 PENCIL_BLOCK_BYTES = 1 << 18
 
 # How overflow messages name the pencil.
@@ -374,26 +373,12 @@ def resolvent_arrays(A, points, owner=None, sv=None) -> BundleStack:
     return BundleStack(*pairs, np.concatenate([b.smallest for b in blocks]))
 
 
-def resolvent_bundles(A: QMatrix, points) -> list:
-    """The resolvent_bundle of every point, a block of pencils at a time.
-
-    `points` is a sequence of Quaternions; the bundles are the rows of
-    resolvent_arrays, so each equals its one-point bundle bit for bit, and
-    the first point that fails raises what its own call would.
-    """
-    points = list(points)
-    if not points:
-        return []
-    b = resolvent_arrays(A, points)
-    return [b.bundle(i, q) for i, q in enumerate(points)]
-
-
 def resolvent_bundle(A: QMatrix, q: Quaternion) -> ResolventBundle:
     """Invert the pencil at q and assemble both S-resolvents.
 
-    The one-point case of resolvent_bundles: one SVD and one inverse.
+    The one-point row of resolvent_arrays: one SVD and one inverse.
     """
-    return resolvent_bundles(A, [q])[0]
+    return resolvent_arrays(A, [q]).bundle(0, q)
 
 
 def off_sphere(q: Quaternion, p: Quaternion, tol: float) -> bool:

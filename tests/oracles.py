@@ -16,13 +16,13 @@ from quatspec.hmat import QMatrix, op_norm, op_norms
 from quatspec.quatcore import (Quaternion, point_at_cassini_distance, qpow,
                                random_unit_imag, triangle)
 from quatspec.series import (SeriesState, _partial_through, _tails,
-                             require_inside)
+                             require_inside, series_states)
 from quatspec.sliceanalysis import (_check_unit_imag, sderiv_operator,
                                     slice_point)
 from quatspec.spectrum import cor1_check, in_resolvent
 from quatspec.sresolvent import (certified_real_point, off_sphere,
                                  pencil_svals, random_resolvent_points,
-                                 resolvent_bundle, resolvent_bundles,
+                                 resolvent_arrays, resolvent_bundle,
                                  residual_AS_identity, residual_mixed_eq,
                                  residual_q_eq, residual_resolvent_eq,
                                  well_conditioned)
@@ -276,7 +276,7 @@ def sequential_trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
     """The relative residuals of one verify trial, computed on bundles.
 
     The per-trial table verify ran before its trials were stacked: the
-    sampler and one resolvent_bundles call for the trial's seven points,
+    sampler and one resolvent_arrays call for the trial's seven points,
     the residual_* operations of sresolvent, sderiv_operator, cor1_check,
     one converge_series_S and one converge_series_Q pass and a separate
     partial sum for the exact remainder; one op_norms stack takes the
@@ -295,9 +295,11 @@ def sequential_trial_residuals(A: QMatrix, rng, tol: float, nmax: int) -> dict:
     q_in = point_at_cassini_distance(
         q0=r0, dist=0.5 * R, direction=random_unit_imag(rng),
         angle=float(rng.uniform(0.0, 2.0 * np.pi)))
-    bp, bq, bqc, br, bd, bdc, b_in = resolvent_bundles(
-        A, [p, q, q.conj(), r0, qd, qd.conj(), q_in])
-    state = SeriesState(A, br)
+    points = [p, q, q.conj(), r0, qd, qd.conj(), q_in]
+    stack = resolvent_arrays(A, points)
+    bp, bq, bqc, br, bd, bdc, b_in = (stack.bundle(i, x)
+                                      for i, x in enumerate(points))
+    state = series_states([A], [br])[0]
     tri = abs(triangle(q, p))
     r_pq, r_qp = residual_q_eq(bp, bq)
     ddiff = bq.pencil - bp.pencil

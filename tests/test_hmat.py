@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatspec.errors import InputError, SingularOperator
-from quatspec.hmat import (QMatrix, certified_nonsingular, chi, from_chi,
-                           log_ratio_bound, nonsingular, op_norm, op_norms,
+from quatspec.hmat import (QMatrix, chi, from_chi, op_norm, op_norms,
                            pair_chi, pair_from_chi, pair_matmul,
                            pair_op_norms, pair_scale_right, qmat_inverse,
                            qmatrix_from_json_dict, qmatrix_to_json_dict,
@@ -363,54 +362,6 @@ def test_from_chi_halves_each_block_before_the_sum():
     with np.errstate(all="raise"):
         b1, b2 = pair_from_chi(pair_chi(a1, a2))
     assert np.array_equal(b1, a1) and np.array_equal(b2, a2)
-
-
-EPS = np.finfo(float).eps
-CERTIFICATE_ROWS = st.lists(
-    st.tuples(st.integers(-600, 500), st.floats(-12.0, 0.0), st.booleans()),
-    min_size=1, max_size=4)
-
-
-def test_certificate_is_an_svd_lower_bound():
-    # chi images at n = 1..8 scaled by 2**k (below about 2**-537 every
-    # square of an entry underflows), with columns scaled down to 1e-12
-    # and exactly singular rows (a zero column): a certified row passes
-    # nonsingular on its SVD, and wherever the range guard admits a row,
-    # exp(bound) is at most s_n/s_1, up to the SVD's absolute rounding of
-    # s_n/s_1 and a 1e-8 slack for the logs of the bound
-    seen = {"certified": 0, "undecided": 0, "refused": 0, "zero_det": 0}
-
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
-           rows=CERTIFICATE_ROWS)
-    def check(n, seed, rows):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(len(rows), 2, n, n, 2)).view(complex)[..., 0]
-        singular = np.array([zero for _, _, zero in rows])
-        for i, (k, lowest, zero) in enumerate(rows):
-            d = 10.0 ** rng.uniform(lowest, 0.0, size=n)
-            if zero:
-                d[rng.integers(n)] = 0.0
-            a[i] *= d * 2.0 ** k
-        M = pair_chi(a[:, 0], a[:, 1])
-        certified = certified_nonsingular(M)
-        bound = log_ratio_bound(M)
-        sv = np.linalg.svd(M, compute_uv=False)
-        assert not (certified & ~nonsingular(sv)).any()
-        admitted = ~np.isnan(bound)
-        ratio = sv[admitted, -1] / sv[admitted, 0]
-        assert (np.exp(bound[admitted])
-                <= (ratio + 16 * EPS) * math.exp(1e-8)).all()
-        assert not certified[singular].any()
-        assert (bound[singular & admitted] == -np.inf).all()
-        seen["certified"] += int(np.count_nonzero(certified))
-        seen["undecided"] += int(np.count_nonzero(admitted & ~certified
-                                                  & ~singular))
-        seen["refused"] += int(np.count_nonzero(~admitted))
-        seen["zero_det"] += int(np.count_nonzero(admitted & singular))
-
-    check()
-    assert all(seen.values()), seen
 
 
 def test_json_roundtrip_and_validation():

@@ -18,9 +18,7 @@ from quatspec.quatcore import (ONE, QI, QJ, QK, CassiniBall, Quaternion,
                                qinv, qmul, qpow, random_unit_imag,
                                sphere_of, spherical_power,
                                spherical_power_floats,
-                               spherical_power_sderiv_floats,
-                               spherical_power_sderivs, spherical_powers,
-                               triangle)
+                               spherical_power_sderiv_floats, triangle)
 from quatspec.hmat import QMatrix
 from quatspec.series import _Series, series_init
 
@@ -211,6 +209,12 @@ def bits(q):
     return struct.pack("4d", *q)
 
 
+def quaternions(floats, m):
+    """The first m elements of a float stream of quatcore as Quaternions."""
+    it = islice(floats, 4 * m)
+    return [Quaternion(*v) for v in zip(it, it, it, it)]
+
+
 def test_basis_streams_are_bit_identical_to_the_pointwise_basis():
     rng = np.random.default_rng(25)
     points = [(rand_quat(rng), rand_quat(rng)) for _ in range(20)]
@@ -220,10 +224,10 @@ def test_basis_streams_are_bit_identical_to_the_pointwise_basis():
                (Quaternion(2.0), Quaternion(1.2, 1e-9, 0.0, 0.0)),
                (Quaternion(-1.0), Quaternion(-0.5, -0.0, 0.0, -0.0))]
     for q0, q in points:
-        got = list(islice(spherical_powers(q0, q), 40))
+        got = quaternions(spherical_power_floats(q0, q), 40)
         assert [bits(v) for v in got] == [
             bits(spherical_power(q0, n, q)) for n in range(40)]
-        got = list(islice(spherical_power_sderivs(q0, q), 40))
+        got = quaternions(spherical_power_sderiv_floats(q0, q), 40)
         assert [bits(v) for v in got] == [
             bits(spherical_power_sderiv(q0, n, q)) for n in range(40)]
 
@@ -252,11 +256,10 @@ BASIS_POINTS = st.one_of(
 
 
 def test_float_streams_are_the_pointwise_basis():
-    # the float streams, their Quaternion views and a _Series block (taken
-    # in two parts, which may split a pair of elements) hold the bits of
-    # the pointwise basis: spherical_power, whose powers are qpow's, and
-    # the pointwise spherical derivative, the elements the Quaternion
-    # streams put into the block before the float streams did
+    # the float streams and a _Series block (taken in two parts, which
+    # may split a pair of elements) hold the bits of the pointwise basis:
+    # spherical_power, whose powers are qpow's, and the pointwise
+    # spherical derivative
     seen = {"real": 0, "nonreal": 0, "not_finite": 0, "blocks": 0}
 
     @settings(max_examples=300, deadline=None)
@@ -268,14 +271,9 @@ def test_float_streams_are_the_pointwise_basis():
         assert int64_bits(powers[::2]) == int64_bits(
             qpow(triangle(q0, q), k) for k in range((m + 1) // 2))
         sderivs = [spherical_power_sderiv(q0, n, q) for n in range(m)]
-        for floats, view, want in (
-                (spherical_power_floats, spherical_powers, powers),
-                (spherical_power_sderiv_floats, spherical_power_sderivs,
-                 sderivs)):
+        for floats, want in ((spherical_power_floats, powers),
+                             (spherical_power_sderiv_floats, sderivs)):
             assert int64_bits(islice(floats(q0, q), 4 * m)) == int64_bits(want)
-            got = list(islice(view(q0, q), m))
-            assert all(type(v) is Quaternion for v in got)
-            assert int64_bits(got) == int64_bits(want)
         try:
             state = series_init(QMatrix.zeros(1), q0)
         except QuatspecError:   # |q0|**2 is zero, subnormal or not finite
@@ -394,7 +392,7 @@ def test_sderivs_against_exact_rationals():
                            im * d.z)
             c0, t = abs(q) + abs(q0), abs(triangle(q0, q))
             exact = exact_sderivs(q0, q, 40)
-            got = islice(spherical_power_sderivs(q0, q), 40)
+            got = quaternions(spherical_power_sderiv_floats(q0, q), 40)
             for n, (g, e) in enumerate(zip(got, exact)):
                 k, odd = divmod(n, 2)
                 majorant = 2 * k * c0 * t ** (k - 1) if k else 0.0

@@ -17,7 +17,7 @@ from quatspec.series import (DEFAULT_NMAX, _tails, certified_real_point,
                              eval_series_S, remainder_exact, residual_report,
                              series_init, tail_rule, term_norms)
 from quatspec.sliceanalysis import cauchy_coeffs
-from quatspec.sresolvent import resolvent_bundle, resolvent_bundles
+from quatspec.sresolvent import resolvent_arrays, resolvent_bundle
 
 from oracles import (count_linalg, eval_series_Q, linalg_rows,
                      s_resolvent_map, sequential_coefficients,
@@ -255,10 +255,10 @@ def test_coefficients_by_doubling(n):
     m = 300
     # B_n is a function of n alone: the same bits extended to m in one
     # call, one index at a time, or for a stack of expansions
-    one_call = [series.SeriesState(A, b).coeff_rows(1, m)
+    one_call = [series.series_states([A], [b])[0].coeff_rows(1, m)
                 for A, b in zip(As, bundles)]
     for A, b, (w1, w2) in zip(As, bundles, one_call):
-        state = series.SeriesState(A, b)
+        state = series.series_states([A], [b])[0]
         for k in range(m):
             B = state.coeff(k + 1)
             assert B.a1.tobytes() == w1[k].tobytes()
@@ -275,6 +275,24 @@ def test_coefficients_by_doubling(n):
         for i, d in enumerate(diff.tolist(), start=1):
             factors = nq ** (i // 2) * ns ** (i % 2)
             assert d <= COEFF_TOL_N * i * n * eps * factors
+
+
+@pytest.mark.parametrize("T", [1, 3])
+def test_fresh_coefficient_store_reads_empty_rows(T):
+    # B_1 and B_2 are stored when the store is made, so a state whose
+    # coefficients were never read gives empty rows for hi < lo, and a
+    # series' first take of no indices reads nothing
+    rng = np.random.default_rng(29)
+    As = [random_qmatrix(2, rng) for _ in range(T)]
+    bundles = [resolvent_bundle(A, certified_real_point(A)) for A in As]
+    for state in series.series_states(As, bundles):
+        b1, b2 = state.coeff_rows(1, 0)
+        assert b1.shape == b2.shape == (0, 2, 2)
+        b1, b2, pts, _ = series._Series(state, Quaternion(0.5), False).take(0)
+        assert b1.shape == b2.shape == (0, 2, 2) and pts.shape == (0, 4)
+        B = state.coeff(2)
+        assert np.array_equal(B.a1, state.bundle0.Q.a1)
+        assert np.array_equal(B.a2, state.bundle0.Q.a2)
 
 
 # --- the incremental engine against the term-by-term definition ----------
@@ -820,7 +838,7 @@ def test_stacked_bundles_take_one_svd_and_one_inverse(k, monkeypatch):
     points = [certified_real_point(A) + Quaternion(*rng.uniform(0, 1, 4))
               for _ in range(k)]
     record = count_calls(monkeypatch)
-    resolvent_bundles(A, points)
+    resolvent_arrays(A, points)
     assert calls(record) == {"svd": 1, "eigvalsh": 0, "inv": 1, "det": 0,
                              "bundle": k}
 
@@ -849,6 +867,27 @@ def test_cassini_svd_count_gate(monkeypatch, capsys, tmp_path):
     assert invs == [0, 0]
     assert dets == [0, 0]
     assert bundles == [0, 0]
+
+
+NONNORMAL = {"n": 2, "entries": [[[1, 0, 0, 0], [1000, 0, 0, 0]],
+                                 [[0, 0, 0, 0], [1.5, 0.5, 0, 0]]]}
+
+
+def test_cassini_nonnormal_svd_count_gate(monkeypatch, capsys, tmp_path):
+    # a strongly non-normal 2x2 input at a non-real center where the
+    # center certificate decides none of the 1000 samples: ||A|| (one
+    # kernel call), the SVD of the pencil at q0, the one of chi(A) - z0*I,
+    # and one stacked SVD of every sample's pencil (1024 rows fit one
+    # block at n = 2); no determinant, no inverse and no bundle.  Was 2
+    # SVDs and 1 determinant, which certified every sample.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(NONNORMAL))
+    rc, rep, work = count_work(monkeypatch, capsys, [
+        "cassini", "--input", str(path), "--q0=1.5,0.9,0,0",
+        "--trials", "1000"])
+    assert rc == 0 and rep["samples_inside"] == 1000
+    assert work == {"svd": 3, "eigvalsh": 1, "inv": 0, "det": 0,
+                    "bundle": 0}
 
 
 def test_spectrum_svd_count_gate(monkeypatch, capsys, tmp_path):

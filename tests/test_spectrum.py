@@ -16,7 +16,7 @@ from quatspec.spectrum import (SpectrumResult, boundary_polyline,
                                cassini_box, cassini_dist, center_certified,
                                cor1_check, in_resolvent, resolvent_mask,
                                s_spectrum, sample_cassini_ball)
-from quatspec.sresolvent import (delta_op, localization_radius, pencil_chis,
+from quatspec.sresolvent import (delta_op, localization_radius,
                                  pencil_svals, resolvent_bundle)
 
 from oracles import blowup_probe, count_linalg
@@ -146,10 +146,10 @@ def on_sphere(sp, rel, rng):
 
 
 def test_resolvent_mask_is_the_svd_verdict():
-    # resolvent_mask's certificate never changes hmat.nonsingular's verdict;
-    # the drawn cases reach certified rows, SVD rows of either verdict and
-    # an exactly singular pencil, whose zero pivot gives logdet = -inf
-    seen = {"certified": 0, "svd_true": 0, "svd_false": 0, "zero_det": 0}
+    # without a center, resolvent_mask is hmat.nonsingular's verdict on
+    # pencil_svals row for row; the drawn cases reach either verdict and
+    # an exactly singular pencil, with an exact zero on its diagonal
+    seen = {"svd_true": 0, "svd_false": 0, "zero_pivot": 0}
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["random", "jordan", "real_diagonal"]),
@@ -172,23 +172,18 @@ def test_resolvent_mask_is_the_svd_verdict():
         if kind == "real_diagonal":
             # the pencil (A - d)**2 has an exact zero on its diagonal
             d = float(A.a1[0, 0].real)
-            M = chi(delta_op(A, Quaternion(d)))[None]
-            assert np.linalg.slogdet(M)[1][0] == -np.inf
-            assert not hmat.certified_nonsingular(M)[0]
+            assert delta_op(A, Quaternion(d)).a1[0, 0] == 0.0
             points.insert(int(rng.integers(len(points) + 1)), Quaternion(d))
-            seen["zero_det"] += 1
+            seen["zero_pivot"] += 1
         with pytest.MonkeyPatch.context() as mp:
             if block:
                 mp.setattr(sresolvent, "PENCIL_BLOCK_BYTES",
                            block * chi(A).nbytes)
             mask = resolvent_mask(A, points)
-            certified = np.concatenate([hmat.certified_nonsingular(M)
-                                        for _, M in pencil_chis(A, points)])
         want = hmat.nonsingular(pencil_svals(A, points))
         assert np.array_equal(mask, want)
-        seen["certified"] += int(np.count_nonzero(certified))
-        seen["svd_true"] += int(np.count_nonzero(~certified & want))
-        seen["svd_false"] += int(np.count_nonzero(~certified & ~want))
+        seen["svd_true"] += int(np.count_nonzero(want))
+        seen["svd_false"] += int(np.count_nonzero(~want))
 
     check()
     assert all(seen.values()), seen
@@ -216,12 +211,11 @@ def mask_center(A, spheres, where, rng):
 
 def test_resolvent_mask_with_a_center_is_the_svd_verdict():
     # given the center, the mask is still hmat.nonsingular's verdict row
-    # for row; the drawn cases reach every tier (the center's SVD, the
-    # determinant, an SVD of either verdict), and a point whose pencil
-    # overflows is refused with the error and at the point it would be
-    # without a center
-    seen = {"center": 0, "determinant": 0, "svd_true": 0, "svd_false": 0,
-            "overflow": 0}
+    # for row; the drawn cases reach both tiers (the center's SVD, the
+    # pencils' SVD of either verdict), and a point whose pencil overflows
+    # is refused with the error and at the point it would be without a
+    # center
+    seen = {"center": 0, "svd_true": 0, "svd_false": 0, "overflow": 0}
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["random", "nonnormal", "real_diagonal"]),
@@ -268,17 +262,11 @@ def test_resolvent_mask_with_a_center_is_the_svd_verdict():
                 seen["overflow"] += 1
             mask = resolvent_mask(A, pts, q0)
             by_center = center_certified(A, q0, pts)
-            rest = pts[~by_center]
-            by_det = np.concatenate(
-                [np.zeros(0, dtype=bool)]
-                + [hmat.certified_nonsingular(M)
-                   for _, M in pencil_chis(A, rest)])
         want = hmat.nonsingular(pencil_svals(A, pts))
         assert np.array_equal(mask, want)
         assert want[by_center].all()
-        svd = want[~by_center][~by_det]
+        svd = want[~by_center]
         seen["center"] += int(np.count_nonzero(by_center))
-        seen["determinant"] += int(np.count_nonzero(by_det))
         seen["svd_true"] += int(np.count_nonzero(svd))
         seen["svd_false"] += int(np.count_nonzero(~svd))
 
@@ -292,7 +280,7 @@ def test_center_certificate_decides_the_cassini_pool(monkeypatch, capsys,
     # 100 samples, 195 at real centers and 117 at non-real ones.  Every
     # verdict is the SVD's, and the center's SVD decides at least 95% of
     # the samples (97.1%: all of the real centers' and about 92% of the
-    # non-real ones'); the rest go to the determinant and the SVD.
+    # non-real ones'); the rest go to the pencils' SVD.
     decided = []
 
     def checked(A, points, center=None):
@@ -313,35 +301,34 @@ def test_center_certificate_decides_the_cassini_pool(monkeypatch, capsys,
 
 def test_mixed_scale_pencil_is_not_certified():
     # the pencil of diag(1e-85 i, 1e-145 i) at 0 is diag(-1e-170, -1e-290),
-    # sigma ratio 1e-120: the squares of its entries underflow, so
-    # ||M||_F**2 reads 0, and only the certificate's range guard keeps the
-    # determinant bound from certifying it
+    # sigma ratio 1e-120: the squares of its entries underflow, and the
+    # center certificate leaves it to the SVD, about a center at the
+    # point itself or far from it
     A = QMatrix(np.diag([1e-85j, 1e-145j]), np.zeros((2, 2)))
     q = Quaternion(0.0)
     assert not in_resolvent(A, q)
-    (_, M), = pencil_chis(A, [q])
-    assert not hmat.certified_nonsingular(M)[0]
+    for q0 in (q, Quaternion(1.0)):
+        assert not center_certified(A, q0, np.array([q], dtype=float))[0]
+        assert not resolvent_mask(A, [q], q0)[0]
     assert not hmat.nonsingular(pencil_svals(A, [q]))[0]
 
 
-@pytest.mark.parametrize("n", [9, 12])
-def test_no_determinant_past_its_proved_size(monkeypatch, n):
-    # the determinant certificate is proved for n <= hmat.CERTIFIED_MAX_N
-    # only: at n = 9 and 12 the rows the center leaves, and every row
-    # without a center, go straight to the SVD, with and without a
-    # center and one point at a time (in_resolvent) alike
-    assert n > hmat.CERTIFIED_MAX_N
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 12])
+def test_resolvent_mask_takes_no_determinant(monkeypatch, n):
+    # membership is the center's SVD and the pencils' SVD alone: the rows
+    # the center leaves, and every row without a center, take one stacked
+    # SVD, with and without a center and one point at a time
+    # (in_resolvent) alike, and no determinant at any n.  A real diagonal
+    # A has exactly singular pencils on its spheres at every n (at n = 1
+    # a pencil's two singular values are equal unless it is zero)
     rng = np.random.default_rng(n)
-    A, spheres = mask_case("random", n, rng)
+    A, spheres = mask_case("real_diagonal", n, rng)
     q0, bound = mask_center(A, spheres, "nonreal", rng)
     points = [point_at_cassini_distance(q0, bound * f, random_unit_imag(rng),
                                         float(rng.uniform(0.0, 2 * math.pi)))
               for f in (0.1, 0.5, 0.9, 1.5, 3.0)]
     points += [on_sphere(sp, rel, rng) for sp in spheres[:3]
                for rel in (0.0, 1e-12, 1e-3)]
-    # the determinant would decide rows here, were it asked
-    (_, M), = pencil_chis(A, points)
-    assert hmat.certified_nonsingular(M).any()
     shapes = count_linalg(monkeypatch)
     plain = resolvent_mask(A, points)
     centered = resolvent_mask(A, points, q0)
