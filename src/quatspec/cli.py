@@ -12,14 +12,19 @@ prints one `error:` line per failed check or raised error, and is the
 only code that chooses the exit code: 0 success, 1 verification/domain
 failure, 2 input/config error (including a size that cannot be
 allocated).  Nothing else is ever returned.
+
+`main` also raises glibc's mmap and trim thresholds, once a process.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import itertools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -510,7 +515,51 @@ def _attach_point_values(argv: list) -> list:
     return out
 
 
+# glibc's mallopt(3) parameter numbers (malloc.h) and the values main
+# gives them.  A stacked temporary is bounded by the block sizes:
+# sresolvent.PENCIL_BLOCK_BYTES (256 KiB of chi images a block) and
+# series.ROUND_BLOCKS (4 blocks a _converge round).  Verify's 21*T-row norm
+# stack is at most 3 blocks of chi images, 768 KiB; a _converge round
+# takes 256 KiB per stacked pair array and 4 times that, 1 MiB, for its chi
+# images.  glibc maps every allocation from 128 KiB up and unmaps it on
+# free, and trims the heap top past 128 KiB, so at n = 8 those arrays
+# page-fault on every use.  From 4 MiB up every working array stays on the
+# heap, and a free top of up to 8 MiB is kept for the next command; larger
+# arrays (cassini --trials 1000000) are still mapped.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 4 << 20
+TRIM_THRESHOLD_BYTES = 8 << 20
+
+
+def _on_glibc() -> bool:
+    """Whether this process runs on glibc."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return False  # no confstr, or a libc that does not know the name
+    return (libc or "").startswith("glibc")
+
+
+@functools.cache
+def _keep_heap_resident() -> None:
+    """Raise glibc's mmap and trim thresholds, once per process.
+
+    Only main calls it, so importing quatspec or calling the library
+    leaves a host process's allocator alone.  Off glibc it does nothing.
+    No computed bit depends on it.
+    """
+    if not _on_glibc():
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_heap_resident()
     argv = sys.argv[1:] if argv is None else argv
     cfg = PARSER.parse_args(_attach_point_values(argv))
     try:

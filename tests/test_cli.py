@@ -8,8 +8,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import numpy as np
 import pytest
@@ -428,6 +434,52 @@ CASSINI_INPUTS = st.integers(1, 3).flatmap(lambda n: st.lists(
              min_size=n, max_size=n), min_size=n, max_size=n))
 CASSINI_CENTERS = st.one_of(
     st.none(), st.lists(CASSINI_VALUES, min_size=4, max_size=4))
+FORMATS = st.sampled_from(["json", "csv"])
+
+
+def flags(**values):
+    """'--name=value' for each value that is not None; a list is a point."""
+    return [f"--{name}=" + (",".join(map(repr, value))
+                            if isinstance(value, list) else repr(value))
+            for name, value in values.items() if value is not None]
+
+
+# Each command's arguments: (matrix entries, or None where the command
+# takes no --input, and the argv without --input and --format).
+CASSINI_ARGS = st.builds(
+    lambda entries, q0, trials: (entries,
+                                 ["cassini"] + flags(q0=q0, trials=trials)),
+    CASSINI_INPUTS, CASSINI_CENTERS, st.sampled_from([None, 0, 1, 10]))
+SPECTRUM_ARGS = CASSINI_INPUTS.map(lambda entries: (entries, ["spectrum"]))
+SERIES_ARGS = st.builds(
+    lambda entries, q0, q, tol, nmax: (
+        entries, ["series"] + flags(q=q, tol=tol, nmax=nmax, q0=q0)),
+    CASSINI_INPUTS, CASSINI_CENTERS,
+    st.lists(CASSINI_VALUES, min_size=4, max_size=4),
+    st.sampled_from([1e-300, 1e-12, 1.0, 1e300, 0.0, -1.0, math.nan,
+                     math.inf]),
+    st.sampled_from([-1, 0, 3, 200]))
+RESOLVENT_ARGS = st.builds(
+    lambda entries, q: (entries, ["resolvent"] + flags(q=q)),
+    CASSINI_INPUTS,
+    st.lists(st.one_of(CASSINI_VALUES, st.sampled_from([1.7e308, -1.7e308])),
+             min_size=4, max_size=4))
+VERIFY_ARGS = st.builds(
+    lambda n, trials, tol, seed, nmax: (
+        None, ["verify"] + flags(n=n, trials=trials, tol=tol, seed=seed,
+                                 nmax=nmax)),
+    st.integers(1, 8), st.integers(1, 4),
+    st.sampled_from([1e-300, 1e300, 0.0, -1.0, math.nan, math.inf]),
+    st.integers(0, 2 ** 70), st.sampled_from([-1, 0, 3, 200]))
+
+
+def command_argv(work, args):
+    """The argv of drawn command arguments, its matrix written in work."""
+    entries, argv = args
+    if entries is None:
+        return argv
+    return [argv[0], "--input", write_matrix(work, "m.json", entries),
+            *argv[1:]]
 
 
 def run_captured(argv):
@@ -459,73 +511,55 @@ def check_report_contract(work, argv, fmt):
 
 
 @settings(max_examples=150, deadline=None)
-@given(entries=CASSINI_INPUTS, q0=CASSINI_CENTERS,
-       trials=st.sampled_from([None, 0, 1, 10]),
-       fmt=st.sampled_from(["json", "csv"]))
-def test_cassini_keeps_the_report_contract(tmp_path_factory, entries, q0,
-                                           trials, fmt):
+@given(args=CASSINI_ARGS, fmt=FORMATS)
+def test_cassini_keeps_the_report_contract(tmp_path_factory, args, fmt):
     work = tmp_path_factory.mktemp("cassini")
-    path = write_matrix(work, "m.json", entries)
-    argv = ["cassini", "--input", path]
-    if q0 is not None:
-        argv.append("--q0=" + ",".join(map(repr, q0)))
-    if trials is not None:
-        argv += ["--trials", str(trials)]
-    check_report_contract(work, argv, fmt)
+    check_report_contract(work, command_argv(work, args), fmt)
 
 
 @settings(max_examples=150, deadline=None)
-@given(entries=CASSINI_INPUTS, fmt=st.sampled_from(["json", "csv"]))
-def test_spectrum_keeps_the_report_contract(tmp_path_factory, entries, fmt):
+@given(args=SPECTRUM_ARGS, fmt=FORMATS)
+def test_spectrum_keeps_the_report_contract(tmp_path_factory, args, fmt):
     work = tmp_path_factory.mktemp("spectrum")
-    path = write_matrix(work, "m.json", entries)
-    check_report_contract(work, ["spectrum", "--input", path], fmt)
+    check_report_contract(work, command_argv(work, args), fmt)
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries=CASSINI_INPUTS, q0=CASSINI_CENTERS,
-       q=st.lists(CASSINI_VALUES, min_size=4, max_size=4),
-       tol=st.sampled_from([1e-300, 1e-12, 1.0, 1e300, 0.0, -1.0, math.nan,
-                            math.inf]),
-       nmax=st.sampled_from([-1, 0, 3, 200]),
-       fmt=st.sampled_from(["json", "csv"]))
-def test_series_keeps_the_report_contract(tmp_path_factory, entries, q0, q,
-                                          tol, nmax, fmt):
+@given(args=SERIES_ARGS, fmt=FORMATS)
+def test_series_keeps_the_report_contract(tmp_path_factory, args, fmt):
     work = tmp_path_factory.mktemp("series")
-    path = write_matrix(work, "m.json", entries)
-    argv = ["series", "--input", path, "--q=" + ",".join(map(repr, q)),
-            f"--tol={tol!r}", f"--nmax={nmax}"]
-    if q0 is not None:
-        argv.append("--q0=" + ",".join(map(repr, q0)))
-    check_report_contract(work, argv, fmt)
+    check_report_contract(work, command_argv(work, args), fmt)
 
 
 @settings(max_examples=150, deadline=None)
-@given(entries=CASSINI_INPUTS,
-       q=st.lists(st.one_of(CASSINI_VALUES, st.sampled_from([1.7e308,
-                                                               -1.7e308])),
-                  min_size=4, max_size=4),
-       fmt=st.sampled_from(["json", "csv"]))
-def test_resolvent_keeps_the_report_contract(tmp_path_factory, entries, q,
-                                             fmt):
+@given(args=RESOLVENT_ARGS, fmt=FORMATS)
+def test_resolvent_keeps_the_report_contract(tmp_path_factory, args, fmt):
     work = tmp_path_factory.mktemp("resolvent")
-    path = write_matrix(work, "m.json", entries)
-    check_report_contract(
-        work, ["resolvent", "--input", path, "--q=" + ",".join(map(repr, q))],
-        fmt)
+    check_report_contract(work, command_argv(work, args), fmt)
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 8), trials=st.integers(1, 4),
-       tol=st.sampled_from([1e-300, 1e300, 0.0, -1.0, math.nan, math.inf]),
-       seed=st.integers(0, 2 ** 70), nmax=st.sampled_from([-1, 0, 3, 200]),
-       fmt=st.sampled_from(["json", "csv"]))
-def test_verify_keeps_the_report_contract(tmp_path_factory, n, trials, tol,
-                                          seed, nmax, fmt):
-    check_report_contract(
-        tmp_path_factory.mktemp("verify"),
-        ["verify", "--n", str(n), "--trials", str(trials), f"--tol={tol!r}",
-         f"--seed={seed}", f"--nmax={nmax}"], fmt)
+@given(args=VERIFY_ARGS, fmt=FORMATS)
+def test_verify_keeps_the_report_contract(tmp_path_factory, args, fmt):
+    check_report_contract(tmp_path_factory.mktemp("verify"),
+                          command_argv(None, args), fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=st.one_of(SPECTRUM_ARGS, RESOLVENT_ARGS, SERIES_ARGS,
+                      CASSINI_ARGS, VERIFY_ARGS), fmt=FORMATS)
+def test_warnings_filter_changes_no_report(tmp_path_factory, args, fmt):
+    # a warning turned into an error must not change a report: no command
+    # lets a numpy warning reach the filter, and none of them reads it
+    argv = command_argv(tmp_path_factory.mktemp("warnings"), args)
+    argv += ["--format", fmt]
+    runs = []
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            rc, out, _ = run_captured(argv)
+        runs.append((rc, out))
+    assert runs[0] == runs[1]
 
 
 def test_negative_trials_are_a_usage_error_before_any_work(tmp_path, capsys):
@@ -995,3 +1029,107 @@ def test_csv_reports_render_cell_by_cell(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         body = out.splitlines()[len(report.comments) + 1:]
         assert body == csv_lines_by_cell(report.rows), name
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+needs_glibc = pytest.mark.skipif(
+    resource is None or not cli._on_glibc(),
+    reason="counts the page faults of glibc's allocator")
+
+
+# n = 8 commands whose temporaries (the norm kernel's chi and Gram stacks,
+# the stacked series blocks, verify's norm stack) pass glibc's default
+# 128 KiB mmap threshold: with glibc's defaults a repeat takes 450 to 1340
+# minor page faults
+FAULTING_COMMANDS = [
+    ["series", "--n", "8", "--q0", "1", "--q", "1.9", "--tol", "1e-14",
+     "--nmax", "400"],
+    ["verify", "--n", "8", "--trials", "9"],
+    ["verify", "--n", "4", "--trials", "50"],
+]
+
+
+@needs_glibc
+@pytest.mark.parametrize("argv", FAULTING_COMMANDS)
+def test_a_repeated_command_keeps_its_heap(argv):
+    first = run_captured(argv)
+    before = minor_faults()
+    again = run_captured(argv)
+    faults = minor_faults() - before
+    assert first[0] == 0 and again == first
+    assert faults <= 32
+
+
+# Ten norm kernel calls on 64 matrices of size 8: each maps and unmaps its
+# 256 KiB chi stack while the allocator keeps its defaults.
+NORM_LOOP = """
+import contextlib, io, resource
+import numpy as np
+from quatspec import cli, hmat
+rng = np.random.default_rng(0)
+a1, a2 = rng.normal(size=(2, 64, 8, 8)) + 1j * rng.normal(size=(2, 64, 8, 8))
+def loop_faults():
+    hmat.top_singular(a1, a2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        hmat.top_singular(a1, a2)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+library = loop_faults()
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "--n", "1", "--trials", "1"])
+print(library, loop_faults())
+"""
+
+
+@needs_glibc
+def test_only_the_cli_changes_the_allocator():
+    # importing quatspec and calling the library leave glibc's defaults;
+    # the first main call raises the thresholds for the whole process
+    out = subprocess.run([sys.executable, "-W", "error", "-c", NORM_LOOP],
+                         capture_output=True, text=True, env=child_env())
+    assert (out.returncode, out.stderr) == (0, "")
+    library, after_main = map(int, out.stdout.split())
+    assert library >= 10  # at least one fault per call
+    assert after_main < 10
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """The mallopt calls main makes, recorded instead of made; the first
+    main call after the test makes them again."""
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._keep_heap_resident.cache_clear()
+    yield calls
+    cli._keep_heap_resident.cache_clear()
+
+
+def test_main_sets_the_thresholds_once(monkeypatch, capsys, mallopt_calls):
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    for _ in range(3):
+        assert main(["verify", "--n", "1", "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert mallopt_calls == [(cli.M_MMAP_THRESHOLD, 4 << 20),
+                             (cli.M_TRIM_THRESHOLD, 8 << 20)]
+
+
+def no_confstr(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [lambda name: "musl", lambda name: None,
+                                     no_confstr, None],
+                         ids=["musl", "empty", "unknown_name", "no_confstr"])
+def test_off_glibc_main_leaves_the_allocator(monkeypatch, capsys,
+                                             mallopt_calls, confstr):
+    if confstr is None:
+        monkeypatch.delattr(cli.os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+    assert main(["verify", "--n", "1", "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert mallopt_calls == []
