@@ -245,13 +245,17 @@ def op_norms(mats) -> list:
     """
     todo = list({id(A): A for A in mats if A._norm is None}.values())
     if todo:
-        # np.array stacks a list of equal-shaped arrays, as np.stack
-        # does, at a fifth of its fixed cost
-        norms = pair_op_norms(np.array([A.a1 for A in todo]),
-                              np.array([A.a2 for A in todo]))
-        for A, norm in zip(todo, norms):
+        for A, norm in zip(todo, pair_op_norms(*stacked(todo))):
             A._norm = norm
     return [A._norm for A in mats]
+
+
+def stacked(mats):
+    """The stacked pair (a1, a2) of (T, n, n) arrays of the QMatrix list
+    mats (all of one size), matrix t in row t."""
+    # np.array stacks a list of equal-shaped arrays, as np.stack does, at
+    # a fifth of its fixed cost
+    return np.array([A.a1 for A in mats]), np.array([A.a2 for A in mats])
 
 
 def finite_rows(a1, a2) -> int:

@@ -13,18 +13,21 @@ associated operators is
     S_left  = Q * conj(q) - A @ Q          (left  S-resolvent),
     S_right = (conj(q)*I - A) @ Q          (right S-resolvent).
 
-Every pencil is built one way: _pencils takes A@A once and forms the
-pencils of a block of points on the complex pair, for one matrix or for
-a stack of them with a row-to-matrix index, and pencil_chis yields each
-block's chi images.  pencil_svals takes one stacked SVD of each block,
-resolvent_arrays adds one stacked inverse and the S-resolvents (as
-stacked arrays, whose rows BundleStack.bundle wraps), and delta_op and
-resolvent_bundle are the one-point cases, so every reader of a pencil's
-singular values at q sees them bit for bit (the membership mask of
-spectrum.resolvent_mask needs them only for the pencils its center
-certificate leaves undecided, and resolvent_arrays takes them from a
-caller that has them); a bundle reads ||Q|| = 1/sigma_min and the
-radius ||Q||**(-1/2) = sqrt(sigma_min) off them.
+Every pencil is built one way, on one matrix layout: a stacked pair
+(a1, a2) of (T, n, n) component arrays with owner[i] the matrix of point
+i, and a single QMatrix is a stack of one (_stack is the one place that
+tells the two apart).  _pencils is the one place that reads the stack:
+it takes A@A once and yields each block's pencils on the complex pair
+beside the rows of A they read.  pencil_svals takes one stacked SVD of
+each block's chi images, resolvent_arrays adds one stacked inverse and
+the S-resolvents (as stacked arrays, whose rows BundleStack.bundle
+wraps), and delta_op and resolvent_bundle are the one-point cases, so
+every reader of a pencil's singular values at q sees them bit for bit
+(the membership mask of spectrum.resolvent_mask needs them only for the
+pencils its center certificate leaves undecided, and resolvent_arrays
+takes them from a caller that has them); a bundle reads
+||Q|| = 1/sigma_min and the radius ||Q||**(-1/2) = sqrt(sigma_min) off
+them.
 localization_radius reads the same radius off the pencil's SVD alone
 and refuses a point with the bundle's error.  Everything else that reads
 the resolvent at a point takes a bundle.  Random resolvent points come
@@ -113,90 +116,90 @@ def point_rows(points) -> np.ndarray:
                        count=4 * len(points)).reshape(-1, 4)
 
 
-def _overflow(q) -> QuatspecError:
-    """The overflow error of the point q: |q|**2, else its pencil."""
-    w, x, y, z = q.tolist()
-    what = PENCIL if math.isfinite(w * w + x * x + y * y + z * z) else "|q|**2"
-    return QuatspecError(f"the pencil overflows: {what} is not finite at "
-                         f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
+def _overflow(what: str, q) -> QuatspecError:
+    """The QuatspecError "`what` at q = (w, x, y, z)" of the point q, a
+    Quaternion or a [w, x, y, z] row: how every overflow refusal names
+    its point."""
+    w, x, y, z = map(float, q)
+    return QuatspecError(f"{what} at q = ({w:g}, {x:g}, {y:g}, {z:g})")
+
+
+def _stack(A, owner):
+    """A as a stacked pair (a1, a2) of (T, n, n) component arrays.
+
+    The one place that tells the two layouts of the pencil layer apart: a
+    single QMatrix (owner None) is a stack of one, as views, and every
+    other A is a stacked pair already, owner[i] the index of the matrix
+    of point i.
+    """
+    return (A.a1[None], A.a2[None]) if owner is None else A
 
 
 def _pencils(A, pts: np.ndarray, owner=None):
     """The pencils at the rows of pts, block_rows(n) points at a time.
 
-    A is one QMatrix, or with owner a stacked pair (a1, a2) of (T, n, n)
-    component arrays, owner[i] the index of the matrix of point i.
-    Yields (lo, D1, D2): the pencils of the points lo, lo + 1, ... as two
-    stacked component arrays.  Each pencil is
-    (A@A - 2*Re(q)*A) + |q|**2*I, with I the identity's components, entry
-    by entry the arithmetic of the QMatrix expression (whose real scalars
-    numpy casts to complex), and A@A is taken once per matrix, all of them
-    in one stacked product; a stack gathers each block's rows of A and
-    A@A by owner, which changes no bit.  Points are checked in order: a
-    block ends before the first point whose pencil is not finite, and
-    resuming the generator then raises that point's overflow error.  No
-    points yield nothing, and take no A@A.
+    A is one QMatrix, or with owner a stacked pair (see _stack).  Yields
+    (lo, (b1, b2), (D1, D2)): for the points lo, lo + 1, ... the rows of
+    A they read and their pencils, as stacked component arrays.  Each
+    pencil is (A@A - 2*Re(q)*A) + |q|**2*I, with I the identity's
+    components, entry by entry the arithmetic of the QMatrix expression
+    (whose real scalars numpy casts to complex), and A@A is taken once
+    per matrix, all of them in one stacked product.  A block reads the
+    rows of A and A@A by one index: a stack of one is read whole, which
+    numpy broadcasts, and a larger stack is gathered by owner; neither
+    changes a bit.  Points are checked in order: a block ends before the
+    first point whose pencil is not finite, and resuming the generator
+    then raises that point's overflow error, which names its |q|**2 when
+    that overflows and its pencil otherwise.  No points yield nothing,
+    and take no A@A.
     """
     if not len(pts):
         return
-    a1, a2 = (A.a1, A.a2) if owner is None else A
-    n = a1.shape[-1]
-    eye = hmat.identity(n)
+    a1, a2 = _stack(A, owner)
+    eye = hmat.identity(a1.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         AA1, AA2 = hmat.pair_matmul(a1, a2, a1, a2)
-    step = block_rows(n)
+    step = block_rows(a1.shape[-1])
     for lo in range(0, len(pts), step):
         w, x, y, z = pts[lo:lo + step].T
-        if owner is None:
-            b1, b2, c1, c2 = a1, a2, AA1, AA2
-        else:
-            rows = owner[lo:lo + step]
-            b1, b2, c1, c2 = a1[rows], a2[rows], AA1[rows], AA2[rows]
+        rows = slice(None) if len(a1) == 1 else owner[lo:lo + step]
+        b1, b2 = a1[rows], a2[rows]
         with np.errstate(over="ignore", invalid="ignore"):
             abs2 = w * w + x * x + y * y + z * z
             tw = (2.0 * w).astype(complex)[:, None, None]
             s2 = abs2.astype(complex)[:, None, None]
-            D1 = c1 - tw * b1 + s2 * eye.a1
-            D2 = c2 - tw * b2 + s2 * eye.a2
+            D1 = AA1[rows] - tw * b1 + s2 * eye.a1
+            D2 = AA2[rows] - tw * b2 + s2 * eye.a2
         k = hmat.finite_rows(D1, D2)
         if k:
-            yield lo, D1[:k], D2[:k]
+            yield lo, (b1[:k], b2[:k]), (D1[:k], D2[:k])
         if k < len(D1):
-            raise _overflow(pts[lo + k])
+            what = PENCIL if np.isfinite(abs2[k]) else "|q|**2"
+            raise _overflow(f"the pencil overflows: {what} is not finite",
+                            pts[lo + k])
 
 
 def delta_op(A: QMatrix, q: Quaternion) -> QMatrix:
     """The pencil A@A - 2*Re(q)*A + |q|**2*I (real coefficients)."""
-    _, D1, D2 = next(_pencils(A, np.array([q], dtype=float)))
+    _, _, (D1, D2) = next(_pencils(A, np.array([q], dtype=float)))
     return QMatrix(D1[0], D2[0])
-
-
-def pencil_chis(A, points, owner=None):
-    """The chi images of the pencils at `points`, a block at a time.
-
-    `points` is a sequence of Quaternions (or of [w, x, y, z] rows), and
-    A one QMatrix or a stacked pair with owner as in _pencils.  Yields
-    (lo, M): the stacked chi(delta_op(A, q)) of the points lo, lo + 1, ...
-    Points are checked in order, and the first whose pencil overflows
-    raises QuatspecError once the blocks before it are taken.
-    """
-    for lo, D1, D2 in _pencils(A, point_rows(points), owner):
-        yield lo, hmat.pair_chi(D1, D2)
 
 
 def pencil_svals(A, points, owner=None) -> np.ndarray:
     """Singular values of chi(delta_op(A, q)) for each point q, shape (k, 2n).
 
-    Each block of pencil_chis takes one stacked SVD, so every row equals
-    the SVD of that point's own chi(delta_op(A, q)) bit for bit, whether
-    A is one QMatrix or a stacked pair with owner as in _pencils.  Rows
-    are in descending order; an overflowing pencil raises as in
-    pencil_chis.
+    `points` is a sequence of Quaternions (or of [w, x, y, z] rows), and
+    A one QMatrix or a stacked pair with owner (see _stack).  The chi
+    images of each block of _pencils take one stacked SVD, so every row
+    equals the SVD of that point's own chi(delta_op(A, q)) bit for bit.
+    Rows are in descending order; points are checked in order, and the
+    first whose pencil overflows raises QuatspecError once the blocks
+    before it are taken.
     """
-    n = (A.a1 if owner is None else A[0]).shape[-1]
-    out = np.empty((len(points), 2 * n))
-    for lo, M in pencil_chis(A, points, owner):
-        out[lo:lo + len(M)] = np.linalg.svd(M, compute_uv=False)
+    out = np.empty((len(points), 2 * _stack(A, owner)[0].shape[-1]))
+    for lo, _, D in _pencils(A, point_rows(points), owner):
+        out[lo:lo + len(D[0])] = np.linalg.svd(hmat.pair_chi(*D),
+                                               compute_uv=False)
     return out
 
 
@@ -302,8 +305,9 @@ def _matrix(pair) -> QMatrix:
 def _bundle_blocks(A, points, owner=None, sv=None):
     """The BundleStack of each block of pencils, as (lo, stack).
 
-    A is one QMatrix, or a stacked pair with owner as in _pencils.  Each
-    block takes one stacked SVD of its chi images, which decides
+    A is one QMatrix, or a stacked pair with owner (see _stack); each
+    block reads the rows of A that _pencils yields beside its pencils.
+    Each block takes one stacked SVD of its chi images, which decides
     membership and gives each pencil's smallest singular value (or reads
     the points' rows of sv, their pencil_svals, when the caller has
     them), and one stacked inverse of the same arrays, so Q equals
@@ -316,17 +320,14 @@ def _bundle_blocks(A, points, owner=None, sv=None):
     S-resolvents are assembled without warnings).
     """
     pts = point_rows(points)
-    a1, a2 = (A.a1, A.a2) if owner is None else A
-    eye = hmat.identity(a1.shape[-1])
-    for lo, D1, D2 in _pencils(A, pts, owner):
+    for lo, (b1, b2), (D1, D2) in _pencils(A, pts, owner):
         M = hmat.pair_chi(D1, D2)
         hi = lo + len(M)
         rows = (np.linalg.svd(M, compute_uv=False) if sv is None
                 else sv[lo:hi])
         _require_resolvent(points, rows, lo)
         Q1, Q2 = hmat.pair_from_chi(np.linalg.inv(M))
-        b1, b2 = (a1, a2) if owner is None else (a1[owner[lo:hi]],
-                                                 a2[owner[lo:hi]])
+        eye = hmat.identity(b1.shape[-1])
         # conj(q) = conj(c1) - c2*j at each point, as scalars (k, 1, 1)
         c1, c2 = hmat.scalar_pairs(pts[lo:hi])
         c1 = np.conj(c1)[:, None, None]
@@ -344,10 +345,8 @@ def _bundle_blocks(A, points, owner=None, sv=None):
         if not cmath.isfinite(total):
             k = min(hmat.finite_rows(L1, L2), hmat.finite_rows(R1, R2))
             if k < len(M):
-                w, x, y, z = pts[lo + k].tolist()
-                raise QuatspecError(
-                    f"the resolvent overflows: Q, S_left or S_right is not "
-                    f"finite at q = ({w:g}, {x:g}, {y:g}, {z:g})")
+                raise _overflow("the resolvent overflows: Q, S_left or "
+                                "S_right is not finite", pts[lo + k])
         yield lo, BundleStack((D1, D2), (Q1, Q2), (L1, L2), (R1, R2),
                               rows[:, -1])
 
@@ -356,14 +355,14 @@ def resolvent_arrays(A, points, owner=None, sv=None) -> BundleStack:
     """The bundles of one or more points as one BundleStack (see
     _bundle_blocks).
 
-    A is one QMatrix, or a stacked pair with owner as in _pencils; points
+    A is one QMatrix, or a stacked pair with owner (see _stack); points
     of many matrices take one stacked SVD (none when sv holds their
     pencil_svals rows) and one stacked inverse per block of pencils.  No
     points give a stack of (0, n, n) pairs and a (0,) smallest.
     """
     blocks = [stack for _, stack in _bundle_blocks(A, points, owner, sv)]
     if not blocks:
-        n = (A.a1 if owner is None else A[0]).shape[-1]
+        n = _stack(A, owner)[0].shape[-1]
         empty = np.empty((0, n, n), dtype=complex)
         return BundleStack(*[(empty, empty)] * 4, np.empty(0))
     if len(blocks) == 1:
@@ -454,9 +453,7 @@ def AS_identity_rows(A, b: BundleStack, p):
         out1, out2 = r1 - s1 + eye.a1, r2 - s2 + eye.a2
     k = hmat.finite_rows(out1, out2)
     if k < len(out1):
-        w, x, y, z = p[k]
-        raise QuatspecError(f"the shift-pairing residual overflows at "
-                            f"q = ({w:g}, {x:g}, {y:g}, {z:g})")
+        raise _overflow("the shift-pairing residual overflows", p[k])
     return out1, out2
 
 
@@ -535,7 +532,7 @@ def random_resolvent_points(As, rngs, nonreal, fixed):
     call for that matrix alone; its generator is left where its last
     accepted draw left it.
     """
-    pair = (np.stack([A.a1 for A in As]), np.stack([A.a2 for A in As]))
+    pair = hmat.stacked(As)
     draws = [_draws(A, rng, nonreal) for A, rng in zip(As, rngs)]
     todo = {t: next(d) for t, d in enumerate(draws)}
     out = [None] * len(As)

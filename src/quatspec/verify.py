@@ -128,7 +128,7 @@ def _chunk_residuals(As, rngs, tol: float, nmax: int) -> list:
         q0=c, dist=0.5 * radius, direction=random_unit_imag(rng),
         angle=float(rng.uniform(0.0, 2.0 * np.pi)))
         for c, radius, rng in zip(r0, R, rngs)]
-    A = (np.stack([M.a1 for M in As]), np.stack([M.a2 for M in As]))
+    A = hmat.stacked(As)
     # A point and its conjugate share their pencil (it depends on q only
     # through Re q and |q|**2), so every pencil but those at q_in has its
     # singular values from the sampler already, bit for bit.

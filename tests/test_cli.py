@@ -562,6 +562,97 @@ def test_warnings_filter_changes_no_report(tmp_path_factory, args, fmt):
     assert runs[0] == runs[1]
 
 
+# Malformed flag values: not-a-number, infinities (1.8e308 and 1e400
+# round to inf), the smallest subnormal, empty text, hex and underscored
+# numbers, and plain text.
+MALFORMED = ["nan", "inf", "-inf", "5e-324", "1.8e308", "-1.8e308", "1e400",
+             "", "0x10", "1_000", "text"]
+
+
+def either(valid, malformed):
+    """A value from `valid` or from `malformed`, at even odds."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(malformed))
+
+
+# Every run gives --n, --trials and --nmax, so it stays short: int() reads
+# "1_000" as 1000, so these flags draw "1_0" (10) and "0_3" (3) instead.
+COUNT_MALFORMED = [v for v in MALFORMED if v != "1_000"]
+COUNT_FLAGS = st.fixed_dictionaries({
+    "--n": either(["1", "2", "4"], COUNT_MALFORMED + ["0", "-1", "0_3"]),
+    "--trials": either(["0", "1", "3", "20"], COUNT_MALFORMED + ["-1", "1_0"]),
+    "--nmax": either(["0", "3", "50"], COUNT_MALFORMED + ["-1", "1_0"])})
+POINT_VALUE = st.one_of(
+    either(["2", "-0.5", "0.25", "1,0.5,0,0", "-3,0,1,0"], MALFORMED),
+    st.lists(st.sampled_from(MALFORMED + ["0", "1", "-3"]), min_size=2,
+             max_size=4).map(",".join))
+OTHER_FLAGS = st.fixed_dictionaries({}, optional={
+    "--q0": POINT_VALUE, "--q": POINT_VALUE,
+    "--tol": either(["1e-8", "1e-300"], MALFORMED + ["-1", "0"]),
+    "--seed": either(["0", "7"], MALFORMED + ["-1", str(2 ** 64)]),
+    "--format": either(["json", "csv"], ["xml", ""])})
+# Matrix documents, well formed and broken: a wrong n, ragged or
+# non-numeric entries, NaN and infinite entries, JSON that is not an
+# object, and text that is not JSON.
+DOCUMENTS = either([
+    '{"n": 1, "entries": [[[0, 1, 0, 0]]]}',
+    '{"n": 2, "entries": [[[0.5, 1, 0, 0], [0.25, 0, 0.5, 0]], '
+    '[[0, 0, 0, -0.5], [-1, 0, 0.75, 0]]]}'], [
+    '{"n": 2, "entries": [[[0, 1, 0, 0]]]}',
+    '{"n": 0, "entries": []}',
+    '{"n": -1, "entries": [[[0, 1, 0, 0]]]}',
+    '{"n": "one", "entries": [[[0, 1, 0, 0]]]}',
+    '{"n": 1.5, "entries": [[[0, 1, 0, 0]]]}',
+    '{"n": 1e400, "entries": [[[0, 1, 0, 0]]]}',
+    '{"n": 2, "entries": [[[0, 1, 0, 0], [1, 0, 0, 0]], [[0, 1, 0, 0]]]}',
+    '{"n": 1, "entries": [[[0, 1, 0]]]}',
+    '{"n": 1, "entries": [[["a", 1, 0, 0]]]}',
+    '{"n": 1, "entries": [[[null, 1, 0, 0]]]}',
+    '{"n": 1, "entries": [[[NaN, 1, 0, 0]]]}',
+    '{"n": 1, "entries": [[[Infinity, 1, 0, 0]]]}',
+    '{"n": 1, "entries": [[[-Infinity, 1, 0, 0]]]}',
+    '{"n": 1, "entries": [[[1e400, 1, 0, 0]]]}',
+    '{"n": 1}', '{"entries": [[[0, 1, 0, 0]]]}',
+    '[[[0, 1, 0, 0]]]', '1', '"matrix"', 'null', '', '{"n": 1, '])
+
+
+def run_contract(argv):
+    """main(argv) captured, argparse's SystemExit read as its exit code:
+    (rc, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None)
+@given(command=st.sampled_from([*COMMANDS, "frobnicate", None]),
+       counts=COUNT_FLAGS, others=OTHER_FLAGS,
+       document=st.one_of(st.none(), DOCUMENTS), spelled=st.booleans(),
+       before=st.integers(0, 8))
+def test_malformed_argv_and_documents_keep_the_exit_contract(
+        tmp_path_factory, command, counts, others, document, spelled, before):
+    # drawn commands, flag values and matrix documents: every run exits 0,
+    # 1 or 2 (argparse's own usage error is SystemExit(2)), prints no
+    # traceback, and repeats byte for byte; the first `before` flags go
+    # before the command, each as --flag=value or as two arguments
+    flags = [[f"{flag}={value}"] if spelled else [flag, value]
+             for flag, value in {**counts, **others}.items()]
+    if document is not None:
+        path = tmp_path_factory.mktemp("malformed") / "m.json"
+        path.write_text(document)
+        flags.append(["--input", str(path)])
+    argv = ([arg for pair in flags[:before] for arg in pair]
+            + ([command] if command else [])
+            + [arg for pair in flags[before:] for arg in pair])
+    rc, out, err = run_contract(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err
+    assert run_contract(argv) == (rc, out, err)
+
+
 def test_negative_trials_are_a_usage_error_before_any_work(tmp_path, capsys):
     # checked with the other flag ranges, ahead of the spectral center
     # that would make the command exit 1

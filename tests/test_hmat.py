@@ -10,7 +10,7 @@ from quatspec.hmat import (QMatrix, chi, from_chi, op_norm, op_norms,
                            pair_op_norms, pair_scale_right, qmat_inverse,
                            qmatrix_from_json_dict, qmatrix_to_json_dict,
                            random_qmatrix, scalar_pairs, smallest_singular,
-                           top_singular)
+                           stacked, top_singular)
 from quatspec.quatcore import Quaternion, qmul
 
 from oracles import count_linalg, svd_op_norms
@@ -198,6 +198,21 @@ def test_op_norms_equal_op_norm_bit_for_bit(n, monkeypatch):
     assert [op_norm(A) for A in mats] == want
     assert op_norms(mats) == want
     assert len(shapes["eigvalsh"]) == 1
+
+
+def test_stacked_pairs_hold_each_matrix_in_its_row():
+    # a stack of matrices, transposed views among them, as (T, n, n)
+    # component arrays that own their data
+    rng = np.random.default_rng(37)
+    mats = [random_qmatrix(3, rng) for _ in range(3)]
+    mats.append(mats[0].adjoint())
+    a1, a2 = stacked(mats)
+    assert a1.shape == a2.shape == (4, 3, 3)
+    assert a1.dtype == a2.dtype == complex
+    assert a1.flags.c_contiguous and a1.flags.writeable
+    for t, A in enumerate(mats):
+        assert np.array_equal(a1[t], A.a1) and np.array_equal(a2[t], A.a2)
+    assert [a.shape for a in stacked(mats[:1])] == [(1, 3, 3)] * 2
 
 
 def test_op_norms_keep_a_stored_norm(monkeypatch):

@@ -508,3 +508,67 @@ def test_resolvent_arrays_of_no_points(n, monkeypatch):
         assert b.smallest.shape == (0,)
         assert len(b.rows(0, 0).smallest) == 0
     assert shapes["svd"] == shapes["inv"] == []
+
+
+@pytest.mark.parametrize("T", [2, 3])
+def test_stacked_matrices_across_pencil_blocks(T, monkeypatch):
+    # T matrices whose points interleave their owners, three pencils a
+    # block: every block past the first reads its rows of A and A@A by
+    # owner, and each row equals its own matrix's one-point row bit for bit
+    rng = np.random.default_rng(80 + T)
+    As = [random_qmatrix(2, rng) for _ in range(T)]
+    owner = np.array([2, 0, 1, 1, 2, 0, 0, 1, 2, 2, 0]) % T
+    points = [random_resolvent_point(As[t], rng) for t in owner]
+    pair = (np.array([A.a1 for A in As]), np.array([A.a2 for A in As]))
+    monkeypatch.setattr(sresolvent, "PENCIL_BLOCK_BYTES", 3 * chi(As[0]).nbytes)
+    shapes = count_linalg(monkeypatch)
+    sv = pencil_svals(pair, points, owner)
+    stack = resolvent_arrays(pair, points, owner)
+    # four blocks: an SVD each for pencil_svals, an SVD and an inverse
+    # each for resolvent_arrays
+    assert (len(shapes["svd"]), len(shapes["inv"])) == (8, 4)
+    assert np.array_equal(sv, np.concatenate(
+        [per_point_svals(As[t], [q]) for t, q in zip(owner, points)]))
+    read = resolvent_arrays(pair, points, owner, sv)
+    for i, (t, q) in enumerate(zip(owner, points)):
+        one = resolvent_bundle(As[t], q)
+        for b in (stack.bundle(i, q), read.bundle(i, q)):
+            for name in ("pencil", "Q", "S_left", "S_right"):
+                assert same_matrix(getattr(b, name), getattr(one, name)), name
+            assert b.pencil_smallest_singular == one.pencil_smallest_singular
+
+    # a QMatrix and its stack of one, every point owned by matrix 0, give
+    # the same rows
+    for t, A in enumerate(As):
+        own = [q for s, q in zip(owner, points) if s == t]
+        one = (np.array([A.a1]), np.array([A.a2]))
+        zeros = np.zeros(len(points), dtype=int)
+        assert np.array_equal(pencil_svals(A, points),
+                              pencil_svals(one, points, zeros))
+        got = resolvent_arrays(one, own, zeros[:len(own)])
+        for f, (a1, a2) in enumerate(resolvent_arrays(A, own)[:4]):
+            assert a1.tobytes() == got[f][0].tobytes()
+            assert a2.tobytes() == got[f][1].tobytes()
+
+    # a spectral point of the first block is refused, with its one-point
+    # message, before a later block's pencil overflows; without it the
+    # overflow is refused with its one-point message
+    D = QMatrix.diag([QI, Quaternion(2.0)])  # j lies on the sphere of i
+    pair = (np.array([As[0].a1, D.a1]), np.array([As[0].a2, D.a2]))
+    big = Quaternion(0.0, 1e200)
+    points = [Quaternion(5.0), QJ, Quaternion(6.0), Quaternion(7.0), big]
+    owner = np.array([0, 1, 1, 0, 1])
+    with pytest.raises(NotInResolventSet) as one:
+        resolvent_bundle(D, QJ)
+    with pytest.raises(NotInResolventSet) as got:
+        resolvent_arrays(pair, points, owner)
+    assert str(got.value) == str(one.value)
+    assert got.value.smallest_singular == one.value.smallest_singular
+    with pytest.raises(QuatspecError) as one:
+        resolvent_bundle(D, big)
+    for call in (lambda: pencil_svals(pair, points, owner),
+                 lambda: resolvent_arrays(pair, points[:1] + points[2:],
+                                          np.delete(owner, 1))):
+        with pytest.raises(QuatspecError, match="the pencil overflows") as got:
+            call()
+        assert str(got.value) == str(one.value)
