@@ -20,6 +20,8 @@ eigenvalue of the Gram matrix of each chi image, scaled by its own power
 of two; np.linalg.svd runs only where every singular value is needed,
 on the pencils (their sigma_min and the singularity test nonsingular)
 and on chi(A) - z0*I, whose sigma_min spectrum.center_certified reads.
+Every LAPACK kernel here has one failure contract: a finite matrix or
+stack in and every answer out, or LinAlgError and no LAPACK call.
 
 Matrices act on column vectors from the left, so they are right-linear:
 A(x*q) = (A x)*q.  The product of an operator with a quaternion scalar is
@@ -240,12 +242,13 @@ def op_norm(A: QMatrix) -> float:
 def op_norms(mats) -> list:
     """op_norm of each QMatrix in mats (all of one size), in order.
 
-    The norms not stored yet take one pair_op_norms call and are stored in
-    order; a matrix that is not finite raises LinAlgError as op_norm would.
+    The norms not stored yet take one top_singular call and are stored; a
+    matrix that is not finite raises LinAlgError as op_norm would, and
+    then no norm is stored.
     """
     todo = list({id(A): A for A in mats if A._norm is None}.values())
     if todo:
-        for A, norm in zip(todo, pair_op_norms(*stacked(todo))):
+        for A, norm in zip(todo, top_singular(*stacked(todo)).tolist()):
             A._norm = norm
     return [A._norm for A in mats]
 
@@ -277,7 +280,7 @@ UNSCALED_EXPONENT = 200
 
 def top_singular(a1, a2) -> np.ndarray:
     """The largest singular value of chi of each matrix of a (k, n, n)
-    stacked pair, up to its first matrix that is not finite.
+    stacked pair, or LinAlgError when any matrix is not finite.
 
     The norm kernel: sigma_max = sqrt(lambda_max(M^H M)), with M the chi
     image, from one stacked eigvalsh.  The product M^H M rounds each entry
@@ -296,23 +299,21 @@ def top_singular(a1, a2) -> np.ndarray:
     entries to 1.8e308.  The scale is decided per matrix, so a matrix gets
     the same bits in any stack, and a stack whose matrices all lie in the
     unscaled range takes no ldexp.  The same max reduction over each
-    matrix's parts tests finiteness: a NaN or inf makes it fail, and the
-    norms stop before that matrix, whose rows no LAPACK call sees.  Norms
-    past the float range come back as inf without a warning, as the SVD
-    gave them.
+    matrix's parts tests finiteness: a NaN or inf anywhere in the stack
+    raises LinAlgError before the Gram product, so no LAPACK call sees it.
+    Norms past the float range come back as inf without a warning, as the
+    SVD gave them.
     """
     M = pair_chi(a1, a2)
     v = M.view(float)
-    k, rows, cols = v.shape
-    top = np.abs(v).reshape(k, rows * cols).max(axis=1)
+    top = np.abs(v).max(axis=(1, 2))
     lo, hi = 2.0 ** -UNSCALED_EXPONENT, 2.0 ** UNSCALED_EXPONENT
     # NaN fails both comparisons, inf the second
     scaled = not (lo <= top.min(initial=np.inf) and top.max(initial=0.0) < hi)
     if scaled:
-        fits = top < np.inf
-        if not fits.all():
-            f = int(np.argmin(fits))
-            M, v, top = M[:f], v[:f], top[:f]
+        if not (top < np.inf).all():
+            raise np.linalg.LinAlgError(
+                "a matrix that is not finite has no operator norm")
         e = np.frexp(top)[1]
         e[(lo <= top) & (top < hi)] = 0
         np.ldexp(v, -e[:, None, None], out=v)
@@ -323,24 +324,19 @@ def top_singular(a1, a2) -> np.ndarray:
         return np.ldexp(root, e)
 
 
-def pair_op_norms(a1, a2):
-    """op_norm of each matrix of a (k, n, n) stacked pair, in order.
-
-    An iterator of floats.  The matrices before the first non-finite one
-    take one top_singular call; that one raises LinAlgError, as in
-    op_norm, when it is reached.
-    """
-    norms = top_singular(a1, a2)
-    yield from norms.tolist()
-    if len(norms) < len(a1):
+def _svals(M) -> np.ndarray:
+    """The singular values of the matrix M, descending, from one SVD; a
+    matrix that is not finite raises LinAlgError before LAPACK sees it,
+    as in top_singular."""
+    if not np.isfinite(M).all():
         raise np.linalg.LinAlgError(
-            "a matrix that is not finite has no operator norm")
+            "a matrix that is not finite has no singular values")
+    return np.linalg.svd(M, compute_uv=False)
 
 
 def smallest_singular(A: QMatrix) -> float:
     """Smallest singular value of chi(A); zero iff A is not invertible."""
-    sv = np.linalg.svd(chi(A), compute_uv=False)
-    return float(sv[-1])
+    return float(_svals(chi(A))[-1])
 
 
 def nonsingular(sv):
@@ -355,7 +351,7 @@ def nonsingular(sv):
 def qmat_inverse(A: QMatrix) -> QMatrix:
     """Inverse computed through chi; the inverse of a chi image is one too."""
     M = chi(A)
-    sv = np.linalg.svd(M, compute_uv=False)
+    sv = _svals(M)
     if not nonsingular(sv):
         raise SingularOperator(
             "matrix is numerically singular (smallest singular value "

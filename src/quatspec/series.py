@@ -477,8 +477,8 @@ def remainder_exact(state: SeriesState, bq: ResolventBundle, N: int):
     p = _partial_through(state, q, False, 2 * N + 1)
     partial = (p.a1[None], p.a2[None])
     ops = (*remainder_rows([state], S, [q], N, partial), S, partial)
-    return check_remainder(state, q, N, list(hmat.pair_op_norms(
-        *(np.concatenate(part) for part in zip(*ops)))))
+    return check_remainder(state, q, N, hmat.top_singular(
+        *map(np.concatenate, zip(*ops))).tolist())
 
 
 def _majorants(a1, a2) -> np.ndarray:
@@ -505,14 +505,14 @@ def tail_rule(t: np.ndarray, rtol: float, p1, p2) -> np.ndarray:
     singular values in equal pairs, so twice the largest one squared is
     at most its squared Frobenius norm 2 * (||a1||_F**2 + ||a2||_F**2).
     The majorant is inflated by SCREEN_MARGIN so that rounding in either
-    norm never skips a row that the exact norm would pass; the rows left
-    take one kernel call, and the verdict is the unscreened one.
+    norm never skips a row that the exact norm would pass; the rows left,
+    if any, take one kernel call, and the verdict is the unscreened one.
     """
     rows = np.flatnonzero(~(t > rtol * (1.0 + _majorants(p1, p2))))
-    norms = np.fromiter(hmat.pair_op_norms(p1[rows], p2[rows]), float,
-                        count=len(rows))
     passed = np.zeros(len(t), dtype=bool)
-    passed[rows] = t[rows] <= rtol * (1.0 + norms)
+    if len(rows):
+        norms = hmat.top_singular(p1[rows], p2[rows])
+        passed[rows] = t[rows] <= rtol * (1.0 + norms)
     return passed
 
 
@@ -659,12 +659,12 @@ def residual_report(state: SeriesState, q: Quaternion, direct: QMatrix,
             break
         passed = np.flatnonzero(_majorants(d1[:k], d2[:k]) <= tol)
         cut = int(passed[0]) + 1 if len(passed) else k
-        residuals = list(hmat.pair_op_norms(d1[:cut], d2[:cut]))
+        residuals = hmat.top_singular(d1[:cut], d2[:cut]).tolist()
         if cut < k and not min(residuals) <= tol:
-            residuals += hmat.pair_op_norms(d1[cut:k], d2[cut:k])
+            residuals += hmat.top_singular(d1[cut:k], d2[cut:k]).tolist()
         m = next((i + 1 for i, r in enumerate(residuals) if r <= tol), k)
         rows += ([n, norm, tails[n], r] for n, norm, r in zip(
-            range(lo, lo + m), hmat.pair_op_norms(t1[:m], t2[:m]),
+            range(lo, lo + m), hmat.top_singular(t1[:m], t2[:m]).tolist(),
             residuals))
         if rows[-1][3] <= tol:
             return rows, True
@@ -677,5 +677,5 @@ def term_norms(state: SeriesState, q: Quaternion, N: int):
     """Norms of the unsigned series terms for n = 0..N (decay diagnostics)."""
     out = []
     for _, t1, t2, _, _ in _blocks(state, q, False, N):
-        out += hmat.pair_op_norms(t1, t2)
+        out += hmat.top_singular(t1, t2).tolist()
     return out

@@ -117,12 +117,17 @@ def center_certified(A: QMatrix, q0: Quaternion,
     spare: each entry of its pencil, and each partial sum that forms one,
     is at most 4*u**2, so no certified pencil overflows and its
     underflows shift it by far less than CERTIFIED_RATIO * u**2.  A
-    point that is not finite is not certified.
+    point that is not finite is not certified, and neither is any point
+    when chi(A) - z0*I is not finite (A or q0 not finite, or the shift
+    overflowing): LAPACK never sees that matrix, and the pencils decide.
     """
     X = hmat.chi(A)
     a, b = q0.w, q0.im_norm()
     z0 = complex(a, b)
-    X.reshape(-1)[::len(X) + 1] -= z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        X.reshape(-1)[::len(X) + 1] -= z0
+    if not np.isfinite(X).all():
+        return np.zeros(len(pts), dtype=bool)
     gamma = float(np.linalg.svd(X, compute_uv=False)[-1])
     norm = hmat.op_norm(A)
     w, x, y, z = pts.T

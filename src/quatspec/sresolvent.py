@@ -53,7 +53,7 @@ operations are their one-bundle cases:
 
 Each residual is returned as an operator (a stacked pair for *_rows)
 whose norm is the absolute residual; the norms (hmat.op_norms,
-hmat.pair_op_norms) and the tolerance belong to the caller.
+hmat.top_singular) and the tolerance belong to the caller.
 """
 
 from __future__ import annotations

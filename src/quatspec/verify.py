@@ -38,7 +38,7 @@ import numpy as np
 
 from . import hmat, series
 from .errors import DegenerateConfiguration, InputError
-from .hmat import op_norms, pair_add, pair_matmul, pair_op_norms, pair_sub
+from .hmat import op_norms, pair_add, pair_matmul, pair_sub, top_singular
 from .quatcore import point_at_cassini_distance, random_unit_imag, triangle
 from .sliceanalysis import sderiv_factor, sderiv_rows
 from .spectrum import cor1_check
@@ -180,9 +180,8 @@ def _chunk_residuals(As, rngs, tol: float, nmax: int) -> list:
         "rem": rem, "rem_direct": rem_direct,
         "partial": partial,
     }
-    flat = list(pair_op_norms(np.concatenate([a for a, _ in ops.values()]),
-                              np.concatenate([a for _, a in ops.values()])))
-    norm = {key: flat[i * T:(i + 1) * T] for i, key in enumerate(ops)}
+    flat = top_singular(*map(np.concatenate, zip(*ops.values())))
+    norm = dict(zip(ops, flat.reshape(len(ops), T).tolist()))
     norm_A = op_norms(As)
     norm_Lr = op_norms([st.bundle0.S_left for st in states])
     rows = []

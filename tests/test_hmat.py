@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quatspec.errors import InputError, SingularOperator
 from quatspec.hmat import (QMatrix, chi, from_chi, op_norm, op_norms,
                            pair_chi, pair_from_chi, pair_matmul,
-                           pair_op_norms, pair_scale_right, qmat_inverse,
+                           pair_scale_right, qmat_inverse,
                            qmatrix_from_json_dict, qmatrix_to_json_dict,
                            random_qmatrix, scalar_pairs, smallest_singular,
                            stacked, top_singular)
@@ -237,11 +237,14 @@ def test_op_norms_raise_where_op_norm_raises(monkeypatch):
         op_norm(QMatrix(a1, A.a2))
     with pytest.raises(np.linalg.LinAlgError):
         op_norms([A, QMatrix(a1, A.a2), C])
-    # the norm before the failing matrix was stored
+    # no norm was stored, not even the one before the failing matrix: A
+    # takes its own kernel call
+    assert A._norm is None and C._norm is None
     want = op_norm(QMatrix(A.a1, A.a2))
     shapes = count_linalg(monkeypatch)
     assert op_norm(A) == want
-    assert shapes == {"svd": [], "eigvalsh": [], "inv": [], "slogdet": []}
+    assert shapes == {"svd": [], "eigvalsh": [(1, 6, 6)], "inv": [],
+                      "slogdet": []}
 
 
 # The norm kernel (hmat.top_singular) agrees with a full SVD's largest
@@ -294,15 +297,14 @@ def test_norm_kernel_agrees_with_the_svd(n, size, scale, kind, bad, at, seed):
     assert np.array_equal(top_singular(z1, z2), np.append(got, 0.0))
     if bad is None:
         return
-    # a NaN or inf in matrix j: the norms before it are stored, and then
-    # op_norms raises
+    # a NaN or inf in matrix j: op_norms raises, and no norm is stored,
+    # not even those of the matrices before it
     j = at % size
     a[j, rng.integers(n), rng.integers(n), rng.integers(4)] = bad
     mats = [QMatrix(*scalar_pairs(e)) for e in a]
     with pytest.raises(np.linalg.LinAlgError):
         op_norms(mats)
-    assert [A._norm for A in mats[:j]] == got[:j].tolist()
-    assert all(A._norm is None for A in mats[j:])
+    assert all(A._norm is None for A in mats)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -331,7 +333,66 @@ def test_an_infinite_matrix_raises_before_lapack_prints(capfd):
     with pytest.raises(np.linalg.LinAlgError):
         op_norms([A, QMatrix(A.a1, a2)])
     with pytest.raises(np.linalg.LinAlgError):
-        list(pair_op_norms(np.stack([A.a1, A.a1]), np.stack([A.a2, a2])))
+        top_singular(np.stack([A.a1, A.a1]), np.stack([A.a2, a2]))
+    assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_the_svd_helpers_refuse_a_matrix_that_is_not_finite(bad, capfd,
+                                                            monkeypatch):
+    # smallest_singular and qmat_inverse raise LinAlgError before their
+    # SVD: LAPACK would print about an inf on fd 1 and return nan, and
+    # nan is neither a singular value nor a verdict
+    A = random_qmatrix(3, np.random.default_rng(43)) + QMatrix.identity(3)
+    a1 = np.array(A.a1)
+    a1[2, 0] = complex(0.0, bad)
+    B = QMatrix(a1, A.a2)
+    shapes = count_linalg(monkeypatch)
+    for helper in (smallest_singular, qmat_inverse):
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            helper(B)
+    assert shapes == {"svd": [], "eigvalsh": [], "inv": [], "slogdet": []}
+    assert capfd.readouterr().out == ""
+    # the finite matrix still takes one SVD each, and the inverse its inv
+    smallest_singular(A)
+    qmat_inverse(A)
+    assert [len(shapes[f]) for f in ("svd", "inv")] == [2, 1]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(0, 12), n=st.integers(1, 8), j=st.integers(-300, 300),
+       bad=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 7),
+                              st.integers(0, 7), st.integers(0, 3),
+                              st.sampled_from([np.nan, np.inf, -np.inf])),
+                    max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_kernel_refuses_a_stack_that_is_not_finite(k, n, j, bad, seed,
+                                                         capfd):
+    # a stack of k matrices scaled by 2**j, with up to two entries NaN or
+    # +-inf: top_singular raises exactly when an entry is not finite, and
+    # otherwise gives each matrix the bits of its one-matrix call;
+    # smallest_singular and qmat_inverse raise on each poisoned matrix;
+    # nothing reaches fd 1
+    a = np.ldexp(np.random.default_rng(seed).uniform(-1.0, 1.0, (k, n, n, 4)),
+                 j)
+    for t, r, c, part, value in bad:
+        if k:
+            a[t % k, r % n, c % n, part] = value
+    a1, a2 = scalar_pairs(a)
+    poisoned = ~np.isfinite(a).all(axis=(1, 2, 3))
+    if poisoned.any():
+        with pytest.raises(np.linalg.LinAlgError):
+            top_singular(a1, a2)
+    else:
+        got = top_singular(a1, a2)
+        alone = [top_singular(a1[i:i + 1], a2[i:i + 1])[0] for i in range(k)]
+        assert got.shape == (k,) and np.array_equal(got, np.array(alone))
+    for t in np.flatnonzero(poisoned):
+        A = QMatrix(a1[t], a2[t])
+        for helper in (smallest_singular, qmat_inverse):
+            with pytest.raises(np.linalg.LinAlgError):
+                helper(A)
     assert capfd.readouterr().out == ""
 
 

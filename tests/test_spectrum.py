@@ -313,6 +313,46 @@ def test_mixed_scale_pencil_is_not_certified():
     assert not hmat.nonsingular(pencil_svals(A, [q]))[0]
 
 
+def test_a_center_or_matrix_that_is_not_finite_certifies_nothing(
+        capfd, monkeypatch):
+    # chi(A) - z0*I that is not finite (a NaN or inf center or matrix, or
+    # a shift past the float range) takes no SVD: LAPACK would print about
+    # an inf on fd 1 and fail to converge on a NaN.  The center decides no
+    # row, and resolvent_mask gives what it gives without the center,
+    # verdicts or refusal.
+    rng = np.random.default_rng(44)
+    A = random_qmatrix(3, rng)
+    pts = rng.uniform(-3.0, 3.0, (12, 4))
+    poisoned = []
+    for bad in (np.inf, np.nan):
+        a1 = np.array(A.a1)
+        a1[1, 1] = bad
+        poisoned.append(QMatrix(a1, A.a2))
+    big = QMatrix.from_entries([[[1.5e308, 0, 0, 0]]])
+    cases = [(A, pts, Quaternion(bad)) for bad in (np.inf, -np.inf, np.nan)]
+    cases += [(A, pts, Quaternion(1.0, 0.0, np.inf, 0.0)),
+              (A, pts, Quaternion(0.5, np.nan, 0.0, 0.0)),
+              (big, pts[:2], Quaternion(-1.5e308))]
+    cases += [(B, pts, q0) for B in poisoned
+              for q0 in (Quaternion(1.0), Quaternion(np.inf))]
+    refused = 0
+    for M, points, q0 in cases:
+        shapes = count_linalg(monkeypatch)
+        assert not center_certified(M, q0, points).any()
+        assert shapes == {"svd": [], "eigvalsh": [], "inv": [], "slogdet": []}
+        try:
+            want = resolvent_mask(M, points)
+        except QuatspecError as exc:
+            with pytest.raises(QuatspecError) as got:
+                resolvent_mask(M, points, q0)
+            assert str(got.value) == str(exc)
+            refused += 1
+        else:
+            assert np.array_equal(resolvent_mask(M, points, q0), want)
+    assert refused == 5
+    assert capfd.readouterr().out == ""
+
+
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 12])
 def test_resolvent_mask_takes_no_determinant(monkeypatch, n):
     # membership is the center's SVD and the pencils' SVD alone: the rows
